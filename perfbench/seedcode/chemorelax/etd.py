@@ -1,0 +1,116 @@
+"""Exponential-integrator building blocks: phi functions and propagator tables.
+
+The stiff linear part of both solvers is integrated exactly per Fourier mode.
+For the chemotaxis system that linear part is the real 3x3 symbol on the
+compressible triple (n, m, psi) plus a scalar relaxation factor on the
+incompressible velocity; for the limit model it is a scalar symbol.  The
+second-order scheme used everywhere is the one-step exponential Runge-Kutta
+
+    y* = E y + P1 N(y),      y+ = y* + P2 (N(y*) - N(y)),
+
+with E = exp(dt A), P1 = dt phi1(dt A), P2 = dt phi2(dt A).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import scipy.linalg
+
+__all__ = ["phi1", "phi2", "matrix_phis", "batched_matrix_phis", "scalar_phis"]
+
+_SERIES_CUTOFF = 1e-2
+# phi1 = sum z^k/(k+1)!, phi2 = sum z^k/(k+2)!; six terms keep the switch seamless
+_PHI1_COEFFS = [1.0 / math.factorial(k + 1) for k in range(6)]
+_PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(6)]
+
+_COND_LIMIT = 1e8
+
+
+def _poly(z, coeffs):
+    out = np.zeros_like(z)
+    for c in reversed(coeffs):
+        out = out * z + c
+    return out
+
+
+def phi1(z):
+    """(e^z - 1)/z, stable near z = 0 (complex-safe)."""
+    z = np.asarray(z, dtype=np.complex128)
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, 0.0, z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (np.exp(zs) - 1.0) / np.where(small, 1.0, zs)
+    return np.where(small, _poly(z, _PHI1_COEFFS), direct)
+
+
+def phi2(z):
+    """(e^z - 1 - z)/z^2, stable near z = 0 (complex-safe)."""
+    z = np.asarray(z, dtype=np.complex128)
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, 1.0, z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = (np.exp(zs) - 1.0 - zs) / zs ** 2
+    return np.where(small, _poly(z, _PHI2_COEFFS), direct)
+
+
+def scalar_phis(symbol, dt: float):
+    """(E, P1, P2) for a scalar (diagonal) linear symbol array."""
+    z = dt * np.asarray(symbol, dtype=np.complex128)
+    return np.exp(z), dt * phi1(z), dt * phi2(z)
+
+
+def _augmented_phis(a: np.ndarray, dt: float):
+    """E, dt phi1, dt phi2 of one matrix via a block-augmented Pade exponential."""
+    m = a.shape[0]
+    aug = np.zeros((3 * m, 3 * m))
+    aug[:m, :m] = a
+    aug[:m, m:2 * m] = np.eye(m)
+    aug[m:2 * m, 2 * m:] = np.eye(m)
+    e_aug = scipy.linalg.expm(dt * aug)
+    return e_aug[:m, :m], e_aug[:m, m:2 * m], e_aug[:m, 2 * m:] / dt
+
+
+def matrix_phis(a: np.ndarray, dt: float):
+    """(E, P1, P2) for one real matrix, by eigendecomposition.
+
+    Falls back to the augmented Pade route when the eigenvector matrix is
+    ill-conditioned (near-defective symbol).
+    """
+    lam, v = np.linalg.eig(a)
+    try:
+        vi = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return _augmented_phis(a, dt)
+    if np.linalg.cond(v) > _COND_LIMIT:
+        return _augmented_phis(a, dt)
+    z = dt * lam
+
+    def rebuild(diag):
+        out = (v * diag[None, :]) @ vi
+        return out.real
+
+    return rebuild(np.exp(z)), rebuild(dt * phi1(z)), rebuild(dt * phi2(z))
+
+
+def batched_matrix_phis(mats: np.ndarray, dt: float):
+    """(E, P1, P2) for a stack of real matrices, shape (n, m, m).
+
+    Vectorized eigendecomposition with a per-matrix fallback for
+    ill-conditioned eigenvector bases.
+    """
+    lam, v = np.linalg.eig(mats)
+    vi = np.linalg.inv(v)
+    cond = np.linalg.norm(v, axis=(1, 2)) * np.linalg.norm(vi, axis=(1, 2))
+    z = dt * lam
+
+    def rebuild(diag):
+        return np.einsum("nij,nj,njk->nik", v, diag, vi).real
+
+    e = rebuild(np.exp(z))
+    p1 = rebuild(dt * phi1(z))
+    p2 = rebuild(dt * phi2(z))
+    for idx in np.where(cond > _COND_LIMIT)[0]:
+        e[idx], p1[idx], p2[idx] = _augmented_phis(mats[idx], dt)
+    return e, p1, p2

@@ -1,0 +1,414 @@
+"""Fourier representation of periodic fields and dyadic frequency analysis.
+
+Fields live on a uniform grid over the torus [0, L)^d and are stored as
+Fourier coefficients, so that differential operators, Fourier multipliers
+and frequency-localized (Littlewood-Paley style) norms are all exact
+coefficient-space operations.  Physical-space values are recovered with an
+inverse FFT when pointwise products are needed.
+
+Conventions
+-----------
+* coefficients ``c[m]`` are Fourier-series coefficients:
+  ``f(x) = sum_m c[m] exp(i xi_m . x)`` with ``xi_m = 2 pi m / L``,
+* the Nyquist mode is zeroed by all differentiation operators,
+* dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
+  the mean is tracked separately by the solvers,
+* L2 norms are torus integrals, computed from coefficients by Parseval.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+__all__ = [
+    "Grid",
+    "SpectralField",
+    "DyadicDecomposition",
+    "make_grid",
+    "make_decomposition",
+    "apply_multiplier",
+    "lambda_power",
+    "bessel_inverse",
+    "gradient",
+    "divergence",
+    "laplacian",
+    "dealias",
+    "compute_threshold",
+    "chi_profile",
+    "ring_profile",
+    "save_field",
+    "load_field",
+    "write_block_norms",
+]
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n >= 1 and (n & (n - 1)) == 0
+
+
+@dataclass(eq=False)
+class Grid:
+    """Uniform periodic grid on [0, L)^d with precomputed wavenumber tables.
+
+    Treated as immutable after construction; build through :func:`make_grid`.
+    """
+
+    d: int
+    N: int
+    L: float
+    shape: tuple = field(repr=False, default=None)
+    x_axes: list = field(repr=False, default=None)        # physical coordinates per axis
+    xi: np.ndarray = field(repr=False, default=None)      # (d, *shape) true wavenumbers
+    xi_diff: np.ndarray = field(repr=False, default=None) # (d, *shape), Nyquist zeroed
+    xi_mag: np.ndarray = field(repr=False, default=None)  # |xi| from true wavenumbers
+    xi_mag_diff: np.ndarray = field(repr=False, default=None)  # |xi| from xi_diff
+    dealias_mask: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def dx(self) -> float:
+        return self.L / self.N
+
+    @property
+    def volume(self) -> float:
+        return self.L ** self.d
+
+    @property
+    def cell_volume(self) -> float:
+        return (self.L / self.N) ** self.d
+
+    @property
+    def xi_min(self) -> float:
+        """Smallest nonzero wavenumber magnitude, 2 pi / L."""
+        return 2.0 * np.pi / self.L
+
+    @property
+    def xi_max(self) -> float:
+        """Largest wavenumber magnitude, pi N sqrt(d) / L."""
+        return np.pi * self.N * math.sqrt(self.d) / self.L
+
+    def fft_axes(self) -> tuple:
+        return tuple(range(1, self.d + 1))
+
+
+def make_grid(d: int, N: int, L: float) -> Grid:
+    """Build a Grid, validating d in {1,2,3}, N a power of two >= 8, L > 0."""
+    if d not in (1, 2, 3):
+        raise ValueError(f"grid dimension must be 1, 2 or 3, got {d}")
+    if not isinstance(N, (int, np.integer)) or N < 8 or not _is_power_of_two(int(N)):
+        raise ValueError(f"N must be a power of two >= 8, got {N}")
+    if not (L > 0):
+        raise ValueError(f"period length must be positive, got {L}")
+    N = int(N)
+    shape = (N,) * d
+    modes = np.fft.fftfreq(N, d=1.0 / N)  # 0, 1, ..., N/2-1, -N/2, ..., -1
+    k1 = 2.0 * np.pi * modes / L
+    k1_diff = k1.copy()
+    k1_diff[N // 2] = 0.0  # Nyquist mode carries no sign information
+    xi = np.stack(np.meshgrid(*([k1] * d), indexing="ij"))
+    xi_diff = np.stack(np.meshgrid(*([k1_diff] * d), indexing="ij"))
+    xi_mag = np.sqrt(np.sum(xi ** 2, axis=0))
+    xi_mag_diff = np.sqrt(np.sum(xi_diff ** 2, axis=0))
+    keep = np.abs(modes) <= N // 3
+    mask = np.ones(shape, dtype=bool)
+    for ax in range(d):
+        sl = [None] * d
+        sl[ax] = slice(None)
+        mask &= keep[tuple(sl)]
+    x1 = np.arange(N) * (L / N)
+    return Grid(d=d, N=N, L=float(L), shape=shape, x_axes=[x1] * d,
+                xi=xi, xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
+                dealias_mask=mask)
+
+
+class SpectralField:
+    """Real periodic field (scalar or d-vector) stored as Fourier coefficients.
+
+    ``coef`` has shape ``(ncomp, *grid.shape)`` with ncomp = 1 (scalar) or
+    grid.d (vector).  All arithmetic is coefficient-wise and returns new
+    fields; nothing here mutates its inputs.
+    """
+
+    __slots__ = ("grid", "coef")
+
+    def __init__(self, grid: Grid, coef: np.ndarray):
+        coef = np.asarray(coef, dtype=np.complex128)
+        if coef.shape[1:] != grid.shape:
+            raise ValueError(f"coefficient shape {coef.shape} does not match grid {grid.shape}")
+        if coef.shape[0] not in (1, grid.d):
+            raise ValueError(f"field must have 1 or {grid.d} components, got {coef.shape[0]}")
+        self.grid = grid
+        self.coef = coef
+
+    # -- constructors ------------------------------------------------------
+    @classmethod
+    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape == grid.shape:
+            values = values[None]
+        coef = np.fft.fftn(values, axes=grid.fft_axes()) / grid.N ** grid.d
+        return cls(grid, coef)
+
+    @classmethod
+    def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
+        return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+
+    # -- basic queries -----------------------------------------------------
+    @property
+    def ncomp(self) -> int:
+        return self.coef.shape[0]
+
+    def copy(self) -> "SpectralField":
+        return SpectralField(self.grid, self.coef.copy())
+
+    def to_physical(self) -> np.ndarray:
+        """Inverse transform; returns the real part, shape (ncomp, *shape)."""
+        out = np.fft.ifftn(self.coef, axes=self.grid.fft_axes()) * self.grid.N ** self.grid.d
+        return out.real
+
+    def max_imag_physical(self) -> float:
+        """Magnitude of the spurious imaginary part (reality diagnostic)."""
+        out = np.fft.ifftn(self.coef, axes=self.grid.fft_axes()) * self.grid.N ** self.grid.d
+        return float(np.max(np.abs(out.imag))) if out.size else 0.0
+
+    def mean(self) -> np.ndarray:
+        """Spatial mean per component (the zero-mode coefficient)."""
+        zero = (slice(None),) + (0,) * self.grid.d
+        return self.coef[zero].real.copy()
+
+    def l2_norm(self) -> float:
+        """sqrt of the torus integral of |f|^2, summed over components."""
+        return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)) * self.grid.L ** (self.grid.d / 2))
+
+    def l2_norm_physical(self) -> float:
+        """Same norm by physical-space quadrature (used to check Parseval)."""
+        vals = self.to_physical()
+        return float(np.sqrt(np.sum(vals ** 2) * self.grid.cell_volume))
+
+    # -- arithmetic --------------------------------------------------------
+    def _like(self, coef: np.ndarray) -> "SpectralField":
+        return SpectralField(self.grid, coef)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._like(self.coef + other.coef)
+
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        return self._like(self.coef - other.coef)
+
+    def __mul__(self, scalar) -> "SpectralField":
+        return self._like(self.coef * scalar)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "SpectralField":
+        return self._like(-self.coef)
+
+
+# -- Fourier multipliers ----------------------------------------------------
+
+def apply_multiplier(f: SpectralField, symbol) -> SpectralField:
+    """Apply a radial Fourier multiplier ``symbol(|xi|)`` coefficient-wise.
+
+    ``symbol`` is evaluated on the grid's |xi| table and must be finite at
+    every grid wavenumber.
+    """
+    values = np.asarray(symbol(f.grid.xi_mag))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("multiplier symbol is not finite at some grid wavenumber")
+    return SpectralField(f.grid, f.coef * values)
+
+
+def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
+    """|xi|^sigma multiplier; the zero mode is sent to 0 when sigma < 0."""
+    mag = f.grid.xi_mag
+    with np.errstate(divide="ignore"):
+        values = np.where(mag > 0, mag ** sigma, 0.0 if sigma < 0 else (0.0 if sigma > 0 else 1.0))
+    return SpectralField(f.grid, f.coef * values)
+
+
+def bessel_inverse(f: SpectralField, b: float) -> SpectralField:
+    """(b - Laplacian)^{-1}: multiply by 1/(b + |xi|^2); requires b > 0.
+
+    Uses the differentiation-consistent wavenumbers so that the screened
+    elliptic identity -Lap phi + b phi = f holds exactly, Nyquist included.
+    """
+    if not (b > 0):
+        raise ValueError(f"bessel_inverse requires b > 0, got {b}")
+    return SpectralField(f.grid, f.coef / (b + f.grid.xi_mag_diff ** 2))
+
+
+def gradient(f: SpectralField) -> SpectralField:
+    """Gradient of a scalar field; returns a d-component field."""
+    if f.ncomp != 1:
+        raise ValueError("gradient expects a scalar field")
+    return SpectralField(f.grid, 1j * f.grid.xi_diff * f.coef[0])
+
+
+def divergence(v: SpectralField) -> SpectralField:
+    """Divergence of a d-component field; returns a scalar field."""
+    if v.ncomp != v.grid.d:
+        raise ValueError("divergence expects a d-component field")
+    coef = np.sum(1j * v.grid.xi_diff * v.coef, axis=0)
+    return SpectralField(v.grid, coef[None])
+
+
+def laplacian(f: SpectralField) -> SpectralField:
+    """Laplacian (per component); symbol -|xi|^2 built from xi_diff."""
+    sym = -np.sum(f.grid.xi_diff ** 2, axis=0)
+    return SpectralField(f.grid, f.coef * sym)
+
+
+def dealias(f: SpectralField) -> SpectralField:
+    """Zero all modes outside the 2/3-rule box."""
+    return SpectralField(f.grid, f.coef * f.grid.dealias_mask)
+
+
+# -- dyadic decomposition ----------------------------------------------------
+
+_T0 = 0.75      # chi == 1 below this
+_T1 = 4.0 / 3.0 # chi == 0 above this
+
+
+def _smoothstep(x: np.ndarray) -> np.ndarray:
+    x = np.clip(x, 0.0, 1.0)
+    return x ** 3 * (10.0 + x * (6.0 * x - 15.0))
+
+
+def chi_profile(t) -> np.ndarray:
+    """Radial cutoff: 1 for t <= 3/4, 0 for t >= 4/3, monotone quintic between."""
+    t = np.asarray(t, dtype=np.float64)
+    return 1.0 - _smoothstep((t - _T0) / (_T1 - _T0))
+
+
+def ring_profile(t) -> np.ndarray:
+    """Ring profile chi(t/2) - chi(t); supported on 3/4 <= t <= 8/3."""
+    t = np.asarray(t, dtype=np.float64)
+    return chi_profile(t / 2.0) - chi_profile(t)
+
+
+def compute_threshold(eps: float, k: int) -> int:
+    """Low/high frequency threshold floor(-log2 eps) + k, for eps in (0, 1)."""
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"threshold requires eps in (0, 1), got {eps}")
+    return int(math.floor(-math.log2(eps))) + int(k)
+
+
+@dataclass(eq=False)
+class DyadicDecomposition:
+    """Discrete Littlewood-Paley blocks valid on one grid.
+
+    ``j_min``/``j_max`` bracket the blocks whose rings intersect the grid's
+    nonzero wavenumbers; blocks outside that range are identically zero.
+    """
+
+    grid: Grid
+    j_min: int
+    j_max: int
+
+    def active_js(self) -> range:
+        return range(self.j_min, self.j_max + 1)
+
+    def _ring_values(self, j: int) -> np.ndarray:
+        return ring_profile(self.grid.xi_mag * 2.0 ** (-j))
+
+    def block(self, f: SpectralField, j: int) -> SpectralField:
+        """Frequency block at scale 2^j; zero field for out-of-range j."""
+        if j < self.j_min - 2 or j > self.j_max + 2:
+            return SpectralField.zeros(f.grid, f.ncomp)
+        return SpectralField(f.grid, f.coef * self._ring_values(j))
+
+    def block_l2(self, f: SpectralField, j: int) -> float:
+        if j < self.j_min - 2 or j > self.j_max + 2:
+            return 0.0
+        w = self._ring_values(j)
+        return float(np.sqrt(np.sum(np.abs(f.coef) ** 2 * w ** 2))
+                     * self.grid.L ** (self.grid.d / 2))
+
+    def block_l2_all(self, f: SpectralField) -> np.ndarray:
+        return np.array([self.block_l2(f, j) for j in self.active_js()])
+
+    def besov_norm(self, f: SpectralField, s: float, r) -> float:
+        """Homogeneous Besov norm B^s_{2,r} with r in {1, inf} (zero mode excluded)."""
+        terms = [2.0 ** (j * s) * self.block_l2(f, j) for j in self.active_js()]
+        if not terms:
+            return 0.0
+        if r == 1:
+            return float(sum(terms))
+        if r in (np.inf, math.inf, "inf"):
+            return float(max(terms))
+        raise ValueError(f"r must be 1 or inf, got {r}")
+
+    def hybrid_norm(self, f: SpectralField, s_low: float, s_high: float, r, J: int):
+        """Low part sums blocks j <= J, high part j >= J - 1 (one-block overlap)."""
+        low_terms = [2.0 ** (j * s_low) * self.block_l2(f, j)
+                     for j in self.active_js() if j <= J]
+        high_terms = [2.0 ** (j * s_high) * self.block_l2(f, j)
+                      for j in self.active_js() if j >= J - 1]
+
+        def reduce(terms):
+            if not terms:
+                return 0.0
+            if r == 1:
+                return float(sum(terms))
+            if r in (np.inf, math.inf, "inf"):
+                return float(max(terms))
+            raise ValueError(f"r must be 1 or inf, got {r}")
+
+        return reduce(low_terms), reduce(high_terms)
+
+    def lowpass(self, f: SpectralField, j: int, keep_mean: bool = True) -> SpectralField:
+        """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi))."""
+        w = chi_profile(self.grid.xi_mag * 2.0 ** (-j))
+        coef = f.coef * w
+        if not keep_mean:
+            zero = (slice(None),) + (0,) * self.grid.d
+            coef[zero] = 0.0
+        return SpectralField(f.grid, coef)
+
+    def low_part(self, f: SpectralField, J: int) -> SpectralField:
+        """Sum of blocks j <= J - 1 (equals chi(2^{-J} xi) f on nonzero modes)."""
+        return self.lowpass(f, J, keep_mean=False)
+
+    def high_part(self, f: SpectralField, J: int) -> SpectralField:
+        """Sum of blocks j >= J; the mean is excluded as well."""
+        coef = f.coef.copy()
+        zero = (slice(None),) + (0,) * self.grid.d
+        coef[zero] = 0.0
+        return SpectralField(f.grid, coef) - self.low_part(f, J)
+
+
+def make_decomposition(grid: Grid) -> DyadicDecomposition:
+    lo = math.log2(grid.xi_min)
+    hi = math.log2(grid.xi_max)
+    tiny = 1e-12
+    # ring(2^{-j} xi) != 0  iff  log2(xi) - log2(8/3) < j < log2(xi) - log2(3/4)
+    j_min = math.ceil(lo - math.log2(8.0 / 3.0) + tiny)
+    j_max = math.floor(hi - math.log2(3.0 / 4.0) - tiny)
+    return DyadicDecomposition(grid=grid, j_min=j_min, j_max=j_max)
+
+
+# -- snapshot and table IO ---------------------------------------------------
+
+def save_field(path, f: SpectralField) -> None:
+    """Write a field snapshot (.npz with grid metadata and row-major coefficients)."""
+    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L,
+             coef=np.ascontiguousarray(f.coef))
+
+
+def load_field(path) -> SpectralField:
+    with np.load(path) as data:
+        grid = make_grid(int(data["d"]), int(data["N"]), float(data["L"]))
+        return SpectralField(grid, data["coef"])
+
+
+def write_block_norms(path, f: SpectralField, s: float,
+                      decomposition: DyadicDecomposition | None = None) -> None:
+    """CSV of per-block L2 norms: columns j, 2^j, block_L2, weighted."""
+    dec = decomposition or make_decomposition(f.grid)
+    with open(path, "w") as fh:
+        fh.write("j,scale,block_L2,weighted\n")
+        for j in dec.active_js():
+            m = dec.block_l2(f, j)
+            fh.write(f"{j},{2.0 ** j!r},{m!r},{2.0 ** (j * s) * m!r}\n")
