@@ -315,22 +315,20 @@ def hybrid_aggregate(state: HpcState, dec: DyadicDecomposition | None = None,
     """Hybrid energy of one snapshot:
     ||(n,u,psi)||^l_{B^{d/2}_{2,1}} + eps ||(n,u,grad psi)||^h_{B^{d/2+1}_{2,1}}.
 
-    Returns (total, breakdown dict).
+    Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
+    breakdown holds the (low, high) pair of each of n, u, psi and grad_psi;
+    each field's block norms are computed once.
     """
     dec = dec or make_decomposition(state.grid)
     J = state.params.threshold() if J is None else J
     s_lo = state.grid.d / 2.0
-    s_hi = s_lo + 1.0
-    low = 0.0
-    for f in (state.n, state.u, state.psi):
-        lo, _ = dec.hybrid_norm(f, s_lo, s_hi, 1, J)
-        low += lo
-    high = 0.0
-    for f in (state.n, state.u, gradient(state.psi)):
-        _, hi = dec.hybrid_norm(f, s_lo, s_hi, 1, J)
-        high += hi
-    total = low + state.params.eps * high
-    return total, {"low": low, "high": high, "eps_high": state.params.eps * high}
+    fields = {name: dec.hybrid_norm(f, s_lo, s_lo + 1.0, 1, J)
+              for name, f in (("n", state.n), ("u", state.u), ("psi", state.psi),
+                              ("grad_psi", gradient(state.psi)))}
+    low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
+    high = fields["n"][1] + fields["u"][1] + fields["grad_psi"][1]
+    eps = state.params.eps
+    return low + eps * high, {"low": low, "high": high, "eps_high": eps * high, **fields}
 
 
 def run(initial: HpcState, config: SolverConfig) -> HpcTrajectory:
@@ -342,8 +340,7 @@ def run(initial: HpcState, config: SolverConfig) -> HpcTrajectory:
     """
     from .diagnostics import DiagnosticSeries
 
-    grid = initial.grid
-    dec = make_decomposition(grid)
+    dec = make_decomposition(initial.grid)
     J = initial.params.threshold()
     snap_dt = config.snap_dt if config.snap_dt is not None else max(config.dt, config.t_end / 100.0)
     steps_per_snap = max(1, round(snap_dt / config.dt))
@@ -354,38 +351,34 @@ def run(initial: HpcState, config: SolverConfig) -> HpcTrajectory:
 
     mass0 = initial.total_mass()
     mass_target = initial.mass_perturbation() if config.mass_fix else None
-    x0, _ = hybrid_aggregate(initial, dec, J)
+    x0, parts0 = hybrid_aggregate(initial, dec, J)
     if x0 > SMALL_DATA_HINT:
         warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
                       f"{SMALL_DATA_HINT}; global boundedness is not guaranteed", stacklevel=2)
 
-    def record(s: HpcState):
-        agg, parts = hybrid_aggregate(s, dec, J)
+    def record(s: HpcState, agg: float, parts: dict):
         h_vals = coefficient_H(s.n.to_physical()[0], s.params)
-        lows, highs = {}, {}
-        for name, f in (("n", s.n), ("u", s.u), ("psi", s.psi)):
-            lo, hi = dec.hybrid_norm(f, grid.d / 2.0, grid.d / 2.0 + 1.0, 1, J)
-            lows[name], highs[name] = lo, hi
         series.add(t=s.t, mass=s.total_mass(),
                    mean_n=float(s.n.mean()[0]), mean_psi=float(s.psi.mean()[0]),
                    mean_H=float(np.mean(h_vals)),
-                   low_n=lows["n"], high_n=highs["n"], low_u=lows["u"], high_u=highs["u"],
-                   low_psi=lows["psi"], high_psi=highs["psi"],
+                   low_n=parts["n"][0], high_n=parts["n"][1],
+                   low_u=parts["u"][0], high_u=parts["u"][1],
+                   low_psi=parts["psi"][0], high_psi=parts["psi"][1],
                    x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
                    max_u=float(np.max(np.abs(s.u.to_physical()))))
 
     states = [initial.copy()]
-    record(initial)
+    record(initial, x0, parts0)
     state = initial.copy()
     try:
         for _ in range(n_snaps):
             for _ in range(steps_per_snap):
                 state = _advance(state, config.dt, config, cache, mass_target)
-            agg, _ = hybrid_aggregate(state, dec, J)
+            agg, parts = hybrid_aggregate(state, dec, J)
             if x0 > 0 and agg > config.blowup_factor * x0:
                 raise BlowupError(f"aggregate norm exceeded {config.blowup_factor:g} x initial at t={state.t}")
             states.append(state.copy())
-            record(state)
+            record(state, agg, parts)
     except (OutsideValidityWindow, BlowupError) as exc:
         return HpcTrajectory(states=states, series=series, status="blowup", message=str(exc))
     if config.mass_fix:
@@ -484,9 +477,10 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
             pf = mk(psi_profile, 1) * s
         return HpcState(0.0, nf, uf, pf, params)
 
+    dec = make_decomposition(grid)
     if target_x0 is None:
         state = assemble(1.0)
-        return state, hybrid_aggregate(state)[1]
+        return state, hybrid_aggregate(state, dec)[1]
 
     if target_x0 == 0:
         return assemble(0.0), {"low": 0.0, "high": 0.0, "eps_high": 0.0}
@@ -498,7 +492,7 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
     s = 1e-4 / base
     for _ in range(60):
         state = assemble(s)
-        x, parts = hybrid_aggregate(state)
+        x, parts = hybrid_aggregate(state, dec)
         if abs(x - target_x0) <= 1e-10 * target_x0:
             return state, parts
         s *= target_x0 / x

@@ -9,6 +9,7 @@ Everything is vectorized over numpy arrays so fields can be mapped pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,6 +130,11 @@ class ModelParams:
     def window(self) -> tuple:
         return (WINDOW_LO * self.rho_bar, WINDOW_HI * self.rho_bar)
 
+    @cached_property
+    def enthalpy_window(self) -> tuple:
+        """(n_lo, n_hi): the enthalpy images of the density window's ends."""
+        return tuple(enthalpy_n(rho, self) for rho in self.window())
+
 
 def _check_window(rho, params: ModelParams, what: str) -> np.ndarray:
     rho = np.asarray(rho, dtype=np.float64)
@@ -159,8 +165,7 @@ def density_perturbation(n, params: ModelParams):
     """
     n = np.asarray(n, dtype=np.float64)
     law, rb = params.pressure, params.rho_bar
-    n_lo = enthalpy_n(WINDOW_LO * rb, params)
-    n_hi = enthalpy_n(WINDOW_HI * rb, params)
+    n_lo, n_hi = params.enthalpy_window
     if not np.all(np.isfinite(n)) or np.any(n < n_lo) or np.any(n > n_hi):
         bad = n[~(np.isfinite(n) & (n >= n_lo) & (n <= n_hi))]
         raise OutsideValidityWindow(

@@ -13,6 +13,9 @@ Conventions
 * the Nyquist mode is zeroed by all differentiation operators,
 * dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
   the mean is tracked separately by the solvers,
+* block norms come from one cached ``(n_blocks, n_modes)`` matrix of squared
+  ring weights per decomposition, times the mode energies; Besov and hybrid
+  norms are weighted sums or maxima over that vector of block norms,
 * L2 norms are torus integrals, computed from coefficients by Parseval.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -295,6 +299,15 @@ def compute_threshold(eps: float, k: int) -> int:
     return int(math.floor(-math.log2(eps))) + int(k)
 
 
+def _lr_reduce(terms: np.ndarray, r) -> float:
+    """l^r reduction of weighted block norms, r in {1, inf}; 0.0 for no terms."""
+    if r == 1:
+        return float(np.sum(terms))
+    if r in (np.inf, math.inf, "inf"):
+        return float(np.max(terms, initial=0.0))
+    raise ValueError(f"r must be 1 or inf, got {r}")
+
+
 @dataclass(eq=False)
 class DyadicDecomposition:
     """Discrete Littlewood-Paley blocks valid on one grid.
@@ -310,53 +323,40 @@ class DyadicDecomposition:
     def active_js(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def _ring_values(self, j: int) -> np.ndarray:
-        return ring_profile(self.grid.xi_mag * 2.0 ** (-j))
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Squared ring weights, shape (n_active_blocks, n_modes); built on first use."""
+        w2 = np.empty((len(self.active_js()), self.grid.xi_mag.size))
+        for row, j in enumerate(self.active_js()):
+            w2[row] = ring_profile(self.grid.xi_mag.ravel() * 2.0 ** (-j)) ** 2
+        return w2
 
     def block(self, f: SpectralField, j: int) -> SpectralField:
         """Frequency block at scale 2^j; zero field for out-of-range j."""
         if j < self.j_min - 2 or j > self.j_max + 2:
             return SpectralField.zeros(f.grid, f.ncomp)
-        return SpectralField(f.grid, f.coef * self._ring_values(j))
+        return SpectralField(f.grid, f.coef * ring_profile(self.grid.xi_mag * 2.0 ** (-j)))
+
+    def block_norms(self, f: SpectralField) -> np.ndarray:
+        """L2 norms of every active block of f (components summed), in j order."""
+        energy = np.sum(np.abs(f.coef) ** 2, axis=0).ravel()
+        return np.sqrt(self.weights @ energy) * self.grid.L ** (self.grid.d / 2)
 
     def block_l2(self, f: SpectralField, j: int) -> float:
-        if j < self.j_min - 2 or j > self.j_max + 2:
-            return 0.0
-        w = self._ring_values(j)
-        return float(np.sqrt(np.sum(np.abs(f.coef) ** 2 * w ** 2))
-                     * self.grid.L ** (self.grid.d / 2))
-
-    def block_l2_all(self, f: SpectralField) -> np.ndarray:
-        return np.array([self.block_l2(f, j) for j in self.active_js()])
+        """L2 norm of block j; 0.0 outside the active range."""
+        return float(self.block_norms(f)[j - self.j_min]) if j in self.active_js() else 0.0
 
     def besov_norm(self, f: SpectralField, s: float, r) -> float:
         """Homogeneous Besov norm B^s_{2,r} with r in {1, inf} (zero mode excluded)."""
-        terms = [2.0 ** (j * s) * self.block_l2(f, j) for j in self.active_js()]
-        if not terms:
-            return 0.0
-        if r == 1:
-            return float(sum(terms))
-        if r in (np.inf, math.inf, "inf"):
-            return float(max(terms))
-        raise ValueError(f"r must be 1 or inf, got {r}")
+        js = np.arange(self.j_min, self.j_max + 1)
+        return _lr_reduce(2.0 ** (js * s) * self.block_norms(f), r)
 
     def hybrid_norm(self, f: SpectralField, s_low: float, s_high: float, r, J: int):
         """Low part sums blocks j <= J, high part j >= J - 1 (one-block overlap)."""
-        low_terms = [2.0 ** (j * s_low) * self.block_l2(f, j)
-                     for j in self.active_js() if j <= J]
-        high_terms = [2.0 ** (j * s_high) * self.block_l2(f, j)
-                      for j in self.active_js() if j >= J - 1]
-
-        def reduce(terms):
-            if not terms:
-                return 0.0
-            if r == 1:
-                return float(sum(terms))
-            if r in (np.inf, math.inf, "inf"):
-                return float(max(terms))
-            raise ValueError(f"r must be 1 or inf, got {r}")
-
-        return reduce(low_terms), reduce(high_terms)
+        js = np.arange(self.j_min, self.j_max + 1)
+        norms = self.block_norms(f)
+        return (_lr_reduce((2.0 ** (js * s_low) * norms)[js <= J], r),
+                _lr_reduce((2.0 ** (js * s_high) * norms)[js >= J - 1], r))
 
     def lowpass(self, f: SpectralField, j: int, keep_mean: bool = True) -> SpectralField:
         """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi))."""
@@ -409,6 +409,5 @@ def write_block_norms(path, f: SpectralField, s: float,
     dec = decomposition or make_decomposition(f.grid)
     with open(path, "w") as fh:
         fh.write("j,scale,block_L2,weighted\n")
-        for j in dec.active_js():
-            m = dec.block_l2(f, j)
+        for j, m in zip(dec.active_js(), dec.block_norms(f).tolist()):
             fh.write(f"{j},{2.0 ** j!r},{m!r},{2.0 ** (j * s) * m!r}\n")

@@ -310,6 +310,19 @@ def test_criterion_11_residual_smallness(relaxation_report):
            time.perf_counter() - t0, 600.0)
 
 
+# Fitted slopes of the criterion-10 sweep, recorded from the per-ring block-norm
+# code; refactors of the norms or the solvers must not move them.
+PINNED_SLOPES = {"sup_drho": 0.950430995992729, "int_du": 0.959036305596736}
+PINNED_RTOL = 1e-9
+
+
+def test_relaxation_slopes_pinned(relaxation_report):
+    rep, _ = relaxation_report
+    for name, value in PINNED_SLOPES.items():
+        assert abs(rep.slopes[name] - value) <= PINNED_RTOL * abs(value), \
+            f"slope {name} = {rep.slopes[name]!r}, pinned {value!r} (rtol {PINNED_RTOL:g})"
+
+
 def test_criterion_12_spectral_core_properties(rng):
     t0 = time.perf_counter()
     grid = make_grid(1, 128, 2 * np.pi)

@@ -217,6 +217,83 @@ class TestDyadicDecomposition:
         assert np.isclose(dec.besov_norm(f2, 1.0, 1), 2.0 * m2)
 
 
+def reference_block_norms(dec, f):
+    """Per-ring loop: one ring_profile evaluation and one full-grid sum per block."""
+    g = dec.grid
+    return np.array([
+        np.sqrt(np.sum(np.abs(f.coef) ** 2 * ring_profile(g.xi_mag * 2.0 ** (-j)) ** 2))
+        * g.L ** (g.d / 2) for j in dec.active_js()])
+
+
+def nyquist_field(grid, ncomp):
+    """cos(pi N x / L) along the last axis: all energy at the Nyquist mode."""
+    vals = np.cos(np.pi * grid.N * grid.x_axes[0] / grid.L)
+    shape = [1] * grid.d
+    shape[-1] = grid.N
+    return SpectralField.from_physical(grid, np.broadcast_to(
+        vals.reshape(shape), (ncomp,) + grid.shape).copy())
+
+
+class TestBlockNormsAgainstRingLoop:
+    """The cached weight matrix reproduces the per-ring reference to 1e-13."""
+
+    CASES = [(1, 64, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)]
+
+    def fields(self, grid, rng):
+        for ncomp in (1, grid.d):
+            yield random_field(grid, rng, ncomp=ncomp, band_limited=False)
+            yield random_field(grid, rng, ncomp=ncomp) + nyquist_field(grid, ncomp)
+
+    @pytest.mark.parametrize("d,N,L", CASES)
+    def test_norms_match_reference(self, rng, d, N, L):
+        g = make_grid(d, N, L)
+        dec = make_decomposition(g)
+        js = np.arange(dec.j_min, dec.j_max + 1)
+        for f in self.fields(g, rng):
+            ref = reference_block_norms(dec, f)
+            np.testing.assert_allclose(dec.block_norms(f), ref, rtol=1e-13, atol=0.0)
+            for j, m in zip(dec.active_js(), ref):
+                assert np.isclose(dec.block_l2(f, j), m, rtol=1e-13, atol=0.0)
+            for s in (-0.7, 0.0, d / 2.0 + 1.0):
+                terms = 2.0 ** (js * s) * ref
+                assert np.isclose(dec.besov_norm(f, s, 1), terms.sum(), rtol=1e-13, atol=0.0)
+                assert np.isclose(dec.besov_norm(f, s, np.inf), terms.max(), rtol=1e-13, atol=0.0)
+            for J in (dec.j_min, 1, dec.j_max):
+                lo, hi = dec.hybrid_norm(f, d / 2.0, d / 2.0 + 1.0, 1, J)
+                ref_lo = np.sum((2.0 ** (js * d / 2.0) * ref)[js <= J])
+                ref_hi = np.sum((2.0 ** (js * (d / 2.0 + 1.0)) * ref)[js >= J - 1])
+                assert np.isclose(lo, ref_lo, rtol=1e-13, atol=0.0)
+                assert np.isclose(hi, ref_hi, rtol=1e-13, atol=0.0)
+
+    def test_nyquist_energy_is_counted(self):
+        g = make_grid(1, 16, 2 * np.pi)
+        dec = make_decomposition(g)
+        f = nyquist_field(g, 1)
+        norms = dec.block_norms(f)
+        assert norms.max() > 0.0
+        np.testing.assert_allclose(norms, reference_block_norms(dec, f), rtol=1e-13, atol=0.0)
+
+    def test_weights_built_once(self, rng, monkeypatch):
+        import chemorelax.spectral as spectral
+        calls = []
+
+        def counting(t):
+            calls.append(1)
+            return ring_profile(t)
+
+        monkeypatch.setattr(spectral, "ring_profile", counting)
+        g = make_grid(2, 16, 2 * np.pi)
+        dec = make_decomposition(g)
+        for _ in range(3):
+            f = random_field(g, rng, ncomp=2)
+            dec.block_norms(f)
+            dec.block_l2(f, dec.j_min)
+            dec.besov_norm(f, 1.0, 1)
+            dec.hybrid_norm(f, 1.0, 2.0, np.inf, 1)
+        assert len(calls) == len(dec.active_js())
+        assert dec.weights.shape == (len(dec.active_js()), g.N ** g.d)
+
+
 class TestThreshold:
     def test_examples(self):
         assert compute_threshold(0.1, -2) == 1
