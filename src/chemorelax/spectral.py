@@ -10,13 +10,27 @@ Conventions
 -----------
 * coefficients ``c[m]`` are Fourier-series coefficients:
   ``f(x) = sum_m c[m] exp(i xi_m . x)`` with ``xi_m = 2 pi m / L``,
+* fields are real, so ``c[-m] = conj(c[m])`` and only the half-spectrum of
+  ``numpy.fft.rfftn`` is stored: shape ``(ncomp, N, ..., N, N//2 + 1)``, the
+  last axis holding modes ``0 .. N/2``.  Reality holds by construction,
+* ``Grid.multiplicity`` counts the modes each stored coefficient stands for:
+  1 on the last-axis planes ``0`` and ``N/2`` (their conjugates are stored
+  too), 2 elsewhere.  Sums over modes (L2 norms, block norms) weight each
+  stored mode's energy by it,
+* transforms are ``numpy.fft`` with ``norm="forward"``: the 1-D ``rfft`` /
+  ``irfft`` for d = 1 (they skip the n-d argument handling, which dominates
+  short transforms), ``rfftn`` / ``irfftn`` otherwise.  ``scipy.fft`` is not
+  used: importing it costs more resident memory than the transforms save,
 * the Nyquist mode is zeroed by all differentiation operators,
 * dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
   the mean is tracked separately by the solvers,
 * block norms come from one cached ``(n_blocks, n_modes)`` matrix of squared
-  ring weights per decomposition, times the mode energies; Besov and hybrid
-  norms are weighted sums or maxima over that vector of block norms,
-* L2 norms are torus integrals, computed from coefficients by Parseval.
+  ring weights per decomposition, multiplicity included, times the stored
+  modes' energies; Besov and hybrid norms are weighted sums or maxima over
+  that vector of block norms,
+* L2 norms are torus integrals, computed from coefficients by Parseval,
+* snapshots (:func:`save_field`) keep the full ``fftn`` coefficient layout,
+  ``(ncomp, N, ..., N)``; :func:`load_field` reads it back.
 """
 
 from __future__ import annotations
@@ -63,13 +77,15 @@ class Grid:
     d: int
     N: int
     L: float
-    shape: tuple = field(repr=False, default=None)
+    shape: tuple = field(repr=False, default=None)        # physical grid, (N,) * d
+    spec_shape: tuple = field(repr=False, default=None)   # half-spectrum, (N, ..., N//2+1)
     x_axes: list = field(repr=False, default=None)        # physical coordinates per axis
-    xi: np.ndarray = field(repr=False, default=None)      # (d, *shape) true wavenumbers
-    xi_diff: np.ndarray = field(repr=False, default=None) # (d, *shape), Nyquist zeroed
+    xi: np.ndarray = field(repr=False, default=None)      # (d, *spec_shape) true wavenumbers
+    xi_diff: np.ndarray = field(repr=False, default=None) # (d, *spec_shape), Nyquist zeroed
     xi_mag: np.ndarray = field(repr=False, default=None)  # |xi| from true wavenumbers
     xi_mag_diff: np.ndarray = field(repr=False, default=None)  # |xi| from xi_diff
     dealias_mask: np.ndarray = field(repr=False, default=None)
+    multiplicity: np.ndarray = field(repr=False, default=None)  # modes per stored coefficient
 
     @property
     def dx(self) -> float:
@@ -106,41 +122,47 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     if not (L > 0):
         raise ValueError(f"period length must be positive, got {L}")
     N = int(N)
-    shape = (N,) * d
-    modes = np.fft.fftfreq(N, d=1.0 / N)  # 0, 1, ..., N/2-1, -N/2, ..., -1
-    k1 = 2.0 * np.pi * modes / L
-    k1_diff = k1.copy()
-    k1_diff[N // 2] = 0.0  # Nyquist mode carries no sign information
-    xi = np.stack(np.meshgrid(*([k1] * d), indexing="ij"))
-    xi_diff = np.stack(np.meshgrid(*([k1_diff] * d), indexing="ij"))
+    half = N // 2 + 1
+    spec_shape = (N,) * (d - 1) + (half,)
+    full = np.fft.fftfreq(N, d=1.0 / N)  # 0, 1, ..., N/2-1, -N/2, ..., -1
+    # the last axis keeps modes 0 .. N/2; both layouts hold the Nyquist mode at index N/2
+    axis_modes = [full] * (d - 1) + [np.abs(full[:half])]
+    k_axes, k_diff_axes = [], []
+    for modes in axis_modes:
+        k = 2.0 * np.pi * modes / L
+        k_diff = k.copy()
+        k_diff[N // 2] = 0.0  # Nyquist mode carries no sign information
+        k_axes.append(k)
+        k_diff_axes.append(k_diff)
+    xi = np.stack(np.meshgrid(*k_axes, indexing="ij"))
+    xi_diff = np.stack(np.meshgrid(*k_diff_axes, indexing="ij"))
     xi_mag = np.sqrt(np.sum(xi ** 2, axis=0))
     xi_mag_diff = np.sqrt(np.sum(xi_diff ** 2, axis=0))
-    keep = np.abs(modes) <= N // 3
-    mask = np.ones(shape, dtype=bool)
-    for ax in range(d):
-        sl = [None] * d
-        sl[ax] = slice(None)
-        mask &= keep[tuple(sl)]
+    keep = np.stack(np.meshgrid(*[np.abs(m) <= N // 3 for m in axis_modes], indexing="ij"))
+    multiplicity = np.full(spec_shape, 2.0)
+    multiplicity[..., 0] = 1.0
+    multiplicity[..., N // 2] = 1.0
     x1 = np.arange(N) * (L / N)
-    return Grid(d=d, N=N, L=float(L), shape=shape, x_axes=[x1] * d,
+    return Grid(d=d, N=N, L=float(L), shape=(N,) * d, spec_shape=spec_shape, x_axes=[x1] * d,
                 xi=xi, xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
-                dealias_mask=mask)
+                dealias_mask=np.all(keep, axis=0), multiplicity=multiplicity)
 
 
 class SpectralField:
     """Real periodic field (scalar or d-vector) stored as Fourier coefficients.
 
-    ``coef`` has shape ``(ncomp, *grid.shape)`` with ncomp = 1 (scalar) or
-    grid.d (vector).  All arithmetic is coefficient-wise and returns new
-    fields; nothing here mutates its inputs.
+    ``coef`` is the half-spectrum, shape ``(ncomp, *grid.spec_shape)`` with
+    ncomp = 1 (scalar) or grid.d (vector).  All arithmetic is coefficient-wise
+    and returns new fields; nothing here mutates its inputs.
     """
 
     __slots__ = ("grid", "coef")
 
     def __init__(self, grid: Grid, coef: np.ndarray):
         coef = np.asarray(coef, dtype=np.complex128)
-        if coef.shape[1:] != grid.shape:
-            raise ValueError(f"coefficient shape {coef.shape} does not match grid {grid.shape}")
+        if coef.shape[1:] != grid.spec_shape:
+            raise ValueError(f"coefficient shape {coef.shape} does not match the half-spectrum "
+                             f"{grid.spec_shape} of grid {grid.shape}")
         if coef.shape[0] not in (1, grid.d):
             raise ValueError(f"field must have 1 or {grid.d} components, got {coef.shape[0]}")
         self.grid = grid
@@ -152,12 +174,13 @@ class SpectralField:
         values = np.asarray(values, dtype=np.float64)
         if values.shape == grid.shape:
             values = values[None]
-        coef = np.fft.fftn(values, axes=grid.fft_axes()) / grid.N ** grid.d
-        return cls(grid, coef)
+        if grid.d == 1:
+            return cls(grid, np.fft.rfft(values, norm="forward"))
+        return cls(grid, np.fft.rfftn(values, axes=grid.fft_axes(), norm="forward"))
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
-        return cls(grid, np.zeros((ncomp,) + grid.shape, dtype=np.complex128))
+        return cls(grid, np.zeros((ncomp,) + grid.spec_shape, dtype=np.complex128))
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -168,14 +191,11 @@ class SpectralField:
         return SpectralField(self.grid, self.coef.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform; returns the real part, shape (ncomp, *shape)."""
-        out = np.fft.ifftn(self.coef, axes=self.grid.fft_axes()) * self.grid.N ** self.grid.d
-        return out.real
-
-    def max_imag_physical(self) -> float:
-        """Magnitude of the spurious imaginary part (reality diagnostic)."""
-        out = np.fft.ifftn(self.coef, axes=self.grid.fft_axes()) * self.grid.N ** self.grid.d
-        return float(np.max(np.abs(out.imag))) if out.size else 0.0
+        """Inverse transform to real values, shape (ncomp, *shape)."""
+        grid = self.grid
+        if grid.d == 1:
+            return np.fft.irfft(self.coef, n=grid.N, norm="forward")
+        return np.fft.irfftn(self.coef, s=grid.shape, axes=grid.fft_axes(), norm="forward")
 
     def mean(self) -> np.ndarray:
         """Spatial mean per component (the zero-mode coefficient)."""
@@ -184,7 +204,8 @@ class SpectralField:
 
     def l2_norm(self) -> float:
         """sqrt of the torus integral of |f|^2, summed over components."""
-        return float(np.sqrt(np.sum(np.abs(self.coef) ** 2)) * self.grid.L ** (self.grid.d / 2))
+        energy = np.sum(self.grid.multiplicity * np.abs(self.coef) ** 2)
+        return float(np.sqrt(energy) * self.grid.L ** (self.grid.d / 2))
 
     def l2_norm_physical(self) -> float:
         """Same norm by physical-space quadrature (used to check Parseval)."""
@@ -325,11 +346,12 @@ class DyadicDecomposition:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Squared ring weights, shape (n_active_blocks, n_modes); built on first use."""
+        """Squared ring weights times mode multiplicity, shape (n_active_blocks,
+        n_stored_modes); built on first use."""
         w2 = np.empty((len(self.active_js()), self.grid.xi_mag.size))
         for row, j in enumerate(self.active_js()):
             w2[row] = ring_profile(self.grid.xi_mag.ravel() * 2.0 ** (-j)) ** 2
-        return w2
+        return w2 * self.grid.multiplicity.ravel()
 
     def block(self, f: SpectralField, j: int) -> SpectralField:
         """Frequency block at scale 2^j; zero field for out-of-range j."""
@@ -391,16 +413,33 @@ def make_decomposition(grid: Grid) -> DyadicDecomposition:
 
 # -- snapshot and table IO ---------------------------------------------------
 
+def _full_spectrum(f: SpectralField) -> np.ndarray:
+    """The full ``fftn`` layout, shape (ncomp, *grid.shape), of a half-spectrum.
+
+    The last-axis modes N/2+1 .. N-1 that are not stored are the conjugates of
+    the stored modes with every index negated (mod N).
+    """
+    N = f.grid.N
+    mirror = f.coef[..., N // 2 - 1:0:-1]     # last-axis modes N/2-1 .. 1
+    for ax in range(1, f.grid.d):             # other axes: index k -> (-k) mod N
+        mirror = np.roll(np.flip(mirror, ax), 1, ax)
+    return np.concatenate([f.coef, np.conj(mirror)], axis=-1)
+
+
 def save_field(path, f: SpectralField) -> None:
-    """Write a field snapshot (.npz with grid metadata and row-major coefficients)."""
-    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L,
-             coef=np.ascontiguousarray(f.coef))
+    """Write a field snapshot: .npz with grid metadata and the full row-major
+    coefficient array, shape (ncomp, N, ..., N)."""
+    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=_full_spectrum(f))
 
 
 def load_field(path) -> SpectralField:
+    """Read a snapshot written by :func:`save_field` (full coefficient layout)."""
     with np.load(path) as data:
         grid = make_grid(int(data["d"]), int(data["N"]), float(data["L"]))
-        return SpectralField(grid, data["coef"])
+        coef = data["coef"]
+    if coef.shape[1:] != grid.shape:
+        raise ValueError(f"snapshot coefficients {coef.shape} do not match grid {grid.shape}")
+    return SpectralField(grid, coef[..., :grid.N // 2 + 1])
 
 
 def write_block_norms(path, f: SpectralField, s: float,

@@ -240,7 +240,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
     out = run(tiny, SolverConfig(dt=0.01, t_end=T, snap_dt=T)).final
     scale = np.max(np.abs(tiny.n.coef))
     worst_c = 0.0
-    for idx in range(grid.N):
+    for idx in range(grid.spec_shape[0]):
         xi = float(grid.xi_mag_diff[idx])
         xi_v = grid.xi_diff[0, idx]
         em = scipy.linalg.expm(T * symbol_matrix(xi, params).matrix)

@@ -101,6 +101,30 @@ class TestSimulate:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "blowup"
 
+    def test_mass_drift_exit_nonzero(self, tmp_path, monkeypatch):
+        """A leaking mass projection ends the run with status mass_drift."""
+        from chemorelax import hpc_solver
+        fix = hpc_solver._fix_mass
+
+        def leaky(n, params, target):
+            out = fix(n, params, target)
+            out.coef[(0,) * (1 + n.grid.d)] += 1e-6
+            return out
+
+        monkeypatch.setattr(hpc_solver, "_fix_mass", leaky)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "solver": {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.25},
+            "initial": {"profile": "gaussian", "target_x0": 0.01},
+        })
+        rc = main(["simulate-hpc", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "mass_drift"
+        assert "mass drifted" in summary["message"]
+        assert summary["snapshots"] == 3
+
     def test_invalid_grid_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
