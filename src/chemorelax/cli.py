@@ -70,14 +70,18 @@ def _grid(cfg: dict):
 def _solver_config(cfg: dict, fallback_t_end: float = 10.0):
     from .hpc_solver import SolverConfig
     block = _get(cfg, "solver", default={})
-    return SolverConfig(
-        dt=float(block.get("dt", 0.01)),
-        t_end=float(block.get("t_end", fallback_t_end)),
-        snap_dt=block.get("snap_dt"),
-        dealias=bool(block.get("dealias", True)),
-        cfl_safety=float(block.get("cfl_safety", 0.4)),
-        mass_fix=bool(block.get("mass_fix", True)),
-    )
+    snap_dt = block.get("snap_dt")
+    try:
+        return SolverConfig(
+            dt=float(block.get("dt", 0.01)),
+            t_end=float(block.get("t_end", fallback_t_end)),
+            snap_dt=None if snap_dt is None else float(snap_dt),
+            dealias=bool(block.get("dealias", True)),
+            cfl_safety=float(block.get("cfl_safety", 0.4)),
+            mass_fix=bool(block.get("mass_fix", True)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solver block: {exc}")
 
 
 def _write_manifest(out: Path, cfg: dict, args) -> None:

@@ -8,7 +8,8 @@ second-order scheme used everywhere is the one-step exponential Runge-Kutta
 
     y* = E y + P1 N(y),      y+ = y* + P2 (N(y*) - N(y)),
 
-with E = exp(dt A), P1 = dt phi1(dt A), P2 = dt phi2(dt A).
+with E = exp(dt A), P1 = dt phi1(dt A), P2 = dt phi2(dt A).  Matrix symbols
+take one path, ``batched_matrix_phis``, and need numpy only (no scipy).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["phi1", "phi2", "matrix_phis", "batched_matrix_phis", "scalar_phis"]
 
@@ -26,6 +26,7 @@ _PHI1_COEFFS = [1.0 / math.factorial(k + 1) for k in range(6)]
 _PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(6)]
 
 _COND_LIMIT = 1e8
+_TAYLOR_DEGREE = 18
 
 
 def _poly(z, coeffs):
@@ -61,56 +62,48 @@ def scalar_phis(symbol, dt: float):
     return np.exp(z), dt * phi1(z), dt * phi2(z)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Moler & Van Loan, SIAM Rev. 2003): with the
+    1-norm of a / 2^s at most 1/2, the degree-18 Taylor polynomial (Horner form) is
+    exact to 0.5^19 / 19! ~ 2e-23, far under round-off; it is then squared s times."""
+    s = max(0, math.frexp(2.0 * np.linalg.norm(a, 1))[1])
+    x = a / 2.0 ** s
+    out = eye = np.eye(len(a))
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        out = eye + (x @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _augmented_phis(a: np.ndarray, dt: float):
-    """E, dt phi1, dt phi2 of one matrix via a block-augmented Pade exponential."""
+    """E, dt phi1, dt phi2 of one matrix from exp(dt [[A, I, 0], [0, 0, I], [0, 0, 0]])."""
     m = a.shape[0]
     aug = np.zeros((3 * m, 3 * m))
     aug[:m, :m] = a
     aug[:m, m:2 * m] = np.eye(m)
     aug[m:2 * m, 2 * m:] = np.eye(m)
-    e_aug = scipy.linalg.expm(dt * aug)
+    e_aug = _expm(dt * aug)
     return e_aug[:m, :m], e_aug[:m, m:2 * m], e_aug[:m, 2 * m:] / dt
 
 
 def matrix_phis(a: np.ndarray, dt: float):
-    """(E, P1, P2) for one real matrix, by eigendecomposition.
-
-    Falls back to the augmented Pade route when the eigenvector matrix is
-    ill-conditioned (near-defective symbol).
-    """
-    lam, v = np.linalg.eig(a)
-    try:
-        vi = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        return _augmented_phis(a, dt)
-    if np.linalg.cond(v) > _COND_LIMIT:
-        return _augmented_phis(a, dt)
-    z = dt * lam
-
-    def rebuild(diag):
-        out = (v * diag[None, :]) @ vi
-        return out.real
-
-    return rebuild(np.exp(z)), rebuild(dt * phi1(z)), rebuild(dt * phi2(z))
+    """(E, P1, P2) for one real matrix: ``batched_matrix_phis`` with n = 1."""
+    return tuple(table[0] for table in batched_matrix_phis(a[None], dt))
 
 
 def batched_matrix_phis(mats: np.ndarray, dt: float):
     """(E, P1, P2) for a stack of real matrices, shape (n, m, m).
 
-    Vectorized eigendecomposition with a per-matrix fallback for
-    ill-conditioned eigenvector bases.
+    Vectorized eigendecomposition; a near-defective matrix (ill-conditioned
+    eigenvector basis) takes the augmented-exponential route instead.
     """
     lam, v = np.linalg.eig(mats)
-    vi = np.linalg.inv(v)
-    cond = np.linalg.norm(v, axis=(1, 2)) * np.linalg.norm(vi, axis=(1, 2))
+    bad = np.linalg.cond(v, "fro") > _COND_LIMIT   # cond is inf for a singular basis
+    vi = np.linalg.inv(np.where(bad[:, None, None], np.eye(mats.shape[-1]), v))
     z = dt * lam
-
-    def rebuild(diag):
-        return np.einsum("nij,nj,njk->nik", v, diag, vi).real
-
-    e = rebuild(np.exp(z))
-    p1 = rebuild(dt * phi1(z))
-    p2 = rebuild(dt * phi2(z))
-    for idx in np.where(cond > _COND_LIMIT)[0]:
+    e, p1, p2 = (np.einsum("nij,nj,njk->nik", v, diag, vi).real
+                 for diag in (np.exp(z), dt * phi1(z), dt * phi2(z)))
+    for idx in np.where(bad)[0]:
         e[idx], p1[idx], p2[idx] = _augmented_phis(mats[idx], dt)
     return e, p1, p2

@@ -255,12 +255,14 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
     """
     out = n.copy()
     zero = (0,) + (0,) * n.grid.d
-    scale = max(abs(target_mean_pert), 1e-30)
     n_phys = out.to_physical()[0]
     for _ in range(3):
         pert = density_perturbation(n_phys, params)
         defect = target_mean_pert - float(np.mean(pert))
-        if abs(defect) <= 1e-15 * scale:
+        # np.mean (pairwise summation) rounds to a few ulps of mean|pert|: no pass can
+        # remove a defect under 8 ulps, and for a round-off target no relative test passes.
+        floor = 8.0 * np.finfo(float).eps * float(np.mean(np.abs(pert)))
+        if abs(defect) <= max(1e-15 * abs(target_mean_pert), floor):
             break
         rho = params.rho_bar + pert
         drho_dn = rho / params.pressure.dP(rho)   # inverse of dn/drho = P'(rho)/rho

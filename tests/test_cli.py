@@ -133,6 +133,22 @@ class TestSimulate:
         rc = main(["simulate-hpc", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    @pytest.mark.parametrize("solver", [
+        {"dt": "abc", "t_end": 0.5},
+        {"dt": 0.0, "t_end": 0.5},
+        {"dt": 0.05, "t_end": -1.0},
+        {"dt": 0.05, "t_end": 0.5, "snap_dt": "abc"},
+    ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number"])
+    def test_invalid_solver_block_exit_2(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "solver": solver,
+        })
+        rc = main(["simulate-hpc", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: solver block" in capsys.readouterr().err
+
 
 class TestDecayStudy:
     def test_d1_table(self, tmp_path, capsys):

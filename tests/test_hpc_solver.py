@@ -6,6 +6,7 @@ import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
 
+from chemorelax import hpc_solver
 from chemorelax.hpc_solver import (
     HpcState,
     PropagatorTables,
@@ -141,6 +142,25 @@ class TestStep:
         e_fine = dist(sols[0.05], sols[0.0125])
         order = np.log2(e_coarse / e_fine)
         assert 1.5 <= order <= 2.5
+
+    def test_mass_projection_stops_at_roundoff(self, solver_params, grid1d, monkeypatch):
+        """A mean-zero bump's target mass perturbation is itself round-off; one
+        Newton pass reaches the summation floor, so a step evaluates the
+        density perturbation about once, and the mean stays on target."""
+        state = small_state(grid1d, solver_params, target=0.05)
+        target = state.mass_perturbation()
+        dt, steps = 0.02, 50
+        tab = PropagatorTables(grid1d, solver_params, dt)
+        calls = []
+        original = hpc_solver.density_perturbation
+        monkeypatch.setattr(hpc_solver, "density_perturbation",
+                            lambda n, p: calls.append(1) or original(n, p))
+        cur = state
+        for _ in range(steps):
+            cur = step(cur, dt, tab, True, target)
+        assert len(calls) <= 1.2 * steps
+        pert = original(cur.n.to_physical()[0], solver_params)
+        assert abs(np.mean(pert) - target) <= 1e-14 * np.mean(np.abs(pert))
 
 
 class TestRun:
