@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
 from pathlib import Path
 
@@ -94,6 +95,8 @@ def _write_manifest(out: Path, cfg: dict, args) -> None:
         "seed": args.seed,
         "threads": args.threads,
         "package_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -249,6 +252,7 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> int:
 
 def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
     from .diagnostics import relaxation_sweep
+    from .driver import BlowupError, whole_count
     from .hpc_solver import gaussian_bump
 
     params = _model_params(cfg)
@@ -256,6 +260,12 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
     eps_list = _get(cfg, "experiment.eps_list", required=True)
     if len(eps_list) < 3:
         raise ConfigError("experiment.eps_list needs at least 3 values")
+    try:
+        tau_end = float(_get(cfg, "experiment.tau_end", 2.0))
+        snap_dtau = float(_get(cfg, "experiment.snap_dtau", 0.05))
+        whole_count(tau_end, snap_dtau, "tau_end")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment block: {exc}")
     amp = float(_get(cfg, "experiment.amplitude", 0.02))
     rho0 = params.rho_bar + amp * gaussian_bump(grid, width=float(_get(cfg, "experiment.width", 0.8)))
     window = _get(cfg, "experiment.slope_window", [0.8, 1.2])
@@ -266,14 +276,18 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
             grid, width=float(_get(cfg, "experiment.offset_width", 0.6)),
             center=[grid.L / 3.0] * grid.d)
     budget = _get(cfg, "experiment.high_freq_budget")
-    report = relaxation_sweep(
-        grid, params, rho0, [float(e) for e in eps_list],
-        tau_end=float(_get(cfg, "experiment.tau_end", 2.0)),
-        snap_dtau=float(_get(cfg, "experiment.snap_dtau", 0.05)),
-        dt_fast=float(_get(cfg, "experiment.dt_fast", 0.01)),
-        rho_offset_phys=offset,
-        high_freq_budget=None if budget is None else float(budget),
-        threads=max(1, int(args.threads)))
+    try:
+        report = relaxation_sweep(
+            grid, params, rho0, [float(e) for e in eps_list],
+            tau_end=tau_end, snap_dtau=snap_dtau,
+            dt_fast=float(_get(cfg, "experiment.dt_fast", 0.01)),
+            rho_offset_phys=offset,
+            high_freq_budget=None if budget is None else float(budget),
+            threads=max(1, int(args.threads)))
+    except BlowupError as exc:
+        _write_summary(out, {"status": "blowup", "message": str(exc)})
+        print(f"relaxation-sweep: {exc}", file=sys.stderr)
+        return 1
     report.to_csv(out / "relaxation.csv")
     report.to_json(out / "relaxation.json")
     _write_summary(out, {"eps_list": list(report.eps_list), "slopes": report.slopes})

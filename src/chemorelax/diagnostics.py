@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .driver import BlowupError, SolverConfig, Trajectory
 from .hpc_solver import (
     HpcState,
-    HpcTrajectory,
-    SolverConfig,
     equilibrium_psi,
     hybrid_aggregate,
     run,
@@ -100,7 +99,7 @@ def effective_modes(state: HpcState) -> DampedModes:
     return DampedModes(v=v, phi_eff=phi_eff, phi_tilde=phi_tilde, coupling_residual=coupling)
 
 
-def damped_mode_decay_check(traj: HpcTrajectory, contract_factor: float = 20.0) -> dict:
+def damped_mode_decay_check(traj: Trajectory, contract_factor: float = 20.0) -> dict:
     """Time-integrated low-frequency norms of the damped modes.
 
     Returns (1/eps) int ||v||^l_{B^{d/2}_{2,1}} dt and
@@ -246,7 +245,7 @@ class LyapunovReport:
                 fh.write(",".join(repr(x) for x in row) + "\n")
 
 
-def lyapunov_equivalence_check(traj: HpcTrajectory, eta0: float = 0.1,
+def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
                                c_tol: float = 10.0, noise_floor: float = 1e-20) -> LyapunovReport:
     """Check L_j ~ eps block^2 and eps H_j >~ L_j on every snapshot and every
     active block j >= J - 1 whose energy exceeds the noise floor."""
@@ -385,8 +384,7 @@ def _dt_psi_field(state: HpcState) -> SpectralField:
 
 def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_list,
                      tau_end: float = 2.0, snap_dtau: float = 0.05,
-                     dt_fast: float = 0.01, dealias_products: bool = True,
-                     ks_dt: float | None = None,
+                     dt_fast: float = 0.01,
                      rho_offset_phys: np.ndarray | None = None,
                      high_freq_budget: float | None = None,
                      threads: int = 1) -> RelaxationReport:
@@ -413,6 +411,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       part of the initial energy uniformly in eps.  Needed for the momentum
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
+
+    A member or limit-model run that blows up raises :class:`BlowupError`.
     """
     from .hpc_solver import rough_mode_profile
 
@@ -424,18 +424,15 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     eps_min = min(eps_list)
     refine = max(1, math.ceil(snap_dtau / (0.5 * eps_min ** 2)))
     fine_dtau = snap_dtau / refine
-    taus = np.arange(0.0, tau_end + 1e-12, fine_dtau)
+    ks_cfg = SolverConfig(dt=fine_dtau / 2.0, t_end=tau_end, snap_dt=fine_dtau)
+    taus = fine_dtau * np.arange(ks_cfg.schedule()[1] + 1)
 
     # shared limit-model trajectory (eps plays no role in it)
     ks_params = replace(base_params, eps=eps_min)
     rho_f0 = dealias(SpectralField.from_physical(grid, rho0_phys[None]))
-    ks_cfg = SolverConfig(dt=ks_dt if ks_dt else fine_dtau / 2.0, t_end=tau_end,
-                          snap_dt=fine_dtau, dealias=dealias_products)
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     if ks_traj.status != "completed":
-        raise RuntimeError(f"limit-model run failed: {ks_traj.message}")
-    if len(ks_traj.states) != len(taus):
-        raise RuntimeError("limit-model snapshots misaligned in relaxation sweep")
+        raise BlowupError(f"limit-model run blew up: {ks_traj.message}")
 
     ks_rho, ks_u, ks_phi = [], [], []
     for s in ks_traj.states:
@@ -458,13 +455,13 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         # land snapshots exactly on the shared slow grid
         t_snap = fine_dtau / eps
         substeps = max(1, math.ceil(t_snap / dt_fast))
-        cfg = SolverConfig(dt=t_snap / substeps, t_end=tau_end / eps, snap_dt=t_snap,
-                           dealias=dealias_products)
+        cfg = SolverConfig(dt=t_snap / substeps, t_end=tau_end / eps, snap_dt=t_snap)
         traj = run(initial, cfg)
+        if traj.status == "blowup":
+            raise BlowupError(f"relaxation member eps={eps} blew up: {traj.message}")
         if traj.status != "completed":
-            raise RuntimeError(f"relaxation member eps={eps} blew up: {traj.message}")
-        if len(traj.states) != len(taus):
-            raise RuntimeError("snapshot grids misaligned in relaxation sweep")
+            raise RuntimeError(f"relaxation member eps={eps} ended with status "
+                               f"{traj.status}: {traj.message}")
 
         sup_drho = 0.0
         drho_high, du_norm, dphi_norm, rhov_norm, dtphi_norm = [], [], [], [], []

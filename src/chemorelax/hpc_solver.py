@@ -13,7 +13,8 @@ incompressible relaxation factor; quadratic terms are formed in physical space
 under the 2/3 dealiasing rule and advanced with the second-order exponential
 integrator from :mod:`chemorelax.etd`.  Total mass of rho(n) is conserved by a
 mean-mode projection consistent with the divergence form of the density
-equation.
+equation.  :func:`run` steps on the snapshot schedule of
+:mod:`chemorelax.driver`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
+from .driver import BLOWUP_FACTOR, BlowupError, SolverConfig, Trajectory, integrate
 from .linear_analysis import symbol_matrix
 from .model import (
     ModelParams,
-    OutsideValidityWindow,
     coefficient_G,
     coefficient_H,
     density_perturbation,
@@ -48,7 +49,6 @@ from .spectral import (
 __all__ = [
     "HpcState",
     "SolverConfig",
-    "HpcTrajectory",
     "BlowupError",
     "linear_propagator",
     "PropagatorTables",
@@ -68,9 +68,8 @@ __all__ = [
 # the global bound is then only an experiment, not an expectation
 SMALL_DATA_HINT = 0.05
 
-
-class BlowupError(RuntimeError):
-    """Solution left the admissible neighborhood of equilibrium."""
+# CFL halvings of one step before the run counts as blown up
+MAX_CFL_HALVINGS = 8
 
 
 @dataclass
@@ -104,40 +103,6 @@ class HpcState:
 
     def copy(self) -> "HpcState":
         return HpcState(self.t, self.n.copy(), self.u.copy(), self.psi.copy(), self.params)
-
-
-@dataclass
-class SolverConfig:
-    dt: float
-    t_end: float
-    snap_dt: float | None = None   # None: ~100 snapshots
-    dealias: bool = True
-    cfl_safety: float = 0.4
-    max_retries: int = 8
-    mass_fix: bool = True
-    blowup_factor: float = 1e3
-
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if not (self.t_end > 0):
-            raise ValueError("t_end must be positive")
-
-
-@dataclass
-class HpcTrajectory:
-    states: list
-    series: "object"               # diagnostics.DiagnosticSeries
-    status: str                    # "completed", "blowup" or "mass_drift"
-    message: str = ""
-
-    @property
-    def initial(self) -> HpcState:
-        return self.states[0]
-
-    @property
-    def final(self) -> HpcState:
-        return self.states[-1]
 
 
 # -- exact linear propagation -------------------------------------------------
@@ -300,24 +265,6 @@ def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
     return out
 
 
-def _cfl_ok(state: HpcState, dt: float, safety: float) -> bool:
-    vmax = float(np.max(np.abs(state.u.to_physical())))
-    return dt * vmax <= safety * state.grid.dx or vmax == 0.0
-
-
-def _advance(state: HpcState, dt: float, config: SolverConfig, cache: dict,
-             mass_target: float | None, depth: int = 0) -> HpcState:
-    """Advance by dt, halving the step on CFL violation (bounded retries)."""
-    if _cfl_ok(state, dt, config.cfl_safety):
-        if dt not in cache:
-            cache[dt] = PropagatorTables(state.grid, state.params, dt)
-        return step(state, dt, cache[dt], config.dealias, mass_target)
-    if depth >= config.max_retries:
-        raise BlowupError(f"CFL violation persists after {depth} halvings at t={state.t}")
-    half = _advance(state, dt / 2, config, cache, mass_target, depth + 1)
-    return _advance(half, dt / 2, config, cache, mass_target, depth + 1)
-
-
 def hybrid_aggregate(state: HpcState, dec: DyadicDecomposition | None = None,
                      J: int | None = None):
     """Hybrid energy of one snapshot:
@@ -339,66 +286,63 @@ def hybrid_aggregate(state: HpcState, dec: DyadicDecomposition | None = None,
     return low + eps * high, {"low": low, "high": high, "eps_high": eps * high, **fields}
 
 
-def run(initial: HpcState, config: SolverConfig) -> HpcTrajectory:
-    """Integrate to t_end, recording snapshots and the diagnostic series.
+def run(initial: HpcState, config: SolverConfig) -> Trajectory:
+    """Integrate to t_end, keeping a snapshot every snap_dt.
 
     A validity-window escape or an aggregate-norm explosion ends the run with
     status "blowup" (the expected outcome for large data or a negative
-    stability margin); everything recorded up to that point is returned.
+    stability margin); everything kept up to that point is returned.
     With the mass projection on, a final total mass off the initial one by
     more than 1e-8 relative gives status "mass_drift".
     """
-    from .diagnostics import DiagnosticSeries
-
     dec = make_decomposition(initial.grid)
     J = initial.params.threshold()
-    snap_dt = config.snap_dt if config.snap_dt is not None else max(config.dt, config.t_end / 100.0)
-    steps_per_snap = max(1, round(snap_dt / config.dt))
-    n_snaps = max(1, round(config.t_end / (steps_per_snap * config.dt)))
-
-    series = DiagnosticSeries()
     cache: dict = {}
 
     mass0 = initial.total_mass()
     mass_target = initial.mass_perturbation() if config.mass_fix else None
-    x0, parts0 = hybrid_aggregate(initial, dec, J)
+    x0, _ = hybrid_aggregate(initial, dec, J)
     if x0 > SMALL_DATA_HINT:
         warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
                       f"{SMALL_DATA_HINT}; global boundedness is not guaranteed", stacklevel=2)
 
-    def record(s: HpcState, agg: float, parts: dict):
-        h_vals = coefficient_H(s.n.to_physical()[0], s.params)
-        series.add(t=s.t, mass=s.total_mass(),
-                   mean_n=float(s.n.mean()[0]), mean_psi=float(s.psi.mean()[0]),
-                   mean_H=float(np.mean(h_vals)),
-                   low_n=parts["n"][0], high_n=parts["n"][1],
-                   low_u=parts["u"][0], high_u=parts["u"][1],
-                   low_psi=parts["psi"][0], high_psi=parts["psi"][1],
-                   x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
-                   max_u=float(np.max(np.abs(s.u.to_physical()))))
+    def advance(s: HpcState, dt: float = config.dt, depth: int = 0) -> HpcState:
+        """One step of dt, halved on a CFL violation (at most MAX_CFL_HALVINGS times)."""
+        vmax = float(np.max(np.abs(s.u.to_physical())))
+        if dt * vmax <= config.cfl_safety * s.grid.dx or vmax == 0.0:
+            if dt not in cache:
+                cache[dt] = PropagatorTables(s.grid, s.params, dt)
+            return step(s, dt, cache[dt], config.dealias, mass_target)
+        if depth >= MAX_CFL_HALVINGS:
+            raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
+        return advance(advance(s, dt / 2, depth + 1), dt / 2, depth + 1)
 
-    states = [initial.copy()]
-    record(initial, x0, parts0)
-    state = initial.copy()
-    try:
-        for _ in range(n_snaps):
-            for _ in range(steps_per_snap):
-                state = _advance(state, config.dt, config, cache, mass_target)
-            agg, parts = hybrid_aggregate(state, dec, J)
-            if x0 > 0 and agg > config.blowup_factor * x0:
-                raise BlowupError(f"aggregate norm exceeded {config.blowup_factor:g} x initial at t={state.t}")
-            states.append(state.copy())
-            record(state, agg, parts)
-    except (OutsideValidityWindow, BlowupError) as exc:
-        return HpcTrajectory(states=states, series=series, status="blowup", message=str(exc))
-    if config.mass_fix:
+    def check(s: HpcState):
+        agg, _ = hybrid_aggregate(s, dec, J)
+        if x0 > 0 and agg > BLOWUP_FACTOR * x0:
+            raise BlowupError(f"aggregate norm exceeded {BLOWUP_FACTOR:g} x initial at t={s.t}")
+
+    def row(s: HpcState) -> dict:
+        agg, parts = hybrid_aggregate(s, dec, J)
+        h_vals = coefficient_H(s.n.to_physical()[0], s.params)
+        return dict(t=s.t, mass=s.total_mass(),
+                    mean_n=float(s.n.mean()[0]), mean_psi=float(s.psi.mean()[0]),
+                    mean_H=float(np.mean(h_vals)),
+                    low_n=parts["n"][0], high_n=parts["n"][1],
+                    low_u=parts["u"][0], high_u=parts["u"][1],
+                    low_psi=parts["psi"][0], high_psi=parts["psi"][1],
+                    x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
+                    max_u=float(np.max(np.abs(s.u.to_physical()))))
+
+    traj = integrate(initial, advance, check, row, config)
+    if traj.status == "completed" and config.mass_fix:
         # bookkeeping invariant, not the mass-conservation test itself
-        drift = abs(states[-1].total_mass() - mass0)
+        drift = abs(traj.final.total_mass() - mass0)
         if drift > 1e-8 * abs(mass0) + 1e-14:
-            return HpcTrajectory(states=states, series=series, status="mass_drift",
-                                 message=f"total mass drifted by {drift:.3e} from {mass0!r} "
-                                         f"by t={states[-1].t} (bound 1e-8 relative)")
-    return HpcTrajectory(states=states, series=series, status="completed")
+            traj.status = "mass_drift"
+            traj.message = (f"total mass drifted by {drift:.3e} from {mass0!r} "
+                            f"by t={traj.final.t} (bound 1e-8 relative)")
+    return traj
 
 
 # -- initial data --------------------------------------------------------------

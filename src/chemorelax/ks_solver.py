@@ -9,6 +9,7 @@ where D = (P'(rho_bar) - mu a rho_bar (b - Lap)^{-1}) Lap is applied exactly
 per mode.  Every right-hand-side term is a perfect divergence, so the mean
 mode is invariant to machine precision: mass conservation is structural here.
 The velocity is a reconstruction, rho u = -grad P(rho) + mu rho grad phi.
+:func:`ks_run` steps on the snapshot schedule of :mod:`chemorelax.driver`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
-from .model import ModelParams, OutsideValidityWindow, _check_window
+from .driver import BLOWUP_FACTOR, BlowupError, SolverConfig, Trajectory, integrate
+from .model import ModelParams, _check_window
 from .spectral import (
     Grid,
     SpectralField,
@@ -28,11 +30,11 @@ from .spectral import (
     divergence,
     gradient,
     laplacian,
+    make_decomposition,
 )
 
 __all__ = [
     "KsState",
-    "KsTrajectory",
     "ks_symbol",
     "solve_phi",
     "reconstruct_velocity",
@@ -66,18 +68,6 @@ class KsState:
 
     def copy(self) -> "KsState":
         return KsState(self.tau, self.rho.copy(), self.params)
-
-
-@dataclass
-class KsTrajectory:
-    states: list
-    series: "object"
-    status: str
-    message: str = ""
-
-    @property
-    def final(self) -> KsState:
-        return self.states[-1]
 
 
 def ks_symbol(xi, params: ModelParams):
@@ -176,11 +166,10 @@ def ks_step(state: KsState, dt: float, tables: _KsTables | None = None,
     return KsState(state.tau + dt, SpectralField(state.grid, rho_new), state.params)
 
 
-def ks_run(initial: KsState, config) -> KsTrajectory:
-    """Integrate to config.t_end (interpreted in slow time tau)."""
-    from .diagnostics import DiagnosticSeries
+def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
+    """Integrate to config.t_end (interpreted in slow time tau); a window escape
+    or a B^{d/2}_{2,1} norm above BLOWUP_FACTOR x the initial one is "blowup"."""
     from .hpc_solver import SMALL_DATA_HINT
-    from .spectral import make_decomposition
 
     grid = initial.grid
     dec = make_decomposition(grid)
@@ -189,36 +178,22 @@ def ks_run(initial: KsState, config) -> KsTrajectory:
         warnings.warn(f"initial density deviation {pert0:.3g} exceeds the operational "
                       f"smallness {SMALL_DATA_HINT}; global boundedness is not guaranteed",
                       stacklevel=2)
-    snap_dt = config.snap_dt if config.snap_dt is not None else max(config.dt, config.t_end / 100.0)
-    steps_per_snap = max(1, round(snap_dt / config.dt))
-    n_snaps = max(1, round(config.t_end / (steps_per_snap * config.dt)))
     tables = _KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
+    # block norms exclude the zero mode, so these are norms of rho - rho_bar
+    norm0 = dec.besov_norm(initial.rho, d_half, 1)
 
-    series = DiagnosticSeries()
+    def advance(s: KsState) -> KsState:
+        return ks_step(s, config.dt, tables, config.dealias)
 
-    def record(s: KsState):
-        zero = (0,) + (0,) * grid.d
-        pert = s.rho.copy()
-        pert.coef[zero] -= s.params.rho_bar
-        series.add(tau=s.tau, mass=s.total_mass(),
-                   norm_d2=dec.besov_norm(pert, d_half, 1),
-                   norm_d2p2=dec.besov_norm(pert, d_half + 2.0, 1))
+    def check(s: KsState):
+        s.rho_physical()  # window check
+        if norm0 > 0 and dec.besov_norm(s.rho, d_half, 1) > BLOWUP_FACTOR * norm0:
+            raise BlowupError(f"norm explosion at tau={s.tau}")
 
-    states = [initial.copy()]
-    record(initial)
-    state = initial.copy()
-    norm0 = series.column("norm_d2")[0]
-    try:
-        for _ in range(n_snaps):
-            for _ in range(steps_per_snap):
-                state = ks_step(state, config.dt, tables, config.dealias)
-            state.rho_physical()  # window check
-            cur = dec.besov_norm(state.rho, d_half, 1)
-            if norm0 > 0 and cur > config.blowup_factor * norm0:
-                raise OutsideValidityWindow(f"norm explosion at tau={state.tau}")
-            states.append(state.copy())
-            record(state)
-    except OutsideValidityWindow as exc:
-        return KsTrajectory(states=states, series=series, status="blowup", message=str(exc))
-    return KsTrajectory(states=states, series=series, status="completed")
+    def row(s: KsState) -> dict:
+        return dict(tau=s.tau, mass=s.total_mass(),
+                    norm_d2=dec.besov_norm(s.rho, d_half, 1),
+                    norm_d2p2=dec.besov_norm(s.rho, d_half + 2.0, 1))
+
+    return integrate(initial, advance, check, row, config)

@@ -55,6 +55,15 @@ class TestAnalyzeSymbol:
         assert rc == 2
         assert "mu" in capsys.readouterr().err
 
+    def test_manifest_records_versions(self, tmp_path):
+        import platform
+        cfg = write_config(tmp_path / "c.json", {"model": base_model(),
+                                                 "experiment": {"xi_max": 5.0, "samples": 10}})
+        assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+
     def test_config_file_missing(self, tmp_path, capsys):
         rc = main(["analyze-symbol", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out")])
@@ -138,7 +147,13 @@ class TestSimulate:
         {"dt": 0.0, "t_end": 0.5},
         {"dt": 0.05, "t_end": -1.0},
         {"dt": 0.05, "t_end": 0.5, "snap_dt": "abc"},
-    ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number"])
+        {"dt": 0.05, "t_end": 0.5, "snap_dt": -0.25},
+        {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.0},
+        {"dt": 0.05, "t_end": 0.1, "snap_dt": 0.5},
+        {"dt": 0.05, "t_end": 0.55, "snap_dt": 0.25},
+    ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number",
+            "snap_dt_negative", "snap_dt_zero", "t_end_before_first_snapshot",
+            "t_end_between_snapshots"])
     def test_invalid_solver_block_exit_2(self, tmp_path, capsys, solver):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
@@ -222,6 +237,41 @@ class TestRelaxationSweepCommand:
         })
         rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
+
+    def test_tau_end_off_the_snapshot_grid_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.2),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "experiment": {"eps_list": [0.4, 0.283, 0.2], "tau_end": 0.08,
+                           "snap_dtau": 0.05, "amplitude": 0.02},
+        })
+        rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: experiment block: tau_end=0.08" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module,stepper", [("ks_solver", "ks_step"),
+                                                ("hpc_solver", "step")])
+    def test_blowup_exit_1_with_summary(self, tmp_path, monkeypatch, module, stepper):
+        """A limit-model or member run that leaves the validity window fails
+        the sweep's contract: exit 1 and a summary with status and reason."""
+        import importlib
+        from chemorelax.model import OutsideValidityWindow
+
+        def escape(*args, **kwargs):
+            raise OutsideValidityWindow("density left the validity window")
+
+        monkeypatch.setattr(importlib.import_module(f"chemorelax.{module}"), stepper, escape)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.2),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "experiment": {"eps_list": [0.4, 0.283, 0.2], "tau_end": 0.05,
+                           "snap_dtau": 0.05, "amplitude": 0.02},
+        })
+        rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "blowup"
+        assert "blew up: density left the validity window" in summary["message"]
 
     @pytest.mark.slow
     def test_small_sweep_runs(self, tmp_path):

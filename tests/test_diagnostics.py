@@ -247,6 +247,18 @@ class TestRelaxationSweep:
         assert "sup_drho" not in rep.slopes
         assert "int_rho_v_over_eps_spread" in rep.slopes
 
+    def test_builds_no_diagnostic_series(self, params, monkeypatch):
+        """The sweep reads snapshots only: no series row is ever recorded."""
+        from chemorelax.diagnostics import DiagnosticSeries
+        rows = []
+        monkeypatch.setattr(DiagnosticSeries, "add", lambda self, **kw: rows.append(kw))
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+                               snap_dtau=0.05, dt_fast=0.02)
+        assert len(rep.sup_drho) == 2
+        assert rows == []
+
     def test_initial_errors_vanish_without_offset(self, grid, params):
         """Shared data: delta rho(0) = delta u(0) = 0 by construction."""
         from chemorelax.diagnostics import _hpc_member_initial

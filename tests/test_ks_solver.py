@@ -14,8 +14,15 @@ from chemorelax.ks_solver import (
     reconstruct_velocity,
     solve_phi,
 )
-from chemorelax.model import ModelParams, PressureLaw
-from chemorelax.spectral import SpectralField, dealias, divergence, laplacian, make_grid
+from chemorelax.model import ModelParams, OutsideValidityWindow, PressureLaw
+from chemorelax.spectral import (
+    SpectralField,
+    dealias,
+    divergence,
+    laplacian,
+    make_decomposition,
+    make_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +187,7 @@ class TestRun:
 
     def test_norm_nonincreasing_proxy(self, grid, params):
         traj = ks_run(rho_state(grid, params, amp=0.02),
-                      SolverConfig(dt=0.02, t_end=5.0, snap_dt=0.25))
+                      SolverConfig(dt=0.02, t_end=5.0, snap_dt=0.2))
         norms = traj.series.column("norm_d2")
         assert traj.status == "completed"
         assert np.max(norms) <= 10.0 * norms[0]
@@ -196,6 +203,42 @@ class TestRun:
         mods1 = np.abs(nxt.rho.coef[0])
         mask = mods0 > 1e-16 * amp
         assert np.all(mods1[mask] <= mods0[mask] * (1 + 1e-10))
+
+
+    @pytest.mark.parametrize("amp,reason", [(0.01, "validity window"),
+                                            (1e-6, "norm explosion")])
+    def test_unstable_run_blows_up_at_last_admissible_snapshot(self, grid, amp, reason):
+        """Negative margin: the lowest mode grows until the density leaves its
+        window (larger data) or its norm passes 1e3 x the initial one (tiny
+        data).  The run keeps every snapshot up to the last admissible one."""
+        p = ModelParams(eps=0.5, mu=3.0, a=1.0, b=1.0, rho_bar=1.0,
+                        pressure=PressureLaw(kappa=1.0, gamma=1.0), j_offset=0)
+        assert p.stability_margin < 0
+        rho0 = p.rho_bar + amp * np.cos(grid.x_axes[0])
+        state = KsState(0.0, dealias(SpectralField.from_physical(grid, rho0[None])), p)
+        dt, snap_dt = 0.02, 0.5
+        traj = ks_run(state, SolverConfig(dt=dt, t_end=40.0, snap_dt=snap_dt))
+        assert traj.status == "blowup"
+        assert reason in traj.message
+        assert 2 <= len(traj.states) < 81
+        np.testing.assert_allclose([s.tau for s in traj.states],
+                                   snap_dt * np.arange(len(traj.states)), atol=1e-9)
+        norms = traj.series.column("norm_d2")
+        assert len(norms) == len(traj.states)
+        assert np.all(norms <= 1e3 * norms[0])
+        for s in traj.states:
+            s.rho_physical()  # inside the window
+        # one more snapshot interval leaves the admissible set, for the stated reason
+        nxt = traj.final
+        try:
+            for _ in range(round(snap_dt / dt)):
+                nxt = ks_step(nxt, dt)
+            nxt.rho_physical()
+        except OutsideValidityWindow:
+            assert reason == "validity window"
+        else:
+            assert reason == "norm explosion"
+            assert make_decomposition(grid).besov_norm(nxt.rho, 0.5, 1) > 1e3 * norms[0]
 
 
 class TestFormEquivalence:
