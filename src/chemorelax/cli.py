@@ -3,8 +3,9 @@
 Every subcommand reads a single JSON config, writes manifest.json into the
 output directory before doing any work, then emits CSV tables plus a
 machine-readable summary.json.  Exit codes double as a CI harness: 0 on
-success, 1 when a declared contract fails (blow-up, slope outside window,
-Lyapunov violations), 2 on configuration errors.
+success, 1 when a declared contract fails (blow-up, mass drift, slope outside
+window, Lyapunov violations), 2 on configuration errors, whose summary.json
+has status "config_error" and the message.
 """
 
 from __future__ import annotations
@@ -68,18 +69,20 @@ def _grid(cfg: dict):
         raise ConfigError(f"grid block: {exc}")
 
 
-def _solver_config(cfg: dict, fallback_t_end: float = 10.0):
-    from .hpc_solver import SolverConfig
+def _solver_config(cfg: dict):
+    from .driver import SolverConfig
     block = _get(cfg, "solver", default={})
+    unknown = sorted(set(block) - {"dt", "t_end", "snap_dt", "dealias"})
+    if unknown:
+        raise ConfigError(f"solver block: unknown keys {unknown}; "
+                          f"the keys are dt, t_end, snap_dt and dealias")
     snap_dt = block.get("snap_dt")
     try:
         return SolverConfig(
             dt=float(block.get("dt", 0.01)),
-            t_end=float(block.get("t_end", fallback_t_end)),
+            t_end=float(block.get("t_end", 10.0)),
             snap_dt=None if snap_dt is None else float(snap_dt),
-            dealias=bool(block.get("dealias", True)),
-            cfl_safety=float(block.get("cfl_safety", 0.4)),
-            mass_fix=bool(block.get("mass_fix", True)),
+            dealias=block.get("dealias", True),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver block: {exc}")
@@ -93,7 +96,6 @@ def _write_manifest(out: Path, cfg: dict, args) -> None:
         "config_path": str(args.config),
         "config": cfg,
         "seed": args.seed,
-        "threads": args.threads,
         "package_version": __version__,
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
@@ -122,9 +124,11 @@ def _initial_state(cfg: dict, grid, params, rng):
     else:
         raise ConfigError(f"unknown initial.profile: {kind}")
     target = block.get("target_x0", 0.01)
-    state, parts = build_initial_data(grid, params, n_profile=n_prof,
-                                      target_x0=None if target is None else float(target))
-    return state, parts
+    try:
+        return build_initial_data(grid, params, n_profile=n_prof,
+                                  target_x0=None if target is None else float(target))
+    except ValueError as exc:  # OutsideValidityWindow included
+        raise ConfigError(f"initial block: {exc}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -252,7 +256,7 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> int:
 
 def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
     from .diagnostics import relaxation_sweep
-    from .driver import BlowupError, whole_count
+    from .driver import RunFailed, whole_count
     from .hpc_solver import gaussian_bump
 
     params = _model_params(cfg)
@@ -282,10 +286,11 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
             tau_end=tau_end, snap_dtau=snap_dtau,
             dt_fast=float(_get(cfg, "experiment.dt_fast", 0.01)),
             rho_offset_phys=offset,
-            high_freq_budget=None if budget is None else float(budget),
-            threads=max(1, int(args.threads)))
-    except BlowupError as exc:
-        _write_summary(out, {"status": "blowup", "message": str(exc)})
+            high_freq_budget=None if budget is None else float(budget))
+    except ValueError as exc:  # data outside the window or the grid's band
+        raise ConfigError(f"experiment block: {exc}")
+    except RunFailed as exc:
+        _write_summary(out, {"status": exc.status, "message": str(exc)})
         print(f"relaxation-sweep: {exc}", file=sys.stderr)
         return 1
     report.to_csv(out / "relaxation.csv")
@@ -339,7 +344,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -361,6 +365,8 @@ def main(argv=None) -> int:
         raise AssertionError("unreachable")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_summary(out, {"status": "config_error", "message": str(exc)})
         return 2
 
 

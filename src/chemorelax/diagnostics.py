@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .driver import BlowupError, SolverConfig, Trajectory
+from .driver import RunFailed, SolverConfig, Trajectory
 from .hpc_solver import (
     HpcState,
     equilibrium_psi,
@@ -145,11 +145,6 @@ class LyapunovRecord:
     w_min: float
     w_max: float
 
-    @property
-    def ratio_equiv(self) -> float:
-        """L_j / block_sq (finite positive under the equivalence lemma)."""
-        return self.energy / self.block_sq if self.block_sq > 0 else np.nan
-
 
 def _integral(grid, values) -> float:
     return float(np.sum(values) * grid.cell_volume)
@@ -188,7 +183,7 @@ def lyapunov_evaluate(state: HpcState, j: int, eta0: float,
 
     g_full = SpectralField.from_physical(
         grid, coefficient_G(state.n.to_physical()[0], p)[None])
-    w = p.c0 + dec.lowpass(g_full, j - 1, keep_mean=True).to_physical()[0]
+    w = p.c0 + dec.lowpass(g_full, j - 1).to_physical()[0]
 
     two_mj = 2.0 ** (-j)
     u_grad_n = np.einsum("k...,k...->...", u_phys, grad_n)
@@ -310,7 +305,8 @@ def rescale_to_slow(state: HpcState, eps: float):
 
 def rescale_to_fast(tau: float, rho: SpectralField, u_eps: SpectralField,
                     phi: SpectralField, params: ModelParams):
-    """Inverse of :func:`rescale_to_slow` (same factors, applied inversely)."""
+    """Inverse of :func:`rescale_to_slow` (same factors, applied inversely);
+    kept as the tests' oracle for the rescaling round trip."""
     n = SpectralField.from_physical(rho.grid, enthalpy_n(rho.to_physical()[0], params)[None])
     u = params.eps * u_eps
     zero = (0,) + (0,) * rho.grid.d
@@ -382,6 +378,12 @@ def _dt_psi_field(state: HpcState) -> SpectralField:
     return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + dealias(h_field)
 
 
+def _require_completed(traj: Trajectory, name: str) -> None:
+    if traj.status != "completed":
+        outcome = "blew up" if traj.status == "blowup" else f"ended with status {traj.status}"
+        raise RunFailed(traj.status, f"{name} {outcome}: {traj.message}")
+
+
 def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_list,
                      tau_end: float = 2.0, snap_dtau: float = 0.05,
                      dt_fast: float = 0.01,
@@ -412,9 +414,14 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    A member or limit-model run that blows up raises :class:`BlowupError`.
+    A member or limit-model run that does not complete raises
+    :class:`RunFailed` with its status ("blowup" or "mass_drift").  Members
+    run one after another: ``threads`` must be 1.
     """
     from .hpc_solver import rough_mode_profile
+
+    if threads != 1:
+        raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
 
     eps_list = sorted(eps_list, reverse=True)
     dec = make_decomposition(grid)
@@ -431,8 +438,7 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     ks_params = replace(base_params, eps=eps_min)
     rho_f0 = dealias(SpectralField.from_physical(grid, rho0_phys[None]))
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
-    if ks_traj.status != "completed":
-        raise BlowupError(f"limit-model run blew up: {ks_traj.message}")
+    _require_completed(ks_traj, "limit-model run")
 
     ks_rho, ks_u, ks_phi = [], [], []
     for s in ks_traj.states:
@@ -457,11 +463,7 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         substeps = max(1, math.ceil(t_snap / dt_fast))
         cfg = SolverConfig(dt=t_snap / substeps, t_end=tau_end / eps, snap_dt=t_snap)
         traj = run(initial, cfg)
-        if traj.status == "blowup":
-            raise BlowupError(f"relaxation member eps={eps} blew up: {traj.message}")
-        if traj.status != "completed":
-            raise RuntimeError(f"relaxation member eps={eps} ended with status "
-                               f"{traj.status}: {traj.message}")
+        _require_completed(traj, f"relaxation member eps={eps}")
 
         sup_drho = 0.0
         drho_high, du_norm, dphi_norm, rhov_norm, dtphi_norm = [], [], [], [], []
@@ -491,15 +493,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
             int_dtphi=eps * float(np.trapezoid(dtphi_norm, taus)),
         )
 
-    # members are independent; reduction order is fixed by the eps list
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_member, eps_list))
-    else:
-        results = [run_member(eps) for eps in eps_list]
-    for res in results:
-        for key, value in res.items():
+    for eps in eps_list:
+        for key, value in run_member(eps).items():
             getattr(report, key).append(value)
     report.fit_slopes()
     return report

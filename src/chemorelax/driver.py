@@ -6,14 +6,14 @@ only when it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
 
 from .model import OutsideValidityWindow
 
-__all__ = ["BLOWUP_FACTOR", "BlowupError", "SolverConfig", "Trajectory", "integrate",
-           "whole_count"]
+__all__ = ["BLOWUP_FACTOR", "BlowupError", "RunFailed", "SolverConfig", "Trajectory",
+           "integrate", "whole_count"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
@@ -21,6 +21,14 @@ BLOWUP_FACTOR = 1e3
 
 class BlowupError(RuntimeError):
     """Solution left the admissible neighborhood of equilibrium."""
+
+
+class RunFailed(RuntimeError):
+    """A run whose trajectory did not complete; ``status`` is its status."""
+
+    def __init__(self, status: str, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def whole_count(span: float, unit: float, name: str) -> int:
@@ -35,22 +43,23 @@ def whole_count(span: float, unit: float, name: str) -> int:
 
 @dataclass
 class SolverConfig:
-    """Time step, end time and snapshots of one run.
+    """Time step, end time and snapshots of one run, for either solver.
 
     ``snap_dt`` (default: about 100 snapshots) is rounded to a whole number
     of steps, and ``t_end`` must be a whole number of snapshot intervals.
-    ``dealias`` applies to both solvers, ``cfl_safety`` and ``mass_fix`` to
-    :func:`chemorelax.hpc_solver.run` only.
+    Products are always 2/3-dealiased: ``dealias`` is not stored, and any
+    value but True is a ValueError.
     """
 
     dt: float
     t_end: float
     snap_dt: float | None = None
-    dealias: bool = True
-    cfl_safety: float = 0.4
-    mass_fix: bool = True
+    dealias: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, dealias):
+        if dealias is not True:
+            raise ValueError(f"dealias must be true (products are always dealiased), "
+                             f"got {dealias!r}")
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
         if not (self.t_end > 0):

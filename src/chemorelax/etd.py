@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-__all__ = ["phi1", "phi2", "matrix_phis", "batched_matrix_phis", "scalar_phis"]
+__all__ = ["phi1", "phi2", "batched_matrix_phis", "scalar_phis"]
 
 _SERIES_CUTOFF = 1e-2
 # phi1 = sum z^k/(k+1)!, phi2 = sum z^k/(k+2)!; six terms keep the switch seamless
@@ -85,11 +85,6 @@ def _augmented_phis(a: np.ndarray, dt: float):
     aug[m:2 * m, 2 * m:] = np.eye(m)
     e_aug = _expm(dt * aug)
     return e_aug[:m, :m], e_aug[:m, m:2 * m], e_aug[:m, 2 * m:] / dt
-
-
-def matrix_phis(a: np.ndarray, dt: float):
-    """(E, P1, P2) for one real matrix: ``batched_matrix_phis`` with n = 1."""
-    return tuple(table[0] for table in batched_matrix_phis(a[None], dt))
 
 
 def batched_matrix_phis(mats: np.ndarray, dt: float):

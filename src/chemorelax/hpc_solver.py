@@ -50,7 +50,6 @@ __all__ = [
     "HpcState",
     "SolverConfig",
     "BlowupError",
-    "linear_propagator",
     "PropagatorTables",
     "nonlinear_rhs",
     "step",
@@ -68,7 +67,9 @@ __all__ = [
 # the global bound is then only an experiment, not an expectation
 SMALL_DATA_HINT = 0.05
 
-# CFL halvings of one step before the run counts as blown up
+# a step of dt is taken when dt max|u| <= CFL_SAFETY dx, else halved, at most
+# MAX_CFL_HALVINGS times before the run counts as blown up
+CFL_SAFETY = 0.4
 MAX_CFL_HALVINGS = 8
 
 
@@ -106,19 +107,6 @@ class HpcState:
 
 
 # -- exact linear propagation -------------------------------------------------
-
-def linear_propagator(xi: float, dt: float, params: ModelParams):
-    """exp(dt A(xi)) on the compressible triple plus the incompressible factor.
-
-    Returns (3x3 matrix, scalar exp(-dt/eps)).  dt = 0 gives the identity.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    if dt == 0:
-        return np.eye(3), 1.0
-    e, _, _ = etd.matrix_phis(symbol_matrix(xi, params).matrix, dt)
-    return e, math.exp(-dt / params.eps)
-
 
 class PropagatorTables:
     """Cached per-mode E / phi1 / phi2 tables for one (grid, params, dt).
@@ -176,14 +164,14 @@ class PropagatorTables:
 
 # -- nonlinear terms ----------------------------------------------------------
 
-def nonlinear_rhs(state: HpcState, use_dealias: bool = True):
+def nonlinear_rhs(state: HpcState):
     """(N_n, N_u, N_psi) with products formed in physical space.
 
     N_n = -u.grad n - G(n) div u,  N_u = -(u.grad) u,  N_psi = H(n).
     The 2/3 mask is applied to the inputs and to the assembled outputs.
     """
-    nf = dealias(state.n) if use_dealias else state.n
-    uf = dealias(state.u) if use_dealias else state.u
+    nf = dealias(state.n)
+    uf = dealias(state.u)
     grid = state.grid
 
     n_phys = nf.to_physical()[0]
@@ -200,12 +188,9 @@ def nonlinear_rhs(state: HpcState, use_dealias: bool = True):
         grad_ui = SpectralField(grid, 1j * grid.xi_diff * uf.coef[i]).to_physical()
         nu[i] = -np.einsum("k...,k...->...", u_phys, grad_ui)
 
-    out_n = SpectralField.from_physical(grid, nn[None])
-    out_u = SpectralField.from_physical(grid, nu)
-    out_psi = SpectralField.from_physical(grid, h_vals[None])
-    if use_dealias:
-        out_n, out_u, out_psi = dealias(out_n), dealias(out_u), dealias(out_psi)
-    return out_n, out_u, out_psi
+    return (dealias(SpectralField.from_physical(grid, nn[None])),
+            dealias(SpectralField.from_physical(grid, nu)),
+            dealias(SpectralField.from_physical(grid, h_vals[None])))
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) -> SpectralField:
@@ -238,14 +223,14 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
 
 
 def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
-         use_dealias: bool = True, mass_target: float | None = None) -> HpcState:
+         mass_target: float | None = None) -> HpcState:
     """One exponential Runge-Kutta step; reduces to the exact propagator when
     the nonlinearity vanishes identically."""
     if tables is None or tables.dt != dt or tables.params is not state.params:
         tables = PropagatorTables(state.grid, state.params, dt)
 
     n0, u0, p0 = state.n.coef, state.u.coef, state.psi.coef
-    nn, nu, npsi = nonlinear_rhs(state, use_dealias)
+    nn, nu, npsi = nonlinear_rhs(state)
 
     en, eu, ep = tables.apply_exp(n0, u0, p0)
     fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
@@ -254,7 +239,7 @@ def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
                     SpectralField(state.grid, eu + fu),
                     SpectralField(state.grid, ep + fp), state.params)
 
-    sn, su, sp = nonlinear_rhs(star, use_dealias)
+    sn, su, sp = nonlinear_rhs(star)
     cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
     out = HpcState(state.t + dt,
                    SpectralField(state.grid, star.n.coef + cn),
@@ -292,15 +277,16 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
     A validity-window escape or an aggregate-norm explosion ends the run with
     status "blowup" (the expected outcome for large data or a negative
     stability margin); everything kept up to that point is returned.
-    With the mass projection on, a final total mass off the initial one by
-    more than 1e-8 relative gives status "mass_drift".
+    Every step projects the total mass back onto its initial value; a final
+    total mass off the initial one by more than 1e-8 relative gives status
+    "mass_drift".
     """
     dec = make_decomposition(initial.grid)
     J = initial.params.threshold()
     cache: dict = {}
 
     mass0 = initial.total_mass()
-    mass_target = initial.mass_perturbation() if config.mass_fix else None
+    mass_target = initial.mass_perturbation()
     x0, _ = hybrid_aggregate(initial, dec, J)
     if x0 > SMALL_DATA_HINT:
         warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
@@ -309,10 +295,10 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
     def advance(s: HpcState, dt: float = config.dt, depth: int = 0) -> HpcState:
         """One step of dt, halved on a CFL violation (at most MAX_CFL_HALVINGS times)."""
         vmax = float(np.max(np.abs(s.u.to_physical())))
-        if dt * vmax <= config.cfl_safety * s.grid.dx or vmax == 0.0:
+        if dt * vmax <= CFL_SAFETY * s.grid.dx or vmax == 0.0:
             if dt not in cache:
                 cache[dt] = PropagatorTables(s.grid, s.params, dt)
-            return step(s, dt, cache[dt], config.dealias, mass_target)
+            return step(s, dt, cache[dt], mass_target)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
         return advance(advance(s, dt / 2, depth + 1), dt / 2, depth + 1)
@@ -335,7 +321,7 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
                     max_u=float(np.max(np.abs(s.u.to_physical()))))
 
     traj = integrate(initial, advance, check, row, config)
-    if traj.status == "completed" and config.mass_fix:
+    if traj.status == "completed":
         # bookkeeping invariant, not the mass-conservation test itself
         drift = abs(traj.final.total_mass() - mass0)
         if drift > 1e-8 * abs(mass0) + 1e-14:
@@ -386,7 +372,6 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
     This is how an eps-family of initial data keeps the high-frequency part of
     its energy uniformly filled: the mode tracks |xi| ~ 2^J as eps shrinks.
     """
-    from .spectral import make_decomposition
     k_int = 2 ** params.threshold()
     if k_int * grid.xi_min > grid.xi_max / math.sqrt(grid.d) * 2.0 / 3.0:
         raise ValueError(f"threshold mode {k_int} exceeds the dealiased band; refine the grid")
@@ -397,23 +382,23 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
     return budget / (params.eps * norm) * profile
 
 
-def equilibrium_psi(n: SpectralField, params: ModelParams, use_dealias: bool = True) -> SpectralField:
-    """Well-prepared concentration: psi = (b - Lap)^{-1} (c1 n + H(n))."""
+def equilibrium_psi(n: SpectralField, params: ModelParams) -> SpectralField:
+    """Well-prepared concentration: psi = (b - Lap)^{-1} (c1 n + H(n)), H dealiased."""
     h_vals = coefficient_H(n.to_physical()[0], params)
-    h_field = SpectralField.from_physical(n.grid, h_vals[None])
-    if use_dealias:
-        h_field = dealias(h_field)
+    h_field = dealias(SpectralField.from_physical(n.grid, h_vals[None]))
     return bessel_inverse(params.c1 * n + h_field, params.b)
 
 
 def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profile=None,
-                       psi_profile=None, target_x0: float | None = None,
-                       well_prepared: bool = True):
-    """Assemble an initial state, optionally rescaled to a prescribed hybrid energy.
+                       target_x0: float | None = None):
+    """Assemble a well-prepared initial state, optionally rescaled to a
+    prescribed hybrid energy.
 
-    Profiles are physical-space arrays (or None).  With ``well_prepared`` the
-    concentration solves the screened elliptic balance, which zeroes the
-    effective concentration at t = 0.  Returns (state, breakdown).
+    The n and u profiles are physical-space arrays (or None for zero); both
+    are dealiased.  The concentration is not an input: psi =
+    :func:`equilibrium_psi` of n solves the screened elliptic balance, which
+    zeroes the effective concentration at t = 0.  An n that leaves the
+    validity window raises OutsideValidityWindow.  Returns (state, breakdown).
     """
     def mk(profile, ncomp):
         if profile is None:
@@ -428,12 +413,7 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
 
     def assemble(s: float) -> HpcState:
         nf = s * n_shape
-        uf = s * u_shape
-        if well_prepared:
-            pf = equilibrium_psi(nf, params)
-        else:
-            pf = mk(psi_profile, 1) * s
-        return HpcState(0.0, nf, uf, pf, params)
+        return HpcState(0.0, nf, s * u_shape, equilibrium_psi(nf, params), params)
 
     dec = make_decomposition(grid)
     if target_x0 is None:

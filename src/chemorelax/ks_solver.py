@@ -127,9 +127,10 @@ def G1_eval(rho, params: ModelParams):
     return np.where(small, taylor, exact)
 
 
-def ks_rhs(state: KsState, use_dealias: bool = True) -> SpectralField:
-    """Quadratic terms Lap(G1(rho)(rho-rho_bar)) - mu div((rho-rho_bar) grad phi)."""
-    rho_f = dealias(state.rho) if use_dealias else state.rho
+def ks_rhs(state: KsState) -> SpectralField:
+    """Quadratic terms Lap(G1(rho)(rho-rho_bar)) - mu div((rho-rho_bar) grad phi),
+    2/3-dealiased on input and output."""
+    rho_f = dealias(state.rho)
     grid = state.grid
     rho_phys = rho_f.to_physical()[0]
     pert = rho_phys - state.params.rho_bar
@@ -140,8 +141,7 @@ def ks_rhs(state: KsState, use_dealias: bool = True) -> SpectralField:
     grad_phi = gradient(phi).to_physical()
     flux = SpectralField.from_physical(grid, pert[None] * grad_phi)
     term_b = divergence(flux)
-    out = term_a - state.params.mu * term_b
-    return dealias(out) if use_dealias else out
+    return dealias(term_a - state.params.mu * term_b)
 
 
 class _KsTables:
@@ -152,16 +152,15 @@ class _KsTables:
         self.E, self.P1, self.P2 = etd.scalar_phis(sym, dt)
 
 
-def ks_step(state: KsState, dt: float, tables: _KsTables | None = None,
-            use_dealias: bool = True) -> KsState:
+def ks_step(state: KsState, dt: float, tables: _KsTables | None = None) -> KsState:
     """One exponential Runge-Kutta step in slow time."""
     if tables is None or tables.dt != dt or tables.params is not state.params:
         tables = _KsTables(state.grid, state.params, dt)
-    n0 = ks_rhs(state, use_dealias)
+    n0 = ks_rhs(state)
     star = KsState(state.tau + dt,
                    SpectralField(state.grid, tables.E * state.rho.coef + tables.P1 * n0.coef),
                    state.params)
-    n1 = ks_rhs(star, use_dealias)
+    n1 = ks_rhs(star)
     rho_new = star.rho.coef + tables.P2 * (n1.coef - n0.coef)
     return KsState(state.tau + dt, SpectralField(state.grid, rho_new), state.params)
 
@@ -184,7 +183,7 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     norm0 = dec.besov_norm(initial.rho, d_half, 1)
 
     def advance(s: KsState) -> KsState:
-        return ks_step(s, config.dt, tables, config.dealias)
+        return ks_step(s, config.dt, tables)
 
     def check(s: KsState):
         s.rho_physical()  # window check

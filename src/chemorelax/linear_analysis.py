@@ -33,7 +33,6 @@ __all__ = [
     "RadialQuadrature",
     "DecayStudyResult",
     "semigroup_decay_study",
-    "continuum_besov_norm",
     "SPHERE_MEASURE",
 ]
 
@@ -258,14 +257,6 @@ class RadialQuadrature:
     def refine(self) -> "RadialQuadrature":
         return RadialQuadrature(d=self.d, j_lo=self.j_lo, j_hi=self.j_hi,
                                 nodes_per_panel=2 * self.nodes_per_panel)
-
-
-def continuum_besov_norm(profile, sigma: float, r, d: int,
-                         quad: RadialQuadrature | None = None) -> float:
-    """Besov norm of a radial profile |f^|(rho) on R^d by ring quadrature."""
-    quad = quad or RadialQuadrature(d=d, j_lo=-20, j_hi=6)
-    ring_l2 = np.array([quad.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(quad.rings)])
-    return quad.besov(sigma, r, ring_l2)
 
 
 @dataclass

@@ -47,8 +47,6 @@ __all__ = [
     "DyadicDecomposition",
     "make_grid",
     "make_decomposition",
-    "apply_multiplier",
-    "lambda_power",
     "bessel_inverse",
     "gradient",
     "divergence",
@@ -59,7 +57,6 @@ __all__ = [
     "ring_profile",
     "save_field",
     "load_field",
-    "write_block_norms",
 ]
 
 
@@ -208,7 +205,8 @@ class SpectralField:
         return float(np.sqrt(energy) * self.grid.L ** (self.grid.d / 2))
 
     def l2_norm_physical(self) -> float:
-        """Same norm by physical-space quadrature (used to check Parseval)."""
+        """Same norm by physical-space quadrature; kept as the tests' Parseval
+        reference for :meth:`l2_norm`."""
         vals = self.to_physical()
         return float(np.sqrt(np.sum(vals ** 2) * self.grid.cell_volume))
 
@@ -232,26 +230,6 @@ class SpectralField:
 
 
 # -- Fourier multipliers ----------------------------------------------------
-
-def apply_multiplier(f: SpectralField, symbol) -> SpectralField:
-    """Apply a radial Fourier multiplier ``symbol(|xi|)`` coefficient-wise.
-
-    ``symbol`` is evaluated on the grid's |xi| table and must be finite at
-    every grid wavenumber.
-    """
-    values = np.asarray(symbol(f.grid.xi_mag))
-    if not np.all(np.isfinite(values)):
-        raise ValueError("multiplier symbol is not finite at some grid wavenumber")
-    return SpectralField(f.grid, f.coef * values)
-
-
-def lambda_power(f: SpectralField, sigma: float) -> SpectralField:
-    """|xi|^sigma multiplier; the zero mode is sent to 0 when sigma < 0."""
-    mag = f.grid.xi_mag
-    with np.errstate(divide="ignore"):
-        values = np.where(mag > 0, mag ** sigma, 0.0 if sigma < 0 else (0.0 if sigma > 0 else 1.0))
-    return SpectralField(f.grid, f.coef * values)
-
 
 def bessel_inverse(f: SpectralField, b: float) -> SpectralField:
     """(b - Laplacian)^{-1}: multiply by 1/(b + |xi|^2); requires b > 0.
@@ -380,25 +358,9 @@ class DyadicDecomposition:
         return (_lr_reduce((2.0 ** (js * s_low) * norms)[js <= J], r),
                 _lr_reduce((2.0 ** (js * s_high) * norms)[js >= J - 1], r))
 
-    def lowpass(self, f: SpectralField, j: int, keep_mean: bool = True) -> SpectralField:
-        """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi))."""
-        w = chi_profile(self.grid.xi_mag * 2.0 ** (-j))
-        coef = f.coef * w
-        if not keep_mean:
-            zero = (slice(None),) + (0,) * self.grid.d
-            coef[zero] = 0.0
-        return SpectralField(f.grid, coef)
-
-    def low_part(self, f: SpectralField, J: int) -> SpectralField:
-        """Sum of blocks j <= J - 1 (equals chi(2^{-J} xi) f on nonzero modes)."""
-        return self.lowpass(f, J, keep_mean=False)
-
-    def high_part(self, f: SpectralField, J: int) -> SpectralField:
-        """Sum of blocks j >= J; the mean is excluded as well."""
-        coef = f.coef.copy()
-        zero = (slice(None),) + (0,) * self.grid.d
-        coef[zero] = 0.0
-        return SpectralField(f.grid, coef) - self.low_part(f, J)
+    def lowpass(self, f: SpectralField, j: int) -> SpectralField:
+        """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi)), mean kept."""
+        return SpectralField(f.grid, f.coef * chi_profile(self.grid.xi_mag * 2.0 ** (-j)))
 
 
 def make_decomposition(grid: Grid) -> DyadicDecomposition:
@@ -411,7 +373,7 @@ def make_decomposition(grid: Grid) -> DyadicDecomposition:
     return DyadicDecomposition(grid=grid, j_min=j_min, j_max=j_max)
 
 
-# -- snapshot and table IO ---------------------------------------------------
+# -- snapshot IO -------------------------------------------------------------
 
 def _full_spectrum(f: SpectralField) -> np.ndarray:
     """The full ``fftn`` layout, shape (ncomp, *grid.shape), of a half-spectrum.
@@ -440,13 +402,3 @@ def load_field(path) -> SpectralField:
     if coef.shape[1:] != grid.shape:
         raise ValueError(f"snapshot coefficients {coef.shape} do not match grid {grid.shape}")
     return SpectralField(grid, coef[..., :grid.N // 2 + 1])
-
-
-def write_block_norms(path, f: SpectralField, s: float,
-                      decomposition: DyadicDecomposition | None = None) -> None:
-    """CSV of per-block L2 norms: columns j, 2^j, block_L2, weighted."""
-    dec = decomposition or make_decomposition(f.grid)
-    with open(path, "w") as fh:
-        fh.write("j,scale,block_L2,weighted\n")
-        for j, m in zip(dec.active_js(), dec.block_norms(f).tolist()):
-            fh.write(f"{j},{2.0 ** j!r},{m!r},{2.0 ** (j * s) * m!r}\n")

@@ -198,7 +198,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
         tab = PropagatorTables(grid, params, dt)
         cur, target = state.copy(), state.mass_perturbation()
         for _ in range(round(1.0 / dt)):
-            cur = step(cur, dt, tab, True, target)
+            cur = step(cur, dt, tab, mass_target=target)
         return cur
 
     sols = {dt: advance_hpc(dt) for dt in (0.1, 0.05, 0.0125)}

@@ -66,8 +66,11 @@ class TestAnalyzeSymbol:
 
     def test_config_file_missing(self, tmp_path, capsys):
         rc = main(["analyze-symbol", "--config", str(tmp_path / "nope.json"),
-                   "--out", str(tmp_path / "out")])
+                   "--out", str(tmp_path / "out" / "new")])
         assert rc == 2
+        summary = json.loads((tmp_path / "out" / "new" / "summary.json").read_text())
+        assert summary == {"status": "config_error",
+                           "message": f"config file not found: {tmp_path / 'nope.json'}"}
 
 
 class TestSimulate:
@@ -151,9 +154,14 @@ class TestSimulate:
         {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.0},
         {"dt": 0.05, "t_end": 0.1, "snap_dt": 0.5},
         {"dt": 0.05, "t_end": 0.55, "snap_dt": 0.25},
+        {"dt": 0.05, "t_end": 0.5, "dealias": False},
+        {"dt": 0.05, "t_end": 0.5, "mass_fix": False},
+        {"dt": 0.05, "t_end": 0.5, "cfl_safety": 0.3},
+        {"dt": 0.05, "t_end": 0.5, "mass_fx": False},
     ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number",
             "snap_dt_negative", "snap_dt_zero", "t_end_before_first_snapshot",
-            "t_end_between_snapshots"])
+            "t_end_between_snapshots", "dealias_false", "mass_fix_key", "cfl_safety_key",
+            "misspelled_key"])
     def test_invalid_solver_block_exit_2(self, tmp_path, capsys, solver):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
@@ -163,6 +171,24 @@ class TestSimulate:
         rc = main(["simulate-hpc", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "config error: solver block" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "config_error"
+        assert summary["message"].startswith("solver block")
+
+    @pytest.mark.parametrize("command", ["simulate-hpc", "lyapunov-check"])
+    def test_initial_data_outside_window_exit_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "solver": {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.25},
+            "initial": {"profile": "gaussian", "target_x0": 50},
+        })
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: initial block" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "config_error"
+        assert "left the admissible range" in summary["message"]
 
 
 class TestDecayStudy:
@@ -272,6 +298,47 @@ class TestRelaxationSweepCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "blowup"
         assert "blew up: density left the validity window" in summary["message"]
+
+    def test_threshold_mode_beyond_band_exit_2(self, tmp_path, capsys):
+        """At N = 32 the eps = 0.05 member's threshold mode 16 lies outside the
+        dealiased band, so its high-frequency data cannot be built."""
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.2),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "experiment": {"eps_list": [0.2, 0.1, 0.05], "tau_end": 0.05,
+                           "snap_dtau": 0.05, "amplitude": 0.02,
+                           "high_freq_budget": 0.01},
+        })
+        rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "config error: experiment block: threshold mode 16" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "config_error"
+        assert "exceeds the dealiased band" in summary["message"]
+
+    def test_member_mass_drift_exit_1_with_summary(self, tmp_path, monkeypatch):
+        """A member whose mass projection leaks fails the sweep's contract."""
+        from chemorelax import hpc_solver
+        fix = hpc_solver._fix_mass
+
+        def leaky(n, params, target):
+            out = fix(n, params, target)
+            out.coef[(0,) * (1 + n.grid.d)] += 1e-6
+            return out
+
+        monkeypatch.setattr(hpc_solver, "_fix_mass", leaky)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.2),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "experiment": {"eps_list": [0.4, 0.283, 0.2], "tau_end": 0.05,
+                           "snap_dtau": 0.05, "amplitude": 0.02},
+        })
+        rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "mass_drift"
+        assert summary["message"].startswith(
+            "relaxation member eps=0.4 ended with status mass_drift: total mass drifted")
 
     @pytest.mark.slow
     def test_small_sweep_runs(self, tmp_path):

@@ -74,9 +74,9 @@ def test_batched_fallback_matches_expm(params, dt, monkeypatch):
 @pytest.mark.parametrize("dt", DTS)
 def test_single_matrix_entry_matches_expm(params, dt):
     a = symbol_matrix(2.0, params).matrix
-    for got, ref in zip(etd.matrix_phis(a, dt), expm_reference(a, dt)):
-        assert got.shape == (3, 3)
-        assert_close(got, ref)
+    for got, ref in zip(etd.batched_matrix_phis(a[None], dt), expm_reference(a, dt)):
+        assert got.shape == (1, 3, 3)
+        assert_close(got[0], ref)
 
 
 def test_exactly_singular_eigenbasis(params):
@@ -90,6 +90,6 @@ def test_exactly_singular_eigenbasis(params):
               dt * (np.eye(3) / 2 + dt / 6 * shift + dt ** 2 / 24 * shift @ shift)]
     mats = np.stack([symbol_matrix(1.0, params).matrix, shift])
     batched = etd.batched_matrix_phis(mats, dt)
-    for got, single, ref in zip(batched, etd.matrix_phis(shift, dt), series):
+    for got, single, ref in zip(batched, etd.batched_matrix_phis(shift[None], dt), series):
         assert_close(got[1], ref)
-        assert_close(single, ref)
+        assert_close(single[0], ref)

@@ -158,7 +158,7 @@ class TestPropagatorAgainstFull:
         for idx in np.ndindex(*n_full.shape[1:]):
             xi = float(fg.xi_mag_diff[idx])
             if xi not in phis:
-                phis[xi] = etd.matrix_phis(symbol_matrix(xi, p).matrix, dt)[which]
+                phis[xi] = etd.batched_matrix_phis(symbol_matrix(xi, p).matrix[None], dt)[which][0]
             xi_v = fg.xi_diff[(slice(None),) + idx]
             u = u_full[(slice(None),) + idx]
             unit = xi_v / xi if xi > 0 else np.zeros_like(xi_v)

@@ -15,7 +15,6 @@ from chemorelax.hpc_solver import (
     equilibrium_psi,
     gaussian_bump,
     hybrid_aggregate,
-    linear_propagator,
     mode_bump,
     nonlinear_rhs,
     run,
@@ -44,26 +43,16 @@ def small_state(grid, params, target=0.01, width=0.5):
 
 
 class TestLinearPropagator:
-    def test_dt_zero_identity(self, solver_params):
-        m, s = linear_propagator(1.7, 0.0, solver_params)
-        assert np.allclose(m, np.eye(3)) and s == 1.0
-
-    def test_zero_mode_closed_form(self, solver_params):
+    def test_zero_mode_closed_form(self, solver_params, grid1d):
         p = solver_params
         dt = 0.37
-        m, s = linear_propagator(0.0, dt, p)
+        tab = PropagatorTables(grid1d, p, dt)
+        m, s = tab.E3[:, :, 0], tab.e_inc
         # n frozen; psi relaxes toward (c1/b) n; u factor exp(-dt/eps)
         assert np.isclose(s, np.exp(-dt / p.eps), atol=1e-14)
         assert np.isclose(m[0, 0], 1.0) and np.allclose(m[0, 1:], 0.0)
         assert np.isclose(m[2, 2], np.exp(-p.b * dt), atol=1e-13)
         assert np.isclose(m[2, 0], p.c1 / p.b * (1 - np.exp(-p.b * dt)), atol=1e-13)
-
-    def test_semigroup_composition(self, solver_params):
-        for xi in (0.0, 1.3, 8.0):
-            m1, s1 = linear_propagator(xi, 0.2, solver_params)
-            m2, s2 = linear_propagator(xi, 0.4, solver_params)
-            assert np.max(np.abs(m1 @ m1 - m2)) <= 1e-10
-            assert abs(s1 * s1 - s2) <= 1e-12
 
     def test_tables_match_expm(self, solver_params, grid1d):
         tab = PropagatorTables(grid1d, solver_params, 0.1)
@@ -113,7 +102,7 @@ class TestStep:
         state = small_state(grid1d, solver_params, target=1e-10)
         dt = 1e-3
         tab = PropagatorTables(grid1d, solver_params, dt)
-        out = step(state, dt, tab, True, state.mass_perturbation())
+        out = step(state, dt, tab, mass_target=state.mass_perturbation())
         en, eu, ep = tab.apply_exp(state.n.coef, state.u.coef, state.psi.coef)
         scale = np.max(np.abs(state.n.coef))
         dev = max(np.max(np.abs(out.n.coef - en)), np.max(np.abs(out.u.coef - eu)),
@@ -128,7 +117,7 @@ class TestStep:
             cur = state.copy()
             target = state.mass_perturbation()
             for _ in range(round(1.0 / dt)):
-                cur = step(cur, dt, tab, True, target)
+                cur = step(cur, dt, tab, mass_target=target)
             return cur
 
         sols = {dt: advance(dt) for dt in (0.1, 0.05, 0.0125)}
@@ -157,7 +146,7 @@ class TestStep:
                             lambda n, p: calls.append(1) or original(n, p))
         cur = state
         for _ in range(steps):
-            cur = step(cur, dt, tab, True, target)
+            cur = step(cur, dt, tab, mass_target=target)
         assert len(calls) <= 1.2 * steps
         pert = original(cur.n.to_physical()[0], solver_params)
         assert abs(np.mean(pert) - target) <= 1e-14 * np.mean(np.abs(pert))
@@ -303,6 +292,30 @@ class TestDimensionConsistency:
         for col in ("mean_n", "mean_psi", "mean_H", "max_u"):
             np.testing.assert_allclose(trajd.series.column(col), traj1.series.column(col),
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(n1)))
+
+
+class TestShearFlow:
+    """u = (f(x_2), 0, ...) with n = psi = 0: div u = 0 and (u.grad) u = 0
+    hold exactly in coefficient space, so the run is pure relaxation,
+    u(t) = exp(-t/eps) u0, with n and psi exactly 0."""
+
+    @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+    def test_pure_relaxation(self, solver_params, d, N):
+        grid = make_grid(d, N, 2 * np.pi)
+        x2 = grid.x_axes[1]
+        shape = [1] * d
+        shape[1] = N
+        u_prof = np.zeros((d,) + grid.shape)
+        u_prof[0] = (1e-3 * np.sin(x2) + 5e-4 * np.cos(3 * x2 + 0.4)).reshape(shape)
+        state, _ = build_initial_data(grid, solver_params, n_profile=None, u_profile=u_prof)
+        dt = 0.05
+        traj = run(state, SolverConfig(dt=dt, t_end=6 * dt, snap_dt=2 * dt))
+        assert traj.status == "completed" and len(traj.states) == 4
+        u0 = state.u.coef
+        for s in traj.states:
+            assert not np.any(s.n.coef) and not np.any(s.psi.coef)
+            expected = np.exp(-s.t / solver_params.eps) * u0
+            assert np.max(np.abs(s.u.coef - expected)) <= 1e-13 * np.max(np.abs(u0))
 
 
 class TestBuildInitialData:

@@ -249,7 +249,7 @@ class TestFormEquivalence:
         # rewritten form: exact symbol on rho plus ks_rhs quadratic terms
         sym = ks_symbol(grid.xi_mag_diff, params)
         linear = SpectralField(grid, sym * state.rho.coef)
-        total_rewritten = linear + ks_rhs(state, use_dealias=True)
+        total_rewritten = linear + ks_rhs(state)
 
         rho_phys = state.rho_physical()
         phi = solve_phi(state.rho, params)

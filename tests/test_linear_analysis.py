@@ -7,7 +7,6 @@ import scipy.linalg
 from chemorelax.linear_analysis import (
     RadialQuadrature,
     characteristic_cubic,
-    continuum_besov_norm,
     eigenvalues,
     highfreq_asymptotic_check,
     lowfreq_asymptotic_check,
@@ -242,8 +241,9 @@ class TestContinuumQuadrature:
             return np.where((r >= 4 / 3) & (r <= 1.5), 1.0, 0.0)
 
         exact_l2 = np.sqrt(2.0 * (1.5 - 4 / 3))
-        got = continuum_besov_norm(profile, 0.0, 1, d=1,
-                                   quad=RadialQuadrature(d=1, j_lo=-3, j_hi=3))
+        quad = RadialQuadrature(d=1, j_lo=-3, j_hi=3)
+        ring_l2 = np.array([quad.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(quad.rings)])
+        got = quad.besov(0.0, 1, ring_l2)
         assert abs(got - exact_l2) <= 1e-8 * exact_l2
 
 

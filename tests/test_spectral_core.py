@@ -5,14 +5,12 @@ import pytest
 
 from chemorelax.spectral import (
     SpectralField,
-    apply_multiplier,
     bessel_inverse,
     chi_profile,
     compute_threshold,
     dealias,
     divergence,
     gradient,
-    lambda_power,
     laplacian,
     load_field,
     make_decomposition,
@@ -68,12 +66,6 @@ class TestGrid:
 
 
 class TestMultipliers:
-    def test_identity_symbol(self, rng):
-        g = make_grid(1, 32, 2 * np.pi)
-        f = random_field(g, rng)
-        out = apply_multiplier(f, lambda m: np.ones_like(m))
-        assert np.allclose(out.coef, f.coef)
-
     def test_gradient_of_plane_wave(self):
         g = make_grid(1, 32, 2 * np.pi)
         x = g.x_axes[0]
@@ -92,20 +84,6 @@ class TestMultipliers:
         g = make_grid(2, 16, 2 * np.pi)
         f = random_field(g, rng)
         assert np.allclose(divergence(gradient(f)).coef, laplacian(f).coef, atol=1e-12)
-
-    def test_nonfinite_symbol_rejected(self, rng):
-        g = make_grid(1, 32, 2 * np.pi)
-        f = random_field(g, rng)
-        with pytest.raises(ValueError):
-            apply_multiplier(f, lambda m: np.where(m > 0, 1.0, np.inf))  # infinite at xi = 0
-
-    def test_lambda_negative_power_zeroes_mean(self):
-        g = make_grid(1, 32, 2 * np.pi)
-        f = SpectralField.from_physical(g, (np.cos(g.x_axes[0]) + 5.0)[None])
-        out = lambda_power(f, -1.0)
-        assert out.mean()[0] == 0.0
-        # the cos x mode is untouched at |xi| = 1
-        assert np.isclose(out.coef[0, 1], f.coef[0, 1])
 
 
 class TestBessel:
@@ -339,22 +317,6 @@ class TestHybridNorm:
             low_s_minus, _ = dec.hybrid_norm(f, s - sp, s - sp, 1, J)
             assert low_s <= 2.0 ** (J * sp) * low_s_minus * (1 + 1e-12)
 
-    def test_parts_bounded_by_restricted_norms(self, rng):
-        g = make_grid(1, 64, 2 * np.pi)
-        dec = make_decomposition(g)
-        f = random_field(g, rng)
-        J = 2
-        low_part = dec.low_part(f, J)
-        high_part = dec.high_part(f, J)
-        s = 0.8
-        lo, hi = dec.hybrid_norm(f, s, s, 1, J)
-        assert dec.besov_norm(low_part, s, 1) <= lo * (1 + 1e-12)
-        assert dec.besov_norm(high_part, s, 1) <= hi * (1 + 1e-12)
-        # parts plus mean rebuild the field
-        rebuilt = low_part.coef + high_part.coef
-        rebuilt[0, 0] += f.coef[0, 0]
-        assert np.allclose(rebuilt, f.coef, atol=1e-14)
-
 
 class TestInvariantsAndProperties:
     def test_parseval(self, rng):
@@ -416,13 +378,3 @@ class TestSnapshotIO:
         g2 = load_field(path)
         assert g2.grid.d == 2 and g2.grid.N == 16 and np.isclose(g2.grid.L, 3.5)
         assert np.allclose(g2.coef, f.coef)
-
-    def test_block_norm_csv(self, tmp_path, rng):
-        from chemorelax.spectral import write_block_norms
-        g = make_grid(1, 32, 2 * np.pi)
-        f = random_field(g, rng)
-        path = tmp_path / "blocks.csv"
-        write_block_norms(path, f, s=0.5)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,scale,block_L2,weighted"
-        assert len(lines) > 1
