@@ -43,6 +43,11 @@ def small_state(grid, params, target=0.01, width=0.5):
 
 
 class TestLinearPropagator:
+    def test_dt_zero_identity(self, solver_params, grid1d):
+        tab = PropagatorTables(grid1d, solver_params, 0.0)
+        eye = np.eye(3)[:, :, None]
+        assert np.allclose(tab.E3, eye, rtol=0.0, atol=1e-15) and tab.e_inc == 1.0
+
     def test_zero_mode_closed_form(self, solver_params, grid1d):
         p = solver_params
         dt = 0.37
@@ -53,6 +58,14 @@ class TestLinearPropagator:
         assert np.isclose(m[0, 0], 1.0) and np.allclose(m[0, 1:], 0.0)
         assert np.isclose(m[2, 2], np.exp(-p.b * dt), atol=1e-13)
         assert np.isclose(m[2, 0], p.c1 / p.b * (1 - np.exp(-p.b * dt)), atol=1e-13)
+
+    def test_semigroup_composition(self, solver_params, grid1d):
+        t1 = PropagatorTables(grid1d, solver_params, 0.2)
+        t2 = PropagatorTables(grid1d, solver_params, 0.4)
+        for idx in (0, 1, 8, grid1d.spec_shape[0] - 1):
+            m1, m2 = t1.E3[:, :, idx], t2.E3[:, :, idx]
+            assert np.max(np.abs(m1 @ m1 - m2)) <= 1e-10
+        assert abs(t1.e_inc * t1.e_inc - t2.e_inc) <= 1e-12
 
     def test_tables_match_expm(self, solver_params, grid1d):
         tab = PropagatorTables(grid1d, solver_params, 0.1)

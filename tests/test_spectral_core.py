@@ -317,6 +317,28 @@ class TestHybridNorm:
             low_s_minus, _ = dec.hybrid_norm(f, s - sp, s - sp, 1, J)
             assert low_s <= 2.0 ** (J * sp) * low_s_minus * (1 + 1e-12)
 
+    def test_parts_bounded_by_restricted_norms(self, rng):
+        """The split f - mean = S_J f + (rest), with S_J the lowpass minus the
+        mean, has Besov norms bounded by the hybrid norm's two sides."""
+        g = make_grid(1, 64, 2 * np.pi)
+        dec = make_decomposition(g)
+        f = random_field(g, rng)
+        J = 2
+        low_coef = dec.lowpass(f, J).coef
+        low_coef[0, 0] = 0.0
+        low_part = SpectralField(g, low_coef)
+        high_coef = f.coef - low_coef
+        high_coef[0, 0] = 0.0
+        high_part = SpectralField(g, high_coef)
+        s = 0.8
+        lo, hi = dec.hybrid_norm(f, s, s, 1, J)
+        assert dec.besov_norm(low_part, s, 1) <= lo * (1 + 1e-12)
+        assert dec.besov_norm(high_part, s, 1) <= hi * (1 + 1e-12)
+        # parts plus mean rebuild the field
+        rebuilt = low_part.coef + high_part.coef
+        rebuilt[0, 0] += f.coef[0, 0]
+        assert np.allclose(rebuilt, f.coef, atol=1e-14)
+
 
 class TestInvariantsAndProperties:
     def test_parseval(self, rng):
