@@ -26,13 +26,21 @@ class ConfigError(Exception):
 
 
 def _load_config(path: str) -> dict:
+    """The config: a JSON object whose every entry is a block, itself an object."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {json.dumps(cfg)}")
+    for name, block in cfg.items():
+        if not isinstance(block, dict):
+            raise ConfigError(f"config block {name} must be a JSON object, "
+                              f"got {json.dumps(block)}")
+    return cfg
 
 
 def _get(cfg: dict, dotted: str, default=None, required: bool = False):

@@ -27,9 +27,11 @@ from .spectral import (
     SpectralField,
     dealias,
     divergence,
+    from_physical_all,
     gradient,
     laplacian,
     make_decomposition,
+    to_physical_all,
 )
 
 __all__ = [
@@ -150,40 +152,38 @@ def _integral(grid, values) -> float:
     return float(np.sum(values) * grid.cell_volume)
 
 
+def _coefficient_fields(state: HpcState):
+    """G(n) and H(n) of a whole snapshot as fields; every block j shares them."""
+    n_phys = state.n.to_physical()[0]
+    return from_physical_all(state.grid, coefficient_G(n_phys, state.params)[None],
+                             coefficient_H(n_phys, state.params)[None])
+
+
 def lyapunov_evaluate(state: HpcState, j: int, eta0: float,
-                      dec: DyadicDecomposition | None = None) -> LyapunovRecord:
+                      dec: DyadicDecomposition | None = None,
+                      coefficients=None) -> LyapunovRecord:
     """Block energy L_j and dissipation H_j of one snapshot.
 
     The psi time derivative is taken from the equation itself,
     dt psi_j = Lap psi_j - b psi_j + c1 n_j + H(n)_j, never from time
     differencing; the weight w_j = c0 + S_{j-1} G(n) is a physical-space field.
+    ``coefficients`` is the snapshot's (G(n), H(n)) field pair, computed here
+    when not given.
     """
     if not (0.0 < eta0 < 1.0):
         raise ValueError(f"eta0 must lie in (0, 1), got {eta0}")
     p = state.params
     grid = state.grid
     dec = dec or make_decomposition(grid)
+    g_full, h_full = coefficients or _coefficient_fields(state)
 
-    n_j = dec.block(state.n, j)
-    u_j = dec.block(state.u, j)
-    psi_j = dec.block(state.psi, j)
-
-    n_phys = n_j.to_physical()[0]
-    u_phys = u_j.to_physical()
-    psi_phys = psi_j.to_physical()[0]
-    grad_psi = gradient(psi_j).to_physical()
-    grad_n = gradient(n_j).to_physical()
-    lap_psi = laplacian(psi_j).to_physical()[0]
-    div_u = divergence(u_j).to_physical()[0]
-
-    h_full = SpectralField.from_physical(
-        grid, coefficient_H(state.n.to_physical()[0], p)[None])
-    h_j = dec.block(h_full, j).to_physical()[0]
+    n_j, u_j, psi_j = (dec.block(f, j) for f in (state.n, state.u, state.psi))
+    ((n_phys,), u_phys, (psi_phys,), grad_psi, grad_n, (lap_psi,), (div_u,), (h_j,),
+     (low_g,)) = to_physical_all(n_j, u_j, psi_j, gradient(psi_j), gradient(n_j),
+                                 laplacian(psi_j), divergence(u_j), dec.block(h_full, j),
+                                 dec.lowpass(g_full, j - 1))
     dt_psi = lap_psi - p.b * psi_phys + p.c1 * n_phys + h_j
-
-    g_full = SpectralField.from_physical(
-        grid, coefficient_G(state.n.to_physical()[0], p)[None])
-    w = p.c0 + dec.lowpass(g_full, j - 1).to_physical()[0]
+    w = p.c0 + low_g
 
     two_mj = 2.0 ** (-j)
     u_grad_n = np.einsum("k...,k...->...", u_phys, grad_n)
@@ -249,10 +249,11 @@ def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
     J = p.threshold()
     report = LyapunovReport()
     for s in traj.states:
+        coefficients = _coefficient_fields(s)
         for j in dec.active_js():
             if j < J - 1:
                 continue
-            rec = lyapunov_evaluate(s, j, eta0, dec)
+            rec = lyapunov_evaluate(s, j, eta0, dec, coefficients)
             if rec.energy <= noise_floor or rec.block_sq <= noise_floor:
                 report.skipped_below_floor += 1
                 continue
@@ -414,16 +415,21 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    A member or limit-model run that does not complete raises
-    :class:`RunFailed` with its status ("blowup" or "mass_drift").  Members
-    run one after another: ``threads`` must be 1.
+    With ``high_freq_budget``, every member's threshold mode is checked
+    against the grid's dealiased band before any run (ValueError).  A member
+    or limit-model run that does not complete raises :class:`RunFailed` with
+    its status ("blowup" or "mass_drift").  Members run one after another:
+    ``threads`` must be 1.
     """
-    from .hpc_solver import rough_mode_profile
+    from .hpc_solver import rough_mode_profile, threshold_mode
 
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
 
     eps_list = sorted(eps_list, reverse=True)
+    if high_freq_budget is not None:
+        for eps in eps_list:
+            threshold_mode(grid, replace(base_params, eps=eps))
     dec = make_decomposition(grid)
     d_half = grid.d / 2.0
 

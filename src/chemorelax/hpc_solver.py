@@ -11,10 +11,12 @@ The full coupled linear part (not just the stiff diagonal) is applied exactly
 per Fourier mode through the 3x3 compressible symbol and the scalar
 incompressible relaxation factor; quadratic terms are formed in physical space
 under the 2/3 dealiasing rule and advanced with the second-order exponential
-integrator from :mod:`chemorelax.etd`.  Total mass of rho(n) is conserved by a
-mean-mode projection consistent with the divergence form of the density
-equation.  :func:`run` steps on the snapshot schedule of
-:mod:`chemorelax.driver`.
+integrator from :mod:`chemorelax.etd`.  In 1D each right-hand side makes one
+stacked inverse transform of [n, u, dn, du] and one stacked forward transform
+of [N_n, N_u, H], and G and H share one density-perturbation evaluation.
+Total mass of rho(n) is conserved by a mean-mode projection consistent with
+the divergence form of the density equation.  :func:`run` steps on the
+snapshot schedule of :mod:`chemorelax.driver`.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import numpy as np
 from . import etd
 from .driver import BLOWUP_FACTOR, BlowupError, SolverConfig, Trajectory, integrate
 from .linear_analysis import symbol_matrix
-from .model import (
+from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
     coefficient_G,
     coefficient_H,
+    coefficients_GH,
     density_perturbation,
     density_rho,
 )
@@ -42,8 +45,10 @@ from .spectral import (
     bessel_inverse,
     dealias,
     divergence,
+    from_physical_all,
     gradient,
     make_decomposition,
+    to_physical_all,
 )
 
 __all__ = [
@@ -60,6 +65,7 @@ __all__ = [
     "gaussian_bump",
     "mode_bump",
     "rough_mode_profile",
+    "threshold_mode",
 ]
 
 
@@ -172,25 +178,20 @@ def nonlinear_rhs(state: HpcState):
     """
     nf = dealias(state.n)
     uf = dealias(state.u)
-    grid = state.grid
+    grid, d = state.grid, state.grid.d
 
-    n_phys = nf.to_physical()[0]
-    u_phys = uf.to_physical()
-    grad_n = gradient(nf).to_physical()
-    div_u = divergence(uf).to_physical()[0]
-
-    g_vals = coefficient_G(n_phys, state.params)   # raises on window violation
-    h_vals = coefficient_H(n_phys, state.params)
-
-    nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
+    # rows [n, u, grad n, div u, grad u_1 .. grad u_d]; in 1D div u is grad u_1
+    vals = to_physical_all(nf, uf, gradient(nf), *([divergence(uf)] if d > 1 else []),
+                           *(SpectralField(grid, 1j * grid.xi_diff * uf.coef[i]) for i in range(d)))
+    (n_phys,), u_phys, grad_n, (div_u,) = vals[:4]
     nu = np.empty_like(u_phys)
-    for i in range(grid.d):
-        grad_ui = SpectralField(grid, 1j * grid.xi_diff * uf.coef[i]).to_physical()
-        nu[i] = -np.einsum("k...,k...->...", u_phys, grad_ui)
+    for i in range(d):
+        nu[i] = -np.einsum("k...,k...->...", u_phys, vals[i - d])
+    del vals   # in d >= 2, free the velocity gradients before G and H (peak memory)
 
-    return (dealias(SpectralField.from_physical(grid, nn[None])),
-            dealias(SpectralField.from_physical(grid, nu)),
-            dealias(SpectralField.from_physical(grid, h_vals[None])))
+    g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
+    nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
+    return tuple(from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True))
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) -> SpectralField:
@@ -364,6 +365,15 @@ def mode_bump(grid: Grid, modes) -> np.ndarray:
     return vals
 
 
+def threshold_mode(grid: Grid, params: ModelParams) -> int:
+    """The integer mode 2^J at the low/high frequency threshold; ValueError if
+    it lies outside the grid's dealiased band."""
+    k_int = 2 ** params.threshold()
+    if k_int * grid.xi_min > grid.xi_max / math.sqrt(grid.d) * 2.0 / 3.0:
+        raise ValueError(f"threshold mode {k_int} exceeds the dealiased band; refine the grid")
+    return k_int
+
+
 def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
                        phase: float = 0.7) -> np.ndarray:
     """Single mode at the low/high frequency threshold, with a prescribed
@@ -372,9 +382,7 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
     This is how an eps-family of initial data keeps the high-frequency part of
     its energy uniformly filled: the mode tracks |xi| ~ 2^J as eps shrinks.
     """
-    k_int = 2 ** params.threshold()
-    if k_int * grid.xi_min > grid.xi_max / math.sqrt(grid.d) * 2.0 / 3.0:
-        raise ValueError(f"threshold mode {k_int} exceeds the dealiased band; refine the grid")
+    k_int = threshold_mode(grid, params)
     profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, phase)])
     f = dealias(SpectralField.from_physical(grid, profile[None]))
     dec = make_decomposition(grid)

@@ -28,9 +28,11 @@ from .spectral import (
     bessel_inverse,
     dealias,
     divergence,
+    from_physical_all,
     gradient,
     laplacian,
     make_decomposition,
+    to_physical_all,
 )
 
 __all__ = [
@@ -95,13 +97,11 @@ def solve_phi(rho: SpectralField, params: ModelParams) -> SpectralField:
 
 def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelParams) -> SpectralField:
     """Momentum balance u = (-grad P(rho) + mu rho grad phi) / rho, pointwise."""
-    grid = rho.grid
-    rho_phys = _check_window(rho.to_physical()[0], params, "density")
-    grad_rho = gradient(rho).to_physical()
-    grad_phi = gradient(phi).to_physical()
+    (rho_phys,), grad_rho, grad_phi = to_physical_all(rho, gradient(rho), gradient(phi))
+    rho_phys = _check_window(rho_phys, params, "density")
     dp = params.pressure.dP(rho_phys)
     u_phys = (-dp[None] * grad_rho + params.mu * rho_phys[None] * grad_phi) / rho_phys[None]
-    return dealias(SpectralField.from_physical(grid, u_phys))
+    return dealias(SpectralField.from_physical(rho.grid, u_phys))
 
 
 def G1_eval(rho, params: ModelParams):
@@ -129,19 +129,15 @@ def G1_eval(rho, params: ModelParams):
 
 def ks_rhs(state: KsState) -> SpectralField:
     """Quadratic terms Lap(G1(rho)(rho-rho_bar)) - mu div((rho-rho_bar) grad phi),
-    2/3-dealiased on input and output."""
+    2/3-dealiased on input and output; in 1D [rho, grad phi] and
+    [G1 (rho-rho_bar), (rho-rho_bar) grad phi] each take one stacked transform."""
     rho_f = dealias(state.rho)
-    grid = state.grid
-    rho_phys = rho_f.to_physical()[0]
-    pert = rho_phys - state.params.rho_bar
-    g1 = G1_eval(rho_phys, state.params)
-
-    term_a = laplacian(SpectralField.from_physical(grid, (g1 * pert)[None]))
-    phi = solve_phi(rho_f, state.params)
-    grad_phi = gradient(phi).to_physical()
-    flux = SpectralField.from_physical(grid, pert[None] * grad_phi)
-    term_b = divergence(flux)
-    return dealias(term_a - state.params.mu * term_b)
+    p = state.params
+    (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(solve_phi(rho_f, p)))
+    pert = rho_phys - p.rho_bar
+    g1 = G1_eval(rho_phys, p)
+    term_a, flux = from_physical_all(state.grid, (g1 * pert)[None], pert[None] * grad_phi)
+    return dealias(laplacian(term_a) - p.mu * divergence(flux))
 
 
 class _KsTables:

@@ -22,6 +22,7 @@ __all__ = [
     "density_perturbation",
     "coefficient_G",
     "coefficient_H",
+    "coefficients_GH",
     "check_stability",
     "params_from_config",
 ]
@@ -103,9 +104,10 @@ class ModelParams:
         assert np.isclose(self.c0 * self.c1, self.a * self.rho_bar, rtol=1e-12)
         assert (self.stability_margin > 0) == (self.mu * self.c1 < self.b)
 
-    @property
+    @cached_property
     def c0(self) -> float:
-        """P'(rho_bar): acoustic stiffness of the enthalpy variable."""
+        """P'(rho_bar): acoustic stiffness of the enthalpy variable (every
+        G/H evaluation reads it)."""
         return float(self.pressure.dP(self.rho_bar))
 
     @property
@@ -136,14 +138,18 @@ class ModelParams:
         return tuple(enthalpy_n(rho, self) for rho in self.window())
 
 
+def _require_within(x: np.ndarray, lo: float, hi: float, what: str) -> np.ndarray:
+    """x, or OutsideValidityWindow if a value is outside [lo, hi] or not finite."""
+    if not (lo <= x.min() and x.max() <= hi):   # a NaN fails both comparisons
+        bad = x[~(np.isfinite(x) & (x >= lo) & (x <= hi))]
+        raise OutsideValidityWindow(f"{what} [{lo}, {hi}]: extreme value {bad.flat[0]}")
+    return x
+
+
 def _check_window(rho, params: ModelParams, what: str) -> np.ndarray:
-    rho = np.asarray(rho, dtype=np.float64)
     lo, hi = params.window()
-    if not np.all(np.isfinite(rho)) or np.any(rho < lo) or np.any(rho > hi):
-        bad = rho[~(np.isfinite(rho) & (rho >= lo) & (rho <= hi))]
-        raise OutsideValidityWindow(
-            f"{what} left the validity window [{lo}, {hi}]: extreme value {bad.flat[0]}")
-    return rho
+    return _require_within(np.asarray(rho, dtype=np.float64), lo, hi,
+                           f"{what} left the validity window")
 
 
 def enthalpy_n(rho, params: ModelParams):
@@ -163,13 +169,9 @@ def density_perturbation(n, params: ModelParams):
     cancellation against the order-one background; this is what keeps the
     mean-mode mass projection and H(n) meaningful for near-linear runs.
     """
-    n = np.asarray(n, dtype=np.float64)
+    n = _require_within(np.asarray(n, dtype=np.float64), *params.enthalpy_window,
+                        "enthalpy left the admissible range")
     law, rb = params.pressure, params.rho_bar
-    n_lo, n_hi = params.enthalpy_window
-    if not np.all(np.isfinite(n)) or np.any(n < n_lo) or np.any(n > n_hi):
-        bad = n[~(np.isfinite(n) & (n >= n_lo) & (n <= n_hi))]
-        raise OutsideValidityWindow(
-            f"enthalpy left the admissible range [{n_lo}, {n_hi}]: extreme value {bad.flat[0]}")
     if law.isothermal:
         return rb * np.expm1(n / law.kappa)
     g = law.gamma
@@ -184,20 +186,28 @@ def density_rho(n, params: ModelParams):
     return params.rho_bar + density_perturbation(n, params)
 
 
-def coefficient_G(n, params: ModelParams):
-    """G(n) = P'(rho(n)) - P'(rho_bar); vanishes at n = 0."""
+def coefficients_GH(n, params: ModelParams):
+    """(G(n), H(n)) from one evaluation of the density perturbation:
+    G = P'(rho(n)) - P'(rho_bar) vanishes at n = 0, and
+    H = a (rho(n) - rho_bar - rho_bar n / P'(rho_bar)) is quadratic at 0."""
+    n = np.asarray(n, dtype=np.float64)
+    pert = density_perturbation(n, params)
     law = params.pressure
     if law.isothermal:
-        return np.zeros_like(np.asarray(n, dtype=np.float64))
-    z = density_perturbation(n, params) / params.rho_bar
-    return params.c0 * np.expm1((law.gamma - 1.0) * np.log1p(z))
+        g = np.zeros_like(pert)
+    else:
+        g = params.c0 * np.expm1((law.gamma - 1.0) * np.log1p(pert / params.rho_bar))
+    return g, params.a * (pert - params.rho_bar / params.c0 * n)
+
+
+def coefficient_G(n, params: ModelParams):
+    """G(n) of :func:`coefficients_GH`."""
+    return coefficients_GH(n, params)[0]
 
 
 def coefficient_H(n, params: ModelParams):
-    """H(n) = a (rho(n) - rho_bar - rho_bar n / P'(rho_bar)); quadratic at 0."""
-    n = np.asarray(n, dtype=np.float64)
-    pert = density_perturbation(n, params)
-    return params.a * (pert - params.rho_bar / params.c0 * n)
+    """H(n) of :func:`coefficients_GH`."""
+    return coefficients_GH(n, params)[1]
 
 
 def check_stability(params: ModelParams):

@@ -175,6 +175,19 @@ class TestSimulate:
         assert summary["status"] == "config_error"
         assert summary["message"].startswith("solver block")
 
+    @pytest.mark.parametrize("block", ["solver", "initial"])
+    def test_block_not_an_object_exit_2(self, tmp_path, capsys, block):
+        payload = {"model": base_model(), "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+                   "solver": {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.25}}
+        payload[block] = 5
+        cfg = write_config(tmp_path / "c.json", payload)
+        rc = main(["simulate-hpc", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        message = f"config block {block} must be a JSON object, got 5"
+        assert f"config error: {message}" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary == {"status": "config_error", "message": message}
+
     @pytest.mark.parametrize("command", ["simulate-hpc", "lyapunov-check"])
     def test_initial_data_outside_window_exit_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "c.json", {

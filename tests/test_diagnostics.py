@@ -175,6 +175,16 @@ class TestLyapunov:
         report = lyapunov_equivalence_check(small_traj)
         assert all(row[1] >= J - 1 for row in report.rows)
 
+    def test_coefficients_once_per_snapshot(self, small_traj, monkeypatch):
+        """G(n) and H(n) of a snapshot serve every block j of it."""
+        from chemorelax import diagnostics
+        calls = []
+        monkeypatch.setattr(diagnostics, "coefficient_H",
+                            lambda n, p: calls.append(1) or coefficient_H(n, p))
+        report = lyapunov_equivalence_check(small_traj)
+        assert len(report.rows) > len(small_traj.states)
+        assert len(calls) == len(small_traj.states)
+
     def test_below_floor_blocks_skipped(self, grid, params):
         state, _ = build_initial_data(grid, params, n_profile=gaussian_bump(grid, width=0.9),
                                       target_x0=1e-4)
@@ -258,6 +268,21 @@ class TestRelaxationSweep:
                                snap_dtau=0.05, dt_fast=0.02)
         assert len(rep.sup_drho) == 2
         assert rows == []
+
+    def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
+        """At N = 32 the eps = 0.05 member's threshold mode lies outside the
+        dealiased band: the sweep stops before the limit-model run."""
+        from chemorelax import diagnostics
+        calls = []
+        original = diagnostics.ks_run
+        monkeypatch.setattr(diagnostics, "ks_run",
+                            lambda *args: calls.append(1) or original(*args))
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        with pytest.raises(ValueError, match="exceeds the dealiased band"):
+            relaxation_sweep(grid, params, rho0, [0.2, 0.1, 0.05], tau_end=0.05,
+                             snap_dtau=0.05, high_freq_budget=0.01)
+        assert calls == []
 
     def test_initial_errors_vanish_without_offset(self, grid, params):
         """Shared data: delta rho(0) = delta u(0) = 0 by construction."""

@@ -145,6 +145,33 @@ class TestStep:
         order = np.log2(e_coarse / e_fine)
         assert 1.5 <= order <= 2.5
 
+    def test_second_order_self_convergence_2d(self, cubic_params):
+        """2D, N = 32, with G, H, transport and div u all nonzero: halving dt
+        cuts the change between successive solutions by 4."""
+        grid = make_grid(2, 32, 2 * np.pi)
+        x1, x2 = np.meshgrid(*grid.x_axes, indexing="ij")
+        u_prof = 0.1 * np.stack([np.sin(x2) + 0.5 * np.cos(x1 + x2),
+                                 np.cos(2 * x1) - 0.3 * np.sin(x1 - x2)])
+        state, _ = build_initial_data(
+            grid, cubic_params, n_profile=0.2 * gaussian_bump(grid, 0.8, center=[2.0, 3.5]),
+            u_profile=u_prof)
+        target = state.mass_perturbation()
+
+        def advance(dt):
+            tab = PropagatorTables(grid, cubic_params, dt)
+            cur = state
+            for _ in range(round(0.4 / dt)):
+                cur = step(cur, dt, tab, mass_target=target)
+            return cur
+
+        a, b, c = (advance(dt) for dt in (0.1, 0.05, 0.025))
+
+        def dist(x, y):
+            return max(np.max(np.abs(getattr(x, f).coef - getattr(y, f).coef))
+                       for f in ("n", "u", "psi"))
+
+        assert 3.6 <= dist(a, b) / dist(b, c) <= 4.4
+
     def test_mass_projection_stops_at_roundoff(self, solver_params, grid1d, monkeypatch):
         """A mean-zero bump's target mass perturbation is itself round-off; one
         Newton pass reaches the summation floor, so a step evaluates the
