@@ -291,12 +291,14 @@ def decay_fit(times, values, eps: float, window=(5.0, 50.0)):
 
 # -- relaxation sweep --------------------------------------------------------------
 
-def rescale_to_slow(state: HpcState, eps: float):
+def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray | None = None):
     """Diffusive rescaling tau = eps t, u -> u/eps of one fast-time snapshot.
 
-    Returns (tau, rho_field, u_field, phi_field) in slow variables.
+    ``rho_phys`` is the snapshot's physical density, if the caller already
+    has it.  Returns (tau, rho_field, u_field, phi_field) in slow variables.
     """
-    rho = SpectralField.from_physical(state.grid, state.rho_physical()[None])
+    rho_phys = state.rho_physical() if rho_phys is None else rho_phys
+    rho = SpectralField.from_physical(state.grid, rho_phys[None])
     u_eps = (1.0 / eps) * state.u
     zero = (0,) + (0,) * state.grid.d
     phi = state.psi.copy()
@@ -371,11 +373,11 @@ def _hpc_member_initial(grid, params: ModelParams, rho0_phys: np.ndarray) -> Hpc
     return state
 
 
-def _dt_psi_field(state: HpcState) -> SpectralField:
-    """dt psi from the equation (used for the concentration residual norms)."""
+def _dt_psi_field(state: HpcState, n_phys: np.ndarray) -> SpectralField:
+    """dt psi from the equation (used for the concentration residual norms);
+    ``n_phys`` is the snapshot's n in physical space."""
     p = state.params
-    h_field = SpectralField.from_physical(
-        state.grid, coefficient_H(state.n.to_physical()[0], p)[None])
+    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p)[None])
     return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + dealias(h_field)
 
 
@@ -474,7 +476,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         sup_drho = 0.0
         drho_high, du_norm, dphi_norm, rhov_norm, dtphi_norm = [], [], [], [], []
         for k, s in enumerate(traj.states):
-            _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps)
+            n_phys = s.n.to_physical()[0]   # one inverse transform of n per snapshot
+            rho_phys = density_rho(n_phys, params)
+            _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps, rho_phys)
             drho = rho_eps - ks_rho[k]
             du = u_eps - ks_u[k]
             dphi = phi_eps - ks_phi[k]
@@ -485,11 +489,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
                              + dec.besov_norm(dphi, d_half + 2.0, 1))
             # residuals, evaluated in slow variables
             modes_v = s.u + eps * gradient(s.n) - (eps * params.mu) * gradient(s.psi)
-            rho_phys = s.rho_physical()
             rho_v = SpectralField.from_physical(
                 grid, rho_phys[None] * modes_v.to_physical() / eps)
             rhov_norm.append(dec.besov_norm(dealias(rho_v), d_half, 1))
-            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s), d_half, 1) / eps)
+            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys), d_half, 1) / eps)
         return dict(
             sup_drho=sup_drho,
             int_drho_high=float(np.trapezoid(drho_high, taus)),

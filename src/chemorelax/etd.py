@@ -10,6 +10,11 @@ second-order scheme used everywhere is the one-step exponential Runge-Kutta
 
 with E = exp(dt A), P1 = dt phi1(dt A), P2 = dt phi2(dt A).  Matrix symbols
 take one path, ``batched_matrix_phis``, and need numpy only (no scipy).
+The scalar phis use their Taylor series on the unit disc, where the direct
+forms lose digits to cancellation (Kassam & Trefethen, SIAM J. Sci. Comput.
+26, 2005).  The chemotaxis solver applies its tables as one complex 3x3
+matrix per mode on (n, u, psi) in d=1 and split into the compressible and
+transverse velocity in d >= 2 (see :mod:`chemorelax.hpc_solver` for why).
 """
 
 from __future__ import annotations
@@ -20,10 +25,12 @@ import numpy as np
 
 __all__ = ["phi1", "phi2", "batched_matrix_phis", "scalar_phis"]
 
-_SERIES_CUTOFF = 1e-2
-# phi1 = sum z^k/(k+1)!, phi2 = sum z^k/(k+2)!; six terms keep the switch seamless
-_PHI1_COEFFS = [1.0 / math.factorial(k + 1) for k in range(6)]
-_PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(6)]
+# phi1 = sum z^k/(k+1)!, phi2 = sum z^k/(k+2)! for |z| < 1, where the direct forms
+# lose eps/|z| and eps/|z|^2 to cancellation; 20 terms leave a remainder under
+# 1/21! ~ 2e-20, and Horner's rule stays within a few ulps on the unit disc
+_SERIES_CUTOFF = 1.0
+_PHI1_COEFFS = [1.0 / math.factorial(k + 1) for k in range(20)]
+_PHI2_COEFFS = [1.0 / math.factorial(k + 2) for k in range(20)]
 
 _COND_LIMIT = 1e8
 _TAYLOR_DEGREE = 18

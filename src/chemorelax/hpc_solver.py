@@ -17,6 +17,23 @@ of [N_n, N_u, H], and G and H share one density-perturbation evaluation.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation.  :func:`run` steps on the
 snapshot schedule of :mod:`chemorelax.driver`.
+
+Each step applies three propagator tables (E, P1, P2).  In d=1, unit =
+sign(xi) is +-1 on every mode but the mean and Nyquist modes, where it is 0,
+so the velocity split folds exactly into one complex 3x3 matrix per mode on
+(n, u, psi), built once per table from the real table T and the scalar
+factor s:
+
+    [[T00, i unit T01, T02], [-i unit T10, s + unit^2 (T11 - s), -i unit T12],
+     [T20, i unit T21, T22]]
+
+and applied as one einsum: about 12 us per apply at 1D N=256, against 37 us
+for the split.  d >= 2 keeps the split, nine multiply-adds on the real table
+and the scalar transverse scaling.  The same fold there gives (2+d)x(2+d)
+complex tables; one einsum over them takes about 970 against 875 us per
+apply at 2D N=128 and 1600 against 1000 us at 3D N=32, and the three tables
+take 6.1 against 1.7 MiB at 2D N=128 and 19.9 against 3.6 MiB at 3D N=32.
+(CPU times on a 2-vCPU Intel Xeon container, numpy 2.4.)
 """
 
 from __future__ import annotations
@@ -121,7 +138,8 @@ class PropagatorTables:
     wavenumber magnitude (``index`` maps each stored mode to its magnitude)
     and spread over the half-spectrum at build time: ``E3[i, j]`` is the
     (i, j) entry at every mode, shape (3, 3, *grid.spec_shape).  The
-    incompressible components use scalar factors.
+    incompressible components use scalar factors.  In d=1 each table is also
+    folded, once, into one complex 3x3 matrix per mode on (n, u, psi).
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
@@ -141,16 +159,35 @@ class PropagatorTables:
 
         mag = grid.xi_mag_diff
         self._unit = grid.xi_diff / np.where(mag > 0, mag, 1.0)  # (d, *spec_shape), 0 at mean
+        self._tables = [(self.E3, self.e_inc), (self.P13, self.p1_inc), (self.P23, self.p2_inc)]
+        self._folded = [self._fold(*t) for t in self._tables] if grid.d == 1 else None
 
-    def _apply(self, table3: np.ndarray, scal: float, n_coef, u_coef, psi_coef):
-        """Propagate (n, u, psi) per mode.  The velocity splits into the
-        compressible amplitude m = i w, w = xi.u/|xi|, which enters the 3x3
-        table with n and psi, and the transverse rest u - (xi/|xi|) w, which
-        is scaled by ``scal``."""
+    def _fold(self, t: np.ndarray, scal: float) -> np.ndarray:
+        """Table t and scalar factor scal as the d=1 complex 3x3 matrix per
+        mode given in the module docstring."""
+        unit = self._unit[0]
+        iu = 1j * unit
+        return np.array([[t[0, 0], iu * t[0, 1], t[0, 2]],
+                         [-iu * t[1, 0], scal + unit * unit * (t[1, 1] - scal), -iu * t[1, 2]],
+                         [t[2, 0], iu * t[2, 1], t[2, 2]]])
+
+    def _apply(self, k: int, n_coef, u_coef, psi_coef):
+        """Propagate (n, u, psi) per mode with table k (0: E, 1: P1, 2: P2).
+
+        d=1: one complex 3x3 product on the stacked coefficients.  d >= 2: the
+        velocity splits into the compressible amplitude m = i w,
+        w = xi.u/|xi|, which enters the real 3x3 table with n and psi, and
+        the transverse rest u - (xi/|xi|) w, which is scaled by the scalar
+        factor."""
+        if self._folded is not None:
+            out = np.einsum("ij...,j...->i...", self._folded[k],
+                            np.concatenate((n_coef, u_coef, psi_coef)))
+            return out[0:1], out[1:2], out[2:3]
+        table3, scal = self._tables[k]
         unit = self._unit
         w = unit[0] * u_coef[0]
-        for k in range(1, self.grid.d):
-            w += unit[k] * u_coef[k]
+        for ax in range(1, self.grid.d):
+            w += unit[ax] * u_coef[ax]
         m = 1j * w
         n, psi = n_coef[0], psi_coef[0]
         n_out, m_out, psi_out = (row[0] * n + row[1] * m + row[2] * psi for row in table3)
@@ -159,13 +196,13 @@ class PropagatorTables:
         return n_out[None], u_out, psi_out[None]
 
     def apply_exp(self, n, u, psi):
-        return self._apply(self.E3, self.e_inc, n, u, psi)
+        return self._apply(0, n, u, psi)
 
     def apply_phi1(self, n, u, psi):
-        return self._apply(self.P13, self.p1_inc, n, u, psi)
+        return self._apply(1, n, u, psi)
 
     def apply_phi2(self, n, u, psi):
-        return self._apply(self.P23, self.p2_inc, n, u, psi)
+        return self._apply(2, n, u, psi)
 
 
 # -- nonlinear terms ----------------------------------------------------------

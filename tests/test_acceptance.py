@@ -323,6 +323,27 @@ def test_relaxation_slopes_pinned(relaxation_report):
             f"slope {name} = {rep.slopes[name]!r}, pinned {value!r} (rtol {PINNED_RTOL:g})"
 
 
+# The criterion-10 data on a 2D N=64 grid (the smallest whose dealiased band
+# holds the eps = 0.05 threshold mode) at tau_end = 0.2, the offset bump
+# centred at (2 pi/3, 2 pi/3): the relaxation rate beyond d = 1, pinned like
+# the 1D slopes so that it also guards the d >= 2 solver path.
+PINNED_SLOPES_2D = {"sup_drho": 0.8922167965937114, "int_du": 0.9041341406805071}
+
+
+def test_relaxation_slopes_pinned_2d():
+    grid = make_grid(2, 64, 2 * np.pi)
+    params = gamma2_params(eps=0.2, j_offset=0)
+    rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+    offset = 0.02 * gaussian_bump(grid, width=0.6, center=[2 * np.pi / 3] * 2)
+    rep = relaxation_sweep(grid, params, rho0, [0.2, 0.1, 0.05], tau_end=0.2,
+                           snap_dtau=0.05, dt_fast=0.01,
+                           rho_offset_phys=offset, high_freq_budget=0.01)
+    for name, value in PINNED_SLOPES_2D.items():
+        assert 0.8 <= rep.slopes[name] <= 1.2
+        assert abs(rep.slopes[name] - value) <= PINNED_RTOL * abs(value), \
+            f"2D slope {name} = {rep.slopes[name]!r}, pinned {value!r} (rtol {PINNED_RTOL:g})"
+
+
 def test_criterion_12_spectral_core_properties(rng):
     t0 = time.perf_counter()
     grid = make_grid(1, 128, 2 * np.pi)

@@ -1,5 +1,7 @@
 """Damped modes, Lyapunov functionals, decay fits, rescaling, sweep plumbing."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,37 @@ class TestRelaxationSweep:
                                snap_dtau=0.05, dt_fast=0.02)
         assert len(rep.sup_drho) == 2
         assert rows == []
+
+    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    def test_one_n_transform_per_kept_snapshot(self, params, monkeypatch):
+        """The member loop inverse-transforms each kept snapshot's n once: the
+        rescaled density, the momentum residual and H(n) share it."""
+        from chemorelax import diagnostics
+        kept, calls = [], []
+        original_run, original_to_physical = diagnostics.run, SpectralField.to_physical
+
+        def run(*args):   # counts only the calls made after a member's run
+            start = len(calls)
+            traj = original_run(*args)
+            del calls[start:]
+            kept.append(traj.states)
+            return traj
+
+        def to_physical(self):
+            calls.append(self)   # holds the field, so no id is reused
+            return original_to_physical(self)
+
+        monkeypatch.setattr(diagnostics, "run", run)
+        monkeypatch.setattr(SpectralField, "to_physical", to_physical)
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+                         snap_dtau=0.05, dt_fast=0.02)
+        per_field = Counter(id(f) for f in calls)
+        assert len(kept) == 2
+        for states in kept:
+            assert len(states) == 5
+            assert [per_field[id(s.n)] for s in states] == [1] * len(states)
 
     def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
         """At N = 32 the eps = 0.05 member's threshold mode lies outside the

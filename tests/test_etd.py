@@ -8,6 +8,8 @@ checked against scipy's, which the package does not import.
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +95,32 @@ def test_exactly_singular_eigenbasis(params):
     for got, single, ref in zip(batched, etd.batched_matrix_phis(shift[None], dt), series):
         assert_close(got[1], ref)
         assert_close(single[0], ref)
+
+
+def taylor_exact(z: complex, shift: int, degree: int = 30) -> complex:
+    """sum_k z^k / (k + shift)! in exact rational arithmetic, rounded once.
+    For |z| <= 1 the dropped tail is under 1/31! ~ 1e-34."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    pr, pi = Fraction(1), Fraction(0)   # z^k
+    for k in range(degree + 1):
+        f = math.factorial(k + shift)
+        re += pr / f
+        im += pi / f
+        pr, pi = pr * x - pi * y, pr * y + pi * x
+    return complex(float(re), float(im))
+
+
+PHI_POINTS = [complex(z) for r in np.logspace(-3, 0, 13)
+              for z in (r, -r, *(r * np.exp(1j * np.array([np.pi / 2, 0.3, 1.7, 2.9, -2.2]))))]
+
+
+@pytest.mark.parametrize("shift,phi", [(1, etd.phi1), (2, etd.phi2)])
+def test_phi_few_ulps_on_unit_disc(shift, phi):
+    """phi1 and phi2 for real and complex 1e-3 <= |z| <= 1, where the direct
+    forms (e^z - 1)/z and (e^z - 1 - z)/z^2 lose digits to cancellation,
+    to 4 ulps of the exact series."""
+    for z in PHI_POINTS:
+        ref = taylor_exact(z, shift)
+        got = complex(phi(z))
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref), (z, got, ref)

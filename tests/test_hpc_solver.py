@@ -74,6 +74,36 @@ class TestLinearPropagator:
             ref = scipy.linalg.expm(0.1 * symbol_matrix(xi, solver_params).matrix)
             assert np.max(np.abs(tab.E3[:, :, idx] - ref)) <= 1e-12
 
+    def test_folded_1d_apply_matches_split(self, solver_params, rng):
+        """The d=1 complex 3x3 apply against the compressible/transverse split
+        written out here, on random coefficients that are not dealiased."""
+        grid = make_grid(1, 64, 2 * np.pi)
+        tab = PropagatorTables(grid, solver_params, 0.05)
+        shape = (1,) + grid.spec_shape
+        n, u, psi = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(3))
+        unit = np.sign(grid.xi_diff[0])
+        nyquist = grid.spec_shape[0] - 1
+        assert unit[0] == 0 and unit[nyquist] == 0 and np.all(np.abs(unit[1:nyquist]) == 1)
+        for table, scal, apply in ((tab.E3, tab.e_inc, tab.apply_exp),
+                                   (tab.P13, tab.p1_inc, tab.apply_phi1),
+                                   (tab.P23, tab.p2_inc, tab.apply_phi2)):
+            m = 1j * unit * u[0]
+            n_out, m_out, psi_out = (row[0] * n[0] + row[1] * m + row[2] * psi[0]
+                                     for row in table)
+            u_out = scal * (u[0] - unit * unit * u[0]) - 1j * unit * m_out
+            got = apply(n, u, psi)
+            for g, ref in zip(got, (n_out, u_out, psi_out)):
+                assert g.shape == shape
+                assert np.max(np.abs(g[0] - ref)) <= 1e-15 * np.max(np.abs(ref))
+            # mean and Nyquist: n and psi through the |xi| = 0 table, u scaled alone
+            for idx in (0, nyquist):
+                assert np.array_equal(table[:, :, idx], table[:, :, 0])
+                assert got[1][0, idx] == scal * u[0, idx]
+                for row, g in ((0, got[0]), (2, got[2])):
+                    ref = table[row, 0, idx] * n[0, idx] + table[row, 2, idx] * psi[0, idx]
+                    assert abs(g[0, idx] - ref) <= 1e-15 * abs(ref)
+
 
 class TestNonlinearRhs:
     def test_rest_state_only_h_survives(self, grid1d):
@@ -287,6 +317,48 @@ class TestRun:
         traj = run(state, SolverConfig(dt=0.05, t_end=5.0, snap_dt=0.5))
         assert traj.status == "blowup"
         assert traj.message
+
+
+    def test_cfl_violation_halves_the_step(self, solver_params):
+        """A first step of dt breaks dt max|u| <= CFL_SAFETY dx but dt/2 does
+        not: the run ends exactly at t_end with the state of two steps of dt/2."""
+        grid = make_grid(1, 64, 2 * np.pi)
+        state, _ = build_initial_data(grid, solver_params,
+                                      n_profile=0.01 * gaussian_bump(grid, width=0.5),
+                                      u_profile=np.sin(grid.x_axes[0])[None])
+        dt = 0.5
+        limit = hpc_solver.CFL_SAFETY * grid.dx
+        state.u = (1.5 * limit / dt / float(np.max(np.abs(state.u.to_physical())))) * state.u
+        vmax = float(np.max(np.abs(state.u.to_physical())))
+        assert dt * vmax > limit >= dt / 2 * vmax
+        with pytest.warns(UserWarning, match="operational smallness"):
+            traj = run(state, SolverConfig(dt=dt, t_end=dt, snap_dt=dt))
+        assert traj.status == "completed" and traj.final.t == dt
+        target = state.mass_perturbation()
+        ref = step(step(state, dt / 2, mass_target=target), dt / 2, mass_target=target)
+        full = step(state, dt, mass_target=target)
+        for name in ("n", "u", "psi"):
+            got = getattr(traj.final, name).coef
+            assert np.array_equal(got, getattr(ref, name).coef)
+            assert not np.array_equal(got, getattr(full, name).coef)
+
+    def test_cfl_violation_beyond_max_halvings_is_blowup(self, solver_params):
+        """A velocity that needs one halving more than MAX_CFL_HALVINGS ends
+        the run with status "blowup" before any step."""
+        grid = make_grid(1, 64, 2 * np.pi)
+        state, _ = build_initial_data(grid, solver_params,
+                                      u_profile=np.sin(grid.x_axes[0])[None])
+        dt = 0.5
+        finest = dt / 2 ** hpc_solver.MAX_CFL_HALVINGS
+        limit = hpc_solver.CFL_SAFETY * grid.dx
+        state.u = (1.5 * limit / finest / float(np.max(np.abs(state.u.to_physical())))) * state.u
+        vmax = float(np.max(np.abs(state.u.to_physical())))
+        assert finest * vmax > limit >= finest / 2 * vmax
+        with pytest.warns(UserWarning, match="operational smallness"):
+            traj = run(state, SolverConfig(dt=dt, t_end=dt, snap_dt=dt))
+        assert traj.status == "blowup"
+        assert f"after {hpc_solver.MAX_CFL_HALVINGS} halvings" in traj.message
+        assert len(traj.states) == 1
 
 
 class TestDimensionConsistency:
