@@ -186,7 +186,7 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
 def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
     from .hpc_solver import run
     from .ks_solver import KsState, ks_run
-    from .spectral import SpectralField, dealias, save_field
+    from .spectral import SpectralField, save_field
 
     params = _model_params(cfg)
     grid = _grid(cfg)
@@ -207,7 +207,7 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
         from .hpc_solver import gaussian_bump
         amp = float(_get(cfg, "initial.amplitude", 0.01))
         rho0 = params.rho_bar + amp * gaussian_bump(grid, width=float(_get(cfg, "initial.width", 0.5)))
-        rho_f = dealias(SpectralField.from_physical(grid, rho0[None]))
+        rho_f = SpectralField.from_physical(grid, rho0[None], dealiased=True)
         traj = ks_run(KsState(0.0, rho_f, params), solver_cfg)
         for i, s in enumerate(traj.states):
             save_field(snap_dir / f"rho_{i:04d}.npz", s.rho)

@@ -21,11 +21,17 @@ from .hpc_solver import (
     run,
 )
 from .ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
-from .model import ModelParams, coefficient_G, coefficient_H, density_rho, enthalpy_n
+from .model import (
+    ModelParams,
+    coefficient_G,
+    coefficient_H,
+    density_perturbation,
+    density_rho,
+    enthalpy_n,
+)
 from .spectral import (
     DyadicDecomposition,
     SpectralField,
-    dealias,
     divergence,
     from_physical_all,
     gradient,
@@ -364,21 +370,24 @@ def _hpc_member_initial(grid, params: ModelParams, rho0_phys: np.ndarray) -> Hpc
     and psi0 solves the screened elliptic balance, so the damped modes vanish
     at t = 0 and the data agree with the limit model's at order 0.
     """
-    rho_f = dealias(SpectralField.from_physical(grid, rho0_phys[None]))
-    n0 = SpectralField.from_physical(grid, enthalpy_n(rho_f.to_physical()[0], params)[None])
+    rho_f = SpectralField.from_physical(grid, rho0_phys[None], dealiased=True)
+    n0 = SpectralField.from_physical(grid, enthalpy_n(rho_f.to_physical()[0], params)[None],
+                                     dealiased=True)
     phi0 = solve_phi(rho_f, params)
     u_star = reconstruct_velocity(rho_f, phi0, params)
-    state = HpcState(0.0, dealias(n0), params.eps * u_star, SpectralField.zeros(grid, 1), params)
+    state = HpcState(0.0, n0, params.eps * u_star, SpectralField.zeros(grid, 1), params)
     state.psi = equilibrium_psi(state.n, params)
     return state
 
 
-def _dt_psi_field(state: HpcState, n_phys: np.ndarray) -> SpectralField:
+def _dt_psi_field(state: HpcState, n_phys: np.ndarray, pert: np.ndarray) -> SpectralField:
     """dt psi from the equation (used for the concentration residual norms);
-    ``n_phys`` is the snapshot's n in physical space."""
+    ``n_phys`` is the snapshot's n in physical space and ``pert`` its
+    density perturbation."""
     p = state.params
-    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p)[None])
-    return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + dealias(h_field)
+    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p, pert)[None],
+                                          dealiased=True)
+    return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + h_field
 
 
 def _require_completed(traj: Trajectory, name: str) -> None:
@@ -444,7 +453,7 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
 
     # shared limit-model trajectory (eps plays no role in it)
     ks_params = replace(base_params, eps=eps_min)
-    rho_f0 = dealias(SpectralField.from_physical(grid, rho0_phys[None]))
+    rho_f0 = SpectralField.from_physical(grid, rho0_phys[None], dealiased=True)
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     _require_completed(ks_traj, "limit-model run")
 
@@ -477,7 +486,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         drho_high, du_norm, dphi_norm, rhov_norm, dtphi_norm = [], [], [], [], []
         for k, s in enumerate(traj.states):
             n_phys = s.n.to_physical()[0]   # one inverse transform of n per snapshot
-            rho_phys = density_rho(n_phys, params)
+            pert = density_perturbation(n_phys, params)   # and one density perturbation
+            rho_phys = params.rho_bar + pert
             _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps, rho_phys)
             drho = rho_eps - ks_rho[k]
             du = u_eps - ks_u[k]
@@ -490,9 +500,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
             # residuals, evaluated in slow variables
             modes_v = s.u + eps * gradient(s.n) - (eps * params.mu) * gradient(s.psi)
             rho_v = SpectralField.from_physical(
-                grid, rho_phys[None] * modes_v.to_physical() / eps)
-            rhov_norm.append(dec.besov_norm(dealias(rho_v), d_half, 1))
-            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys), d_half, 1) / eps)
+                grid, rho_phys[None] * modes_v.to_physical() / eps, dealiased=True)
+            rhov_norm.append(dec.besov_norm(rho_v, d_half, 1))
+            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys, pert), d_half, 1) / eps)
         return dict(
             sup_drho=sup_drho,
             int_drho_high=float(np.trapezoid(drho_high, taus)),

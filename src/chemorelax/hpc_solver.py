@@ -16,7 +16,10 @@ stacked inverse transform of [n, u, dn, du] and one stacked forward transform
 of [N_n, N_u, H], and G and H share one density-perturbation evaluation.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation.  :func:`run` steps on the
-snapshot schedule of :mod:`chemorelax.driver`.
+snapshot schedule of :mod:`chemorelax.driver`.  Its CFL test takes the speed
+max|u| from the step's first right-hand side, which transforms the dealiased
+u; the states of a run lie in the 2/3 box, where that is u itself, so the
+test costs no transform of its own.
 
 Each step applies three propagator tables (E, P1, P2).  In d=1, unit =
 sign(xi) is +-1 on every mode but the mean and Nyquist modes, where it is 0,
@@ -118,12 +121,15 @@ class HpcState:
         """Concentration field psi + phi_bar."""
         return self.psi.to_physical()[0] + self.params.phi_bar
 
-    def mass_perturbation(self) -> float:
-        """Mean of rho - rho_bar, accurate at the perturbation scale."""
-        return float(np.mean(density_perturbation(self.n.to_physical()[0], self.params)))
+    def mass_perturbation(self, pert: np.ndarray | None = None) -> float:
+        """Mean of rho - rho_bar, accurate at the perturbation scale; ``pert``
+        is rho - rho_bar on the grid when the caller has it."""
+        if pert is None:
+            pert = density_perturbation(self.n.to_physical()[0], self.params)
+        return float(np.mean(pert))
 
-    def total_mass(self) -> float:
-        return float((self.params.rho_bar + self.mass_perturbation()) * self.grid.volume)
+    def total_mass(self, pert: np.ndarray | None = None) -> float:
+        return float((self.params.rho_bar + self.mass_perturbation(pert)) * self.grid.volume)
 
     def copy(self) -> "HpcState":
         return HpcState(self.t, self.n.copy(), self.u.copy(), self.psi.copy(), self.params)
@@ -208,10 +214,11 @@ class PropagatorTables:
 # -- nonlinear terms ----------------------------------------------------------
 
 def nonlinear_rhs(state: HpcState):
-    """(N_n, N_u, N_psi) with products formed in physical space.
+    """(N_n, N_u, N_psi, max|u|) with products formed in physical space.
 
     N_n = -u.grad n - G(n) div u,  N_u = -(u.grad) u,  N_psi = H(n).
-    The 2/3 mask is applied to the inputs and to the assembled outputs.
+    The 2/3 mask is applied to the inputs and to the assembled outputs;
+    max|u| is taken over the grid values of the dealiased u, for the CFL test.
     """
     nf = dealias(state.n)
     uf = dealias(state.u)
@@ -228,7 +235,8 @@ def nonlinear_rhs(state: HpcState):
 
     g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
-    return tuple(from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True))
+    return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
+            float(np.abs(u_phys).max()))
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) -> SpectralField:
@@ -261,14 +269,15 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
 
 
 def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
-         mass_target: float | None = None) -> HpcState:
+         mass_target: float | None = None, rhs: tuple | None = None) -> HpcState:
     """One exponential Runge-Kutta step; reduces to the exact propagator when
-    the nonlinearity vanishes identically."""
+    the nonlinearity vanishes identically.  ``rhs`` is ``nonlinear_rhs(state)``
+    when the caller has already evaluated it."""
     if tables is None or tables.dt != dt or tables.params is not state.params:
         tables = PropagatorTables(state.grid, state.params, dt)
 
     n0, u0, p0 = state.n.coef, state.u.coef, state.psi.coef
-    nn, nu, npsi = nonlinear_rhs(state)
+    nn, nu, npsi, _ = nonlinear_rhs(state) if rhs is None else rhs
 
     en, eu, ep = tables.apply_exp(n0, u0, p0)
     fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
@@ -277,7 +286,7 @@ def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
                     SpectralField(state.grid, eu + fu),
                     SpectralField(state.grid, ep + fp), state.params)
 
-    sn, su, sp = nonlinear_rhs(star)
+    sn, su, sp, _ = nonlinear_rhs(star)
     cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
     out = HpcState(state.t + dt,
                    SpectralField(state.grid, star.n.coef + cn),
@@ -330,16 +339,20 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
         warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
                       f"{SMALL_DATA_HINT}; global boundedness is not guaranteed", stacklevel=2)
 
-    def advance(s: HpcState, dt: float = config.dt, depth: int = 0) -> HpcState:
-        """One step of dt, halved on a CFL violation (at most MAX_CFL_HALVINGS times)."""
-        vmax = float(np.max(np.abs(s.u.to_physical())))
+    def advance(s: HpcState, dt: float = config.dt, depth: int = 0,
+                rhs: tuple | None = None) -> HpcState:
+        """One step of dt, halved on a CFL violation (at most MAX_CFL_HALVINGS
+        times).  The CFL speed is the max|u| of the step's first right-hand
+        side ``rhs``, which the step and a first half-step reuse."""
+        rhs = nonlinear_rhs(s) if rhs is None else rhs
+        vmax = rhs[3]
         if dt * vmax <= CFL_SAFETY * s.grid.dx or vmax == 0.0:
             if dt not in cache:
                 cache[dt] = PropagatorTables(s.grid, s.params, dt)
-            return step(s, dt, cache[dt], mass_target)
+            return step(s, dt, cache[dt], mass_target, rhs)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
-        return advance(advance(s, dt / 2, depth + 1), dt / 2, depth + 1)
+        return advance(advance(s, dt / 2, depth + 1, rhs), dt / 2, depth + 1)
 
     def check(s: HpcState):
         agg, _ = hybrid_aggregate(s, dec, J)
@@ -348,10 +361,11 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
 
     def row(s: HpcState) -> dict:
         agg, parts = hybrid_aggregate(s, dec, J)
-        h_vals = coefficient_H(s.n.to_physical()[0], s.params)
-        return dict(t=s.t, mass=s.total_mass(),
+        n_phys = s.n.to_physical()[0]
+        pert = density_perturbation(n_phys, s.params)
+        return dict(t=s.t, mass=s.total_mass(pert),
                     mean_n=float(s.n.mean()[0]), mean_psi=float(s.psi.mean()[0]),
-                    mean_H=float(np.mean(h_vals)),
+                    mean_H=float(np.mean(coefficient_H(n_phys, s.params, pert))),
                     low_n=parts["n"][0], high_n=parts["n"][1],
                     low_u=parts["u"][0], high_u=parts["u"][1],
                     low_psi=parts["psi"][0], high_psi=parts["psi"][1],
@@ -421,7 +435,7 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
     """
     k_int = threshold_mode(grid, params)
     profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, phase)])
-    f = dealias(SpectralField.from_physical(grid, profile[None]))
+    f = SpectralField.from_physical(grid, profile[None], dealiased=True)
     dec = make_decomposition(grid)
     norm = dec.besov_norm(f, grid.d / 2.0 + 1.0, 1)
     return budget / (params.eps * norm) * profile
@@ -430,7 +444,7 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
 def equilibrium_psi(n: SpectralField, params: ModelParams) -> SpectralField:
     """Well-prepared concentration: psi = (b - Lap)^{-1} (c1 n + H(n)), H dealiased."""
     h_vals = coefficient_H(n.to_physical()[0], params)
-    h_field = dealias(SpectralField.from_physical(n.grid, h_vals[None]))
+    h_field = SpectralField.from_physical(n.grid, h_vals[None], dealiased=True)
     return bessel_inverse(params.c1 * n + h_field, params.b)
 
 
@@ -451,7 +465,7 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
         arr = np.asarray(profile, dtype=np.float64)
         if ncomp == 1 and arr.shape == grid.shape:
             arr = arr[None]
-        return dealias(SpectralField.from_physical(grid, arr))
+        return SpectralField.from_physical(grid, arr, dealiased=True)
 
     n_shape = mk(n_profile, 1)
     u_shape = mk(u_profile, grid.d)

@@ -101,7 +101,7 @@ def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelPa
     rho_phys = _check_window(rho_phys, params, "density")
     dp = params.pressure.dP(rho_phys)
     u_phys = (-dp[None] * grad_rho + params.mu * rho_phys[None] * grad_phi) / rho_phys[None]
-    return dealias(SpectralField.from_physical(rho.grid, u_phys))
+    return SpectralField.from_physical(rho.grid, u_phys, dealiased=True)
 
 
 def G1_eval(rho, params: ModelParams):

@@ -197,7 +197,12 @@ def coefficients_GH(n, params: ModelParams):
         g = np.zeros_like(pert)
     else:
         g = params.c0 * np.expm1((law.gamma - 1.0) * np.log1p(pert / params.rho_bar))
-    return g, params.a * (pert - params.rho_bar / params.c0 * n)
+    return g, _h_of(n, pert, params)
+
+
+def _h_of(n, pert, params: ModelParams):
+    """H = a (pert - rho_bar n / P'(rho_bar)) from pert = rho(n) - rho_bar."""
+    return params.a * (pert - params.rho_bar / params.c0 * n)
 
 
 def coefficient_G(n, params: ModelParams):
@@ -205,9 +210,11 @@ def coefficient_G(n, params: ModelParams):
     return coefficients_GH(n, params)[0]
 
 
-def coefficient_H(n, params: ModelParams):
-    """H(n) of :func:`coefficients_GH`."""
-    return coefficients_GH(n, params)[1]
+def coefficient_H(n, params: ModelParams, pert=None):
+    """H(n) of :func:`coefficients_GH`; ``pert`` is
+    :func:`density_perturbation` of n when the caller has it."""
+    n = np.asarray(n, dtype=np.float64)
+    return _h_of(n, density_perturbation(n, params) if pert is None else pert, params)
 
 
 def check_stability(params: ModelParams):

@@ -17,10 +17,18 @@ Conventions
   1 on the last-axis planes ``0`` and ``N/2`` (their conjugates are stored
   too), 2 elsewhere.  Sums over modes (L2 norms, block norms) weight each
   stored mode's energy by it,
-* transforms are ``numpy.fft`` with ``norm="forward"``: the 1-D ``rfft`` /
-  ``irfft`` for d = 1 (they skip the n-d argument handling, which dominates
-  short transforms), ``rfftn`` / ``irfftn`` otherwise.  ``scipy.fft`` is not
-  used: importing it costs more resident memory than the transforms save,
+* transforms are ``numpy.fft`` with ``norm="forward"``, written as the
+  sequence of 1-D calls that ``rfftn`` / ``irfftn`` make: ``rfft`` over the
+  last axis, then ``fft`` over axes d-1 .. 1; ``ifft`` over axes 1 .. d-1,
+  then ``irfft`` over the last axis.  In d >= 2 the complex passes run in
+  place and are pruned to the last-axis columns 0 .. N/3 that the 2/3 rule
+  keeps (FFT pruning): in a forward transform whose result is masked
+  (``dealiased=True``), and in an inverse transform of a field whose other
+  columns are all zero, which holds for every field the solvers transform.
+  Both are bit-identical to the unpruned transforms (up to the sign of
+  zeros), and about a third of the complex passes is skipped.  ``scipy.fft``
+  is not used: importing it costs more resident memory than the transforms
+  save,
 * a :class:`SpectralField` may stack any number of components, so several
   fields can share one transform call.  :func:`to_physical_all` and
   :func:`from_physical_all` hold the one choice of grouping: one stacked call
@@ -113,8 +121,10 @@ class Grid:
         """Largest wavenumber magnitude, pi N sqrt(d) / L."""
         return np.pi * self.N * math.sqrt(self.d) / self.L
 
-    def fft_axes(self) -> tuple:
-        return tuple(range(1, self.d + 1))
+    @property
+    def kept_columns(self) -> int:
+        """Last-axis columns 0 .. N/3 that the 2/3 mask keeps: N//3 + 1."""
+        return self.N // 3 + 1
 
 
 def make_grid(d: int, N: int, L: float) -> Grid:
@@ -173,13 +183,19 @@ class SpectralField:
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def from_physical(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
+    def from_physical(cls, grid: Grid, values: np.ndarray,
+                      dealiased: bool = False) -> "SpectralField":
+        """Field of real values shaped (ncomp, *shape) or ``grid.shape``,
+        2/3-masked if ``dealiased``; a masked result takes the complex passes
+        over the kept last-axis columns only."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape == grid.shape:
             values = values[None]
-        if grid.d == 1:
-            return cls(grid, np.fft.rfft(values, norm="forward"))
-        return cls(grid, np.fft.rfftn(values, axes=grid.fft_axes(), norm="forward"))
+        coef = np.fft.rfft(values, axis=-1, norm="forward")
+        cols = coef[..., :grid.kept_columns] if dealiased else coef
+        for ax in range(grid.d - 1, 0, -1):
+            np.fft.fft(cols, axis=ax, norm="forward", out=cols)
+        return cls(grid, coef * grid.dealias_mask if dealiased else coef)
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
@@ -194,11 +210,18 @@ class SpectralField:
         return SpectralField(self.grid, self.coef.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform to real values, shape (ncomp, *shape)."""
+        """Inverse transform to real values, shape (ncomp, *shape); in d >= 2
+        the complex passes skip the last-axis columns past N/3 when they are
+        all zero."""
         grid = self.grid
-        if grid.d == 1:
-            return np.fft.irfft(self.coef, n=grid.N, norm="forward")
-        return np.fft.irfftn(self.coef, s=grid.shape, axes=grid.fft_axes(), norm="forward")
+        coef = self.coef
+        if grid.d > 1:
+            keep = grid.kept_columns
+            coef = coef.copy()
+            cols = coef if coef[..., keep:].any() else coef[..., :keep]
+            for ax in range(1, grid.d):
+                np.fft.ifft(cols, axis=ax, norm="forward", out=cols)
+        return np.fft.irfft(coef, n=grid.N, axis=-1, norm="forward")
 
     def mean(self) -> np.ndarray:
         """Spatial mean per component (the zero-mode coefficient)."""
@@ -259,11 +282,8 @@ def from_physical_all(grid: Grid, *values: np.ndarray, dealiased: bool = False) 
     ``dealiased``: one stacked forward transform in d = 1, one per array in
     d >= 2."""
     if grid.d > 1:
-        fields = (SpectralField.from_physical(grid, v) for v in values)
-        return [dealias(f) for f in fields] if dealiased else list(fields)
-    coef = SpectralField.from_physical(grid, np.concatenate(values)).coef
-    if dealiased:
-        coef = coef * grid.dealias_mask
+        return [SpectralField.from_physical(grid, v, dealiased=dealiased) for v in values]
+    coef = SpectralField.from_physical(grid, np.concatenate(values), dealiased=dealiased).coef
     return [SpectralField(grid, c) for c in _row_blocks(coef, values)]
 
 

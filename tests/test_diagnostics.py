@@ -302,6 +302,42 @@ class TestRelaxationSweep:
             assert len(states) == 5
             assert [per_field[id(s.n)] for s in states] == [1] * len(states)
 
+    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    def test_one_density_perturbation_per_kept_snapshot(self, params, monkeypatch):
+        """From the end of its run to the next member's setup, a member
+        evaluates the density perturbation once per kept snapshot: the
+        rescaled density and H(n) share it."""
+        from chemorelax import diagnostics, model
+        members, live = [], [False]   # per member: [kept snapshots, perturbations]
+        original_run, original_initial = diagnostics.run, diagnostics._hpc_member_initial
+        original = model.density_perturbation
+
+        def run(*args):
+            traj = original_run(*args)
+            members.append([len(traj.states), 0])
+            live[0] = True
+            return traj
+
+        def member_initial(*args):
+            live[0] = False
+            return original_initial(*args)
+
+        def density_perturbation(*args):
+            if live[0]:
+                members[-1][1] += 1
+            return original(*args)
+
+        monkeypatch.setattr(diagnostics, "run", run)
+        monkeypatch.setattr(diagnostics, "_hpc_member_initial", member_initial)
+        for module in (diagnostics, model):
+            monkeypatch.setattr(module, "density_perturbation", density_perturbation,
+                                raising=False)
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+                         snap_dtau=0.05, dt_fast=0.02)
+        assert members == [[5, 5], [5, 5]]
+
     def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
         """At N = 32 the eps = 0.05 member's threshold mode lies outside the
         dealiased band: the sweep stops before the limit-model run."""

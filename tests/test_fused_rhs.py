@@ -69,9 +69,11 @@ def test_nonlinear_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     """Stacking changes no bit: the 1D transforms act row by row, and d >= 2
     keeps one transform per field."""
     state = hpc_state(d, N, cubic_params, rng)
-    for got, ref in zip(nonlinear_rhs(state), per_field_nonlinear_rhs(state), strict=True):
+    *fields, vmax = nonlinear_rhs(state)
+    for got, ref in zip(fields, per_field_nonlinear_rhs(state), strict=True):
         assert np.any(ref.coef)
         assert np.array_equal(got.coef, ref.coef)
+    assert vmax == np.max(np.abs(dealias(state.u).to_physical()))
 
 
 @pytest.mark.parametrize("d,N", GRIDS)
@@ -93,9 +95,9 @@ def count_transforms(monkeypatch):
         calls["inverse"] += 1
         return inverse(self)
 
-    def counted_forward(cls, grid, values):
+    def counted_forward(cls, grid, values, **kwargs):
         calls["forward"] += 1
-        return forward(cls, grid, values)
+        return forward(cls, grid, values, **kwargs)
 
     monkeypatch.setattr(SpectralField, "to_physical", counted_inverse)
     monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted_forward))

@@ -112,7 +112,7 @@ class TestNonlinearRhs:
         n = SpectralField.from_physical(grid1d, 0.05 * gaussian_bump(grid1d)[None])
         state = HpcState(0.0, n, SpectralField.zeros(grid1d, 1),
                          SpectralField.zeros(grid1d, 1), params)
-        nn, nu, npsi = nonlinear_rhs(state)
+        nn, nu, npsi, _ = nonlinear_rhs(state)
         assert nn.l2_norm() <= 1e-14
         assert nu.l2_norm() <= 1e-14
         assert npsi.l2_norm() > 0
@@ -121,7 +121,7 @@ class TestNonlinearRhs:
         n = SpectralField.from_physical(grid1d, 0.1 * gaussian_bump(grid1d)[None])
         u = SpectralField.from_physical(grid1d, 0.05 * rng.standard_normal((1,) + grid1d.shape))
         state = HpcState(0.0, n, u, SpectralField.zeros(grid1d, 1), solver_params)
-        _, _, npsi = nonlinear_rhs(state)
+        _, _, npsi, _ = nonlinear_rhs(state)
         assert npsi.l2_norm() <= 1e-14
 
     def test_advection_trig_identity(self, solver_params, grid1d):
@@ -130,7 +130,7 @@ class TestNonlinearRhs:
         u = SpectralField.from_physical(grid1d, np.sin(x)[None])
         state = HpcState(0.0, SpectralField.zeros(grid1d, 1), u,
                          SpectralField.zeros(grid1d, 1), solver_params)
-        _, nu, _ = nonlinear_rhs(state)
+        _, nu, _, _ = nonlinear_rhs(state)
         assert np.allclose(nu.to_physical()[0], -0.5 * np.sin(2 * x), atol=1e-12)
 
 
@@ -318,6 +318,57 @@ class TestRun:
         assert traj.status == "blowup"
         assert traj.message
 
+    @pytest.mark.parametrize("d,N,per_step", [(1, 32, 3), (2, 16, 13)])
+    def test_inverse_transforms_per_step(self, solver_params, monkeypatch, d, N, per_step):
+        """A step makes the inverse transforms of its two right-hand sides and
+        of the mass fix: the CFL test reads max|u| from the first one."""
+        calls = []
+        original = SpectralField.to_physical
+
+        def to_physical(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(SpectralField, "to_physical", to_physical)
+        state = small_state(make_grid(d, N, 2 * np.pi), solver_params)
+        counts = []
+        for steps in (2, 4):
+            calls.clear()
+            traj = run(state, SolverConfig(dt=0.01, t_end=0.01 * steps, snap_dt=0.01 * steps))
+            assert traj.status == "completed"
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 2 * per_step
+
+    def test_series_row_transforms_n_once(self, solver_params, monkeypatch):
+        """A series row inverse-transforms n once and evaluates one density
+        perturbation for its mass and mean H, with the same bits as
+        total_mass() and coefficient_H(n)."""
+        from chemorelax import model
+        from chemorelax.model import coefficient_H
+        state = small_state(make_grid(1, 32, 2 * np.pi), solver_params)
+        traj = run(state, SolverConfig(dt=0.01, t_end=0.04, snap_dt=0.02))
+        transformed, perturbations = [], []
+        to_physical, perturbation = SpectralField.to_physical, model.density_perturbation
+
+        def counted_to_physical(self):
+            transformed.append(self)   # holds the field, so no id is reused
+            return to_physical(self)
+
+        def counted_perturbation(*args):
+            perturbations.append(1)
+            return perturbation(*args)
+
+        monkeypatch.setattr(SpectralField, "to_physical", counted_to_physical)
+        for module in (hpc_solver, model):
+            monkeypatch.setattr(module, "density_perturbation", counted_perturbation)
+        series = traj.series
+        assert [sum(f is s.n for f in transformed) for s in traj.states] == [1, 1, 1]
+        assert len(perturbations) == len(traj.states)
+        monkeypatch.undo()
+        for k, s in enumerate(traj.states):
+            assert series.column("mass")[k] == s.total_mass()
+            assert series.column("mean_H")[k] == float(
+                np.mean(coefficient_H(s.n.to_physical()[0], s.params)))
 
     def test_cfl_violation_halves_the_step(self, solver_params):
         """A first step of dt breaks dt max|u| <= CFL_SAFETY dx but dt/2 does
