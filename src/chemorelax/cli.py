@@ -146,10 +146,12 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
                                   lowfreq_asymptotic_check, stability_scan)
     from .model import check_stability
     params = _model_params(cfg)
-    xi_max = float(_get(cfg, "experiment.xi_max", 50.0))
-    samples = int(_get(cfg, "experiment.samples", 1000))
-
-    worst, rows = stability_scan(params, xi_max, samples)
+    try:
+        xi_max = float(_get(cfg, "experiment.xi_max", 50.0))
+        samples = int(_get(cfg, "experiment.samples", 1000))
+        worst, rows = stability_scan(params, xi_max, samples)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment block: {exc}")
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("xi,re_lam1,im_lam1,re_lam2,im_lam2,re_lam3,im_lam3\n")
         for xi, l1, l2, l3 in rows:
@@ -225,14 +227,17 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
 def cmd_decay_study(cfg: dict, out: Path, args) -> int:
     from .linear_analysis import semigroup_decay_study
     params = _model_params(cfg)
-    d = int(_get(cfg, "experiment.d", 1))
-    sigma0 = float(_get(cfg, "experiment.sigma0", -d / 2.0))
-    sigma = float(_get(cfg, "experiment.sigma", d / 2.0))
-    window = tuple(_get(cfg, "experiment.window", [5.0, 50.0]))
+    window = _get(cfg, "experiment.window", [5.0, 50.0])
+    if not (isinstance(window, list) and len(window) == 2):
+        raise ConfigError(f"experiment.window must be a pair [lo, hi], got {json.dumps(window)}")
     try:
-        res = semigroup_decay_study(params, sigma0, sigma, d=d, window=window)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        d = int(_get(cfg, "experiment.d", 1))
+        sigma0 = float(_get(cfg, "experiment.sigma0", -d / 2.0))
+        sigma = float(_get(cfg, "experiment.sigma", d / 2.0))
+        res = semigroup_decay_study(params, sigma0, sigma, d=d,
+                                    window=(float(window[0]), float(window[1])))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"experiment block: {exc}")
 
     with open(out / "decay.csv", "w") as fh:
         fh.write("t,norm_triple,norm_damped,norm_phitilde,norm_u,norm_sup0\n")
@@ -326,6 +331,9 @@ def cmd_lyapunov_check(cfg: dict, out: Path, args) -> int:
     rng = np.random.default_rng(args.seed)
     eta0 = float(_get(cfg, "experiment.eta0", 0.1))
     c_tol = float(_get(cfg, "experiment.c_tol", 10.0))
+    if not (0.0 < eta0 < 1.0 and c_tol >= 1.0):   # checked before the run
+        raise ConfigError(f"experiment block: eta0 must lie in (0, 1) and c_tol be >= 1, "
+                          f"got eta0={eta0}, c_tol={c_tol}")
 
     state, _ = _initial_state(cfg, grid, params, rng)
     traj = run(state, solver_cfg)

@@ -23,20 +23,18 @@ from .hpc_solver import (
 from .ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from .model import (
     ModelParams,
-    coefficient_G,
     coefficient_H,
+    coefficients_GH,
     density_perturbation,
     density_rho,
     enthalpy_n,
 )
 from .spectral import (
-    DyadicDecomposition,
     SpectralField,
     divergence,
     from_physical_all,
     gradient,
     laplacian,
-    make_decomposition,
     to_physical_all,
 )
 
@@ -56,6 +54,11 @@ __all__ = [
     "rescale_to_fast",
 ]
 
+# damped_mode_decay_check's bound, in units of the initial hybrid energy
+CONTRACT_FACTOR = 20.0
+# lyapunov_equivalence_check skips blocks whose energy is at round-off level
+LYAPUNOV_NOISE_FLOOR = 1e-20
+
 
 class DiagnosticSeries:
     """Column store of time-indexed diagnostics; rows are added as keywords."""
@@ -65,9 +68,6 @@ class DiagnosticSeries:
 
     def add(self, **kw):
         self._rows.append(kw)
-
-    def __len__(self):
-        return len(self._rows)
 
     @property
     def names(self):
@@ -107,38 +107,38 @@ def effective_modes(state: HpcState) -> DampedModes:
     return DampedModes(v=v, phi_eff=phi_eff, phi_tilde=phi_tilde, coupling_residual=coupling)
 
 
-def damped_mode_decay_check(traj: Trajectory, contract_factor: float = 20.0) -> dict:
+def damped_mode_decay_check(traj: Trajectory) -> dict:
     """Time-integrated low-frequency norms of the damped modes.
 
     Returns (1/eps) int ||v||^l_{B^{d/2}_{2,1}} dt and
     int ||phi_eff||^l_{B^{d/2}_{2,1} cap B^{d/2+2}_{2,1}} dt, with a contract
-    flag comparing both against contract_factor times the initial energy.
+    flag comparing both against CONTRACT_FACTOR times the initial energy.
     """
     initial = traj.initial
     p = initial.params
-    dec = make_decomposition(initial.grid)
+    dec = initial.grid.decomposition
     J = p.threshold()
     d_half = initial.grid.d / 2.0
 
     times, v_norms, pe_norms = [], [], []
     for s in traj.states:
         modes = effective_modes(s)
-        v_lo, _ = dec.hybrid_norm(modes.v, d_half, d_half, 1, J)
-        pe_lo, _ = dec.hybrid_norm(modes.phi_eff, d_half, d_half, 1, J)
-        pe_lo2, _ = dec.hybrid_norm(modes.phi_eff, d_half + 2.0, d_half + 2.0, 1, J)
+        v_lo, _ = dec.hybrid_norm(modes.v, d_half, d_half, J)
+        pe_lo, _ = dec.hybrid_norm(modes.phi_eff, d_half, d_half, J)
+        pe_lo2, _ = dec.hybrid_norm(modes.phi_eff, d_half + 2.0, d_half + 2.0, J)
         times.append(s.t)
         v_norms.append(v_lo)
         pe_norms.append(pe_lo + pe_lo2)
     times = np.array(times)
     int_v = float(np.trapezoid(v_norms, times)) / p.eps
     int_pe = float(np.trapezoid(pe_norms, times))
-    x0, _ = hybrid_aggregate(initial, dec, J)
+    x0, _ = hybrid_aggregate(initial)
     return {
         "int_v_over_eps": int_v,
         "int_phi_eff": int_pe,
         "x0": x0,
-        "bound": contract_factor * x0,
-        "ok": (int_v <= contract_factor * x0) and (int_pe <= contract_factor * x0),
+        "bound": CONTRACT_FACTOR * x0,
+        "ok": (int_v <= CONTRACT_FACTOR * x0) and (int_pe <= CONTRACT_FACTOR * x0),
     }
 
 
@@ -160,13 +160,11 @@ def _integral(grid, values) -> float:
 
 def _coefficient_fields(state: HpcState):
     """G(n) and H(n) of a whole snapshot as fields; every block j shares them."""
-    n_phys = state.n.to_physical()[0]
-    return from_physical_all(state.grid, coefficient_G(n_phys, state.params)[None],
-                             coefficient_H(n_phys, state.params)[None])
+    g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], state.params)
+    return from_physical_all(state.grid, g_vals[None], h_vals[None])
 
 
 def lyapunov_evaluate(state: HpcState, j: int, eta0: float,
-                      dec: DyadicDecomposition | None = None,
                       coefficients=None) -> LyapunovRecord:
     """Block energy L_j and dissipation H_j of one snapshot.
 
@@ -180,7 +178,7 @@ def lyapunov_evaluate(state: HpcState, j: int, eta0: float,
         raise ValueError(f"eta0 must lie in (0, 1), got {eta0}")
     p = state.params
     grid = state.grid
-    dec = dec or make_decomposition(grid)
+    dec = grid.decomposition
     g_full, h_full = coefficients or _coefficient_fields(state)
 
     n_j, u_j, psi_j = (dec.block(f, j) for f in (state.n, state.u, state.psi))
@@ -247,11 +245,11 @@ class LyapunovReport:
 
 
 def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
-                               c_tol: float = 10.0, noise_floor: float = 1e-20) -> LyapunovReport:
+                               c_tol: float = 10.0) -> LyapunovReport:
     """Check L_j ~ eps block^2 and eps H_j >~ L_j on every snapshot and every
-    active block j >= J - 1 whose energy exceeds the noise floor."""
+    active block j >= J - 1 whose energy exceeds LYAPUNOV_NOISE_FLOOR."""
     p = traj.initial.params
-    dec = make_decomposition(traj.initial.grid)
+    dec = traj.initial.grid.decomposition
     J = p.threshold()
     report = LyapunovReport()
     for s in traj.states:
@@ -259,8 +257,8 @@ def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
         for j in dec.active_js():
             if j < J - 1:
                 continue
-            rec = lyapunov_evaluate(s, j, eta0, dec, coefficients)
-            if rec.energy <= noise_floor or rec.block_sq <= noise_floor:
+            rec = lyapunov_evaluate(s, j, eta0, coefficients)
+            if rec.energy <= LYAPUNOV_NOISE_FLOOR or rec.block_sq <= LYAPUNOV_NOISE_FLOOR:
                 report.skipped_below_floor += 1
                 continue
             ratio1 = rec.energy / rec.block_sq
@@ -441,7 +439,7 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     if high_freq_budget is not None:
         for eps in eps_list:
             threshold_mode(grid, replace(base_params, eps=eps))
-    dec = make_decomposition(grid)
+    dec = grid.decomposition
     d_half = grid.d / 2.0
 
     # refine the shared grid so tau ~ eps_min^2 layers survive the trapezoids
@@ -492,17 +490,17 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
             drho = rho_eps - ks_rho[k]
             du = u_eps - ks_u[k]
             dphi = phi_eps - ks_phi[k]
-            sup_drho = max(sup_drho, dec.besov_norm(drho, d_half - 1.0, 1))
-            drho_high.append(dec.besov_norm(drho, d_half + 1.0, 1))
-            du_norm.append(dec.besov_norm(du, d_half, 1))
-            dphi_norm.append(dec.besov_norm(dphi, d_half + 1.0, 1)
-                             + dec.besov_norm(dphi, d_half + 2.0, 1))
+            sup_drho = max(sup_drho, dec.besov_norm(drho, d_half - 1.0))
+            drho_high.append(dec.besov_norm(drho, d_half + 1.0))
+            du_norm.append(dec.besov_norm(du, d_half))
+            dphi_norm.append(dec.besov_norm(dphi, d_half + 1.0)
+                             + dec.besov_norm(dphi, d_half + 2.0))
             # residuals, evaluated in slow variables
             modes_v = s.u + eps * gradient(s.n) - (eps * params.mu) * gradient(s.psi)
             rho_v = SpectralField.from_physical(
                 grid, rho_phys[None] * modes_v.to_physical() / eps, dealiased=True)
-            rhov_norm.append(dec.besov_norm(rho_v, d_half, 1))
-            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys, pert), d_half, 1) / eps)
+            rhov_norm.append(dec.besov_norm(rho_v, d_half))
+            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys, pert), d_half) / eps)
         return dict(
             sup_drho=sup_drho,
             int_drho_high=float(np.trapezoid(drho_high, taus)),

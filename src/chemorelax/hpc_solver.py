@@ -30,13 +30,9 @@ factor s:
     [[T00, i unit T01, T02], [-i unit T10, s + unit^2 (T11 - s), -i unit T12],
      [T20, i unit T21, T22]]
 
-and applied as one einsum: about 12 us per apply at 1D N=256, against 37 us
-for the split.  d >= 2 keeps the split, nine multiply-adds on the real table
-and the scalar transverse scaling.  The same fold there gives (2+d)x(2+d)
-complex tables; one einsum over them takes about 970 against 875 us per
-apply at 2D N=128 and 1600 against 1000 us at 3D N=32, and the three tables
-take 6.1 against 1.7 MiB at 2D N=128 and 19.9 against 3.6 MiB at 3D N=32.
-(CPU times on a 2-vCPU Intel Xeon container, numpy 2.4.)
+and applied as one einsum.  d >= 2 keeps the split, nine multiply-adds on the
+real table and the scalar transverse scaling: folded (2+d)x(2+d) complex tables
+measured slower there and take several times the memory.
 """
 
 from __future__ import annotations
@@ -59,7 +55,6 @@ from .model import (  # coefficient_G stays importable here for perfbench's trac
     density_rho,
 )
 from .spectral import (
-    DyadicDecomposition,
     Grid,
     SpectralField,
     bessel_inverse,
@@ -67,7 +62,6 @@ from .spectral import (
     divergence,
     from_physical_all,
     gradient,
-    make_decomposition,
     to_physical_all,
 )
 
@@ -154,7 +148,7 @@ class PropagatorTables:
         self.dt = dt
         mags, inverse = np.unique(grid.xi_mag_diff, return_inverse=True)
         self.index = inverse.reshape(grid.spec_shape)
-        mats = np.stack([symbol_matrix(float(m), params).matrix for m in mags])
+        mats = np.stack([symbol_matrix(float(m), params) for m in mags])
         self.E3, self.P13, self.P23 = (
             np.ascontiguousarray(np.moveaxis(table[self.index], (-2, -1), (0, 1)))
             for table in etd.batched_matrix_phis(mats, dt))
@@ -297,19 +291,18 @@ def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
     return out
 
 
-def hybrid_aggregate(state: HpcState, dec: DyadicDecomposition | None = None,
-                     J: int | None = None):
-    """Hybrid energy of one snapshot:
+def hybrid_aggregate(state: HpcState):
+    """Hybrid energy of one snapshot, split at the threshold J of its parameters:
     ||(n,u,psi)||^l_{B^{d/2}_{2,1}} + eps ||(n,u,grad psi)||^h_{B^{d/2+1}_{2,1}}.
 
     Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
     breakdown holds the (low, high) pair of each of n, u, psi and grad_psi;
     each field's block norms are computed once.
     """
-    dec = dec or make_decomposition(state.grid)
-    J = state.params.threshold() if J is None else J
+    dec = state.grid.decomposition
+    J = state.params.threshold()
     s_lo = state.grid.d / 2.0
-    fields = {name: dec.hybrid_norm(f, s_lo, s_lo + 1.0, 1, J)
+    fields = {name: dec.hybrid_norm(f, s_lo, s_lo + 1.0, J)
               for name, f in (("n", state.n), ("u", state.u), ("psi", state.psi),
                               ("grad_psi", gradient(state.psi)))}
     low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
@@ -328,13 +321,11 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
     total mass off the initial one by more than 1e-8 relative gives status
     "mass_drift".
     """
-    dec = make_decomposition(initial.grid)
-    J = initial.params.threshold()
     cache: dict = {}
 
     mass0 = initial.total_mass()
     mass_target = initial.mass_perturbation()
-    x0, _ = hybrid_aggregate(initial, dec, J)
+    x0, _ = hybrid_aggregate(initial)
     if x0 > SMALL_DATA_HINT:
         warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
                       f"{SMALL_DATA_HINT}; global boundedness is not guaranteed", stacklevel=2)
@@ -355,12 +346,12 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
         return advance(advance(s, dt / 2, depth + 1, rhs), dt / 2, depth + 1)
 
     def check(s: HpcState):
-        agg, _ = hybrid_aggregate(s, dec, J)
+        agg, _ = hybrid_aggregate(s)
         if x0 > 0 and agg > BLOWUP_FACTOR * x0:
             raise BlowupError(f"aggregate norm exceeded {BLOWUP_FACTOR:g} x initial at t={s.t}")
 
     def row(s: HpcState) -> dict:
-        agg, parts = hybrid_aggregate(s, dec, J)
+        agg, parts = hybrid_aggregate(s)
         n_phys = s.n.to_physical()[0]
         pert = density_perturbation(n_phys, s.params)
         return dict(t=s.t, mass=s.total_mass(pert),
@@ -425,19 +416,17 @@ def threshold_mode(grid: Grid, params: ModelParams) -> int:
     return k_int
 
 
-def rough_mode_profile(grid: Grid, params: ModelParams, budget: float,
-                       phase: float = 0.7) -> np.ndarray:
-    """Single mode at the low/high frequency threshold, with a prescribed
-    high-frequency energy: eps * ||mode||_{B^{d/2+1}_{2,1}} = budget.
+def rough_mode_profile(grid: Grid, params: ModelParams, budget: float) -> np.ndarray:
+    """Single cosine mode (phase 0.7) at the low/high frequency threshold, with
+    a prescribed high-frequency energy: eps * ||mode||_{B^{d/2+1}_{2,1}} = budget.
 
     This is how an eps-family of initial data keeps the high-frequency part of
     its energy uniformly filled: the mode tracks |xi| ~ 2^J as eps shrinks.
     """
     k_int = threshold_mode(grid, params)
-    profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, phase)])
+    profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, 0.7)])
     f = SpectralField.from_physical(grid, profile[None], dealiased=True)
-    dec = make_decomposition(grid)
-    norm = dec.besov_norm(f, grid.d / 2.0 + 1.0, 1)
+    norm = grid.decomposition.besov_norm(f, grid.d / 2.0 + 1.0)
     return budget / (params.eps * norm) * profile
 
 
@@ -474,10 +463,9 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
         nf = s * n_shape
         return HpcState(0.0, nf, s * u_shape, equilibrium_psi(nf, params), params)
 
-    dec = make_decomposition(grid)
     if target_x0 is None:
         state = assemble(1.0)
-        return state, hybrid_aggregate(state, dec)[1]
+        return state, hybrid_aggregate(state)[1]
 
     if target_x0 == 0:
         return assemble(0.0), {"low": 0.0, "high": 0.0, "eps_high": 0.0}
@@ -489,7 +477,7 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
     s = 1e-4 / base
     for _ in range(60):
         state = assemble(s)
-        x, parts = hybrid_aggregate(state, dec)
+        x, parts = hybrid_aggregate(state)
         if abs(x - target_x0) <= 1e-10 * target_x0:
             return state, parts
         s *= target_x0 / x

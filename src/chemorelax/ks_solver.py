@@ -31,7 +31,6 @@ from .spectral import (
     from_physical_all,
     gradient,
     laplacian,
-    make_decomposition,
     to_physical_all,
 )
 
@@ -167,7 +166,7 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     from .hpc_solver import SMALL_DATA_HINT
 
     grid = initial.grid
-    dec = make_decomposition(grid)
+    dec = grid.decomposition
     pert0 = float(np.max(np.abs(initial.rho.to_physical()[0] - initial.params.rho_bar)))
     if pert0 > SMALL_DATA_HINT:
         warnings.warn(f"initial density deviation {pert0:.3g} exceeds the operational "
@@ -176,19 +175,19 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     tables = _KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
     # block norms exclude the zero mode, so these are norms of rho - rho_bar
-    norm0 = dec.besov_norm(initial.rho, d_half, 1)
+    norm0 = dec.besov_norm(initial.rho, d_half)
 
     def advance(s: KsState) -> KsState:
         return ks_step(s, config.dt, tables)
 
     def check(s: KsState):
         s.rho_physical()  # window check
-        if norm0 > 0 and dec.besov_norm(s.rho, d_half, 1) > BLOWUP_FACTOR * norm0:
+        if norm0 > 0 and dec.besov_norm(s.rho, d_half) > BLOWUP_FACTOR * norm0:
             raise BlowupError(f"norm explosion at tau={s.tau}")
 
     def row(s: KsState) -> dict:
         return dict(tau=s.tau, mass=s.total_mass(),
-                    norm_d2=dec.besov_norm(s.rho, d_half, 1),
-                    norm_d2p2=dec.besov_norm(s.rho, d_half + 2.0, 1))
+                    norm_d2=dec.besov_norm(s.rho, d_half),
+                    norm_d2p2=dec.besov_norm(s.rho, d_half + 2.0))
 
     return integrate(initial, advance, check, row, config)

@@ -22,7 +22,6 @@ from .model import ModelParams
 from .spectral import ring_profile
 
 __all__ = [
-    "SymbolMatrix",
     "EigenTriple",
     "symbol_matrix",
     "characteristic_cubic",
@@ -39,26 +38,17 @@ __all__ = [
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
-@dataclass(frozen=True)
-class SymbolMatrix:
-    """Compressible 3x3 block at one wavenumber magnitude, plus the scalar -1/eps."""
-
-    xi: float
-    matrix: np.ndarray
-    incompressible: float
-
-
-def symbol_matrix(xi: float, params: ModelParams) -> SymbolMatrix:
-    """Linearized generator on (n, m, psi) at |xi|; lower triangular at xi = 0."""
+def symbol_matrix(xi: float, params: ModelParams) -> np.ndarray:
+    """Linearized 3x3 generator on (n, m, psi) at |xi|; lower triangular at
+    xi = 0.  The incompressible velocity relaxes at the scalar rate -1/eps."""
     if xi < 0:
         raise ValueError("wavenumber magnitude must be nonnegative")
     p = params
-    m = np.array([
+    return np.array([
         [0.0, -p.c0 * xi, 0.0],
         [xi, -1.0 / p.eps, -p.mu * xi],
         [p.c1, 0.0, -(p.b + xi * xi)],
     ])
-    return SymbolMatrix(xi=float(xi), matrix=m, incompressible=-1.0 / p.eps)
 
 
 def characteristic_cubic(xi: float, params: ModelParams):
@@ -198,6 +188,8 @@ def stability_scan(params: ModelParams, xi_max: float, samples: int = 1000):
     """
     if not (xi_max > 0):
         raise ValueError("xi_max must be positive")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     xi_values = np.linspace(xi_max / samples, xi_max, samples)
     rows = []
     worst = -np.inf
@@ -212,6 +204,11 @@ def stability_scan(params: ModelParams, xi_max: float, samples: int = 1000):
 
 # panel breakpoints of the ring profile, in units of 2^j
 _RING_BREAKS = (0.75, 4.0 / 3.0, 1.5, 8.0 / 3.0)
+
+# the decay study's rings j_lo .. j_hi, fit times and t = 0 quadrature tolerance
+DECAY_RINGS = (-20, 6)
+DECAY_TIMES = 25
+DECAY_QUAD_TOL = 1e-6
 
 
 @dataclass(eq=False)
@@ -249,11 +246,6 @@ class RadialQuadrature:
         _, _, meas = self.rings[j_index]
         return float(np.sqrt(np.sum(meas * np.abs(values) ** 2)))
 
-    def besov(self, sigma: float, r, per_ring_l2: np.ndarray) -> float:
-        js = np.array([j for j, _, _ in self.rings])
-        terms = 2.0 ** (js * sigma) * per_ring_l2
-        return float(np.sum(terms)) if r == 1 else float(np.max(terms))
-
     def refine(self) -> "RadialQuadrature":
         return RadialQuadrature(d=self.d, j_lo=self.j_lo, j_hi=self.j_hi,
                                 nodes_per_panel=2 * self.nodes_per_panel)
@@ -288,25 +280,27 @@ def _fit(times, values, eps, window):
 
 
 def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d: int,
-                          profile=None, weights=(1.0, 1.0, 1.0), window=(5.0, 50.0),
-                          n_times: int = 25, j_lo: int = -20, j_hi: int = 6,
-                          quad_tol: float = 1e-6) -> DecayStudyResult:
+                          window=(5.0, 50.0)) -> DecayStudyResult:
     """Evolve radial data by the exact per-shell matrix exponential and fit decay.
 
-    The initial coefficient profile (default Gaussian exp(-r^2/2)) multiplies
-    the component weights (n, m, psi).  Each quadrature node is diagonalized
-    once; Besov norms are assembled per dyadic ring and the log-norm is fit
-    against log(1 + eps t) on the declared window.
+    Every component (n, m, psi) starts from the Gaussian coefficient profile
+    exp(-r^2/2).  Each quadrature node is diagonalized once; Besov norms are
+    assembled per dyadic ring and the log-norm is fit against log(1 + eps t)
+    on the declared window.
     """
     if not (-d / 2 <= sigma0 < d / 2):
         raise ValueError(f"sigma0 must lie in [-d/2, d/2), got {sigma0}")
     if not (sigma0 < sigma <= d / 2):
         raise ValueError(f"sigma must lie in (sigma0, d/2], got {sigma}")
-    if profile is None:
-        profile = lambda r: np.exp(-r * r / 2.0)
+    if d not in SPHERE_MEASURE:
+        raise ValueError(f"d must be 1, 2 or 3, got {d}")
+    if not (0.0 < window[0] < window[1]):
+        raise ValueError(f"window must satisfy 0 < lo < hi, got {window}")
+    def profile(r):
+        return np.exp(-r * r / 2.0)
 
     p = params
-    quad = RadialQuadrature(d=d, j_lo=j_lo, j_hi=j_hi)
+    quad = RadialQuadrature(d=d, j_lo=DECAY_RINGS[0], j_hi=DECAY_RINGS[1])
     fine = quad.refine()
 
     # quadrature resolution certificate at t = 0 (rings with negligible mass
@@ -315,24 +309,24 @@ def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d
     refined = np.array([fine.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(fine.rings)])
     floor = 1e-12 * refined.max()
     for i, (j, _, _) in enumerate(quad.rings):
-        if refined[i] > floor and abs(coarse[i] - refined[i]) > quad_tol * refined[i]:
-            raise RuntimeError(f"ring {j} quadrature error above {quad_tol:g} at t=0")
+        if refined[i] > floor and abs(coarse[i] - refined[i]) > DECAY_QUAD_TOL * refined[i]:
+            raise RuntimeError(f"ring {j} quadrature error above {DECAY_QUAD_TOL:g} at t=0")
 
     # diagonalize the symbol at every node of every ring
     ring_data = []
     for j, rr, meas in quad.rings:
-        mats = np.stack([symbol_matrix(float(r), p).matrix for r in rr])
+        mats = np.stack([symbol_matrix(float(r), p) for r in rr])
         lam, V = np.linalg.eig(mats)
         cond = (np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(V), axis=(1, 2)))
         if np.any(cond > 1e8):
             raise RuntimeError("near-defective symbol matrix in decay study")
         f0 = profile(rr)
-        y0 = np.stack([weights[0] * f0, weights[1] * f0, weights[2] * f0], axis=1).astype(complex)
+        y0 = np.stack([f0, f0, f0], axis=1).astype(complex)
         coeffs = np.einsum("nij,nj->ni", np.linalg.inv(V), y0)
         ring_data.append((j, lam, V, coeffs))
 
     t0, t1 = window[0] / p.eps, window[1] / p.eps
-    times = np.geomspace(t0, t1, n_times)
+    times = np.geomspace(t0, t1, DECAY_TIMES)
 
     norm_triple, norm_damped, norm_pt, norm_u, norm_sup0 = [], [], [], [], []
     for t in times:

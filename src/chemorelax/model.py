@@ -53,9 +53,6 @@ class PressureLaw:
     def isothermal(self) -> bool:
         return self.gamma == 1.0
 
-    def P(self, rho):
-        return self.kappa * np.asarray(rho, dtype=np.float64) ** self.gamma
-
     def dP(self, rho):
         rho = np.asarray(rho, dtype=np.float64)
         return self.kappa * self.gamma * rho ** (self.gamma - 1.0)

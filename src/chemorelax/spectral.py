@@ -38,9 +38,9 @@ Conventions
 * dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
   the mean is tracked separately by the solvers,
 * block norms come from one cached ``(n_blocks, n_modes)`` matrix of squared
-  ring weights per decomposition, multiplicity included, times the stored
-  modes' energies; Besov and hybrid norms are weighted sums or maxima over
-  that vector of block norms,
+  ring weights per decomposition, itself cached on its grid as
+  ``Grid.decomposition``, multiplicity included, times the stored modes'
+  energies; Besov and hybrid norms are weighted sums over those block norms,
 * L2 norms are torus integrals, computed from coefficients by Parseval,
 * snapshots (:func:`save_field`) keep the full ``fftn`` coefficient layout,
   ``(ncomp, N, ..., N)``; :func:`load_field` reads it back.
@@ -92,7 +92,6 @@ class Grid:
     shape: tuple = field(repr=False, default=None)        # physical grid, (N,) * d
     spec_shape: tuple = field(repr=False, default=None)   # half-spectrum, (N, ..., N//2+1)
     x_axes: list = field(repr=False, default=None)        # physical coordinates per axis
-    xi: np.ndarray = field(repr=False, default=None)      # (d, *spec_shape) true wavenumbers
     xi_diff: np.ndarray = field(repr=False, default=None) # (d, *spec_shape), Nyquist zeroed
     xi_mag: np.ndarray = field(repr=False, default=None)  # |xi| from true wavenumbers
     xi_mag_diff: np.ndarray = field(repr=False, default=None)  # |xi| from xi_diff
@@ -126,6 +125,11 @@ class Grid:
         """Last-axis columns 0 .. N/3 that the 2/3 mask keeps: N//3 + 1."""
         return self.N // 3 + 1
 
+    @cached_property
+    def decomposition(self) -> "DyadicDecomposition":
+        """The dyadic decomposition of this grid, built on first use."""
+        return make_decomposition(self)
+
 
 def make_grid(d: int, N: int, L: float) -> Grid:
     """Build a Grid, validating d in {1,2,3}, N a power of two >= 8, L > 0."""
@@ -158,7 +162,7 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     multiplicity[..., N // 2] = 1.0
     x1 = np.arange(N) * (L / N)
     return Grid(d=d, N=N, L=float(L), shape=(N,) * d, spec_shape=spec_shape, x_axes=[x1] * d,
-                xi=xi, xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
+                xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
                 dealias_mask=np.all(keep, axis=0), multiplicity=multiplicity)
 
 
@@ -356,15 +360,6 @@ def compute_threshold(eps: float, k: int) -> int:
     return int(math.floor(-math.log2(eps))) + int(k)
 
 
-def _lr_reduce(terms: np.ndarray, r) -> float:
-    """l^r reduction of weighted block norms, r in {1, inf}; 0.0 for no terms."""
-    if r == 1:
-        return float(np.sum(terms))
-    if r in (np.inf, math.inf, "inf"):
-        return float(np.max(terms, initial=0.0))
-    raise ValueError(f"r must be 1 or inf, got {r}")
-
-
 @dataclass(eq=False)
 class DyadicDecomposition:
     """Discrete Littlewood-Paley blocks valid on one grid.
@@ -404,17 +399,17 @@ class DyadicDecomposition:
         """L2 norm of block j; 0.0 outside the active range."""
         return float(self.block_norms(f)[j - self.j_min]) if j in self.active_js() else 0.0
 
-    def besov_norm(self, f: SpectralField, s: float, r) -> float:
-        """Homogeneous Besov norm B^s_{2,r} with r in {1, inf} (zero mode excluded)."""
+    def besov_norm(self, f: SpectralField, s: float) -> float:
+        """Homogeneous Besov norm B^s_{2,1} (zero mode excluded)."""
         js = np.arange(self.j_min, self.j_max + 1)
-        return _lr_reduce(2.0 ** (js * s) * self.block_norms(f), r)
+        return float(np.sum(2.0 ** (js * s) * self.block_norms(f)))
 
-    def hybrid_norm(self, f: SpectralField, s_low: float, s_high: float, r, J: int):
+    def hybrid_norm(self, f: SpectralField, s_low: float, s_high: float, J: int):
         """Low part sums blocks j <= J, high part j >= J - 1 (one-block overlap)."""
         js = np.arange(self.j_min, self.j_max + 1)
         norms = self.block_norms(f)
-        return (_lr_reduce((2.0 ** (js * s_low) * norms)[js <= J], r),
-                _lr_reduce((2.0 ** (js * s_high) * norms)[js >= J - 1], r))
+        return (float(np.sum((2.0 ** (js * s_low) * norms)[js <= J])),
+                float(np.sum((2.0 ** (js * s_high) * norms)[js >= J - 1])))
 
     def lowpass(self, f: SpectralField, j: int) -> SpectralField:
         """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi)), mean kept."""

@@ -243,7 +243,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
     for idx in range(grid.spec_shape[0]):
         xi = float(grid.xi_mag_diff[idx])
         xi_v = grid.xi_diff[0, idx]
-        em = scipy.linalg.expm(T * symbol_matrix(xi, params).matrix)
+        em = scipy.linalg.expm(T * symbol_matrix(xi, params))
         mhat = 1j * xi_v * tiny.u.coef[0, idx] / xi if xi > 0 else 0.0
         y = em @ np.array([tiny.n.coef[0, idx], mhat, tiny.psi.coef[0, idx]])
         u_ref = (-1j * (xi_v / xi) * y[1] if xi > 0
@@ -379,8 +379,8 @@ def test_criterion_12_spectral_core_properties(rng):
         J = int(rng.integers(dec.j_min, dec.j_max))
         s = float(rng.uniform(-1.5, 1.5))
         sp = float(rng.uniform(0.1, 2.0))
-        low_s, _ = dec.hybrid_norm(g, s, s, 1, J)
-        low_less, _ = dec.hybrid_norm(g, s - sp, s - sp, 1, J)
+        low_s, _ = dec.hybrid_norm(g, s, s, J)
+        low_less, _ = dec.hybrid_norm(g, s - sp, s - sp, J)
         if low_s > 2.0 ** (J * sp) * low_less * (1 + 1e-12):
             lh_ok = False
 

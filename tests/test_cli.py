@@ -1,11 +1,14 @@
 """Batch front door: config parsing, manifests, exit codes, CSV emission."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chemorelax.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write_config(path, payload):
@@ -266,6 +269,29 @@ class TestLyapunovCheck:
         assert rc in (0, 1)  # violations allowed, crash is not
         assert (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize("grid,t_end,n_rows", [
+        ({}, None, 39),                       # configs/lyapunov_check_2d.json as committed
+        ({"d": 3, "N": 16}, 5.0, 30),
+    ], ids=["2d", "3d"])
+    def test_higher_dimensions_zero_violations(self, tmp_path, grid, t_end, n_rows):
+        """The L_j ~ eps block^2 and eps H_j >~ L_j equivalences hold in d = 2
+        and d = 3 on the lyapunov-check model."""
+        cfg = json.loads((CONFIGS / "lyapunov_check_2d.json").read_text())
+        cfg["grid"].update(grid)
+        if t_end is not None:
+            cfg["solver"]["t_end"] = t_end
+        path = write_config(tmp_path / "c.json", cfg)
+        rc = main(["lyapunov-check", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["rows"], summary["violations"]) == (n_rows, 0)
+        table = np.loadtxt(tmp_path / "out" / "lyapunov.csv", delimiter=",", skiprows=1,
+                           usecols=(4, 5), ndmin=2)
+        c_tol = cfg["experiment"]["c_tol"]
+        assert len(table) == n_rows
+        assert np.all((1.0 / c_tol <= table[:, 0]) & (table[:, 0] <= c_tol))
+        assert np.all(table[:, 1] >= 1.0 / c_tol)
+
 
 class TestRelaxationSweepCommand:
     def test_rejects_short_eps_list(self, tmp_path, capsys):
@@ -396,3 +422,34 @@ class TestDeterminism:
         a = (tmp_path / "o1" / "spectrum.csv").read_bytes()
         b = (tmp_path / "o2" / "spectrum.csv").read_bytes()
         assert a == b
+
+
+class TestExperimentBlockErrors:
+    LYAP_RUN = {"grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+                "solver": {"dt": 0.02, "t_end": 0.2, "snap_dt": 0.1}}
+
+    @pytest.mark.parametrize("command,experiment,extra,fragment", [
+        ("decay-study", {"d": 4}, {}, "d must be 1, 2 or 3"),
+        ("decay-study", {"window": 5}, {}, "experiment.window must be a pair"),
+        ("analyze-symbol", {"xi_max": -1}, {}, "xi_max must be positive"),
+        ("analyze-symbol", {"samples": 0}, {}, "samples must be at least 1"),
+        ("lyapunov-check", {"eta0": 1.5}, LYAP_RUN, "eta0=1.5"),
+        ("lyapunov-check", {"c_tol": 0}, LYAP_RUN, "c_tol=0.0"),
+    ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
+            "lyapunov-eta0", "lyapunov-c_tol0"])
+    def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                   command, experiment, extra, fragment):
+        from chemorelax import hpc_solver
+
+        def no_run(*args):
+            raise AssertionError("the config must be rejected before the run")
+
+        monkeypatch.setattr(hpc_solver, "run", no_run)
+        cfg = write_config(tmp_path / "c.json",
+                           {"model": base_model(), **extra, "experiment": experiment})
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "config_error"
+        assert fragment in summary["message"]
+        assert f"config error: {summary['message']}" in capsys.readouterr().err

@@ -149,7 +149,7 @@ class TestLyapunov:
                          SpectralField.zeros(grid, 1), params)
         dec = make_decomposition(grid)
         j = 2  # |xi| = 6 sits in ring j=2 ([3, 10.7])
-        rec = lyapunov_evaluate(state, j, eta0=0.1, dec=dec)
+        rec = lyapunov_evaluate(state, j, eta0=0.1)
         expected = params.eps * 0.5 * dec.block(n, j).l2_norm() ** 2
         # psi_j = 0 kills every cross term except the dt psi (= c1 n_j) square
         assert np.isclose(rec.energy, expected, rtol=1e-12)
@@ -178,11 +178,13 @@ class TestLyapunov:
         assert all(row[1] >= J - 1 for row in report.rows)
 
     def test_coefficients_once_per_snapshot(self, small_traj, monkeypatch):
-        """G(n) and H(n) of a snapshot serve every block j of it."""
-        from chemorelax import diagnostics
+        """G(n) and H(n) of a snapshot come from one density perturbation and
+        serve every block j of it."""
+        from chemorelax import model
         calls = []
-        monkeypatch.setattr(diagnostics, "coefficient_H",
-                            lambda n, p: calls.append(1) or coefficient_H(n, p))
+        original = model.density_perturbation
+        monkeypatch.setattr(model, "density_perturbation",
+                            lambda n, p: calls.append(1) or original(n, p))
         report = lyapunov_equivalence_check(small_traj)
         assert len(report.rows) > len(small_traj.states)
         assert len(calls) == len(small_traj.states)
@@ -191,7 +193,7 @@ class TestLyapunov:
         state, _ = build_initial_data(grid, params, n_profile=gaussian_bump(grid, width=0.9),
                                       target_x0=1e-4)
         traj = run(state, SolverConfig(dt=0.05, t_end=0.1, snap_dt=0.1))
-        report = lyapunov_equivalence_check(traj, noise_floor=1e-12)
+        report = lyapunov_equivalence_check(traj)
         assert report.skipped_below_floor > 0
 
 

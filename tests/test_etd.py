@@ -49,7 +49,7 @@ def assert_close(got, ref):
 
 
 def test_symbol_is_near_defective(params):
-    a = symbol_matrix(2.0, params).matrix
+    a = symbol_matrix(2.0, params)
     lam, v = np.linalg.eig(a)
     assert np.sort(lam.real)[1:] == pytest.approx([-3.0, -3.0], abs=1e-6)
     assert np.linalg.cond(v, "fro") > etd._COND_LIMIT
@@ -58,7 +58,7 @@ def test_symbol_is_near_defective(params):
 @pytest.mark.parametrize("dt", DTS)
 def test_batched_fallback_matches_expm(params, dt, monkeypatch):
     xis = [0.0, 1.0, 2.0, 3.0]
-    mats = np.stack([symbol_matrix(xi, params).matrix for xi in xis])
+    mats = np.stack([symbol_matrix(xi, params) for xi in xis])
     calls = []
     augmented = etd._augmented_phis
 
@@ -75,7 +75,7 @@ def test_batched_fallback_matches_expm(params, dt, monkeypatch):
 
 @pytest.mark.parametrize("dt", DTS)
 def test_single_matrix_entry_matches_expm(params, dt):
-    a = symbol_matrix(2.0, params).matrix
+    a = symbol_matrix(2.0, params)
     for got, ref in zip(etd.batched_matrix_phis(a[None], dt), expm_reference(a, dt)):
         assert got.shape == (1, 3, 3)
         assert_close(got[0], ref)
@@ -90,7 +90,7 @@ def test_exactly_singular_eigenbasis(params):
     series = [np.eye(3) + dt * shift + dt ** 2 / 2 * shift @ shift,
               dt * (np.eye(3) + dt / 2 * shift + dt ** 2 / 6 * shift @ shift),
               dt * (np.eye(3) / 2 + dt / 6 * shift + dt ** 2 / 24 * shift @ shift)]
-    mats = np.stack([symbol_matrix(1.0, params).matrix, shift])
+    mats = np.stack([symbol_matrix(1.0, params), shift])
     batched = etd.batched_matrix_phis(mats, dt)
     for got, single, ref in zip(batched, etd.batched_matrix_phis(shift[None], dt), series):
         assert_close(got[1], ref)

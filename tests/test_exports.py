@@ -1,11 +1,15 @@
-"""Every name a chemorelax module lists in ``__all__`` resolves."""
+"""Every name a chemorelax module lists in ``__all__`` resolves, and so does
+every name the benchmark's tracer wraps."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import chemorelax
+from chemorelax import hpc_solver, spectral
 
 MODULES = ["chemorelax"] + [f"chemorelax.{info.name}"
                             for info in pkgutil.iter_modules(chemorelax.__path__)]
@@ -17,3 +21,21 @@ def test_all_names_resolve(name):
     assert module.__all__, f"{name} has an empty __all__"
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    """The benchmark's tracer wraps functions of the package by name and raises
+    on installation if one is missing; installing and uninstalling it here
+    catches a rename or deletion before the benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    run, to_physical = hpc_solver.run, spectral.SpectralField.to_physical
+    tracer = tracing.Tracer().install()
+    try:
+        assert hpc_solver.run is not run
+    finally:
+        tracer.uninstall()
+    assert hpc_solver.run is run
+    assert spectral.SpectralField.to_physical is to_physical

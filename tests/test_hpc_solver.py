@@ -71,7 +71,7 @@ class TestLinearPropagator:
         tab = PropagatorTables(grid1d, solver_params, 0.1)
         for idx in range(grid1d.spec_shape[0]):
             xi = float(grid1d.xi_mag_diff[idx])
-            ref = scipy.linalg.expm(0.1 * symbol_matrix(xi, solver_params).matrix)
+            ref = scipy.linalg.expm(0.1 * symbol_matrix(xi, solver_params))
             assert np.max(np.abs(tab.E3[:, :, idx] - ref)) <= 1e-12
 
     def test_folded_1d_apply_matches_split(self, solver_params, rng):
@@ -256,7 +256,7 @@ class TestRun:
         for idx in range(grid1d.spec_shape[0]):
             xi = float(grid1d.xi_mag_diff[idx])
             xi_v = grid1d.xi_diff[0, idx]
-            em = scipy.linalg.expm(T * symbol_matrix(xi, solver_params).matrix)
+            em = scipy.linalg.expm(T * symbol_matrix(xi, solver_params))
             mhat = 1j * xi_v * state.u.coef[0, idx] / xi if xi > 0 else 0.0
             y = em @ np.array([state.n.coef[0, idx], mhat, state.psi.coef[0, idx]])
             if xi > 0:

@@ -25,11 +25,9 @@ def normalized_params(eps=1.0, b=1.0, c1mu=0.5, mu=1.0):
 
 class TestSymbolMatrix:
     def test_zero_mode_triangular(self, default_params):
-        sm = symbol_matrix(0.0, default_params)
-        m = sm.matrix
+        m = symbol_matrix(0.0, default_params)
         assert np.allclose(np.triu(m, 1), 0.0)
         assert np.allclose(np.diag(m), [0.0, -1.0 / default_params.eps, -default_params.b])
-        assert sm.incompressible == -1.0 / default_params.eps
 
     def test_rejects_negative_xi(self, default_params):
         with pytest.raises(ValueError):
@@ -68,7 +66,7 @@ class TestCharacteristicCubic:
         """The cubic is the characteristic polynomial of the 3x3 symbol."""
         for _ in range(10):
             xi = float(rng.uniform(0.0, 10.0))
-            m = symbol_matrix(xi, default_params).matrix
+            m = symbol_matrix(xi, default_params)
             a2, a1, a0 = characteristic_cubic(xi, default_params)
             coeffs = np.poly(m)  # monic characteristic polynomial
             assert np.allclose(coeffs, [1.0, a2, a1, a0], rtol=1e-10, atol=1e-10)
@@ -174,10 +172,6 @@ class TestHighFrequency:
         tri = eigenvalues(xi, p)
         assert abs(tri.lam1.imag / xi - 1.0) <= 1e-3
 
-    def test_incompressible_factor(self, default_params):
-        for xi in (0.0, 1.0, 50.0):
-            assert symbol_matrix(xi, default_params).incompressible == -1.0 / default_params.eps
-
     def test_rejects_real_regime(self, default_params):
         with pytest.raises(RuntimeError):
             highfreq_asymptotic_check(default_params, [0.01])
@@ -213,7 +207,7 @@ class TestPropagatorSemigroup:
     def test_composition(self, default_params):
         """exp((t+s) A) = exp(t A) exp(s A) to 1e-10."""
         for xi in (0.0, 0.7, 3.0, 40.0):
-            m = symbol_matrix(xi, default_params).matrix
+            m = symbol_matrix(xi, default_params)
             e1 = scipy.linalg.expm(0.3 * m)
             e2 = scipy.linalg.expm(0.5 * m)
             e3 = scipy.linalg.expm(0.8 * m)
@@ -243,7 +237,7 @@ class TestContinuumQuadrature:
         exact_l2 = np.sqrt(2.0 * (1.5 - 4 / 3))
         quad = RadialQuadrature(d=1, j_lo=-3, j_hi=3)
         ring_l2 = np.array([quad.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(quad.rings)])
-        got = quad.besov(0.0, 1, ring_l2)
+        got = ring_l2.sum()   # the B^0_{2,1} norm: ring weights 2^{0 j} = 1
         assert abs(got - exact_l2) <= 1e-8 * exact_l2
 
 

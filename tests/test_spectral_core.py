@@ -118,8 +118,8 @@ class TestBessel:
             f = dec.block(random_field(g, rng), j)
             if f.l2_norm() == 0:
                 continue
-            lhs = dec.besov_norm(bessel_inverse(f, b), 1.5 + 2.0, 1)
-            rhs = dec.besov_norm(f, 1.5, 1)
+            lhs = dec.besov_norm(bessel_inverse(f, b), 1.5 + 2.0)
+            rhs = dec.besov_norm(f, 1.5)
             # per-mode: 2^{2j}/(b+|xi|^2) <= (4/3)^2 < 2 on the ring
             assert lhs <= 2.0 * rhs
 
@@ -186,13 +186,12 @@ class TestDyadicDecomposition:
         dec = make_decomposition(g)
         f = single_mode(g, 1, amplitude=2.0)
         m = f.l2_norm()
-        assert np.isclose(dec.besov_norm(f, 0.7, 1), m)
-        assert np.isclose(dec.besov_norm(f, -1.3, np.inf), m)
+        assert np.isclose(dec.besov_norm(f, 0.7), m)
         # |xi| = 2.8: block j = 1, s = 1 doubles it
         g2 = make_grid(1, 64, 2 * np.pi / 1.4)
         f2 = single_mode(g2, 2)
         m2 = f2.l2_norm()
-        assert np.isclose(dec.besov_norm(f2, 1.0, 1), 2.0 * m2)
+        assert np.isclose(dec.besov_norm(f2, 1.0), 2.0 * m2)
 
 
 def reference_block_norms(dec, f):
@@ -236,10 +235,9 @@ class TestBlockNormsAgainstRingLoop:
                 assert np.isclose(dec.block_l2(f, j), m, rtol=1e-13, atol=0.0)
             for s in (-0.7, 0.0, d / 2.0 + 1.0):
                 terms = 2.0 ** (js * s) * ref
-                assert np.isclose(dec.besov_norm(f, s, 1), terms.sum(), rtol=1e-13, atol=0.0)
-                assert np.isclose(dec.besov_norm(f, s, np.inf), terms.max(), rtol=1e-13, atol=0.0)
+                assert np.isclose(dec.besov_norm(f, s), terms.sum(), rtol=1e-13, atol=0.0)
             for J in (dec.j_min, 1, dec.j_max):
-                lo, hi = dec.hybrid_norm(f, d / 2.0, d / 2.0 + 1.0, 1, J)
+                lo, hi = dec.hybrid_norm(f, d / 2.0, d / 2.0 + 1.0, J)
                 ref_lo = np.sum((2.0 ** (js * d / 2.0) * ref)[js <= J])
                 ref_hi = np.sum((2.0 ** (js * (d / 2.0 + 1.0)) * ref)[js >= J - 1])
                 assert np.isclose(lo, ref_lo, rtol=1e-13, atol=0.0)
@@ -268,10 +266,17 @@ class TestBlockNormsAgainstRingLoop:
             f = random_field(g, rng, ncomp=2)
             dec.block_norms(f)
             dec.block_l2(f, dec.j_min)
-            dec.besov_norm(f, 1.0, 1)
-            dec.hybrid_norm(f, 1.0, 2.0, np.inf, 1)
+            dec.besov_norm(f, 1.0)
+            dec.hybrid_norm(f, 1.0, 2.0, 1)
         assert len(calls) == len(dec.active_js())
         assert dec.weights.shape == (len(dec.active_js()), g.N ** (g.d - 1) * (g.N // 2 + 1))
+
+    def test_grid_caches_its_decomposition(self):
+        g = make_grid(2, 16, 2 * np.pi)
+        dec = g.decomposition
+        assert dec is g.decomposition and dec.grid is g
+        ref = make_decomposition(g)
+        assert (dec.j_min, dec.j_max) == (ref.j_min, ref.j_max)
 
 
 class TestThreshold:
@@ -292,7 +297,7 @@ class TestHybridNorm:
         dec = make_decomposition(g)
         f = single_mode(g, 1)
         m = f.l2_norm()
-        low, high = dec.hybrid_norm(f, 0.3, 2.0, 1, J=5)
+        low, high = dec.hybrid_norm(f, 0.3, 2.0, J=5)
         assert np.isclose(low, m) and high <= 1e-12 * m
 
     def test_overlap_at_threshold(self):
@@ -301,7 +306,7 @@ class TestHybridNorm:
         dec = make_decomposition(g)
         f = single_mode(g, 1)
         m = f.l2_norm()
-        low, high = dec.hybrid_norm(f, 0.0, 0.0, 1, J=0)
+        low, high = dec.hybrid_norm(f, 0.0, 0.0, J=0)
         assert np.isclose(low, m) and np.isclose(high, m)
 
     def test_lh_inequality_random_fields(self, rng):
@@ -313,8 +318,8 @@ class TestHybridNorm:
             J = int(rng.integers(dec.j_min, dec.j_max))
             s = float(rng.uniform(-1.5, 1.5))
             sp = float(rng.uniform(0.1, 2.0))
-            low_s, _ = dec.hybrid_norm(f, s, s, 1, J)
-            low_s_minus, _ = dec.hybrid_norm(f, s - sp, s - sp, 1, J)
+            low_s, _ = dec.hybrid_norm(f, s, s, J)
+            low_s_minus, _ = dec.hybrid_norm(f, s - sp, s - sp, J)
             assert low_s <= 2.0 ** (J * sp) * low_s_minus * (1 + 1e-12)
 
     def test_parts_bounded_by_restricted_norms(self, rng):
@@ -331,9 +336,9 @@ class TestHybridNorm:
         high_coef[0, 0] = 0.0
         high_part = SpectralField(g, high_coef)
         s = 0.8
-        lo, hi = dec.hybrid_norm(f, s, s, 1, J)
-        assert dec.besov_norm(low_part, s, 1) <= lo * (1 + 1e-12)
-        assert dec.besov_norm(high_part, s, 1) <= hi * (1 + 1e-12)
+        lo, hi = dec.hybrid_norm(f, s, s, J)
+        assert dec.besov_norm(low_part, s) <= lo * (1 + 1e-12)
+        assert dec.besov_norm(high_part, s) <= hi * (1 + 1e-12)
         # parts plus mean rebuild the field
         rebuilt = low_part.coef + high_part.coef
         rebuilt[0, 0] += f.coef[0, 0]
@@ -378,8 +383,8 @@ class TestInvariantsAndProperties:
         dec = make_decomposition(g)
         f = random_field(g, rng)
         s, J = 0.5, 2
-        lo, hi = dec.hybrid_norm(f, s, s, 1, J)
-        total = dec.besov_norm(f, s, 1)
+        lo, hi = dec.hybrid_norm(f, s, s, J)
+        total = dec.besov_norm(f, s)
         overlap = sum(2.0 ** (j * s) * dec.block_l2(f, j) for j in (J - 1, J))
         assert np.isclose(lo + hi, total + overlap, rtol=1e-12)
 
