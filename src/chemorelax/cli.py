@@ -54,6 +54,44 @@ def _get(cfg: dict, dotted: str, default=None, required: bool = False):
     return node
 
 
+def _pair(value) -> list:
+    lo, hi = map(float, value)
+    if not lo < hi:
+        raise ValueError
+    return [lo, hi]
+
+
+def _numbers(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError
+    return [float(v) for v in value]
+
+
+def _optional_number(value):
+    return None if value is None else float(value)
+
+
+def _modes(value) -> list:
+    return [([float(k) for k in np.atleast_1d(m["k"])], float(m.get("amp", 1.0)),
+             float(m.get("phase", 0.0))) for m in value]
+
+
+_KINDS = {float: "a number", int: "an integer", _pair: "a pair [lo, hi], lo < hi",
+          _numbers: "a list of numbers", _optional_number: "a number or null",
+          _modes: 'a list of modes {"k": ..., "amp": ..., "phase": ...}'}
+
+
+def _read(cfg: dict, dotted: str, convert, default=None, required: bool = False):
+    """The value at ``dotted`` (see :func:`_get`) passed through ``convert``,
+    one of the converters in ``_KINDS``; ConfigError naming the key when it
+    does not convert."""
+    value = _get(cfg, dotted, default, required)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, KeyError):
+        raise ConfigError(f"{dotted} must be {_KINDS[convert]}, got {json.dumps(value)}") from None
+
+
 def _model_params(cfg: dict):
     from .model import params_from_config
     block = _get(cfg, "model", required=True)
@@ -61,18 +99,17 @@ def _model_params(cfg: dict):
         return params_from_config(block)
     except KeyError as exc:
         raise ConfigError(f"model block: {exc.args[0]}")
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"model block: {exc}")
 
 
 def _grid(cfg: dict):
     from .spectral import make_grid
-    block = _get(cfg, "grid", required=True)
-    for key in ("d", "N", "L"):
-        if key not in block:
-            raise ConfigError(f"missing config key: grid.{key}")
+    d = _read(cfg, "grid.d", int, required=True)
+    N = _read(cfg, "grid.N", int, required=True)
+    L = _read(cfg, "grid.L", float, required=True)
     try:
-        return make_grid(int(block["d"]), int(block["N"]), float(block["L"]))
+        return make_grid(d, N, L)
     except ValueError as exc:
         raise ConfigError(f"grid block: {exc}")
 
@@ -119,22 +156,19 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 def _initial_state(cfg: dict, grid, params, rng):
     from .hpc_solver import build_initial_data, gaussian_bump, mode_bump
-    block = _get(cfg, "initial", default={})
-    kind = block.get("profile", "gaussian")
+    kind = _get(cfg, "initial.profile", "gaussian")
     if kind == "gaussian":
-        n_prof = gaussian_bump(grid, width=float(block.get("width", 0.5)))
+        n_prof = gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
     elif kind == "modes":
-        n_prof = mode_bump(grid, [(m["k"], m.get("amp", 1.0), m.get("phase", 0.0))
-                                  for m in block.get("modes", [{"k": [1]}])])
+        n_prof = mode_bump(grid, _read(cfg, "initial.modes", _modes, [{"k": [1]}]))
     elif kind == "random":
         n_prof = rng.standard_normal(grid.shape)
         n_prof -= n_prof.mean()
     else:
         raise ConfigError(f"unknown initial.profile: {kind}")
-    target = block.get("target_x0", 0.01)
+    target = _read(cfg, "initial.target_x0", _optional_number, 0.01)
     try:
-        return build_initial_data(grid, params, n_profile=n_prof,
-                                  target_x0=None if target is None else float(target))
+        return build_initial_data(grid, params, n_profile=n_prof, target_x0=target)
     except ValueError as exc:  # OutsideValidityWindow included
         raise ConfigError(f"initial block: {exc}")
 
@@ -146,11 +180,15 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
                                   lowfreq_asymptotic_check, stability_scan)
     from .model import check_stability
     params = _model_params(cfg)
-    try:
-        xi_max = float(_get(cfg, "experiment.xi_max", 50.0))
-        samples = int(_get(cfg, "experiment.samples", 1000))
+    xi_max = _read(cfg, "experiment.xi_max", float, 50.0)
+    samples = _read(cfg, "experiment.samples", int, 1000)
+    low_targets = _read(cfg, "experiment.lowfreq_eps_xi", _numbers, [1e-2, 1e-3])
+    high_targets = _read(cfg, "experiment.highfreq_eps_xi", _numbers, [1e2])
+    try:   # targets outside their regime and scan bounds, found before any output
+        low = lowfreq_asymptotic_check(params, [t / params.eps for t in low_targets])
+        high = highfreq_asymptotic_check(params, [t / params.eps for t in high_targets])
         worst, rows = stability_scan(params, xi_max, samples)
-    except (TypeError, ValueError) as exc:
+    except (RuntimeError, ValueError) as exc:
         raise ConfigError(f"experiment block: {exc}")
     with open(out / "spectrum.csv", "w") as fh:
         fh.write("xi,re_lam1,im_lam1,re_lam2,im_lam2,re_lam3,im_lam3\n")
@@ -163,10 +201,6 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
         band = float(np.sqrt(max(params.c1 * params.mu - params.b, 0.0)))
         summary["unstable_band"] = [0.0, band]
 
-    low_targets = _get(cfg, "experiment.lowfreq_eps_xi", [1e-2, 1e-3])
-    high_targets = _get(cfg, "experiment.highfreq_eps_xi", [1e2])
-    low = lowfreq_asymptotic_check(params, [t / params.eps for t in low_targets])
-    high = highfreq_asymptotic_check(params, [t / params.eps for t in high_targets])
     with open(out / "asymptotics.csv", "w") as fh:
         fh.write("regime,xi,ratio_a,ratio_b,ratio_c\n")
         for i, xi in enumerate(low["xi"]):
@@ -207,8 +241,8 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
             save_field(snap_dir / f"psi_{i:04d}.npz", s.psi)
     else:
         from .hpc_solver import gaussian_bump
-        amp = float(_get(cfg, "initial.amplitude", 0.01))
-        rho0 = params.rho_bar + amp * gaussian_bump(grid, width=float(_get(cfg, "initial.width", 0.5)))
+        amp = _read(cfg, "initial.amplitude", float, 0.01)
+        rho0 = params.rho_bar + amp * gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
         rho_f = SpectralField.from_physical(grid, rho0[None], dealiased=True)
         traj = ks_run(KsState(0.0, rho_f, params), solver_cfg)
         for i, s in enumerate(traj.states):
@@ -227,16 +261,13 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
 def cmd_decay_study(cfg: dict, out: Path, args) -> int:
     from .linear_analysis import semigroup_decay_study
     params = _model_params(cfg)
-    window = _get(cfg, "experiment.window", [5.0, 50.0])
-    if not (isinstance(window, list) and len(window) == 2):
-        raise ConfigError(f"experiment.window must be a pair [lo, hi], got {json.dumps(window)}")
+    window = _read(cfg, "experiment.window", _pair, [5.0, 50.0])
+    d = _read(cfg, "experiment.d", int, 1)
+    sigma0 = _read(cfg, "experiment.sigma0", float, -d / 2.0)
+    sigma = _read(cfg, "experiment.sigma", float, d / 2.0)
     try:
-        d = int(_get(cfg, "experiment.d", 1))
-        sigma0 = float(_get(cfg, "experiment.sigma0", -d / 2.0))
-        sigma = float(_get(cfg, "experiment.sigma", d / 2.0))
-        res = semigroup_decay_study(params, sigma0, sigma, d=d,
-                                    window=(float(window[0]), float(window[1])))
-    except (TypeError, ValueError) as exc:
+        res = semigroup_decay_study(params, sigma0, sigma, d=d, window=tuple(window))
+    except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
 
     with open(out / "decay.csv", "w") as fh:
@@ -274,32 +305,30 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
 
     params = _model_params(cfg)
     grid = _grid(cfg)
-    eps_list = _get(cfg, "experiment.eps_list", required=True)
+    eps_list = _read(cfg, "experiment.eps_list", _numbers, required=True)
     if len(eps_list) < 3:
         raise ConfigError("experiment.eps_list needs at least 3 values")
+    tau_end = _read(cfg, "experiment.tau_end", float, 2.0)
+    snap_dtau = _read(cfg, "experiment.snap_dtau", float, 0.05)
     try:
-        tau_end = float(_get(cfg, "experiment.tau_end", 2.0))
-        snap_dtau = float(_get(cfg, "experiment.snap_dtau", 0.05))
         whole_count(tau_end, snap_dtau, "tau_end")
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
-    amp = float(_get(cfg, "experiment.amplitude", 0.02))
-    rho0 = params.rho_bar + amp * gaussian_bump(grid, width=float(_get(cfg, "experiment.width", 0.8)))
-    window = _get(cfg, "experiment.slope_window", [0.8, 1.2])
+    amp = _read(cfg, "experiment.amplitude", float, 0.02)
+    rho0 = params.rho_bar + amp * gaussian_bump(grid, width=_read(cfg, "experiment.width", float, 0.8))
+    window = _read(cfg, "experiment.slope_window", _pair, [0.8, 1.2])
 
     offset = None
-    if _get(cfg, "experiment.offset_amplitude") is not None:
-        offset = float(_get(cfg, "experiment.offset_amplitude")) * gaussian_bump(
-            grid, width=float(_get(cfg, "experiment.offset_width", 0.6)),
+    offset_amp = _read(cfg, "experiment.offset_amplitude", _optional_number)
+    if offset_amp is not None:
+        offset = offset_amp * gaussian_bump(
+            grid, width=_read(cfg, "experiment.offset_width", float, 0.6),
             center=[grid.L / 3.0] * grid.d)
-    budget = _get(cfg, "experiment.high_freq_budget")
     try:
         report = relaxation_sweep(
-            grid, params, rho0, [float(e) for e in eps_list],
-            tau_end=tau_end, snap_dtau=snap_dtau,
-            dt_fast=float(_get(cfg, "experiment.dt_fast", 0.01)),
-            rho_offset_phys=offset,
-            high_freq_budget=None if budget is None else float(budget))
+            grid, params, rho0, eps_list, tau_end=tau_end, snap_dtau=snap_dtau,
+            dt_fast=_read(cfg, "experiment.dt_fast", float, 0.01), rho_offset_phys=offset,
+            high_freq_budget=_read(cfg, "experiment.high_freq_budget", _optional_number))
     except ValueError as exc:  # data outside the window or the grid's band
         raise ConfigError(f"experiment block: {exc}")
     except RunFailed as exc:
@@ -329,8 +358,8 @@ def cmd_lyapunov_check(cfg: dict, out: Path, args) -> int:
     grid = _grid(cfg)
     solver_cfg = _solver_config(cfg)
     rng = np.random.default_rng(args.seed)
-    eta0 = float(_get(cfg, "experiment.eta0", 0.1))
-    c_tol = float(_get(cfg, "experiment.c_tol", 10.0))
+    eta0 = _read(cfg, "experiment.eta0", float, 0.1)
+    c_tol = _read(cfg, "experiment.c_tol", float, 10.0)
     if not (0.0 < eta0 < 1.0 and c_tol >= 1.0):   # checked before the run
         raise ConfigError(f"experiment block: eta0 must lie in (0, 1) and c_tol be >= 1, "
                           f"got eta0={eta0}, c_tol={c_tol}")

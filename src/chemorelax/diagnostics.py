@@ -295,13 +295,12 @@ def decay_fit(times, values, eps: float, window=(5.0, 50.0)):
 
 # -- relaxation sweep --------------------------------------------------------------
 
-def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray | None = None):
+def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray):
     """Diffusive rescaling tau = eps t, u -> u/eps of one fast-time snapshot.
 
-    ``rho_phys`` is the snapshot's physical density, if the caller already
-    has it.  Returns (tau, rho_field, u_field, phi_field) in slow variables.
+    ``rho_phys`` is the snapshot's physical density.  Returns
+    (tau, rho_field, u_field, phi_field) in slow variables.
     """
-    rho_phys = state.rho_physical() if rho_phys is None else rho_phys
     rho = SpectralField.from_physical(state.grid, rho_phys[None])
     u_eps = (1.0 / eps) * state.u
     zero = (0,) + (0,) * state.grid.d

@@ -144,7 +144,6 @@ class PropagatorTables:
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
         self.grid = grid
-        self.params = params
         self.dt = dt
         mags, inverse = np.unique(grid.xi_mag_diff, return_inverse=True)
         self.index = inverse.reshape(grid.spec_shape)
@@ -262,16 +261,15 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
     return out
 
 
-def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
-         mass_target: float | None = None, rhs: tuple | None = None) -> HpcState:
-    """One exponential Runge-Kutta step; reduces to the exact propagator when
-    the nonlinearity vanishes identically.  ``rhs`` is ``nonlinear_rhs(state)``
-    when the caller has already evaluated it."""
-    if tables is None or tables.dt != dt or tables.params is not state.params:
-        tables = PropagatorTables(state.grid, state.params, dt)
-
+def step(state: HpcState, tables: PropagatorTables, mass_target: float,
+         rhs: tuple) -> HpcState:
+    """One exponential Runge-Kutta step of ``tables.dt``; reduces to the exact
+    propagator when the nonlinearity vanishes identically.  ``rhs`` is
+    ``nonlinear_rhs(state)``, and the step ends by projecting the mean density
+    perturbation onto ``mass_target``."""
+    dt = tables.dt
     n0, u0, p0 = state.n.coef, state.u.coef, state.psi.coef
-    nn, nu, npsi, _ = nonlinear_rhs(state) if rhs is None else rhs
+    nn, nu, npsi, _ = rhs
 
     en, eu, ep = tables.apply_exp(n0, u0, p0)
     fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
@@ -282,13 +280,11 @@ def step(state: HpcState, dt: float, tables: PropagatorTables | None = None,
 
     sn, su, sp, _ = nonlinear_rhs(star)
     cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
-    out = HpcState(state.t + dt,
-                   SpectralField(state.grid, star.n.coef + cn),
-                   SpectralField(state.grid, star.u.coef + cu),
-                   SpectralField(state.grid, star.psi.coef + cp), state.params)
-    if mass_target is not None:
-        out.n = _fix_mass(out.n, state.params, mass_target)
-    return out
+    return HpcState(state.t + dt,
+                    _fix_mass(SpectralField(state.grid, star.n.coef + cn), state.params,
+                              mass_target),
+                    SpectralField(state.grid, star.u.coef + cu),
+                    SpectralField(state.grid, star.psi.coef + cp), state.params)
 
 
 def hybrid_aggregate(state: HpcState):
@@ -340,7 +336,7 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
         if dt * vmax <= CFL_SAFETY * s.grid.dx or vmax == 0.0:
             if dt not in cache:
                 cache[dt] = PropagatorTables(s.grid, s.params, dt)
-            return step(s, dt, cache[dt], mass_target, rhs)
+            return step(s, cache[dt], mass_target, rhs)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
         return advance(advance(s, dt / 2, depth + 1, rhs), dt / 2, depth + 1)
@@ -446,7 +442,9 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
     are dealiased.  The concentration is not an input: psi =
     :func:`equilibrium_psi` of n solves the screened elliptic balance, which
     zeroes the effective concentration at t = 0.  An n that leaves the
-    validity window raises OutsideValidityWindow.  Returns (state, breakdown).
+    validity window raises OutsideValidityWindow.  A target of 0 gives the
+    equilibrium.  Returns (state, breakdown), the breakdown of
+    :func:`hybrid_aggregate`.
     """
     def mk(profile, ncomp):
         if profile is None:
@@ -463,12 +461,9 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
         nf = s * n_shape
         return HpcState(0.0, nf, s * u_shape, equilibrium_psi(nf, params), params)
 
-    if target_x0 is None:
-        state = assemble(1.0)
+    if target_x0 is None or target_x0 == 0:
+        state = assemble(1.0 if target_x0 is None else 0.0)
         return state, hybrid_aggregate(state)[1]
-
-    if target_x0 == 0:
-        return assemble(0.0), {"low": 0.0, "high": 0.0, "eps_high": 0.0}
 
     base = max(np.max(np.abs(n_shape.to_physical())), np.max(np.abs(u_shape.to_physical())))
     if base == 0:

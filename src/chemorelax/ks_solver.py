@@ -2,12 +2,13 @@
 
 The density evolves by
 
-    dt rho = D rho + Lap(G1(rho)(rho - rho_bar)) - mu div((rho - rho_bar) grad phi),
+    dt rho = D rho + Lap Q(rho) - mu div((rho - rho_bar) grad phi),
     phi - phi_bar = a (b - Lap)^{-1} (rho - rho_bar),
 
 where D = (P'(rho_bar) - mu a rho_bar (b - Lap)^{-1}) Lap is applied exactly
-per mode.  Every right-hand-side term is a perfect divergence, so the mean
-mode is invariant to machine precision: mass conservation is structural here.
+per mode and Q is the quadratic pressure remainder :func:`pressure_remainder`.
+Every right-hand-side term is a perfect divergence, so the mean mode is
+invariant to machine precision: mass conservation is structural here.
 The velocity is a reconstruction, rho u = -grad P(rho) + mu rho grad phi.
 :func:`ks_run` steps on the snapshot schedule of :mod:`chemorelax.driver`.
 """
@@ -39,15 +40,12 @@ __all__ = [
     "ks_symbol",
     "solve_phi",
     "reconstruct_velocity",
-    "G1_eval",
+    "pressure_remainder",
     "ks_rhs",
+    "KsTables",
     "ks_step",
     "ks_run",
 ]
-
-# relative size of |rho - rho_bar| below which G1 switches to its Taylor form
-_G1_SWITCH = 1e-6
-
 
 @dataclass
 class KsState:
@@ -103,54 +101,44 @@ def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelPa
     return SpectralField.from_physical(rho.grid, u_phys, dealiased=True)
 
 
-def G1_eval(rho, params: ModelParams):
-    """Taylor remainder G1 with P(rho) - P(rho_bar) = P'(rho_bar)(rho - rho_bar)
-    + G1(rho)(rho - rho_bar); the removable singularity at rho_bar uses the
-    cubic Taylor form below |rho - rho_bar| = 1e-6 rho_bar.
-
-    The exact branch evaluates (P(rho) - P(rho_bar) - P'(rho_bar) delta)/delta
-    through expm1/log1p so the two branches agree to ~1e-15 at the switch.
-    """
+def pressure_remainder(rho, params: ModelParams):
+    """Q(rho) = P(rho) - P(rho_bar) - P'(rho_bar)(rho - rho_bar), evaluated as
+    kappa rho_bar^g ((1 + z)^g - 1 - g z) with z = (rho - rho_bar)/rho_bar
+    through expm1/log1p: within a few ulps of P'(rho_bar)|rho - rho_bar| as
+    z -> 0, and exactly zero for the isothermal law.  A density outside the
+    validity window raises OutsideValidityWindow."""
     rho = _check_window(rho, params, "density")
     law, rb = params.pressure, params.rho_bar
     if law.isothermal:
-        return np.zeros_like(np.asarray(rho, dtype=np.float64))
-    delta = rho - rb
-    small = np.abs(delta) <= _G1_SWITCH * rb
-    delta_safe = np.where(small, 1.0, delta)
-    z = delta_safe / rb
+        return np.zeros_like(rho)
+    z = (rho - rb) / rb
     g = law.gamma
-    remainder = np.expm1(g * np.log1p(z)) - g * z   # (1+z)^g - 1 - g z
-    exact = law.kappa * rb ** g * remainder / delta_safe
-    taylor = law.d2P(rb) * delta / 2.0 + law.d3P(rb) * delta ** 2 / 6.0
-    return np.where(small, taylor, exact)
+    return law.kappa * rb ** g * (np.expm1(g * np.log1p(z)) - g * z)
 
 
 def ks_rhs(state: KsState) -> SpectralField:
-    """Quadratic terms Lap(G1(rho)(rho-rho_bar)) - mu div((rho-rho_bar) grad phi),
+    """Quadratic terms Lap Q(rho) - mu div((rho-rho_bar) grad phi),
     2/3-dealiased on input and output; in 1D [rho, grad phi] and
-    [G1 (rho-rho_bar), (rho-rho_bar) grad phi] each take one stacked transform."""
+    [Q(rho), (rho-rho_bar) grad phi] each take one stacked transform."""
     rho_f = dealias(state.rho)
     p = state.params
     (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(solve_phi(rho_f, p)))
-    pert = rho_phys - p.rho_bar
-    g1 = G1_eval(rho_phys, p)
-    term_a, flux = from_physical_all(state.grid, (g1 * pert)[None], pert[None] * grad_phi)
+    term_a, flux = from_physical_all(state.grid, pressure_remainder(rho_phys, p)[None],
+                                     (rho_phys - p.rho_bar)[None] * grad_phi)
     return dealias(laplacian(term_a) - p.mu * divergence(flux))
 
 
-class _KsTables:
+class KsTables:
+    """E / phi1 / phi2 factors of :func:`ks_symbol` for one (grid, params, dt)."""
+
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
         self.dt = dt
-        self.params = params
-        sym = ks_symbol(grid.xi_mag_diff, params)
-        self.E, self.P1, self.P2 = etd.scalar_phis(sym, dt)
+        self.E, self.P1, self.P2 = etd.scalar_phis(ks_symbol(grid.xi_mag_diff, params), dt)
 
 
-def ks_step(state: KsState, dt: float, tables: _KsTables | None = None) -> KsState:
-    """One exponential Runge-Kutta step in slow time."""
-    if tables is None or tables.dt != dt or tables.params is not state.params:
-        tables = _KsTables(state.grid, state.params, dt)
+def ks_step(state: KsState, tables: KsTables) -> KsState:
+    """One exponential Runge-Kutta step of ``tables.dt`` in slow time."""
+    dt = tables.dt
     n0 = ks_rhs(state)
     star = KsState(state.tau + dt,
                    SpectralField(state.grid, tables.E * state.rho.coef + tables.P1 * n0.coef),
@@ -172,13 +160,13 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
         warnings.warn(f"initial density deviation {pert0:.3g} exceeds the operational "
                       f"smallness {SMALL_DATA_HINT}; global boundedness is not guaranteed",
                       stacklevel=2)
-    tables = _KsTables(grid, initial.params, config.dt)
+    tables = KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
     # block norms exclude the zero mode, so these are norms of rho - rho_bar
     norm0 = dec.besov_norm(initial.rho, d_half)
 
     def advance(s: KsState) -> KsState:
-        return ks_step(s, config.dt, tables)
+        return ks_step(s, tables)
 
     def check(s: KsState):
         s.rho_physical()  # window check

@@ -57,16 +57,6 @@ class PressureLaw:
         rho = np.asarray(rho, dtype=np.float64)
         return self.kappa * self.gamma * rho ** (self.gamma - 1.0)
 
-    def d2P(self, rho):
-        rho = np.asarray(rho, dtype=np.float64)
-        g = self.gamma
-        return self.kappa * g * (g - 1.0) * rho ** (g - 2.0)
-
-    def d3P(self, rho):
-        rho = np.asarray(rho, dtype=np.float64)
-        g = self.gamma
-        return self.kappa * g * (g - 1.0) * (g - 2.0) * rho ** (g - 3.0)
-
 
 @dataclass(frozen=True)
 class ModelParams:

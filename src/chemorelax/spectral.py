@@ -385,9 +385,7 @@ class DyadicDecomposition:
         return w2 * self.grid.multiplicity.ravel()
 
     def block(self, f: SpectralField, j: int) -> SpectralField:
-        """Frequency block at scale 2^j; zero field for out-of-range j."""
-        if j < self.j_min - 2 or j > self.j_max + 2:
-            return SpectralField.zeros(f.grid, f.ncomp)
+        """Frequency block at scale 2^j (zero outside the active range)."""
         return SpectralField(f.grid, f.coef * ring_profile(self.grid.xi_mag * 2.0 ** (-j)))
 
     def block_norms(self, f: SpectralField) -> np.ndarray:

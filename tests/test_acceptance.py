@@ -18,10 +18,11 @@ from chemorelax.hpc_solver import (
     SolverConfig,
     build_initial_data,
     gaussian_bump,
+    nonlinear_rhs,
     run,
     step,
 )
-from chemorelax.ks_solver import KsState, ks_run, ks_step
+from chemorelax.ks_solver import KsState, KsTables, ks_run, ks_step
 from chemorelax.linear_analysis import (
     eigenvalues,
     highfreq_asymptotic_check,
@@ -198,7 +199,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
         tab = PropagatorTables(grid, params, dt)
         cur, target = state.copy(), state.mass_perturbation()
         for _ in range(round(1.0 / dt)):
-            cur = step(cur, dt, tab, mass_target=target)
+            cur = step(cur, tab, target, nonlinear_rhs(cur))
         return cur
 
     sols = {dt: advance_hpc(dt) for dt in (0.1, 0.05, 0.0125)}
@@ -213,9 +214,10 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
     ks0 = KsState(0.0, dealias(SpectralField.from_physical(grid, rho0[None])), params)
 
     def advance_ks(dt):
+        tables = KsTables(grid, params, dt)
         cur = ks0
         for _ in range(round(1.0 / dt)):
-            cur = ks_step(cur, dt)
+            cur = ks_step(cur, tables)
         return cur
 
     ks_sols = {dt: advance_ks(dt) for dt in (0.1, 0.05, 0.0125)}

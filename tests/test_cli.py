@@ -427,6 +427,8 @@ class TestDeterminism:
 class TestExperimentBlockErrors:
     LYAP_RUN = {"grid": {"d": 1, "N": 32, "L": 6.283185307179586},
                 "solver": {"dt": 0.02, "t_end": 0.2, "snap_dt": 0.1}}
+    SWEEP_GRID = {"grid": {"d": 1, "N": 32, "L": 6.283185307179586}}
+    EPS = [0.4, 0.283, 0.2]
 
     @pytest.mark.parametrize("command,experiment,extra,fragment", [
         ("decay-study", {"d": 4}, {}, "d must be 1, 2 or 3"),
@@ -435,21 +437,50 @@ class TestExperimentBlockErrors:
         ("analyze-symbol", {"samples": 0}, {}, "samples must be at least 1"),
         ("lyapunov-check", {"eta0": 1.5}, LYAP_RUN, "eta0=1.5"),
         ("lyapunov-check", {"c_tol": 0}, LYAP_RUN, "c_tol=0.0"),
+        ("lyapunov-check", {"eta0": "x"}, LYAP_RUN, 'experiment.eta0 must be a number, got "x"'),
+        ("simulate-ks", {}, {**LYAP_RUN, "initial": {"amplitude": "x"}},
+         'initial.amplitude must be a number, got "x"'),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"width": "x"}},
+         'initial.width must be a number, got "x"'),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes", "modes": [{"k": "a"}]}},
+         "initial.modes must be a list of modes"),
+        ("relaxation-sweep", {"eps_list": EPS, "amplitude": "x"}, SWEEP_GRID,
+         'experiment.amplitude must be a number, got "x"'),
+        ("relaxation-sweep", {"eps_list": 0.1}, SWEEP_GRID,
+         "experiment.eps_list must be a list of numbers, got 0.1"),
+        ("relaxation-sweep", {"eps_list": EPS, "slope_window": [1.0]}, SWEEP_GRID,
+         "experiment.slope_window must be a pair [lo, hi], lo < hi, got [1.0]"),
+        ("relaxation-sweep", {"eps_list": EPS, "slope_window": [1.2, 0.8]}, SWEEP_GRID,
+         "experiment.slope_window must be a pair [lo, hi], lo < hi, got [1.2, 0.8]"),
+        ("analyze-symbol", {"lowfreq_eps_xi": 5}, {},
+         "experiment.lowfreq_eps_xi must be a list of numbers, got 5"),
+        ("analyze-symbol", {"lowfreq_eps_xi": [1.0]}, {},
+         "complex eigenvalues at xi=4.0: not in the low-frequency regime"),
+        ("analyze-symbol", {}, {"model": base_model(epsilon=None)}, "model block: float()"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": None, "N": 32, "L": 1.0}},
+         "grid.d must be an integer, got null"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
-            "lyapunov-eta0", "lyapunov-c_tol0"])
+            "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
+            "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
+            "sweep-slope_window", "sweep-slope_window-inverted", "symbol-lowfreq-scalar", "symbol-lowfreq-regime",
+            "model-null", "grid-null"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
-        from chemorelax import hpc_solver
+        from chemorelax import diagnostics, hpc_solver, ks_solver
 
         def no_run(*args):
             raise AssertionError("the config must be rejected before the run")
 
-        monkeypatch.setattr(hpc_solver, "run", no_run)
+        for module, name in ((hpc_solver, "run"), (ks_solver, "ks_run"),
+                             (diagnostics, "run"), (diagnostics, "ks_run")):
+            monkeypatch.setattr(module, name, no_run)
         cfg = write_config(tmp_path / "c.json",
                            {"model": base_model(), **extra, "experiment": experiment})
-        rc = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out)])
         assert rc == 2
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "config_error"
         assert fragment in summary["message"]
         assert f"config error: {summary['message']}" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} <= {"manifest.json", "summary.json", "snapshots"}

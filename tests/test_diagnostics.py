@@ -238,7 +238,7 @@ class TestRescaling:
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid, width=0.5),
                                       target_x0=0.01)
         state.t = 3.0
-        tau, rho, u_eps, phi = rescale_to_slow(state, p.eps)
+        tau, rho, u_eps, phi = rescale_to_slow(state, p.eps, state.rho_physical())
         back = rescale_to_fast(tau, rho, u_eps, phi, p)
         assert back.t == state.t
         assert np.array_equal(back.u.coef, state.u.coef)

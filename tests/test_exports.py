@@ -1,6 +1,8 @@
 """Every name a chemorelax module lists in ``__all__`` resolves, and so does
-every name the benchmark's tracer wraps."""
+every name the benchmark's tracer wraps; the solver-side modules' public
+signatures carry no more defaulted parameters than pinned here."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -39,3 +41,31 @@ def test_benchmark_tracer_finds_every_traced_name():
         tracer.uninstall()
     assert hpc_solver.run is run
     assert spectral.SpectralField.to_physical is to_physical
+
+
+# Defaulted parameters over the public functions and public methods of public
+# classes in these modules.  Lower the pin when a default goes; a new option
+# has to raise it here, in view.
+KNOB_MODULES = ("spectral", "hpc_solver", "ks_solver", "diagnostics", "linear_analysis")
+MAX_DEFAULTED = 23
+
+
+def _defaulted(fn: ast.FunctionDef) -> int:
+    return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+
+def test_defaulted_parameter_count_does_not_grow():
+    src = Path(chemorelax.__file__).resolve().parent
+    counts = {}
+    for name in KNOB_MODULES:
+        for node in ast.parse((src / f"{name}.py").read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                counts[f"{name}.{node.name}"] = _defaulted(node)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        counts[f"{name}.{node.name}.{fn.name}"] = _defaulted(fn)
+    total = sum(counts.values())
+    assert total <= MAX_DEFAULTED, {k: v for k, v in counts.items() if v}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chemorelax.hpc_solver import HpcState, nonlinear_rhs
-from chemorelax.ks_solver import G1_eval, KsState, ks_rhs, solve_phi
+from chemorelax.ks_solver import KsState, ks_rhs, pressure_remainder, solve_phi
 from chemorelax.model import coefficient_G, coefficient_H
 from chemorelax.spectral import (
     SpectralField,
@@ -50,18 +50,34 @@ def per_field_nonlinear_rhs(state):
             for v in (nn[None], nu, coefficient_H(n_phys, p)[None])]
 
 
-def per_field_ks_rhs(state):
-    """Lap(G1(rho)(rho - rho_bar)) - mu div((rho - rho_bar) grad phi), with one
-    transform per field."""
+def per_field_ks_rhs(state, remainder=pressure_remainder):
+    """Lap Q(rho) - mu div((rho - rho_bar) grad phi), with one transform per
+    field; ``remainder(rho_phys, params)`` evaluates Q."""
     grid, p = state.grid, state.params
     rho_f = dealias(state.rho)
     rho_phys = rho_f.to_physical()[0]
     pert = rho_phys - p.rho_bar
-    term_a = laplacian(SpectralField.from_physical(
-        grid, (G1_eval(rho_phys, p) * pert)[None]))
+    term_a = laplacian(SpectralField.from_physical(grid, remainder(rho_phys, p)[None]))
     grad_phi = gradient(solve_phi(rho_f, p)).to_physical()
     term_b = divergence(SpectralField.from_physical(grid, pert[None] * grad_phi))
     return dealias(term_a - p.mu * term_b)
+
+
+def quotient_remainder(rho, p):
+    """Q as G1(rho) (rho - rho_bar), where G1 = Q / (rho - rho_bar) is evaluated
+    exactly above |rho - rho_bar| = 1e-6 rho_bar and below it by its Taylor
+    form from the second and third derivatives of P: the form the direct
+    remainder replaced."""
+    law, rb, g = p.pressure, p.rho_bar, p.pressure.gamma
+    delta = rho - rb
+    small = np.abs(delta) <= 1e-6 * rb
+    delta_safe = np.where(small, 1.0, delta)
+    z = delta_safe / rb
+    exact = law.kappa * rb ** g * (np.expm1(g * np.log1p(z)) - g * z) / delta_safe
+    d2p = law.kappa * g * (g - 1.0) * rb ** (g - 2.0)
+    d3p = law.kappa * g * (g - 1.0) * (g - 2.0) * rb ** (g - 3.0)
+    taylor = d2p * delta / 2.0 + d3p * delta ** 2 / 6.0
+    return np.where(small, taylor, exact) * delta
 
 
 @pytest.mark.parametrize("d,N", GRIDS)
@@ -82,6 +98,18 @@ def test_ks_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     ref = per_field_ks_rhs(state)
     assert np.any(ref.coef)
     assert np.array_equal(ks_rhs(state).coef, ref.coef)
+
+
+@pytest.mark.parametrize("d,N", GRIDS[:2])
+def test_ks_rhs_matches_quotient_form(cubic_params, rng, d, N):
+    """Evaluating Q directly moves ks_rhs by round-off only, against
+    G1 (rho - rho_bar) on data with and without points in the Taylor branch."""
+    state = ks_state(d, N, cubic_params, rng)
+    near = state.rho.to_physical()[0]
+    near[::3] = cubic_params.rho_bar + 1e-7 * rng.standard_normal(near[::3].shape)
+    for s in (state, KsState(0.0, SpectralField.from_physical(state.grid, near), cubic_params)):
+        ref = per_field_ks_rhs(s, quotient_remainder).coef
+        assert np.max(np.abs(ks_rhs(s).coef - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.fixture()

@@ -203,7 +203,8 @@ import chemorelax, chemorelax.cli, chemorelax.diagnostics, chemorelax.etd
 import chemorelax.hpc_solver, chemorelax.ks_solver, chemorelax.linear_analysis
 import chemorelax.model, chemorelax.spectral
 from chemorelax import etd
-from chemorelax.hpc_solver import PropagatorTables, build_initial_data, gaussian_bump, step
+from chemorelax.hpc_solver import (PropagatorTables, build_initial_data, gaussian_bump,
+                                   nonlinear_rhs, step)
 from chemorelax.model import params_from_config
 from chemorelax.spectral import make_grid
 
@@ -216,7 +217,7 @@ etd._augmented_phis = lambda a, dt: fallbacks.append(dt) or augmented(a, dt)
 dt = 0.00625                                     # the sweep's step at eps = 0.2
 tables = PropagatorTables(grid, params, dt)
 state, _ = build_initial_data(grid, params, n_profile=0.01 * gaussian_bump(grid, 0.8))
-step(state, dt, tables)
+step(state, tables, state.mass_perturbation(), nonlinear_rhs(state))
 print(len(fallbacks), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 

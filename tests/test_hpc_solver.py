@@ -138,14 +138,15 @@ class TestStep:
     def test_zero_data_stays_zero(self, solver_params, grid1d):
         state = HpcState(0.0, SpectralField.zeros(grid1d, 1), SpectralField.zeros(grid1d, 1),
                          SpectralField.zeros(grid1d, 1), solver_params)
-        out = step(state, 0.1)
+        out = step(state, PropagatorTables(grid1d, solver_params, 0.1), 0.0,
+                   nonlinear_rhs(state))
         assert out.n.l2_norm() == 0.0 and out.u.l2_norm() == 0.0 and out.psi.l2_norm() == 0.0
 
     def test_linear_regime_matches_propagator_per_step(self, solver_params, grid1d):
         state = small_state(grid1d, solver_params, target=1e-10)
         dt = 1e-3
         tab = PropagatorTables(grid1d, solver_params, dt)
-        out = step(state, dt, tab, mass_target=state.mass_perturbation())
+        out = step(state, tab, state.mass_perturbation(), nonlinear_rhs(state))
         en, eu, ep = tab.apply_exp(state.n.coef, state.u.coef, state.psi.coef)
         scale = np.max(np.abs(state.n.coef))
         dev = max(np.max(np.abs(out.n.coef - en)), np.max(np.abs(out.u.coef - eu)),
@@ -160,7 +161,7 @@ class TestStep:
             cur = state.copy()
             target = state.mass_perturbation()
             for _ in range(round(1.0 / dt)):
-                cur = step(cur, dt, tab, mass_target=target)
+                cur = step(cur, tab, target, nonlinear_rhs(cur))
             return cur
 
         sols = {dt: advance(dt) for dt in (0.1, 0.05, 0.0125)}
@@ -191,7 +192,7 @@ class TestStep:
             tab = PropagatorTables(grid, cubic_params, dt)
             cur = state
             for _ in range(round(0.4 / dt)):
-                cur = step(cur, dt, tab, mass_target=target)
+                cur = step(cur, tab, target, nonlinear_rhs(cur))
             return cur
 
         a, b, c = (advance(dt) for dt in (0.1, 0.05, 0.025))
@@ -216,7 +217,7 @@ class TestStep:
                             lambda n, p: calls.append(1) or original(n, p))
         cur = state
         for _ in range(steps):
-            cur = step(cur, dt, tab, mass_target=target)
+            cur = step(cur, tab, target, nonlinear_rhs(cur))
         assert len(calls) <= 1.2 * steps
         pert = original(cur.n.to_physical()[0], solver_params)
         assert abs(np.mean(pert) - target) <= 1e-14 * np.mean(np.abs(pert))
@@ -386,8 +387,11 @@ class TestRun:
             traj = run(state, SolverConfig(dt=dt, t_end=dt, snap_dt=dt))
         assert traj.status == "completed" and traj.final.t == dt
         target = state.mass_perturbation()
-        ref = step(step(state, dt / 2, mass_target=target), dt / 2, mass_target=target)
-        full = step(state, dt, mass_target=target)
+        half = PropagatorTables(grid, solver_params, dt / 2)
+        mid = step(state, half, target, nonlinear_rhs(state))
+        ref = step(mid, half, target, nonlinear_rhs(mid))
+        full = step(state, PropagatorTables(grid, solver_params, dt), target,
+                    nonlinear_rhs(state))
         for name in ("n", "u", "psi"):
             got = getattr(traj.final, name).coef
             assert np.array_equal(got, getattr(ref, name).coef)
@@ -487,6 +491,18 @@ class TestBuildInitialData:
                                           n_profile=gaussian_bump(grid1d), target_x0=0.0)
         assert state.n.l2_norm() == 0.0
         assert parts["low"] == 0.0
+
+    @pytest.mark.parametrize("profile", ["bump", None])
+    def test_zero_target_breakdown(self, solver_params, grid1d, profile):
+        """Target 0 gives the zero state and hybrid_aggregate's full breakdown,
+        with the (low, high) pair of every field."""
+        n_profile = gaussian_bump(grid1d) if profile else None
+        state, parts = build_initial_data(grid1d, solver_params, n_profile=n_profile,
+                                          target_x0=0)
+        assert all(getattr(state, f).l2_norm() == 0.0 for f in ("n", "u", "psi"))
+        assert set(parts) == {"low", "high", "eps_high", "n", "u", "psi", "grad_psi"}
+        assert parts == hybrid_aggregate(state)[1]
+        assert parts["n"] == (0.0, 0.0) and parts["grad_psi"] == (0.0, 0.0)
 
     def test_target_matched_to_1e10(self, solver_params, grid1d):
         state, _ = build_initial_data(grid1d, solver_params,

@@ -1,16 +1,19 @@
 """Limit-model solver: symbol, elliptic solve, velocity reconstruction, runs."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from chemorelax.hpc_solver import SolverConfig, gaussian_bump
 from chemorelax.ks_solver import (
-    G1_eval,
     KsState,
+    KsTables,
     ks_rhs,
     ks_run,
     ks_step,
     ks_symbol,
+    pressure_remainder,
     reconstruct_velocity,
     solve_phi,
 )
@@ -103,9 +106,10 @@ class TestReconstructVelocity:
         """d rho/dtau = -div(rho u) holds to solver accuracy along a run."""
         state = rho_state(grid, params)
         dt = 2e-4
+        tables = KsTables(grid, params, dt)
         traj_states = [state]
         for _ in range(2):
-            traj_states.append(ks_step(traj_states[-1], dt))
+            traj_states.append(ks_step(traj_states[-1], tables))
         mid = traj_states[1]
         u = reconstruct_velocity(mid.rho, solve_phi(mid.rho, params), params)
         flux = SpectralField.from_physical(
@@ -116,29 +120,34 @@ class TestReconstructVelocity:
         assert np.max(np.abs(ddt + div_flux)) <= 1e-4 * scale + 1e-12
 
 
-class TestG1:
+class TestPressureRemainder:
     def test_zero_at_background(self, params):
-        assert G1_eval(1.0, params) == 0.0
+        assert pressure_remainder(params.rho_bar, params) == 0.0
 
-    def test_gamma2_value(self, params):
-        # (P(1.2) - P(1))/0.2 - P'(1) = (1.44-1)/0.2 - 2 = 0.2
-        assert np.isclose(G1_eval(1.2, params), 0.2, atol=1e-13)
+    def test_isothermal_is_exactly_zero(self, grid, rng):
+        p = ModelParams(eps=0.25, pressure=PressureLaw(kappa=1.7, gamma=1.0))
+        rho = p.rho_bar + 0.3 * np.tanh(rng.standard_normal(grid.shape))
+        assert not np.any(pressure_remainder(rho, p))
 
-    def test_branch_continuity(self, params):
-        # straddle the switch by one part in 1e12 so the genuine variation of
-        # G1 (slope ~1) is negligible and only a branch mismatch could show
-        eps_r = 1e-6 * params.rho_bar
-        left = G1_eval(params.rho_bar + (1 - 1e-12) * eps_r, params)
-        right = G1_eval(params.rho_bar + (1 + 1e-12) * eps_r, params)
-        assert abs(left - right) <= 1e-12
+    @pytest.mark.parametrize("gamma", [2, 3, 4])
+    @pytest.mark.parametrize("z", [1e-8, 1e-7, 0.2, -0.3])
+    def test_matches_exact_rational_value(self, gamma, z):
+        """Q = kappa (rho^g - rho_bar^g - g rho_bar^(g-1) (rho - rho_bar)) in
+        exact arithmetic at the floating-point rho, to 4 ulp of the linear
+        term P'(rho_bar) |rho - rho_bar| (the size Q is resolved against)."""
+        kappa, rho_bar = 1.5, 1.25
+        p = ModelParams(eps=0.25, rho_bar=rho_bar,
+                        pressure=PressureLaw(kappa=kappa, gamma=float(gamma)))
+        rho = rho_bar * (1.0 + z)
+        r, rb = Fraction(rho), Fraction(rho_bar)
+        exact = Fraction(kappa) * (r ** gamma - rb ** gamma - gamma * rb ** (gamma - 1) * (r - rb))
+        linear = p.c0 * abs(rho - rho_bar)
+        assert abs(float(Fraction(float(pressure_remainder(rho, p))) - exact)) \
+            <= 4 * np.spacing(linear)
 
-    def test_cubic_law_exactness(self):
-        """For gamma = 3 the Taylor form with P'' and P''' is exact."""
-        p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 3.0))
-        for delta in (1e-8, 1e-7, 0.2):
-            rho = 1.0 + delta
-            expected = 3.0 * delta + delta ** 2
-            assert np.isclose(G1_eval(rho, p), expected, rtol=1e-9)
+    def test_outside_window_raises(self, params):
+        with pytest.raises(OutsideValidityWindow):
+            pressure_remainder(np.array([1.0, 2.5]), params)
 
 
 class TestRun:
@@ -173,9 +182,10 @@ class TestRun:
         state = rho_state(grid, params, amp=0.08)
 
         def advance(dt):
+            tables = KsTables(grid, params, dt)
             cur = state
             for _ in range(round(1.0 / dt)):
-                cur = ks_step(cur, dt)
+                cur = ks_step(cur, tables)
             return cur
 
         sols = {dt: advance(dt) for dt in (0.1, 0.05, 0.0125)}
@@ -198,7 +208,7 @@ class TestRun:
         x = grid.x_axes[0]
         rho0 = params.rho_bar + amp * (np.cos(x) + np.cos(5 * x + 0.4))
         state = KsState(0.0, SpectralField.from_physical(grid, rho0[None]), params)
-        nxt = ks_step(state, 0.1)
+        nxt = ks_step(state, KsTables(grid, params, 0.1))
         mods0 = np.abs(state.rho.coef[0])
         mods1 = np.abs(nxt.rho.coef[0])
         mask = mods0 > 1e-16 * amp
@@ -230,9 +240,10 @@ class TestRun:
             s.rho_physical()  # inside the window
         # one more snapshot interval leaves the admissible set, for the stated reason
         nxt = traj.final
+        tables = KsTables(grid, p, dt)
         try:
             for _ in range(round(snap_dt / dt)):
-                nxt = ks_step(nxt, dt)
+                nxt = ks_step(nxt, tables)
             nxt.rho_physical()
         except OutsideValidityWindow:
             assert reason == "validity window"
