@@ -1,11 +1,12 @@
 """Batch front door: parse a config file, dispatch one experiment, emit reports.
 
 Every subcommand reads a single JSON config, writes manifest.json into the
-output directory before doing any work, then emits CSV tables plus a
-machine-readable summary.json.  Exit codes double as a CI harness: 0 on
-success, 1 when a declared contract fails (blow-up, mass drift, slope outside
-window, Lyapunov violations), 2 on configuration errors, whose summary.json
-has status "config_error" and the message.
+output directory before doing any work, writes its CSV tables with
+``diagnostics.write_csv`` and returns a summary that starts with ``status`` and
+``message`` (empty on success).  ``main`` writes it as summary.json, prints a
+failure's message to stderr and maps the status to the exit code: 0
+"completed", 2 "config_error", 1 any failed contract ("blowup", "mass_drift",
+"slope_outside_window", "lyapunov_violations").
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ def _get(cfg: dict, dotted: str, default=None, required: bool = False):
     return node
 
 
+def _integer(value) -> int:
+    if not float(value).is_integer():   # 2.7 is not read as 2
+        raise ValueError
+    return int(value)
+
+
 def _pair(value) -> list:
     lo, hi = map(float, value)
     if not lo < hi:
@@ -76,7 +83,7 @@ def _modes(value) -> list:
              float(m.get("phase", 0.0))) for m in value]
 
 
-_KINDS = {float: "a number", int: "an integer", _pair: "a pair [lo, hi], lo < hi",
+_KINDS = {float: "a number", _integer: "an integer", _pair: "a pair [lo, hi], lo < hi",
           _numbers: "a list of numbers", _optional_number: "a number or null",
           _modes: 'a list of modes {"k": ..., "amp": ..., "phase": ...}'}
 
@@ -105,8 +112,8 @@ def _model_params(cfg: dict):
 
 def _grid(cfg: dict):
     from .spectral import make_grid
-    d = _read(cfg, "grid.d", int, required=True)
-    N = _read(cfg, "grid.N", int, required=True)
+    d = _read(cfg, "grid.d", _integer, required=True)
+    N = _read(cfg, "grid.N", _integer, required=True)
     L = _read(cfg, "grid.L", float, required=True)
     try:
         return make_grid(d, N, L)
@@ -135,7 +142,6 @@ def _solver_config(cfg: dict):
 
 def _write_manifest(out: Path, cfg: dict, args) -> None:
     from . import __version__
-    out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": args.command,
         "config_path": str(args.config),
@@ -173,15 +179,20 @@ def _initial_state(cfg: dict, grid, params, rng):
         raise ConfigError(f"initial block: {exc}")
 
 
-# -- subcommands ---------------------------------------------------------------
+def _completed(**fields) -> dict:
+    return {"status": "completed", "message": "", **fields}
 
-def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
+
+# -- subcommands: each returns its summary -------------------------------------
+
+def cmd_analyze_symbol(cfg: dict, out: Path, args) -> dict:
+    from .diagnostics import write_csv
     from .linear_analysis import (highfreq_asymptotic_check,
                                   lowfreq_asymptotic_check, stability_scan)
     from .model import check_stability
     params = _model_params(cfg)
     xi_max = _read(cfg, "experiment.xi_max", float, 50.0)
-    samples = _read(cfg, "experiment.samples", int, 1000)
+    samples = _read(cfg, "experiment.samples", _integer, 1000)
     low_targets = _read(cfg, "experiment.lowfreq_eps_xi", _numbers, [1e-2, 1e-3])
     high_targets = _read(cfg, "experiment.highfreq_eps_xi", _numbers, [1e2])
     try:   # targets outside their regime and scan bounds, found before any output
@@ -190,36 +201,31 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> int:
         worst, rows = stability_scan(params, xi_max, samples)
     except (RuntimeError, ValueError) as exc:
         raise ConfigError(f"experiment block: {exc}")
-    with open(out / "spectrum.csv", "w") as fh:
-        fh.write("xi,re_lam1,im_lam1,re_lam2,im_lam2,re_lam3,im_lam3\n")
-        for xi, l1, l2, l3 in rows:
-            fh.write(f"{xi!r},{l1.real!r},{l1.imag!r},{l2.real!r},{l2.imag!r},{l3.real!r},{l3.imag!r}\n")
+    write_csv(out / "spectrum.csv", ("xi", "re_lam1", "im_lam1", "re_lam2", "im_lam2",
+                                      "re_lam3", "im_lam3"),
+              ((xi, l1.real, l1.imag, l2.real, l2.imag, l3.real, l3.imag)
+               for xi, l1, l2, l3 in rows))
 
     stable, margin = check_stability(params)
-    summary = {"stable": bool(stable), "margin": margin, "max_re_lambda": worst}
+    summary = _completed(stable=bool(stable), margin=margin, max_re_lambda=worst)
+    band_note = ""
     if not stable:
         band = float(np.sqrt(max(params.c1 * params.mu - params.b, 0.0)))
         summary["unstable_band"] = [0.0, band]
+        band_note = f" unstable band |xi| in [0, {band:.4g})"
 
-    with open(out / "asymptotics.csv", "w") as fh:
-        fh.write("regime,xi,ratio_a,ratio_b,ratio_c\n")
-        for i, xi in enumerate(low["xi"]):
-            fh.write(f"low,{xi!r},{low['ratio1'][i]!r},{low['ratio2'][i]!r},{low['ratio3'][i]!r}\n")
-        for i, xi in enumerate(high["xi"]):
-            fh.write(f"high,{xi!r},{high['ratio_re1'][i]!r},{high['ratio_im1'][i]!r},{high['ratio3'][i]!r}\n")
-    summary["lowfreq_ratios"] = {k: list(map(float, low[k])) for k in ("ratio1", "ratio2", "ratio3")}
-    summary["highfreq_ratios"] = {k: list(map(float, high[k])) for k in ("ratio_re1", "ratio_im1", "ratio3")}
-    _write_summary(out, summary)
-    verdict = "stable" if stable else "unstable"
-    band_note = ""
-    if not stable:
-        band_note = f" unstable band |xi| in [0, {summary['unstable_band'][1]:.4g})"
-    print(f"analyze-symbol: verdict={verdict} margin={margin:.6g} "
+    low_keys, high_keys = ("ratio1", "ratio2", "ratio3"), ("ratio_re1", "ratio_im1", "ratio3")
+    write_csv(out / "asymptotics.csv", ("regime", "xi", "ratio_a", "ratio_b", "ratio_c"),
+              [("low", *r) for r in zip(low["xi"], *(low[k] for k in low_keys))]
+              + [("high", *r) for r in zip(high["xi"], *(high[k] for k in high_keys))])
+    summary["lowfreq_ratios"] = {k: list(map(float, low[k])) for k in low_keys}
+    summary["highfreq_ratios"] = {k: list(map(float, high[k])) for k in high_keys}
+    print(f"analyze-symbol: verdict={'stable' if stable else 'unstable'} margin={margin:.6g} "
           f"max Re lambda={worst:.3e}{band_note}")
-    return 0
+    return summary
 
 
-def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
+def cmd_simulate(cfg: dict, out: Path, args) -> dict:
     from .hpc_solver import run
     from .ks_solver import KsState, ks_run
     from .spectral import SpectralField, save_field
@@ -232,7 +238,7 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
-    if system == "hpc":
+    if args.command == "simulate-hpc":
         state, parts = _initial_state(cfg, grid, params, rng)
         traj = run(state, solver_cfg)
         for i, s in enumerate(traj.states):
@@ -249,20 +255,16 @@ def cmd_simulate(cfg: dict, out: Path, args, system: str) -> int:
             save_field(snap_dir / f"rho_{i:04d}.npz", s.rho)
 
     traj.series.to_csv(out / "series.csv")
-    _write_summary(out, {"status": traj.status, "message": traj.message,
-                         "snapshots": len(traj.states)})
-    print(f"simulate-{system}: status={traj.status} snapshots={len(traj.states)}")
-    if traj.status != "completed":
-        print(f"simulate-{system}: {traj.message}", file=sys.stderr)
-        return 1
-    return 0
+    print(f"{args.command}: status={traj.status} snapshots={len(traj.states)}")
+    return {"status": traj.status, "message": traj.message, "snapshots": len(traj.states)}
 
 
-def cmd_decay_study(cfg: dict, out: Path, args) -> int:
+def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
+    from .diagnostics import write_csv
     from .linear_analysis import semigroup_decay_study
     params = _model_params(cfg)
     window = _read(cfg, "experiment.window", _pair, [5.0, 50.0])
-    d = _read(cfg, "experiment.d", int, 1)
+    d = _read(cfg, "experiment.d", _integer, 1)
     sigma0 = _read(cfg, "experiment.sigma0", float, -d / 2.0)
     sigma = _read(cfg, "experiment.sigma", float, d / 2.0)
     try:
@@ -270,12 +272,9 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> int:
     except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
 
-    with open(out / "decay.csv", "w") as fh:
-        fh.write("t,norm_triple,norm_damped,norm_phitilde,norm_u,norm_sup0\n")
-        for i, t in enumerate(res.times):
-            fh.write(",".join(repr(x) for x in (
-                t, res.norm_triple[i], res.norm_damped[i], res.norm_phitilde[i],
-                res.norm_u[i], res.norm_sup0[i])) + "\n")
+    norms = ("norm_triple", "norm_damped", "norm_phitilde", "norm_u", "norm_sup0")
+    write_csv(out / "decay.csv", ("t",) + norms,
+              zip(res.times, *(getattr(res, name) for name in norms)))
 
     rows = [
         ("triple", res.slope_triple, res.paper_slope),
@@ -283,22 +282,19 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> int:
         ("phitilde_alone", res.slope_phitilde, res.paper_slope_damped),
         ("u_alone", res.slope_u, res.paper_slope_damped),
     ]
-    with open(out / "slopes.csv", "w") as fh:
-        fh.write("d,sigma0,sigma,quantity,fitted_slope,reference_slope,relative_gap\n")
-        for name, got, ref in rows:
-            gap = abs((got - ref) / ref) if ref != 0 else abs(got)
-            fh.write(f"{d},{sigma0!r},{sigma!r},{name},{got!r},{ref!r},{gap!r}\n")
-    _write_summary(out, {"d": d, "sigma0": sigma0, "sigma": sigma,
-                         "slopes": {name: got for name, got, _ in rows},
-                         "reference": {"triple": res.paper_slope,
-                                        "damped": res.paper_slope_damped}})
+    write_csv(out / "slopes.csv", ("d", "sigma0", "sigma", "quantity", "fitted_slope",
+                                    "reference_slope", "relative_gap"),
+              ((d, sigma0, sigma, name, got, ref, abs((got - ref) / ref) if ref != 0 else abs(got))
+               for name, got, ref in rows))
     print(f"decay-study: d={d} sigma0={sigma0} sigma={sigma} "
           f"slope={res.slope_triple:.4f} (reference {res.paper_slope:.3f}) "
           f"damped={res.slope_damped:.4f} (reference {res.paper_slope_damped:.3f})")
-    return 0
+    return _completed(d=d, sigma0=sigma0, sigma=sigma,
+                      slopes={name: got for name, got, _ in rows},
+                      reference={"triple": res.paper_slope, "damped": res.paper_slope_damped})
 
 
-def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
+def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
     from .diagnostics import relaxation_sweep
     from .driver import RunFailed, whole_count
     from .hpc_solver import gaussian_bump
@@ -332,25 +328,22 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> int:
     except ValueError as exc:  # data outside the window or the grid's band
         raise ConfigError(f"experiment block: {exc}")
     except RunFailed as exc:
-        _write_summary(out, {"status": exc.status, "message": str(exc)})
-        print(f"relaxation-sweep: {exc}", file=sys.stderr)
-        return 1
+        return {"status": exc.status, "message": str(exc)}
     report.to_csv(out / "relaxation.csv")
     report.to_json(out / "relaxation.json")
-    _write_summary(out, {"eps_list": list(report.eps_list), "slopes": report.slopes})
 
     slope = report.slopes.get("sup_drho", float("nan"))
     slope_u = report.slopes.get("int_du", float("nan"))
     print(f"relaxation-sweep: sup_drho slope={slope:.4f} int_du slope={slope_u:.4f} "
           f"window={window}")
-    ok = window[0] <= slope <= window[1] and window[0] <= slope_u <= window[1]
-    if not ok:
-        print("relaxation-sweep: slope outside declared window", file=sys.stderr)
-        return 1
-    return 0
+    summary = _completed(eps_list=list(report.eps_list), slopes=report.slopes)
+    if not (window[0] <= slope <= window[1] and window[0] <= slope_u <= window[1]):
+        summary.update(status="slope_outside_window", message=f"sup_drho slope {slope:.4f} "
+                       f"or int_du slope {slope_u:.4f} outside declared window {window}")
+    return summary
 
 
-def cmd_lyapunov_check(cfg: dict, out: Path, args) -> int:
+def cmd_lyapunov_check(cfg: dict, out: Path, args) -> dict:
     from .diagnostics import lyapunov_equivalence_check
     from .hpc_solver import run
 
@@ -367,52 +360,49 @@ def cmd_lyapunov_check(cfg: dict, out: Path, args) -> int:
     state, _ = _initial_state(cfg, grid, params, rng)
     traj = run(state, solver_cfg)
     if traj.status != "completed":
-        print(f"lyapunov-check: run failed: {traj.message}", file=sys.stderr)
-        return 1
+        return {"status": traj.status, "message": f"run failed: {traj.message}"}
     report = lyapunov_equivalence_check(traj, eta0=eta0, c_tol=c_tol)
     report.to_csv(out / "lyapunov.csv")
-    _write_summary(out, {"violations": len(report.violations),
-                         "rows": len(report.rows),
-                         "skipped_below_floor": report.skipped_below_floor})
     print(f"lyapunov-check: rows={len(report.rows)} violations={len(report.violations)} "
           f"skipped={report.skipped_below_floor}")
-    return 0 if report.ok else 1
+    summary = _completed(violations=len(report.violations), rows=len(report.rows),
+                         skipped_below_floor=report.skipped_below_floor)
+    if not report.ok:
+        summary.update(status="lyapunov_violations", message=f"{len(report.violations)} block "
+                       f"rows violate the equivalences at c_tol={c_tol}")
+    return summary
+
+
+COMMANDS = {"analyze-symbol": cmd_analyze_symbol, "simulate-hpc": cmd_simulate,
+            "simulate-ks": cmd_simulate, "decay-study": cmd_decay_study,
+            "relaxation-sweep": cmd_relaxation_sweep, "lyapunov-check": cmd_lyapunov_check}
+EXIT_CODES = {"completed": 0, "config_error": 2}   # any other status: 1
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chemorelax",
         description="Batch experiments for the chemotaxis system and its relaxation limit")
-    parser.add_argument("command", choices=[
-        "analyze-symbol", "simulate-hpc", "simulate-ks",
-        "decay-study", "relaxation-sweep", "lyapunov-check"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         cfg = _load_config(args.config)
         _write_manifest(out, cfg, args)
-        if args.command == "analyze-symbol":
-            return cmd_analyze_symbol(cfg, out, args)
-        if args.command == "simulate-hpc":
-            return cmd_simulate(cfg, out, args, "hpc")
-        if args.command == "simulate-ks":
-            return cmd_simulate(cfg, out, args, "ks")
-        if args.command == "decay-study":
-            return cmd_decay_study(cfg, out, args)
-        if args.command == "relaxation-sweep":
-            return cmd_relaxation_sweep(cfg, out, args)
-        if args.command == "lyapunov-check":
-            return cmd_lyapunov_check(cfg, out, args)
-        raise AssertionError("unreachable")
+        summary = COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_summary(out, {"status": "config_error", "message": str(exc)})
-        return 2
+        summary = {"status": "config_error", "message": str(exc)}
+    _write_summary(out, summary)
+    status = summary["status"]
+    if status != "completed":
+        label = "config error" if status == "config_error" else args.command
+        print(f"{label}: {summary['message']}", file=sys.stderr)
+    return EXIT_CODES.get(status, 1)
 
 
 if __name__ == "__main__":

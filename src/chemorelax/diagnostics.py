@@ -52,12 +52,22 @@ __all__ = [
     "relaxation_sweep",
     "rescale_to_slow",
     "rescale_to_fast",
+    "write_csv",
 ]
 
 # damped_mode_decay_check's bound, in units of the initial hybrid energy
 CONTRACT_FACTOR = 20.0
 # lyapunov_equivalence_check skips blocks whose energy is at round-off level
 LYAPUNOV_NOISE_FLOOR = 1e-20
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV table: the header's names, then one line per row with each cell
+    as ``str(cell)``, the shortest round-trip form for Python and numpy floats."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 class DiagnosticSeries:
@@ -78,10 +88,7 @@ class DiagnosticSeries:
 
     def to_csv(self, path):
         names = self.names
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for row in self._rows:
-                fh.write(",".join(repr(row[k]) for k in names) + "\n")
+        write_csv(path, names, ([row[k] for k in names] for row in self._rows))
 
 
 # -- effective damped modes -----------------------------------------------------
@@ -238,10 +245,7 @@ class LyapunovReport:
         return not self.violations
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,j,L_j,H_j,ratio1,ratio2,ok\n")
-            for row in self.rows:
-                fh.write(",".join(repr(x) for x in row) + "\n")
+        write_csv(path, ("t", "j", "L_j", "H_j", "ratio1", "ratio2", "ok"), self.rows)
 
 
 def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
@@ -348,12 +352,9 @@ class RelaxationReport:
         return self.slopes
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("eps,sup_drho,int_drho_high,int_du,int_dphi,int_rho_v,int_dtphi\n")
-            for i, e in enumerate(self.eps_list):
-                fh.write(",".join(repr(x) for x in (
-                    e, self.sup_drho[i], self.int_drho_high[i], self.int_du[i],
-                    self.int_dphi[i], self.int_rho_v[i], self.int_dtphi[i])) + "\n")
+        names = ("sup_drho", "int_drho_high", "int_du", "int_dphi", "int_rho_v", "int_dtphi")
+        write_csv(path, ("eps",) + names,
+                  zip(self.eps_list, *(getattr(self, name) for name in names)))
 
     def to_json(self, path):
         with open(path, "w") as fh:

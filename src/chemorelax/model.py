@@ -87,9 +87,6 @@ class ModelParams:
         for rho in (WINDOW_LO * self.rho_bar, self.rho_bar, WINDOW_HI * self.rho_bar):
             if not (self.pressure.dP(rho) > 0):
                 raise ValueError(f"pressure must be increasing on the validity window, P'({rho}) <= 0")
-        # definition chase: c0 c1 = a rho_bar, and margin > 0 iff mu c1 < b
-        assert np.isclose(self.c0 * self.c1, self.a * self.rho_bar, rtol=1e-12)
-        assert (self.stability_margin > 0) == (self.mu * self.c1 < self.b)
 
     @cached_property
     def c0(self) -> float:

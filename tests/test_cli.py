@@ -52,6 +52,22 @@ class TestAnalyzeSymbol:
         assert "unstable_band" in summary
         assert np.isclose(summary["unstable_band"][1], np.sqrt(2.0))
 
+    def test_integral_float_samples_read_as_integer(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", {"model": base_model(),
+                                                 "experiment": {"xi_max": 5.0, "samples": 10.0}})
+        assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 11
+
+    def test_zero_margin_reported_unstable(self, tmp_path):
+        """A margin that rounds to exactly 0 is a result, not a crash."""
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.1, mu=20.0, a=0.1, b=1.0, rho_bar=0.7),
+            "experiment": {"xi_max": 5.0, "samples": 10},
+        })
+        assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["status"], summary["margin"], summary["stable"]) == ("completed", 0.0, False)
+
     def test_missing_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"model": {"epsilon": 0.1}})
         rc = main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -257,6 +273,38 @@ class TestLyapunovCheck:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["rows"] == 0
 
+    def test_violations_exit_1_with_summary(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS / "lyapunov_check.json").read_text())
+        cfg["solver"]["t_end"] = 2.0
+        cfg["experiment"]["c_tol"] = 1.0
+        path = write_config(tmp_path / "c.json", cfg)
+        rc = main(["lyapunov-check", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "lyapunov_violations"
+        assert (summary["rows"], summary["violations"]) == (15, 15)
+        assert f"lyapunov-check: {summary['message']}" in capsys.readouterr().err
+
+    def test_blowup_exit_1_with_summary(self, tmp_path, monkeypatch):
+        from chemorelax import hpc_solver
+        from chemorelax.model import OutsideValidityWindow
+
+        def escape(*args, **kwargs):
+            raise OutsideValidityWindow("density left the validity window")
+
+        monkeypatch.setattr(hpc_solver, "step", escape)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "solver": {"dt": 0.05, "t_end": 0.5, "snap_dt": 0.25},
+            "initial": {"target_x0": 0.01},
+        })
+        rc = main(["lyapunov-check", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "blowup"
+        assert "density left the validity window" in summary["message"]
+
     def test_large_eta0_reports_not_crashes(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
@@ -338,6 +386,22 @@ class TestRelaxationSweepCommand:
         assert summary["status"] == "blowup"
         assert "blew up: density left the validity window" in summary["message"]
 
+    def test_slope_outside_window_exit_1_with_summary(self, tmp_path, capsys):
+        """Without the O(eps) data offset the short N = 32 sweep converges
+        faster than eps (slopes near 1.8), outside the window [0.8, 1.2]."""
+        cfg = json.loads((CONFIGS / "relaxation_sweep.json").read_text())
+        cfg["grid"]["N"] = 32
+        cfg["experiment"].update(tau_end=0.05, offset_amplitude=None, high_freq_budget=None)
+        path = write_config(tmp_path / "c.json", cfg)
+        rc = main(["relaxation-sweep", "--config", path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "slope_outside_window"
+        assert "outside declared window [0.8, 1.2]" in summary["message"]
+        assert summary["eps_list"] == [0.2, 0.1, 0.05]
+        assert summary["slopes"]["sup_drho"] > 1.2
+        assert f"relaxation-sweep: {summary['message']}" in capsys.readouterr().err
+
     def test_threshold_mode_beyond_band_exit_2(self, tmp_path, capsys):
         """At N = 32 the eps = 0.05 member's threshold mode 16 lies outside the
         dealiased band, so its high-frequency data cannot be built."""
@@ -392,6 +456,42 @@ class TestRelaxationSweepCommand:
         assert rc == 0
         assert (tmp_path / "out" / "relaxation.csv").exists()
         assert (tmp_path / "out" / "relaxation.json").exists()
+
+
+class TestCsvTables:
+    STRING_COLUMNS = {"regime", "quantity", "ok"}
+    SMALL = {"grid": {"N": 32}, "solver": {"t_end": 0.5}}
+
+    @pytest.mark.parametrize("command,config,edits", [
+        ("analyze-symbol", "analyze_symbol", {"experiment": {"samples": 50}}),
+        ("simulate-hpc", "simulate_hpc", SMALL),
+        ("simulate-ks", "simulate_ks", SMALL),
+        ("decay-study", "decay_study_1d", {}),
+        ("decay-study", "decay_study_damped_2d", {}),
+        ("lyapunov-check", "lyapunov_check", {"grid": {"N": 32}, "solver": {"t_end": 1.0}}),
+        ("relaxation-sweep", "relaxation_sweep",
+         {"grid": {"N": 32}, "experiment": {"tau_end": 0.05, "high_freq_budget": None,
+                                            "slope_window": [-5.0, 5.0]}}),
+    ], ids=["symbol", "hpc", "ks", "decay-1d", "decay-2d", "lyapunov", "sweep"])
+    def test_every_cell_is_a_number(self, tmp_path, command, config, edits):
+        """Each CSV table a subcommand writes is rectangular, and every cell
+        outside the label columns parses as a number."""
+        cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+        for block, values in edits.items():
+            cfg[block].update(values)
+        path = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 0
+        tables = sorted(out.glob("*.csv"))
+        assert tables
+        for table in tables:
+            header, *rows = [line.split(",") for line in table.read_text().splitlines()]
+            assert rows, table.name
+            for row in rows:
+                assert len(row) == len(header), (table.name, row)
+                for name, cell in zip(header, row):
+                    if name not in self.STRING_COLUMNS:
+                        float(cell)   # raises on anything but a plain number
 
 
 class TestPerformanceBudget:
@@ -459,11 +559,18 @@ class TestExperimentBlockErrors:
         ("analyze-symbol", {}, {"model": base_model(epsilon=None)}, "model block: float()"),
         ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": None, "N": 32, "L": 1.0}},
          "grid.d must be an integer, got null"),
+        ("analyze-symbol", {"samples": 2.7}, {}, "experiment.samples must be an integer, got 2.7"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 64.5, "L": 1.0}},
+         "grid.N must be an integer, got 64.5"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1.5, "N": 32, "L": 1.0}},
+         "grid.d must be an integer, got 1.5"),
+        ("decay-study", {"d": 2.5}, {}, "experiment.d must be an integer, got 2.5"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
             "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
             "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
             "sweep-slope_window", "sweep-slope_window-inverted", "symbol-lowfreq-scalar", "symbol-lowfreq-regime",
-            "model-null", "grid-null"])
+            "model-null", "grid-null", "symbol-samples-fraction", "grid-N-fraction",
+            "grid-d-fraction", "decay-d-fraction"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -1,6 +1,7 @@
 """Every name a chemorelax module lists in ``__all__`` resolves, and so does
 every name the benchmark's tracer wraps; the solver-side modules' public
-signatures carry no more defaulted parameters than pinned here."""
+signatures carry no more defaulted parameters than pinned here, and no module
+checks an invariant with ``assert``."""
 
 import ast
 import importlib
@@ -69,3 +70,16 @@ def test_defaulted_parameter_count_does_not_grow():
                         counts[f"{name}.{node.name}.{fn.name}"] = _defaulted(fn)
     total = sum(counts.values())
     assert total <= MAX_DEFAULTED, {k: v for k, v in counts.items() if v}
+
+
+def test_no_assert_in_the_package():
+    """Invariants are checked as statuses or raised errors: ``assert`` vanishes
+    under ``python -O``, and an AssertionError is a traceback, not a status."""
+    src = Path(chemorelax.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -134,6 +134,13 @@ class TestStability:
         stable, margin = check_stability(p)
         assert not stable and np.isclose(margin, -0.5)
 
+    def test_zero_margin_under_rounding(self):
+        """P'(rho_bar) = a mu rho_bar / b = 1.4, where mu c1 rounds below b:
+        the parameters construct and the margin reads exactly 0, unstable."""
+        p = make_params(gamma=2.0, mu=20.0, a=0.1, b=1.0, rho_bar=0.7)
+        stable, margin = check_stability(p)
+        assert not stable and margin == 0.0
+
     def test_margin_equivalent_form(self):
         for kwargs in (dict(gamma=2.0), dict(gamma=3.0, mu=2.0), dict(gamma=1.4, b=0.7)):
             p = make_params(**kwargs)
