@@ -19,6 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import (__version__, diagnostics, driver, hpc_solver, ks_solver, linear_analysis, model,
+               spectral)
+
 __all__ = ["main"]
 
 
@@ -100,10 +103,9 @@ def _read(cfg: dict, dotted: str, convert, default=None, required: bool = False)
 
 
 def _model_params(cfg: dict):
-    from .model import params_from_config
     block = _get(cfg, "model", required=True)
     try:
-        return params_from_config(block)
+        return model.params_from_config(block)
     except KeyError as exc:
         raise ConfigError(f"model block: {exc.args[0]}")
     except (TypeError, ValueError) as exc:
@@ -111,18 +113,16 @@ def _model_params(cfg: dict):
 
 
 def _grid(cfg: dict):
-    from .spectral import make_grid
     d = _read(cfg, "grid.d", _integer, required=True)
     N = _read(cfg, "grid.N", _integer, required=True)
     L = _read(cfg, "grid.L", float, required=True)
     try:
-        return make_grid(d, N, L)
+        return spectral.make_grid(d, N, L)
     except ValueError as exc:
         raise ConfigError(f"grid block: {exc}")
 
 
 def _solver_config(cfg: dict):
-    from .driver import SolverConfig
     block = _get(cfg, "solver", default={})
     unknown = sorted(set(block) - {"dt", "t_end", "snap_dt", "dealias"})
     if unknown:
@@ -130,7 +130,7 @@ def _solver_config(cfg: dict):
                           f"the keys are dt, t_end, snap_dt and dealias")
     snap_dt = block.get("snap_dt")
     try:
-        return SolverConfig(
+        return driver.SolverConfig(
             dt=float(block.get("dt", 0.01)),
             t_end=float(block.get("t_end", 10.0)),
             snap_dt=None if snap_dt is None else float(snap_dt),
@@ -141,7 +141,6 @@ def _solver_config(cfg: dict):
 
 
 def _write_manifest(out: Path, cfg: dict, args) -> None:
-    from . import __version__
     manifest = {
         "command": args.command,
         "config_path": str(args.config),
@@ -161,12 +160,11 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 
 def _initial_state(cfg: dict, grid, params, rng):
-    from .hpc_solver import build_initial_data, gaussian_bump, mode_bump
     kind = _get(cfg, "initial.profile", "gaussian")
     if kind == "gaussian":
-        n_prof = gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
+        n_prof = hpc_solver.gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
     elif kind == "modes":
-        n_prof = mode_bump(grid, _read(cfg, "initial.modes", _modes, [{"k": [1]}]))
+        n_prof = hpc_solver.mode_bump(grid, _read(cfg, "initial.modes", _modes, [{"k": [1]}]))
     elif kind == "random":
         n_prof = rng.standard_normal(grid.shape)
         n_prof -= n_prof.mean()
@@ -174,7 +172,7 @@ def _initial_state(cfg: dict, grid, params, rng):
         raise ConfigError(f"unknown initial.profile: {kind}")
     target = _read(cfg, "initial.target_x0", _optional_number, 0.01)
     try:
-        return build_initial_data(grid, params, n_profile=n_prof, target_x0=target)
+        return hpc_solver.build_initial_data(grid, params, n_profile=n_prof, target_x0=target)
     except ValueError as exc:  # OutsideValidityWindow included
         raise ConfigError(f"initial block: {exc}")
 
@@ -186,38 +184,36 @@ def _completed(**fields) -> dict:
 # -- subcommands: each returns its summary -------------------------------------
 
 def cmd_analyze_symbol(cfg: dict, out: Path, args) -> dict:
-    from .diagnostics import write_csv
-    from .linear_analysis import (highfreq_asymptotic_check,
-                                  lowfreq_asymptotic_check, stability_scan)
-    from .model import check_stability
     params = _model_params(cfg)
     xi_max = _read(cfg, "experiment.xi_max", float, 50.0)
     samples = _read(cfg, "experiment.samples", _integer, 1000)
     low_targets = _read(cfg, "experiment.lowfreq_eps_xi", _numbers, [1e-2, 1e-3])
     high_targets = _read(cfg, "experiment.highfreq_eps_xi", _numbers, [1e2])
     try:   # targets outside their regime and scan bounds, found before any output
-        low = lowfreq_asymptotic_check(params, [t / params.eps for t in low_targets])
-        high = highfreq_asymptotic_check(params, [t / params.eps for t in high_targets])
-        worst, rows = stability_scan(params, xi_max, samples)
+        low = linear_analysis.lowfreq_asymptotic_check(params, np.divide(low_targets, params.eps))
+        high = linear_analysis.highfreq_asymptotic_check(params,
+                                                          np.divide(high_targets, params.eps))
+        worst, rows = linear_analysis.stability_scan(params, xi_max, samples)
     except (RuntimeError, ValueError) as exc:
         raise ConfigError(f"experiment block: {exc}")
-    write_csv(out / "spectrum.csv", ("xi", "re_lam1", "im_lam1", "re_lam2", "im_lam2",
-                                      "re_lam3", "im_lam3"),
-              ((xi, l1.real, l1.imag, l2.real, l2.imag, l3.real, l3.imag)
-               for xi, l1, l2, l3 in rows))
+    diagnostics.write_csv(out / "spectrum.csv", ("xi", "re_lam1", "im_lam1", "re_lam2",
+                                                  "im_lam2", "re_lam3", "im_lam3"),
+                          ((xi, l1.real, l1.imag, l2.real, l2.imag, l3.real, l3.imag)
+                           for xi, l1, l2, l3 in rows))
 
-    stable, margin = check_stability(params)
+    stable, margin = model.check_stability(params)
     summary = _completed(stable=bool(stable), margin=margin, max_re_lambda=worst)
     band_note = ""
-    if not stable:
-        band = float(np.sqrt(max(params.c1 * params.mu - params.b, 0.0)))
+    if margin < 0:   # |xi|^2 < c1 mu - b = -(b/c0) margin, an empty band at margin 0
+        band = float(np.sqrt(-margin * params.b / params.c0))
         summary["unstable_band"] = [0.0, band]
         band_note = f" unstable band |xi| in [0, {band:.4g})"
 
     low_keys, high_keys = ("ratio1", "ratio2", "ratio3"), ("ratio_re1", "ratio_im1", "ratio3")
-    write_csv(out / "asymptotics.csv", ("regime", "xi", "ratio_a", "ratio_b", "ratio_c"),
-              [("low", *r) for r in zip(low["xi"], *(low[k] for k in low_keys))]
-              + [("high", *r) for r in zip(high["xi"], *(high[k] for k in high_keys))])
+    diagnostics.write_csv(out / "asymptotics.csv",
+                          ("regime", "xi", "ratio_a", "ratio_b", "ratio_c"),
+                          [("low", *r) for r in zip(low["xi"], *(low[k] for k in low_keys))]
+                          + [("high", *r) for r in zip(high["xi"], *(high[k] for k in high_keys))])
     summary["lowfreq_ratios"] = {k: list(map(float, low[k])) for k in low_keys}
     summary["highfreq_ratios"] = {k: list(map(float, high[k])) for k in high_keys}
     print(f"analyze-symbol: verdict={'stable' if stable else 'unstable'} margin={margin:.6g} "
@@ -226,10 +222,6 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> dict:
 
 
 def cmd_simulate(cfg: dict, out: Path, args) -> dict:
-    from .hpc_solver import run
-    from .ks_solver import KsState, ks_run
-    from .spectral import SpectralField, save_field
-
     params = _model_params(cfg)
     grid = _grid(cfg)
     solver_cfg = _solver_config(cfg)
@@ -240,19 +232,19 @@ def cmd_simulate(cfg: dict, out: Path, args) -> dict:
 
     if args.command == "simulate-hpc":
         state, parts = _initial_state(cfg, grid, params, rng)
-        traj = run(state, solver_cfg)
+        traj = hpc_solver.run(state, solver_cfg)
         for i, s in enumerate(traj.states):
-            save_field(snap_dir / f"n_{i:04d}.npz", s.n)
-            save_field(snap_dir / f"u_{i:04d}.npz", s.u)
-            save_field(snap_dir / f"psi_{i:04d}.npz", s.psi)
+            spectral.save_field(snap_dir / f"n_{i:04d}.npz", s.n)
+            spectral.save_field(snap_dir / f"u_{i:04d}.npz", s.u)
+            spectral.save_field(snap_dir / f"psi_{i:04d}.npz", s.psi)
     else:
-        from .hpc_solver import gaussian_bump
         amp = _read(cfg, "initial.amplitude", float, 0.01)
-        rho0 = params.rho_bar + amp * gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
-        rho_f = SpectralField.from_physical(grid, rho0[None], dealiased=True)
-        traj = ks_run(KsState(0.0, rho_f, params), solver_cfg)
+        width = _read(cfg, "initial.width", float, 0.5)
+        rho0 = params.rho_bar + amp * hpc_solver.gaussian_bump(grid, width=width)
+        rho_f = spectral.SpectralField.from_physical(grid, rho0[None], dealiased=True)
+        traj = ks_solver.ks_run(ks_solver.KsState(0.0, rho_f, params), solver_cfg)
         for i, s in enumerate(traj.states):
-            save_field(snap_dir / f"rho_{i:04d}.npz", s.rho)
+            spectral.save_field(snap_dir / f"rho_{i:04d}.npz", s.rho)
 
     traj.series.to_csv(out / "series.csv")
     print(f"{args.command}: status={traj.status} snapshots={len(traj.states)}")
@@ -260,21 +252,20 @@ def cmd_simulate(cfg: dict, out: Path, args) -> dict:
 
 
 def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
-    from .diagnostics import write_csv
-    from .linear_analysis import semigroup_decay_study
     params = _model_params(cfg)
     window = _read(cfg, "experiment.window", _pair, [5.0, 50.0])
     d = _read(cfg, "experiment.d", _integer, 1)
     sigma0 = _read(cfg, "experiment.sigma0", float, -d / 2.0)
     sigma = _read(cfg, "experiment.sigma", float, d / 2.0)
     try:
-        res = semigroup_decay_study(params, sigma0, sigma, d=d, window=tuple(window))
+        res = linear_analysis.semigroup_decay_study(params, sigma0, sigma, d=d,
+                                                    window=tuple(window))
     except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
 
     norms = ("norm_triple", "norm_damped", "norm_phitilde", "norm_u", "norm_sup0")
-    write_csv(out / "decay.csv", ("t",) + norms,
-              zip(res.times, *(getattr(res, name) for name in norms)))
+    diagnostics.write_csv(out / "decay.csv", ("t",) + norms,
+                          zip(res.times, *(getattr(res, name) for name in norms)))
 
     rows = [
         ("triple", res.slope_triple, res.paper_slope),
@@ -282,10 +273,11 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
         ("phitilde_alone", res.slope_phitilde, res.paper_slope_damped),
         ("u_alone", res.slope_u, res.paper_slope_damped),
     ]
-    write_csv(out / "slopes.csv", ("d", "sigma0", "sigma", "quantity", "fitted_slope",
-                                    "reference_slope", "relative_gap"),
-              ((d, sigma0, sigma, name, got, ref, abs((got - ref) / ref) if ref != 0 else abs(got))
-               for name, got, ref in rows))
+    diagnostics.write_csv(out / "slopes.csv", ("d", "sigma0", "sigma", "quantity",
+                                                "fitted_slope", "reference_slope", "relative_gap"),
+                          ((d, sigma0, sigma, name, got, ref,
+                            abs((got - ref) / ref) if ref != 0 else abs(got))
+                           for name, got, ref in rows))
     print(f"decay-study: d={d} sigma0={sigma0} sigma={sigma} "
           f"slope={res.slope_triple:.4f} (reference {res.paper_slope:.3f}) "
           f"damped={res.slope_damped:.4f} (reference {res.paper_slope_damped:.3f})")
@@ -295,10 +287,6 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
 
 
 def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
-    from .diagnostics import relaxation_sweep
-    from .driver import RunFailed, whole_count
-    from .hpc_solver import gaussian_bump
-
     params = _model_params(cfg)
     grid = _grid(cfg)
     eps_list = _read(cfg, "experiment.eps_list", _numbers, required=True)
@@ -307,27 +295,28 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
     tau_end = _read(cfg, "experiment.tau_end", float, 2.0)
     snap_dtau = _read(cfg, "experiment.snap_dtau", float, 0.05)
     try:
-        whole_count(tau_end, snap_dtau, "tau_end")
+        driver.whole_count(tau_end, snap_dtau, "tau_end")
     except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
     amp = _read(cfg, "experiment.amplitude", float, 0.02)
-    rho0 = params.rho_bar + amp * gaussian_bump(grid, width=_read(cfg, "experiment.width", float, 0.8))
+    width = _read(cfg, "experiment.width", float, 0.8)
+    rho0 = params.rho_bar + amp * hpc_solver.gaussian_bump(grid, width=width)
     window = _read(cfg, "experiment.slope_window", _pair, [0.8, 1.2])
 
     offset = None
     offset_amp = _read(cfg, "experiment.offset_amplitude", _optional_number)
     if offset_amp is not None:
-        offset = offset_amp * gaussian_bump(
+        offset = offset_amp * hpc_solver.gaussian_bump(
             grid, width=_read(cfg, "experiment.offset_width", float, 0.6),
             center=[grid.L / 3.0] * grid.d)
     try:
-        report = relaxation_sweep(
+        report = diagnostics.relaxation_sweep(
             grid, params, rho0, eps_list, tau_end=tau_end, snap_dtau=snap_dtau,
             dt_fast=_read(cfg, "experiment.dt_fast", float, 0.01), rho_offset_phys=offset,
             high_freq_budget=_read(cfg, "experiment.high_freq_budget", _optional_number))
-    except ValueError as exc:  # data outside the window or the grid's band
+    except ValueError as exc:  # an eps, dt_fast, data or threshold mode rejected before any run
         raise ConfigError(f"experiment block: {exc}")
-    except RunFailed as exc:
+    except driver.RunFailed as exc:
         return {"status": exc.status, "message": str(exc)}
     report.to_csv(out / "relaxation.csv")
     report.to_json(out / "relaxation.json")
@@ -344,9 +333,6 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
 
 
 def cmd_lyapunov_check(cfg: dict, out: Path, args) -> dict:
-    from .diagnostics import lyapunov_equivalence_check
-    from .hpc_solver import run
-
     params = _model_params(cfg)
     grid = _grid(cfg)
     solver_cfg = _solver_config(cfg)
@@ -358,10 +344,10 @@ def cmd_lyapunov_check(cfg: dict, out: Path, args) -> dict:
                           f"got eta0={eta0}, c_tol={c_tol}")
 
     state, _ = _initial_state(cfg, grid, params, rng)
-    traj = run(state, solver_cfg)
+    traj = hpc_solver.run(state, solver_cfg)
     if traj.status != "completed":
         return {"status": traj.status, "message": f"run failed: {traj.message}"}
-    report = lyapunov_equivalence_check(traj, eta0=eta0, c_tol=c_tol)
+    report = diagnostics.lyapunov_equivalence_check(traj, eta0=eta0, c_tol=c_tol)
     report.to_csv(out / "lyapunov.csv")
     print(f"lyapunov-check: rows={len(report.rows)} violations={len(report.violations)} "
           f"skipped={report.skipped_below_floor}")

@@ -1,5 +1,5 @@
-"""Measurements on solutions: damped modes, Lyapunov functionals, decay fits,
-and the relaxation-limit error sweep.
+"""Measurements on solutions: damped modes, Lyapunov functionals and the
+relaxation-limit error sweep.
 
 Nothing here advances a solution; every function is a pure evaluation of
 states or trajectories produced by the solvers.
@@ -18,7 +18,9 @@ from .hpc_solver import (
     HpcState,
     equilibrium_psi,
     hybrid_aggregate,
+    rough_mode_profile,
     run,
+    threshold_mode,
 )
 from .ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from .model import (
@@ -48,7 +50,6 @@ __all__ = [
     "damped_mode_decay_check",
     "lyapunov_evaluate",
     "lyapunov_equivalence_check",
-    "decay_fit",
     "relaxation_sweep",
     "rescale_to_slow",
     "rescale_to_fast",
@@ -274,29 +275,6 @@ def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
     return report
 
 
-# -- decay fits -------------------------------------------------------------------
-
-def decay_fit(times, values, eps: float, window=(5.0, 50.0)):
-    """Least-squares slope of log(value) against log(1 + eps t) on the window.
-
-    Returns (slope, fit_rms, n_samples); requires at least 8 positive samples
-    with eps t inside the window.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    mask = (eps * times >= window[0]) & (eps * times <= window[1])
-    if int(mask.sum()) < 8:
-        raise ValueError(f"need >= 8 samples in the fit window, got {int(mask.sum())}")
-    v = values[mask]
-    if np.any(v <= 0):
-        raise ValueError("decay fit requires positive values in the window")
-    x = np.log1p(eps * times[mask])
-    y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return float(slope), rms, int(mask.sum())
-
-
 # -- relaxation sweep --------------------------------------------------------------
 
 def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray):
@@ -424,21 +402,25 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    With ``high_freq_budget``, every member's threshold mode is checked
-    against the grid's dealiased band before any run (ValueError).  A member
-    or limit-model run that does not complete raises :class:`RunFailed` with
-    its status ("blowup" or "mass_drift").  Members run one after another:
-    ``threads`` must be 1.
+    Before any run, every eps must give valid parameters and a threshold
+    J_eps, ``dt_fast`` must be positive and finite, and with
+    ``high_freq_budget`` every member's threshold mode must lie in the grid's
+    dealiased band (ValueError otherwise).  A member or limit-model run that
+    does not complete raises :class:`RunFailed` with its status ("blowup" or
+    "mass_drift").  Members run one after another: ``threads`` must be 1.
     """
-    from .hpc_solver import rough_mode_profile, threshold_mode
-
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
+    if not (0 < dt_fast < math.inf):
+        raise ValueError(f"dt_fast must be positive and finite, got {dt_fast!r}")
 
     eps_list = sorted(eps_list, reverse=True)
-    if high_freq_budget is not None:
-        for eps in eps_list:
-            threshold_mode(grid, replace(base_params, eps=eps))
+    for eps in eps_list:   # every member's eps, threshold and threshold mode
+        member = replace(base_params, eps=eps)
+        if high_freq_budget is None:
+            member.threshold()
+        else:
+            threshold_mode(grid, member)
     dec = grid.decomposition
     d_half = grid.d / 2.0
 

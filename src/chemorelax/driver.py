@@ -6,17 +6,21 @@ only when it is read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
 
 from .model import OutsideValidityWindow
 
-__all__ = ["BLOWUP_FACTOR", "BlowupError", "RunFailed", "SolverConfig", "Trajectory",
-           "integrate", "whole_count"]
+__all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "BlowupError", "RunFailed", "SolverConfig",
+           "Trajectory", "integrate", "whole_count"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
+# operational smallness for near-equilibrium runs; larger data is allowed but
+# the global bound is then only an experiment, not an expectation
+SMALL_DATA_HINT = 0.05
 
 
 class BlowupError(RuntimeError):
@@ -32,9 +36,10 @@ class RunFailed(RuntimeError):
 
 
 def whole_count(span: float, unit: float, name: str) -> int:
-    """round(span / unit); ValueError unless that many (at least one) ``unit``
-    intervals land on ``span`` within 1e-9 relative."""
-    count = round(span / unit) if unit > 0 else 0
+    """round(span / unit); ValueError if span / unit is not finite, or unless
+    that many (at least one) ``unit`` intervals land on ``span`` within 1e-9
+    relative."""
+    count = round(span / unit) if unit > 0 and math.isfinite(span / unit) else 0
     if count < 1 or abs(count * unit - span) > 1e-9 * span:
         raise ValueError(f"{name}={span!r} is not a whole number of snapshot "
                          f"intervals of {unit!r}")
@@ -60,12 +65,9 @@ class SolverConfig:
         if dealias is not True:
             raise ValueError(f"dealias must be true (products are always dealiased), "
                              f"got {dealias!r}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if not (self.t_end > 0):
-            raise ValueError("t_end must be positive")
-        if self.snap_dt is not None and not (self.snap_dt > 0):
-            raise ValueError("snap_dt must be positive")
+        for name, value in (("dt", self.dt), ("t_end", self.t_end), ("snap_dt", self.snap_dt)):
+            if value is not None and not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.schedule()
 
     def schedule(self) -> tuple[int, int]:

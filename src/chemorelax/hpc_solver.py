@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
-from .driver import BLOWUP_FACTOR, BlowupError, SolverConfig, Trajectory, integrate
+from .driver import (BLOWUP_FACTOR, SMALL_DATA_HINT, BlowupError, SolverConfig, Trajectory,
+                     integrate)
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
@@ -81,11 +82,6 @@ __all__ = [
     "rough_mode_profile",
     "threshold_mode",
 ]
-
-
-# operational smallness for near-equilibrium runs; larger data is allowed but
-# the global bound is then only an experiment, not an expectation
-SMALL_DATA_HINT = 0.05
 
 # a step of dt is taken when dt max|u| <= CFL_SAFETY dx, else halved, at most
 # MAX_CFL_HALVINGS times before the run counts as blown up

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
-from .driver import BLOWUP_FACTOR, BlowupError, SolverConfig, Trajectory, integrate
+from .driver import (BLOWUP_FACTOR, SMALL_DATA_HINT, BlowupError, SolverConfig, Trajectory,
+                     integrate)
 from .model import ModelParams, _check_window
 from .spectral import (
     Grid,
@@ -151,8 +152,6 @@ def ks_step(state: KsState, tables: KsTables) -> KsState:
 def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     """Integrate to config.t_end (interpreted in slow time tau); a window escape
     or a B^{d/2}_{2,1} norm above BLOWUP_FACTOR x the initial one is "blowup"."""
-    from .hpc_solver import SMALL_DATA_HINT
-
     grid = initial.grid
     dec = grid.decomposition
     pert0 = float(np.max(np.abs(initial.rho.to_physical()[0] - initial.params.rho_bar)))

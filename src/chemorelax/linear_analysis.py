@@ -8,7 +8,8 @@ matrix, the characteristic cubic (with the pressure stiffness c0 carried
 explicitly), its roots with residual certificates, asymptotic-ratio tables for
 the low/high frequency regimes, a stability scan, and a radially-resolved
 continuum evolution used to measure time-decay exponents of Besov norms on
-R^d, which a torus run cannot exhibit.
+R^d, which a torus run cannot exhibit, with the log-log fit (``decay_fit``)
+that reads the exponents off.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "stability_scan",
     "RadialQuadrature",
     "DecayStudyResult",
+    "decay_fit",
     "semigroup_decay_study",
     "SPHERE_MEASURE",
 ]
@@ -213,38 +215,37 @@ DECAY_QUAD_TOL = 1e-6
 
 @dataclass(eq=False)
 class RadialQuadrature:
-    """Gauss-Legendre nodes on each dyadic ring of (0, r_max].
+    """Gauss-Legendre nodes on each dyadic ring j_lo .. j_hi of (0, r_max].
 
     Panels are aligned with the ring profile's smoothness breakpoints so every
     panel integrand is smooth; nodes_per_panel = 32 gives three panels (96
-    nodes) per ring, comfortably past the 64-shells-per-ring budget.
+    nodes) per ring, comfortably past the 64-shells-per-ring budget.  ``r``
+    and ``meas`` are (rings, nodes) arrays: the nodes of ring ``js[i]`` and its
+    measure phi(2^{-j} r)^2 r^{d-1} dr over the sphere.
     """
 
     d: int
     j_lo: int
     j_hi: int
     nodes_per_panel: int = 32
-    rings: list = field(default_factory=list, repr=False)
+    js: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    meas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gl_x, gl_w = np.polynomial.legendre.leggauss(self.nodes_per_panel)
-        for j in range(self.j_lo, self.j_hi + 1):
-            s = 2.0 ** j
-            nodes, weights = [], []
-            for lo, hi in zip(_RING_BREAKS[:-1], _RING_BREAKS[1:]):
-                mid, half = 0.5 * (hi + lo) * s, 0.5 * (hi - lo) * s
-                nodes.append(mid + half * gl_x)
-                weights.append(half * gl_w)
-            r = np.concatenate(nodes)
-            w = np.concatenate(weights)
-            # ring-j measure: phi(2^{-j} r)^2 r^{d-1} dr over the sphere
-            meas = SPHERE_MEASURE[self.d] * w * ring_profile(r / s) ** 2 * r ** (self.d - 1)
-            self.rings.append((j, r, meas))
+        lo, hi = np.array(_RING_BREAKS[:-1])[:, None], np.array(_RING_BREAKS[1:])[:, None]
+        x = (0.5 * (hi + lo) + 0.5 * (hi - lo) * gl_x).ravel()   # ring 0's nodes
+        w = SPHERE_MEASURE[self.d] * (0.5 * (hi - lo) * gl_w).ravel() * ring_profile(x) ** 2
+        self.js = np.arange(self.j_lo, self.j_hi + 1)
+        scale = 2.0 ** self.js[:, None]
+        self.r = scale * x
+        self.meas = scale * w * self.r ** (self.d - 1)
 
-    def ring_l2(self, j_index: int, values: np.ndarray) -> float:
-        """L2 mass of one ring given |f|(r) sampled at that ring's nodes."""
-        _, _, meas = self.rings[j_index]
-        return float(np.sqrt(np.sum(meas * np.abs(values) ** 2)))
+    def ring_l2(self, values: np.ndarray) -> np.ndarray:
+        """L2 mass of every ring given |f|(r) sampled at the nodes: values
+        shaped (..., rings, nodes) give masses shaped (..., rings)."""
+        return np.sqrt(np.sum(self.meas * np.abs(values) ** 2, axis=-1))
 
     def refine(self) -> "RadialQuadrature":
         return RadialQuadrature(d=self.d, j_lo=self.j_lo, j_hi=self.j_hi,
@@ -273,10 +274,25 @@ class DecayStudyResult:
     paper_slope_damped: float    # -(1 + sigma - sigma0)/2
 
 
-def _fit(times, values, eps, window):
-    from .diagnostics import decay_fit
-    slope, _, _ = decay_fit(times, values, eps, window=window)
-    return slope
+def decay_fit(times, values, eps: float, window=(5.0, 50.0)):
+    """Least-squares slope of log(value) against log(1 + eps t) on the window.
+
+    Returns (slope, fit_rms, n_samples); requires at least 8 positive samples
+    with eps t inside the window.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    mask = (eps * times >= window[0]) & (eps * times <= window[1])
+    if int(mask.sum()) < 8:
+        raise ValueError(f"need >= 8 samples in the fit window, got {int(mask.sum())}")
+    v = values[mask]
+    if np.any(v <= 0):
+        raise ValueError("decay fit requires positive values in the window")
+    x = np.log1p(eps * times[mask])
+    y = np.log(v)
+    slope, intercept = np.polyfit(x, y, 1)
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return float(slope), rms, int(mask.sum())
 
 
 def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d: int,
@@ -284,8 +300,9 @@ def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d
     """Evolve radial data by the exact per-shell matrix exponential and fit decay.
 
     Every component (n, m, psi) starts from the Gaussian coefficient profile
-    exp(-r^2/2).  Each quadrature node is diagonalized once; Besov norms are
-    assembled per dyadic ring and the log-norm is fit against log(1 + eps t)
+    exp(-r^2/2).  The symbol is diagonalized once at every quadrature node;
+    the solution at all fit times, its ring masses and the Besov norms are
+    arrays over (times, rings), and the log-norm is fit against log(1 + eps t)
     on the declared window.
     """
     if not (-d / 2 <= sigma0 < d / 2):
@@ -305,61 +322,32 @@ def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d
 
     # quadrature resolution certificate at t = 0 (rings with negligible mass
     # relative to the largest ring carry no norm information and are skipped)
-    coarse = np.array([quad.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(quad.rings)])
-    refined = np.array([fine.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(fine.rings)])
-    floor = 1e-12 * refined.max()
-    for i, (j, _, _) in enumerate(quad.rings):
-        if refined[i] > floor and abs(coarse[i] - refined[i]) > DECAY_QUAD_TOL * refined[i]:
-            raise RuntimeError(f"ring {j} quadrature error above {DECAY_QUAD_TOL:g} at t=0")
+    coarse, refined = quad.ring_l2(profile(quad.r)), fine.ring_l2(profile(fine.r))
+    bad = (refined > 1e-12 * refined.max()) & (np.abs(coarse - refined) > DECAY_QUAD_TOL * refined)
+    if bad.any():
+        raise RuntimeError(f"ring {quad.js[bad.argmax()]} quadrature error above "
+                           f"{DECAY_QUAD_TOL:g} at t=0")
 
-    # diagonalize the symbol at every node of every ring
-    ring_data = []
-    for j, rr, meas in quad.rings:
-        mats = np.stack([symbol_matrix(float(r), p) for r in rr])
-        lam, V = np.linalg.eig(mats)
-        cond = (np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(V), axis=(1, 2)))
-        if np.any(cond > 1e8):
-            raise RuntimeError("near-defective symbol matrix in decay study")
-        f0 = profile(rr)
-        y0 = np.stack([f0, f0, f0], axis=1).astype(complex)
-        coeffs = np.einsum("nij,nj->ni", np.linalg.inv(V), y0)
-        ring_data.append((j, lam, V, coeffs))
+    lam, V = np.linalg.eig(np.stack([symbol_matrix(float(r), p) for r in quad.r.ravel()]))
+    if np.any(np.linalg.cond(V, "fro") > 1e8):
+        raise RuntimeError("near-defective symbol matrix in decay study")
+    y0 = np.repeat(profile(quad.r.reshape(-1, 1)), 3, axis=1)
+    coeffs = np.einsum("nij,nj->ni", np.linalg.inv(V), y0)
 
-    t0, t1 = window[0] / p.eps, window[1] / p.eps
-    times = np.geomspace(t0, t1, DECAY_TIMES)
+    times = np.geomspace(window[0] / p.eps, window[1] / p.eps, DECAY_TIMES)
+    y = np.einsum("nij,tnj->itn", V, coeffs * np.exp(lam * times[:, None, None]))
+    y = y.reshape(3, DECAY_TIMES, *quad.r.shape)   # (n, m, psi) by time, ring and node
+    ln, lu, lpsi = quad.ring_l2(y)                  # each (times, rings); |u^| = |m^|
+    lpt = quad.ring_l2(p.b * y[2] - p.c1 * y[0])
+    w_sig = 2.0 ** (quad.js * sigma)
 
-    norm_triple, norm_damped, norm_pt, norm_u, norm_sup0 = [], [], [], [], []
-    for t in times:
-        tot_triple = tot_damped = tot_pt = tot_u = 0.0
-        sup0 = 0.0
-        for idx, (j, lam, V, coeffs) in enumerate(ring_data):
-            y = np.einsum("nij,nj->ni", V, coeffs * np.exp(lam * t))
-            ln = quad.ring_l2(idx, y[:, 0])
-            lu = quad.ring_l2(idx, y[:, 1])       # |u^| = |m^| for radial data
-            lpsi = quad.ring_l2(idx, y[:, 2])
-            lpt = quad.ring_l2(idx, p.b * y[:, 2] - p.c1 * y[:, 0])
-            w_sig = 2.0 ** (j * sigma)
-            tot_triple += w_sig * (ln + lu + lpsi)
-            tot_damped += w_sig * (lu + lpt)
-            tot_pt += w_sig * lpt
-            tot_u += w_sig * lu
-            sup0 = max(sup0, 2.0 ** (j * sigma0) * (ln + lu + lpsi))
-        norm_triple.append(tot_triple)
-        norm_damped.append(tot_damped)
-        norm_pt.append(tot_pt)
-        norm_u.append(tot_u)
-        norm_sup0.append(sup0)
-
-    series = dict(norm_triple=np.array(norm_triple), norm_damped=np.array(norm_damped),
-                  norm_phitilde=np.array(norm_pt), norm_u=np.array(norm_u),
-                  norm_sup0=np.array(norm_sup0))
+    series = dict(norm_triple=(ln + lu + lpsi) @ w_sig, norm_damped=(lu + lpt) @ w_sig,
+                  norm_phitilde=lpt @ w_sig, norm_u=lu @ w_sig,
+                  norm_sup0=np.max(2.0 ** (quad.js * sigma0) * (ln + lu + lpsi), axis=1))
+    slopes = {name.replace("norm_", "slope_"): decay_fit(times, values, p.eps, window)[0]
+              for name, values in series.items()}
     return DecayStudyResult(
-        d=d, sigma0=sigma0, sigma=sigma, times=times, **series,
-        slope_triple=_fit(times, series["norm_triple"], p.eps, window),
-        slope_damped=_fit(times, series["norm_damped"], p.eps, window),
-        slope_phitilde=_fit(times, series["norm_phitilde"], p.eps, window),
-        slope_u=_fit(times, series["norm_u"], p.eps, window),
-        slope_sup0=_fit(times, series["norm_sup0"], p.eps, window),
+        d=d, sigma0=sigma0, sigma=sigma, times=times, **series, **slopes,
         paper_slope=-(sigma - sigma0) / 2.0,
         paper_slope_damped=-(1.0 + sigma - sigma0) / 2.0,
     )

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .spectral import compute_threshold
+
 __all__ = [
     "PressureLaw",
     "ModelParams",
@@ -110,7 +112,6 @@ class ModelParams:
         return float(self.c0 - self.a * self.mu * self.rho_bar / self.b)
 
     def threshold(self) -> int:
-        from .spectral import compute_threshold
         return compute_threshold(self.eps, self.j_offset)
 
     def window(self) -> tuple:

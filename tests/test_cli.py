@@ -58,8 +58,9 @@ class TestAnalyzeSymbol:
         assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 11
 
-    def test_zero_margin_reported_unstable(self, tmp_path):
-        """A margin that rounds to exactly 0 is a result, not a crash."""
+    def test_zero_margin_reported_unstable(self, tmp_path, capsys):
+        """A margin that rounds to exactly 0 is a result, not a crash; the
+        band |xi|^2 < c1 mu - b is then empty and is not reported."""
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(epsilon=0.1, mu=20.0, a=0.1, b=1.0, rho_bar=0.7),
             "experiment": {"xi_max": 5.0, "samples": 10},
@@ -67,6 +68,8 @@ class TestAnalyzeSymbol:
         assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert (summary["status"], summary["margin"], summary["stable"]) == ("completed", 0.0, False)
+        assert "unstable_band" not in summary
+        assert "unstable band" not in capsys.readouterr().out
 
     def test_missing_key_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"model": {"epsilon": 0.1}})
@@ -177,10 +180,12 @@ class TestSimulate:
         {"dt": 0.05, "t_end": 0.5, "mass_fix": False},
         {"dt": 0.05, "t_end": 0.5, "cfl_safety": 0.3},
         {"dt": 0.05, "t_end": 0.5, "mass_fx": False},
+        {"dt": 0.05, "t_end": float("inf")},
+        {"dt": 0.05, "t_end": 0.5, "snap_dt": float("inf")},
     ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number",
             "snap_dt_negative", "snap_dt_zero", "t_end_before_first_snapshot",
             "t_end_between_snapshots", "dealias_false", "mass_fix_key", "cfl_safety_key",
-            "misspelled_key"])
+            "misspelled_key", "t_end_infinite", "snap_dt_infinite"])
     def test_invalid_solver_block_exit_2(self, tmp_path, capsys, solver):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
@@ -565,12 +570,26 @@ class TestExperimentBlockErrors:
         ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1.5, "N": 32, "L": 1.0}},
          "grid.d must be an integer, got 1.5"),
         ("decay-study", {"d": 2.5}, {}, "experiment.d must be an integer, got 2.5"),
+        ("relaxation-sweep", {"eps_list": [0.2, 0.1, 0.0]}, SWEEP_GRID,
+         "eps must lie in (0, 1], got 0.0"),
+        ("relaxation-sweep", {"eps_list": [1.0, 0.5, 0.25]}, SWEEP_GRID,
+         "threshold requires eps in (0, 1), got 1.0"),
+        ("relaxation-sweep", {"eps_list": EPS, "dt_fast": 0}, SWEEP_GRID,
+         "dt_fast must be positive and finite, got 0.0"),
+        ("relaxation-sweep", {"eps_list": EPS, "dt_fast": -0.01}, SWEEP_GRID,
+         "dt_fast must be positive and finite, got -0.01"),
+        ("relaxation-sweep", {"eps_list": EPS, "dt_fast": float("inf")}, SWEEP_GRID,
+         "dt_fast must be positive and finite, got inf"),
+        ("relaxation-sweep", {"eps_list": EPS, "tau_end": float("inf")}, SWEEP_GRID,
+         "tau_end=inf is not a whole number of snapshot intervals"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
             "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
             "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
             "sweep-slope_window", "sweep-slope_window-inverted", "symbol-lowfreq-scalar", "symbol-lowfreq-regime",
             "model-null", "grid-null", "symbol-samples-fraction", "grid-N-fraction",
-            "grid-d-fraction", "decay-d-fraction"])
+            "grid-d-fraction", "decay-d-fraction", "sweep-eps-zero", "sweep-eps-one",
+            "sweep-dt_fast-zero", "sweep-dt_fast-negative", "sweep-dt_fast-infinite",
+            "sweep-tau_end-infinite"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -7,7 +7,6 @@ import pytest
 
 from chemorelax.diagnostics import (
     damped_mode_decay_check,
-    decay_fit,
     effective_modes,
     lyapunov_equivalence_check,
     lyapunov_evaluate,
@@ -22,6 +21,7 @@ from chemorelax.hpc_solver import (
     gaussian_bump,
     run,
 )
+from chemorelax.linear_analysis import decay_fit
 from chemorelax.model import ModelParams, PressureLaw, coefficient_H
 from chemorelax.spectral import SpectralField, divergence, make_decomposition, make_grid
 

@@ -1,7 +1,7 @@
 """Every name a chemorelax module lists in ``__all__`` resolves, and so does
 every name the benchmark's tracer wraps; the solver-side modules' public
-signatures carry no more defaulted parameters than pinned here, and no module
-checks an invariant with ``assert``."""
+signatures carry no more defaulted parameters than pinned here, no module
+checks an invariant with ``assert``, and no function imports inside its body."""
 
 import ast
 import importlib
@@ -82,4 +82,32 @@ def test_no_assert_in_the_package():
             if isinstance(node, ast.Assert) or (
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+# Trajectory.series builds a diagnostics.DiagnosticSeries, looked up in
+# diagnostics when the series is read: the benchmark's tracer wraps its methods
+# there, and diagnostics imports driver.
+DEFERRED_IMPORTS = {"driver.Trajectory.series"}
+
+
+def _imports_in_functions(node, qualname, in_function=False):
+    """(qualified name, line) of every import inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+            yield qualname, child.lineno
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _imports_in_functions(child, f"{qualname}.{child.name}",
+                                             in_function or not isinstance(child, ast.ClassDef))
+        else:
+            yield from _imports_in_functions(child, qualname, in_function)
+
+
+def test_imports_at_module_top():
+    """Each module imports what it uses at its top, so the package has one
+    import order and no cycle is hidden inside a function."""
+    src = Path(chemorelax.__file__).resolve().parent
+    found = [f"{name}:{line}" for path in sorted(src.glob("*.py"))
+             for name, line in _imports_in_functions(ast.parse(path.read_text()), path.stem)
+             if name not in DEFERRED_IMPORTS]
     assert not found, found

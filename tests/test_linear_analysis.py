@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from chemorelax.linear_analysis import (
+    SPHERE_MEASURE,
     RadialQuadrature,
     characteristic_cubic,
     eigenvalues,
@@ -15,6 +16,7 @@ from chemorelax.linear_analysis import (
     symbol_matrix,
 )
 from chemorelax.model import ModelParams, PressureLaw
+from chemorelax.spectral import ring_profile
 
 
 def normalized_params(eps=1.0, b=1.0, c1mu=0.5, mu=1.0):
@@ -225,8 +227,7 @@ class TestContinuumQuadrature:
         def profile(r):
             return np.where((r >= 4 / 3) & (r <= 1.5), r ** 2, 0.0)
 
-        idx = [j for j, _, _ in quad.rings].index(0)
-        got = quad.ring_l2(idx, profile(quad.rings[idx][1]))
+        got = quad.ring_l2(profile(quad.r))[list(quad.js).index(0)]
         exact = np.sqrt(2.0 * ((1.5 ** 5 - (4 / 3) ** 5) / 5.0))
         assert abs(got - exact) <= 1e-8 * exact
 
@@ -236,9 +237,45 @@ class TestContinuumQuadrature:
 
         exact_l2 = np.sqrt(2.0 * (1.5 - 4 / 3))
         quad = RadialQuadrature(d=1, j_lo=-3, j_hi=3)
-        ring_l2 = np.array([quad.ring_l2(i, profile(rr)) for i, (_, rr, _) in enumerate(quad.rings)])
-        got = ring_l2.sum()   # the B^0_{2,1} norm: ring weights 2^{0 j} = 1
+        got = quad.ring_l2(profile(quad.r)).sum()   # the B^0_{2,1} norm: ring weights 2^{0 j} = 1
         assert abs(got - exact_l2) <= 1e-8 * exact_l2
+
+
+def per_ring_decay_norms(p, sigma0, sigma, d, times):
+    """The five norm series of the decay study, ring by ring and time by time,
+    with one eigendecomposition per ring: the study's reference."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(32)
+    breaks = (0.75, 4.0 / 3.0, 1.5, 8.0 / 3.0)
+    rings = []
+    for j in range(-20, 7):
+        s = 2.0 ** j
+        r = np.concatenate([0.5 * (hi + lo) * s + 0.5 * (hi - lo) * s * gl_x
+                            for lo, hi in zip(breaks[:-1], breaks[1:])])
+        w = np.concatenate([0.5 * (hi - lo) * s * gl_w for lo, hi in zip(breaks[:-1], breaks[1:])])
+        meas = SPHERE_MEASURE[d] * w * ring_profile(r / s) ** 2 * r ** (d - 1)
+        lam, V = np.linalg.eig(np.stack([symbol_matrix(float(x), p) for x in r]))
+        f0 = np.exp(-r * r / 2.0)
+        coeffs = np.einsum("nij,nj->ni", np.linalg.inv(V), np.stack([f0, f0, f0], axis=1))
+        rings.append((j, meas, lam, V, coeffs))
+
+    def l2(meas, values):
+        return float(np.sqrt(np.sum(meas * np.abs(values) ** 2)))
+
+    norms = []
+    for t in times:
+        triple = damped = pt = u_only = sup0 = 0.0
+        for j, meas, lam, V, coeffs in rings:
+            y = np.einsum("nij,nj->ni", V, coeffs * np.exp(lam * t))
+            ln, lu, lpsi = (l2(meas, y[:, k]) for k in range(3))
+            lpt = l2(meas, p.b * y[:, 2] - p.c1 * y[:, 0])
+            w_sig = 2.0 ** (j * sigma)
+            triple += w_sig * (ln + lu + lpsi)
+            damped += w_sig * (lu + lpt)
+            pt += w_sig * lpt
+            u_only += w_sig * lu
+            sup0 = max(sup0, 2.0 ** (j * sigma0) * (ln + lu + lpsi))
+        norms.append((triple, damped, pt, u_only, sup0))
+    return np.array(norms).T
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +300,27 @@ class TestDecayStudy:
         """At sigma = sigma0 the sup-type norm stays bounded: slope ~ 0."""
         res = semigroup_decay_study(decay_params, sigma0=-0.5, sigma=0.5, d=1)
         assert abs(res.slope_sup0) <= 0.02
+
+    @pytest.mark.parametrize("d,sigma0,sigma", [(1, -0.5, 0.5), (2, -1.0, 0.0), (3, -1.5, 0.5)])
+    def test_matches_per_ring_evaluation(self, decay_params, monkeypatch, d, sigma0, sigma):
+        """One diagonalization over all nodes gives the per-ring norms."""
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        res = semigroup_decay_study(decay_params, sigma0=sigma0, sigma=sigma, d=d)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        ref = per_ring_decay_norms(decay_params, sigma0, sigma, d, res.times)
+        got = np.array([res.norm_triple, res.norm_damped, res.norm_phitilde, res.norm_u,
+                        res.norm_sup0])
+        assert np.max(np.abs(got - ref) / ref) <= 1e-13
+
+    def test_d3_gaussian_slopes(self, decay_params):
+        """In d = 3 the base rate is -(sigma - sigma0)/2 = -1, the sup-type
+        norm at sigma0 stays bounded and the damped pair is faster."""
+        res = semigroup_decay_study(decay_params, sigma0=-1.5, sigma=0.5, d=3)
+        assert abs(res.slope_triple + 1.0) <= 0.1
+        assert abs(res.slope_sup0) <= 0.02
+        assert res.slope_damped < res.slope_triple - 0.25
 
     def test_d2_damped_combination(self):
         """The damped pair decays one half-power faster than the base rate."""
