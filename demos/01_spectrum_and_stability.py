@@ -32,8 +32,8 @@ stable, margin = check_stability(params)
 print(f"margin P'(rho_bar) - a mu rho_bar / b = {margin:+.3f}  ->  "
       f"{'stable' if stable else 'unstable'}")
 
-tri = eigenvalues(0.0, params)
-print(f"\nroots at xi = 0: {np.sort(tri.lam.real)}  (exactly 0, -1/eps, -b)")
+lam, _ = eigenvalues(0.0, params)
+print(f"\nroots at xi = 0: {np.sort(lam.real)}  (exactly 0, -1/eps, -b)")
 
 print("\nlow-frequency ratios against the leading asymptotics "
       "(lambda1 / heat rate, lambda2 / (-1/eps), lambda3 / (-b)):")
@@ -48,6 +48,10 @@ for exi in (10.0, 100.0):
     t = highfreq_asymptotic_check(params, [exi / params.eps])
     print(f"  eps|xi| = {exi:<6g} ->  {t['ratio_re1'][0]:.5f}  {t['ratio_im1'][0]:.5f}  "
           f"{t['ratio3'][0]:.5f}")
+
+xi = np.geomspace(1e-2 / params.eps, 1e2 / params.eps, 2001)
+lam, has_pair = eigenvalues(xi, params)   # one call over the whole grid
+print(f"\nthe acoustic pair first appears at eps|xi| = {params.eps * xi[has_pair][0]:.3f}")
 
 worst, _ = stability_scan(params, xi_max=50.0, samples=500)
 print(f"\nmax Re lambda over a 500-point scan: {worst:.3e}")

@@ -6,8 +6,8 @@ Submodules
 spectral         periodic fields, Fourier multipliers, dyadic blocks, Besov norms
 model            pressure laws, enthalpy variable, nonlinear coefficients, stability
 linear_analysis  linearized symbol, spectrum, continuum decay studies and fits
-driver           snapshot schedule, time-integration loop and trajectory type
-                 shared by both solvers
+driver           snapshot schedule, time-integration loop, trajectory type and
+                 its diagnostic series, shared by both solvers; the CSV writer
 hpc_solver       exponential-integrator solver for the relaxation system
 ks_solver        solver for the parabolic-elliptic limit model
 diagnostics      damped modes, Lyapunov functionals, relaxation sweep

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .driver import RunFailed, SolverConfig, Trajectory
+from .driver import DiagnosticSeries, RunFailed, SolverConfig, Trajectory, write_csv
 from .hpc_solver import (
     HpcState,
     equilibrium_psi,
@@ -60,36 +60,6 @@ __all__ = [
 CONTRACT_FACTOR = 20.0
 # lyapunov_equivalence_check skips blocks whose energy is at round-off level
 LYAPUNOV_NOISE_FLOOR = 1e-20
-
-
-def write_csv(path, header, rows) -> None:
-    """A CSV table: the header's names, then one line per row with each cell
-    as ``str(cell)``, the shortest round-trip form for Python and numpy floats."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
-
-
-class DiagnosticSeries:
-    """Column store of time-indexed diagnostics; rows are added as keywords."""
-
-    def __init__(self):
-        self._rows: list[dict] = []
-
-    def add(self, **kw):
-        self._rows.append(kw)
-
-    @property
-    def names(self):
-        return list(self._rows[0].keys()) if self._rows else []
-
-    def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self._rows])
-
-    def to_csv(self, path):
-        names = self.names
-        write_csv(path, names, ([row[k] for k in names] for row in self._rows))
 
 
 # -- effective damped modes -----------------------------------------------------
@@ -402,10 +372,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    Before any run, every eps must give valid parameters and a threshold
-    J_eps, ``dt_fast`` must be positive and finite, and with
-    ``high_freq_budget`` every member's threshold mode must lie in the grid's
-    dealiased band (ValueError otherwise).  A member or limit-model run that
+    Before any run, the eps must be distinct and each must give valid
+    parameters and a threshold J_eps, ``dt_fast`` must be positive and finite,
+    and with ``high_freq_budget`` every member's threshold mode must lie in the
+    grid's dealiased band (ValueError otherwise).  A member or limit-model run that
     does not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift").  Members run one after another: ``threads`` must be 1.
     """
@@ -413,6 +383,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
     if not (0 < dt_fast < math.inf):
         raise ValueError(f"dt_fast must be positive and finite, got {dt_fast!r}")
+    if len(set(eps_list)) < len(eps_list):   # the slope fit needs distinct log(eps)
+        raise ValueError(f"eps_list repeats a value: {list(eps_list)}")
 
     eps_list = sorted(eps_list, reverse=True)
     for eps in eps_list:   # every member's eps, threshold and threshold mode

@@ -1,7 +1,8 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with its blow-up status, and the
-trajectory type, whose diagnostic series is built from the kept snapshots
-only when it is read.
+trajectory type, whose diagnostic series (a :class:`DiagnosticSeries`,
+written with the package's one CSV writer, :func:`write_csv`) is built from
+the kept snapshots only when it is read.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from dataclasses import InitVar, dataclass
 from functools import cached_property
 from typing import Callable
 
+import numpy as np
+
 from .model import OutsideValidityWindow
 
-__all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "BlowupError", "RunFailed", "SolverConfig",
-           "Trajectory", "integrate", "whole_count"]
+__all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "BlowupError", "DiagnosticSeries", "RunFailed",
+           "SolverConfig", "Trajectory", "integrate", "whole_count", "write_csv"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
@@ -77,12 +80,41 @@ class SolverConfig:
         return steps_per_snap, whole_count(self.t_end, steps_per_snap * self.dt, "t_end")
 
 
+def write_csv(path, header, rows) -> None:
+    """A CSV table: the header's names, then one line per row with each cell
+    as ``str(cell)``, the shortest round-trip form for Python and numpy floats."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
+class DiagnosticSeries:
+    """Column store of time-indexed diagnostics; rows are added as keywords."""
+
+    def __init__(self):
+        self._rows: list[dict] = []
+
+    def add(self, **kw):
+        self._rows.append(kw)
+
+    @property
+    def names(self):
+        return list(self._rows[0].keys()) if self._rows else []
+
+    def column(self, name: str) -> np.ndarray:
+        return np.array([row[name] for row in self._rows])
+
+    def to_csv(self, path):
+        names = self.names
+        write_csv(path, names, ([row[k] for k in names] for row in self._rows))
+
+
 @dataclass
 class Trajectory:
     """The snapshots of one run, its status ("completed", "blowup" or
-    "mass_drift") and the reason.  ``series``, a
-    :class:`chemorelax.diagnostics.DiagnosticSeries` with one ``row(state)``
-    per snapshot, is built on first read."""
+    "mass_drift") and the reason.  ``series``, a :class:`DiagnosticSeries`
+    with one ``row(state)`` per snapshot, is built on first read."""
 
     states: list
     row: Callable
@@ -99,7 +131,6 @@ class Trajectory:
 
     @cached_property
     def series(self):
-        from .diagnostics import DiagnosticSeries
         series = DiagnosticSeries()
         for state in self.states:
             series.add(**self.row(state))

@@ -143,7 +143,7 @@ class PropagatorTables:
         self.dt = dt
         mags, inverse = np.unique(grid.xi_mag_diff, return_inverse=True)
         self.index = inverse.reshape(grid.spec_shape)
-        mats = np.stack([symbol_matrix(float(m), params) for m in mags])
+        mats = symbol_matrix(mags, params)
         self.E3, self.P13, self.P23 = (
             np.ascontiguousarray(np.moveaxis(table[self.index], (-2, -1), (0, 1)))
             for table in etd.batched_matrix_phis(mats, dt))

@@ -5,11 +5,12 @@ velocity amplitude m = Lambda^{-1} div u and the concentration perturbation
 psi through a real 3x3 matrix per wavenumber magnitude; the incompressible
 velocity part relaxes independently at rate 1/eps.  This module provides the
 matrix, the characteristic cubic (with the pressure stiffness c0 carried
-explicitly), its roots with residual certificates, asymptotic-ratio tables for
-the low/high frequency regimes, a stability scan, and a radially-resolved
-continuum evolution used to measure time-decay exponents of Besov norms on
-R^d, which a torus run cannot exhibit, with the log-log fit (``decay_fit``)
-that reads the exponents off.
+explicitly) and its roots with residual certificates, each evaluated over a
+scalar or an array of magnitudes in one call; asymptotic-ratio tables for the
+low/high frequency regimes and a stability scan, each one such call; and a
+radially-resolved continuum evolution used to measure time-decay exponents of
+Besov norms on R^d, which a torus run cannot exhibit, with the log-log fit
+(``decay_fit``) that reads the exponents off.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .model import ModelParams
 from .spectral import ring_profile
 
 __all__ = [
-    "EigenTriple",
     "symbol_matrix",
     "characteristic_cubic",
     "eigenvalues",
@@ -40,20 +40,25 @@ __all__ = [
 SPHERE_MEASURE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 
-def symbol_matrix(xi: float, params: ModelParams) -> np.ndarray:
-    """Linearized 3x3 generator on (n, m, psi) at |xi|; lower triangular at
-    xi = 0.  The incompressible velocity relaxes at the scalar rate -1/eps."""
-    if xi < 0:
+def symbol_matrix(xi, params: ModelParams) -> np.ndarray:
+    """Linearized 3x3 generator on (n, m, psi) at every |xi|, shaped
+    (*xi.shape, 3, 3); lower triangular at xi = 0.  The incompressible
+    velocity relaxes at the scalar rate -1/eps."""
+    xi = np.asarray(xi, dtype=np.float64)
+    if np.any(xi < 0):
         raise ValueError("wavenumber magnitude must be nonnegative")
     p = params
-    return np.array([
-        [0.0, -p.c0 * xi, 0.0],
-        [xi, -1.0 / p.eps, -p.mu * xi],
-        [p.c1, 0.0, -(p.b + xi * xi)],
-    ])
+    a = np.zeros(xi.shape + (3, 3))
+    a[..., 0, 1] = -p.c0 * xi
+    a[..., 1, 0] = xi
+    a[..., 1, 1] = -1.0 / p.eps
+    a[..., 1, 2] = -p.mu * xi
+    a[..., 2, 0] = p.c1
+    a[..., 2, 2] = -(p.b + xi * xi)
+    return a
 
 
-def characteristic_cubic(xi: float, params: ModelParams):
+def characteristic_cubic(xi, params: ModelParams):
     """Monic cubic coefficients (a2, a1, a0) of the compressible block.
 
     a2 = 1/eps + b + xi^2,
@@ -69,42 +74,21 @@ def characteristic_cubic(xi: float, params: ModelParams):
     return a2, a1, a0
 
 
-@dataclass
-class EigenTriple:
-    """Roots of the characteristic cubic with residual certificates.
+def eigenvalues(xi, params: ModelParams):
+    """Roots of the characteristic cubic at every |xi|: companion-matrix
+    eigenvalues with one Newton polish and a residual bound.
 
-    Ordering: with a complex pair present, lam1/lam2 are the pair (positive
-    imaginary part first) and lam3 is the real root; with three real roots,
-    lam1 has smallest modulus and lam2 is the one nearest -1/eps.
+    Returns (lam, has_pair), shaped (*xi.shape, 3) and xi.shape.  With a
+    complex pair, lam holds the pair (positive imaginary part first) and then
+    the real root; with three real roots, the one of smallest modulus, the one
+    nearest -1/eps, then the other.
     """
-
-    xi: float
-    lam: np.ndarray            # three complex eigenvalues, ordered
-    residuals: np.ndarray      # |p(lam_i)|
-    has_complex_pair: bool
-
-    @property
-    def lam1(self): return self.lam[0]
-
-    @property
-    def lam2(self): return self.lam[1]
-
-    @property
-    def lam3(self): return self.lam[2]
-
-    @property
-    def max_real(self) -> float:
-        return float(np.max(self.lam.real))
-
-
-def _cubic_residuals(lam, a2, a1, a0):
-    return np.abs(((lam + a2) * lam + a1) * lam + a0)
-
-
-def eigenvalues(xi: float, params: ModelParams) -> EigenTriple:
-    """Companion-matrix roots with one Newton polish and a residual bound."""
-    a2, a1, a0 = characteristic_cubic(xi, params)
-    lam = np.roots([1.0, a2, a1, a0]).astype(np.complex128)
+    xi = np.asarray(xi, dtype=np.float64)
+    a2, a1, a0 = (np.asarray(c)[..., None] for c in characteristic_cubic(xi, params))
+    companion = np.zeros(xi.shape + (3, 3))
+    companion[..., 0, :] = -np.concatenate([a2, a1, a0], axis=-1)
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    lam = np.linalg.eigvals(companion).astype(np.complex128)
     dp = (3.0 * lam + 2.0 * a2) * lam + a1
     p = ((lam + a2) * lam + a1) * lam + a0
     safe = np.abs(dp) > 0
@@ -115,26 +99,24 @@ def eigenvalues(xi: float, params: ModelParams) -> EigenTriple:
     real_mask = imag_scale < 1e-9
     lam[real_mask] = lam[real_mask].real
 
-    complex_idx = np.where(~real_mask)[0]
-    if complex_idx.size == 2:
-        pair = lam[complex_idx]
-        first = pair[np.argmax(pair.imag)]
-        lam_ordered = np.array([first, np.conj(first), lam[real_mask][0]])
-        has_pair = True
-    else:
-        lam = lam.real.astype(np.complex128)
-        order = np.argsort(np.abs(lam))
-        lam1 = lam[order[0]]
-        rest = lam[order[1:]]
-        i2 = int(np.argmin(np.abs(rest + 1.0 / params.eps)))
-        lam_ordered = np.array([lam1, rest[i2], rest[1 - i2]])
-        has_pair = False
+    # the docstring's order: sort by key, conjugate the pair, then swap the
+    # larger two real roots where the third is nearer -1/eps
+    has_pair = np.sum(~real_mask, axis=-1) == 2
+    pair = has_pair[..., None]
+    key = np.where(pair, np.where(real_mask, np.inf, -lam.imag), np.abs(lam.real))
+    lam = np.take_along_axis(np.where(pair, lam, lam.real), np.argsort(key, axis=-1), axis=-1)
+    lam[has_pair, 1] = np.conj(lam[has_pair, 0])
+    gap = np.abs(lam.real[..., 1:] + 1.0 / params.eps)
+    swap = ~has_pair & (gap[..., 1] < gap[..., 0])
+    lam[swap, 1:] = lam[swap, :0:-1]
 
-    res = _cubic_residuals(lam_ordered, a2, a1, a0)
-    bound = 1e-9 * (1.0 + np.abs(lam_ordered) ** 3)
-    if np.any(res > bound):
-        raise RuntimeError(f"cubic root residual {res.max():.3e} exceeds bound at xi={xi}")
-    return EigenTriple(xi=float(xi), lam=lam_ordered, residuals=res, has_complex_pair=has_pair)
+    res = np.abs(((lam + a2) * lam + a1) * lam + a0)
+    bad = np.any(res > 1e-9 * (1.0 + np.abs(lam) ** 3), axis=-1)
+    if bad.any():
+        k = np.argmax(bad.ravel())
+        raise RuntimeError(f"cubic root residual {res.reshape(-1, 3)[k].max():.3e} exceeds "
+                           f"bound at xi={xi.ravel()[k]}")
+    return lam, has_pair
 
 
 def lowfreq_asymptotic_check(params: ModelParams, xi_values) -> dict:
@@ -145,21 +127,16 @@ def lowfreq_asymptotic_check(params: ModelParams, xi_values) -> dict:
     ratio2 and ratio3 compare lam2, lam3 with -1/eps and -b.  All sampled
     roots must be real; complex roots in the sampled regime are an error.
     """
-    xi_values = np.asarray(xi_values, dtype=np.float64)
+    xi = np.asarray(xi_values, dtype=np.float64)
     p = params
     margin = p.stability_margin
-    out = {"xi": xi_values, "ratio1": [], "ratio2": [], "ratio3": []}
-    for xi in xi_values:
-        tri = eigenvalues(float(xi), p)
-        if tri.has_complex_pair:
-            raise RuntimeError(f"complex eigenvalues at xi={xi}: not in the low-frequency regime")
-        ref1 = (-margin * p.eps * xi ** 2) if margin != 0 else (-(p.c0 / p.b) * p.eps * xi ** 4)
-        out["ratio1"].append(tri.lam1.real / ref1)
-        out["ratio2"].append(tri.lam2.real / (-1.0 / p.eps))
-        out["ratio3"].append(tri.lam3.real / (-p.b))
-    for key in ("ratio1", "ratio2", "ratio3"):
-        out[key] = np.array(out[key])
-    return out
+    lam, has_pair = eigenvalues(xi, p)
+    if has_pair.any():
+        raise RuntimeError(f"complex eigenvalues at xi={xi[has_pair][0]}: "
+                           "not in the low-frequency regime")
+    ref1 = (-margin * p.eps * xi ** 2) if margin != 0 else (-(p.c0 / p.b) * p.eps * xi ** 4)
+    return {"xi": xi, "ratio1": lam[..., 0].real / ref1,
+            "ratio2": lam[..., 1].real / (-1.0 / p.eps), "ratio3": lam[..., 2].real / (-p.b)}
 
 
 def highfreq_asymptotic_check(params: ModelParams, xi_values) -> dict:
@@ -167,23 +144,20 @@ def highfreq_asymptotic_check(params: ModelParams, xi_values) -> dict:
     Im lam1 ~ sqrt(c0) |xi| (the normalized display has c0 = 1), and
     lam3 ~ -b - |xi|^2.  An all-real spectrum in the sampled regime is an error.
     """
-    xi_values = np.asarray(xi_values, dtype=np.float64)
+    xi = np.asarray(xi_values, dtype=np.float64)
     p = params
-    out = {"xi": xi_values, "ratio_re1": [], "ratio_im1": [], "ratio3": []}
-    for xi in xi_values:
-        tri = eigenvalues(float(xi), p)
-        if not tri.has_complex_pair:
-            raise RuntimeError(f"all-real spectrum at xi={xi}: not in the high-frequency regime")
-        out["ratio_re1"].append(tri.lam1.real * 2.0 * p.eps / (-1.0))
-        out["ratio_im1"].append(tri.lam1.imag / (math.sqrt(p.c0) * xi))
-        out["ratio3"].append(tri.lam3.real / (-(p.b + xi ** 2)))
-    for key in ("ratio_re1", "ratio_im1", "ratio3"):
-        out[key] = np.array(out[key])
-    return out
+    lam, has_pair = eigenvalues(xi, p)
+    if not has_pair.all():
+        raise RuntimeError(f"all-real spectrum at xi={xi[~has_pair][0]}: "
+                           "not in the high-frequency regime")
+    return {"xi": xi, "ratio_re1": lam[..., 0].real * 2.0 * p.eps / (-1.0),
+            "ratio_im1": lam[..., 0].imag / (math.sqrt(p.c0) * xi),
+            "ratio3": lam[..., 2].real / (-(p.b + xi ** 2))}
 
 
 def stability_scan(params: ModelParams, xi_max: float, samples: int = 1000):
-    """Max over the scan of max Re lambda, plus the per-sample table.
+    """Max over the scan of max Re lambda, plus the per-sample table of
+    (xi, lam1, lam2, lam3) rows.
 
     Under a positive margin the result is <= 0; a negative margin produces a
     positive real root inside the band |xi|^2 < c1 mu - b.
@@ -192,14 +166,9 @@ def stability_scan(params: ModelParams, xi_max: float, samples: int = 1000):
         raise ValueError("xi_max must be positive")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    xi_values = np.linspace(xi_max / samples, xi_max, samples)
-    rows = []
-    worst = -np.inf
-    for xi in xi_values:
-        tri = eigenvalues(float(xi), params)
-        worst = max(worst, tri.max_real)
-        rows.append((xi, *tri.lam))
-    return worst, rows
+    xi = np.linspace(xi_max / samples, xi_max, samples)
+    lam, _ = eigenvalues(xi, params)
+    return float(lam.real.max()), list(zip(xi, *lam.T))
 
 
 # -- continuum radial evolution ----------------------------------------------
@@ -328,7 +297,7 @@ def semigroup_decay_study(params: ModelParams, sigma0: float, sigma: float, *, d
         raise RuntimeError(f"ring {quad.js[bad.argmax()]} quadrature error above "
                            f"{DECAY_QUAD_TOL:g} at t=0")
 
-    lam, V = np.linalg.eig(np.stack([symbol_matrix(float(r), p) for r in quad.r.ravel()]))
+    lam, V = np.linalg.eig(symbol_matrix(quad.r.ravel(), p))
     if np.any(np.linalg.cond(V, "fro") > 1e8):
         raise RuntimeError("near-defective symbol matrix in decay study")
     y0 = np.repeat(profile(quad.r.reshape(-1, 1)), 3, axis=1)

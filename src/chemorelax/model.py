@@ -211,13 +211,17 @@ def check_stability(params: ModelParams):
 def params_from_config(cfg: dict) -> ModelParams:
     """Build ModelParams from a flat key/value block.
 
-    Recognized keys: epsilon, mu, a, b, rho_bar, gamma, kappa, k_offset.
+    Recognized keys: epsilon, mu, a, b, rho_bar, gamma, kappa, k_offset (an
+    integer; ValueError otherwise).
     """
     required = ("epsilon", "mu", "a", "b", "rho_bar")
     for key in required:
         if key not in cfg:
             raise KeyError(f"missing model key: {key}")
+    k_offset = cfg.get("k_offset", -2)
+    if not float(k_offset).is_integer():   # 2.7 is not read as 2
+        raise ValueError(f"k_offset must be an integer, got {k_offset!r}")
     law = PressureLaw(kappa=float(cfg.get("kappa", 1.0)), gamma=float(cfg.get("gamma", 2.0)))
     return ModelParams(eps=float(cfg["epsilon"]), mu=float(cfg["mu"]), a=float(cfg["a"]),
                        b=float(cfg["b"]), rho_bar=float(cfg["rho_bar"]), pressure=law,
-                       j_offset=int(cfg.get("k_offset", -2)))
+                       j_offset=int(k_offset))

@@ -582,6 +582,10 @@ class TestExperimentBlockErrors:
          "dt_fast must be positive and finite, got inf"),
         ("relaxation-sweep", {"eps_list": EPS, "tau_end": float("inf")}, SWEEP_GRID,
          "tau_end=inf is not a whole number of snapshot intervals"),
+        ("relaxation-sweep", {"eps_list": [0.2, 0.2, 0.2]}, SWEEP_GRID,
+         "eps_list repeats a value: [0.2, 0.2, 0.2]"),
+        ("analyze-symbol", {}, {"model": base_model(k_offset=2.7)},
+         "model block: k_offset must be an integer, got 2.7"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
             "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
             "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
@@ -589,7 +593,7 @@ class TestExperimentBlockErrors:
             "model-null", "grid-null", "symbol-samples-fraction", "grid-N-fraction",
             "grid-d-fraction", "decay-d-fraction", "sweep-eps-zero", "sweep-eps-one",
             "sweep-dt_fast-zero", "sweep-dt_fast-negative", "sweep-dt_fast-infinite",
-            "sweep-tau_end-infinite"])
+            "sweep-tau_end-infinite", "sweep-eps-repeated", "model-k_offset-fraction"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

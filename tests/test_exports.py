@@ -85,12 +85,6 @@ def test_no_assert_in_the_package():
     assert not found, found
 
 
-# Trajectory.series builds a diagnostics.DiagnosticSeries, looked up in
-# diagnostics when the series is read: the benchmark's tracer wraps its methods
-# there, and diagnostics imports driver.
-DEFERRED_IMPORTS = {"driver.Trajectory.series"}
-
-
 def _imports_in_functions(node, qualname, in_function=False):
     """(qualified name, line) of every import inside a function body."""
     for child in ast.iter_child_nodes(node):
@@ -108,6 +102,5 @@ def test_imports_at_module_top():
     import order and no cycle is hidden inside a function."""
     src = Path(chemorelax.__file__).resolve().parent
     found = [f"{name}:{line}" for path in sorted(src.glob("*.py"))
-             for name, line in _imports_in_functions(ast.parse(path.read_text()), path.stem)
-             if name not in DEFERRED_IMPORTS]
+             for name, line in _imports_in_functions(ast.parse(path.read_text()), path.stem)]
     assert not found, found

@@ -74,6 +74,15 @@ class TestLinearPropagator:
             ref = scipy.linalg.expm(0.1 * symbol_matrix(xi, solver_params))
             assert np.max(np.abs(tab.E3[:, :, idx] - ref)) <= 1e-12
 
+    def test_table_build_makes_one_symbol_call(self, solver_params, monkeypatch):
+        """One symbol_matrix call over every unique wavenumber magnitude."""
+        calls = []
+        monkeypatch.setattr(hpc_solver, "symbol_matrix",
+                            lambda xi, p: calls.append(np.shape(xi)) or symbol_matrix(xi, p))
+        grid = make_grid(2, 32, 2 * np.pi)
+        PropagatorTables(grid, solver_params, 0.1)
+        assert calls == [(np.unique(grid.xi_mag_diff).size,)]
+
     def test_folded_1d_apply_matches_split(self, solver_params, rng):
         """The d=1 complex 3x3 apply against the compressible/transverse split
         written out here, on random coefficients that are not dealiased."""
@@ -300,7 +309,7 @@ class TestRun:
         grid = make_grid(1, 64, 2 * np.pi)
         n_prof = 1e-6 * mode_bump(grid, [([1], 1.0, 0.3)])
         state, _ = build_initial_data(grid, params, n_profile=n_prof)
-        rate = eigenvalues(1.0, params).max_real
+        rate = float(eigenvalues(1.0, params)[0].real.max())
         assert rate > 0
         # measure on the tail, once the decaying branches have died out
         T = 24.0

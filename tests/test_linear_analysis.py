@@ -25,6 +25,12 @@ def normalized_params(eps=1.0, b=1.0, c1mu=0.5, mu=1.0):
                        pressure=PressureLaw(kappa=1.0, gamma=1.0))
 
 
+def cubic_residuals(lam, xi, params):
+    """|p(lam)| for the characteristic cubic at xi."""
+    a2, a1, a0 = characteristic_cubic(xi, params)
+    return np.abs(((lam + a2) * lam + a1) * lam + a0)
+
+
 class TestSymbolMatrix:
     def test_zero_mode_triangular(self, default_params):
         m = symbol_matrix(0.0, default_params)
@@ -34,6 +40,18 @@ class TestSymbolMatrix:
     def test_rejects_negative_xi(self, default_params):
         with pytest.raises(ValueError):
             symbol_matrix(-1.0, default_params)
+
+    @pytest.mark.parametrize("xi", [[0.0, 1.0, -1e-12], [[2.0], [-3.0]]])
+    def test_rejects_any_negative_entry(self, default_params, xi):
+        with pytest.raises(ValueError):
+            symbol_matrix(xi, default_params)
+
+    def test_shape_follows_xi(self, default_params):
+        assert symbol_matrix(2.0, default_params).shape == (3, 3)
+        xi = np.linspace(0.0, 4.0, 10).reshape(2, 5)
+        stack = symbol_matrix(xi, default_params)
+        assert stack.shape == (2, 5, 3, 3)
+        assert np.array_equal(stack[1, 3], symbol_matrix(float(xi[1, 3]), default_params))
 
 
 class TestCharacteristicCubic:
@@ -79,33 +97,34 @@ class TestEigenvalues:
         for eps in (1.0, 0.1, 0.01):
             for b in (0.5, 1.0, 2.0):
                 p = normalized_params(eps=eps, b=b)
-                tri = eigenvalues(0.0, p)
-                got = sorted(tri.lam.real)
+                lam, _ = eigenvalues(0.0, p)
+                got = sorted(lam.real)
                 want = sorted([0.0, -1.0 / eps, -b])
                 assert np.allclose(got, want, atol=1e-12)
-                assert np.all(np.abs(tri.lam.imag) <= 1e-12)
+                assert np.all(np.abs(lam.imag) <= 1e-12)
 
     def test_companion_oracle(self):
         """Roots of lambda^3 + 3 lambda^2 + 3 lambda + 1.5, cross-checked."""
         p = normalized_params(eps=1.0, b=1.0, c1mu=0.5)
-        tri = eigenvalues(1.0, p)
+        lam, _ = eigenvalues(1.0, p)
+        residuals = cubic_residuals(lam, 1.0, p)
         oracle = np.sort_complex(np.roots([1.0, 3.0, 3.0, 1.5]))
-        assert np.allclose(np.sort_complex(tri.lam), oracle, atol=1e-9)
-        assert np.all(tri.residuals <= 1e-9 * (1 + np.abs(tri.lam) ** 3))
+        assert np.allclose(np.sort_complex(lam), oracle, atol=1e-9)
+        assert np.all(residuals <= 1e-9 * (1 + np.abs(lam) ** 3))
 
     def test_unstable_regime_has_positive_real_root(self):
         # c1 mu - b = 1, |xi|^2 = 0.5: constant term negative => a positive root
         p = normalized_params(eps=0.5, b=1.0, c1mu=2.0)
-        tri = eigenvalues(np.sqrt(0.5), p)
+        lam, _ = eigenvalues(np.sqrt(0.5), p)
         _, _, a0 = characteristic_cubic(np.sqrt(0.5), p)
         assert a0 < 0
-        assert tri.max_real > 0
+        assert lam.real.max() > 0
 
     def test_conjugation_closure_high_frequency(self, default_params):
-        tri = eigenvalues(500.0, default_params)
-        assert tri.has_complex_pair
-        assert np.isclose(tri.lam1, np.conj(tri.lam2))
-        assert abs(tri.lam3.imag) == 0.0
+        lam, has_pair = eigenvalues(500.0, default_params)
+        assert has_pair
+        assert np.isclose(lam[0], np.conj(lam[1]))
+        assert abs(lam[2].imag) == 0.0
 
     def test_routh_hurwitz_under_stability(self, rng):
         """Positive margin: a2, a1, a0 > 0 and a2 a1 > a0 at every xi > 0,
@@ -128,9 +147,79 @@ class TestEigenvalues:
                                   c1mu=float(rng.uniform(0.01, 0.29)))
             xi = float(10 ** rng.uniform(-2, 3))
             a2, a1, a0 = characteristic_cubic(xi, p)
-            tri = eigenvalues(xi, p)
-            assert abs(np.sum(tri.lam) + a2) <= 1e-9 * (1 + abs(a2))
-            assert abs(np.prod(tri.lam) + a0) <= 1e-9 * (1 + abs(a0))
+            lam, _ = eigenvalues(xi, p)
+            assert abs(np.sum(lam) + a2) <= 1e-9 * (1 + abs(a2))
+            assert abs(np.prod(lam) + a0) <= 1e-9 * (1 + abs(a0))
+
+
+def per_xi_roots(xi, p):
+    """The spectrum one |xi| at a time: np.roots, one Newton polish, the 1e-9
+    real-part collapse and the documented ordering (the array API's reference)."""
+    a2, a1, a0 = characteristic_cubic(xi, p)
+    lam = np.roots([1.0, a2, a1, a0]).astype(np.complex128)
+    dp = (3.0 * lam + 2.0 * a2) * lam + a1
+    val = ((lam + a2) * lam + a1) * lam + a0
+    safe = np.abs(dp) > 0
+    lam[safe] = lam[safe] - val[safe] / dp[safe]
+    real = np.abs(lam.imag) / (1.0 + np.abs(lam)) < 1e-9
+    lam[real] = lam[real].real
+    if np.sum(~real) == 2:
+        pair = lam[~real]
+        first = pair[np.argmax(pair.imag)]
+        return np.array([first, np.conj(first), lam[real][0]]), True
+    lam = lam.real.astype(np.complex128)
+    order = np.argsort(np.abs(lam))
+    rest = lam[order[1:]]
+    i2 = int(np.argmin(np.abs(rest + 1.0 / p.eps)))
+    return np.array([lam[order[0]], rest[i2], rest[1 - i2]]), False
+
+
+class TestArrayEvaluation:
+    """eigenvalues over arrays of |xi|, in one call."""
+
+    @pytest.mark.parametrize("c1mu", [0.5, 1.0, 2.0], ids=["margin+", "margin0", "margin-"])
+    def test_matches_per_xi_roots(self, c1mu):
+        """Bit for bit, on a grid with xi = 0, the band edge xi = 1 of the
+        negative margin (a0 = 0 there), the real-to-complex transitions in
+        [1, 3.5] and 1e4."""
+        p = normalized_params(eps=0.2, b=1.0, c1mu=c1mu)
+        xi = np.concatenate([[0.0, 1.0], np.geomspace(1e-3, 1e4, 301), np.linspace(1.0, 3.5, 251)])
+        lam, has_pair = eigenvalues(xi, p)
+        ref = [per_xi_roots(float(x), p) for x in xi]
+        assert has_pair.any() and not has_pair.all()
+        assert np.array_equal(lam, np.array([r[0] for r in ref]))
+        assert np.array_equal(has_pair, [r[1] for r in ref])
+
+    def test_shapes_follow_xi(self, default_params):
+        xi = np.geomspace(1e-2, 1e3, 10)
+        lam, has_pair = eigenvalues(xi, default_params)
+        lam2, has_pair2 = eigenvalues(xi.reshape(2, 5), default_params)
+        assert lam.shape == (10, 3) and lam2.shape == (2, 5, 3) and has_pair2.shape == (2, 5)
+        assert np.array_equal(lam2.reshape(10, 3), lam)
+        assert np.array_equal(has_pair2.ravel(), has_pair)
+        lam0, has_pair0 = eigenvalues(2.0, default_params)
+        assert lam0.shape == (3,) and np.shape(has_pair0) == ()
+
+    def test_stability_scan_makes_one_eigvals_call(self, default_params, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+        worst, rows = stability_scan(default_params, xi_max=50.0, samples=1000)
+        assert calls == [(1000, 3, 3)]
+        assert len(rows) == 1000
+
+    def test_residual_certificate_names_first_failing_xi(self, default_params, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def spoiled(a):   # roots off by 1 at the samples 3 and 5
+            lam = eigvals(a).astype(np.complex128)
+            lam[[3, 5], 0] += 1.0
+            return lam
+
+        monkeypatch.setattr(np.linalg, "eigvals", spoiled)
+        xi = np.linspace(0.5, 4.0, 8)
+        with pytest.raises(RuntimeError, match=f"bound at xi={xi[3]}$"):
+            eigenvalues(xi, default_params)
 
 
 class TestLowFrequency:
@@ -171,8 +260,8 @@ class TestHighFrequency:
         """c0 = 1: Im lambda1 ~ |xi| exactly in the limit."""
         p = normalized_params(eps=0.5, b=1.0, c1mu=0.5)
         xi = 2000.0
-        tri = eigenvalues(xi, p)
-        assert abs(tri.lam1.imag / xi - 1.0) <= 1e-3
+        lam, _ = eigenvalues(xi, p)
+        assert abs(lam[0].imag / xi - 1.0) <= 1e-3
 
     def test_rejects_real_regime(self, default_params):
         with pytest.raises(RuntimeError):

@@ -176,6 +176,14 @@ class TestParams:
         assert p.eps == 0.2 and p.b == 2.0 and p.pressure.gamma == 3.0
         assert p.j_offset == 1
 
+    @pytest.mark.parametrize("k_offset", [2.7, -0.5, float("inf")])
+    def test_config_rejects_fractional_k_offset(self, k_offset):
+        cfg = {"epsilon": 0.2, "mu": 1.0, "a": 1.0, "b": 2.0, "rho_bar": 1.5,
+               "k_offset": k_offset}
+        with pytest.raises(ValueError, match="k_offset must be an integer"):
+            params_from_config(cfg)
+        assert params_from_config({**cfg, "k_offset": 2.0}).j_offset == 2
+
     def test_config_missing_key(self):
         with pytest.raises(KeyError):
             params_from_config({"epsilon": 0.1})
