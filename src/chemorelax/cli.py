@@ -1,12 +1,14 @@
 """Batch front door: parse a config file, dispatch one experiment, emit reports.
 
-Every subcommand reads a single JSON config, writes manifest.json into the
-output directory before doing any work, writes its CSV tables with
-``diagnostics.write_csv`` and returns a summary that starts with ``status`` and
-``message`` (empty on success).  ``main`` writes it as summary.json, prints a
-failure's message to stderr and maps the status to the exit code: 0
-"completed", 2 "config_error", 1 any failed contract ("blowup", "mass_drift",
-"slope_outside_window", "lyapunov_violations").
+``main`` writes manifest.json into the output directory, then reads the JSON
+config once through the subcommand's table in ``SCHEMAS``: an unknown block or
+key, a missing required key or a value that does not convert is a config
+error naming them.  The subcommand takes the parsed blocks, writes its CSV
+tables with ``diagnostics.write_csv`` and returns a summary that starts with
+``status`` and ``message`` (empty on success).  ``main`` writes it as
+summary.json, prints a failure's message to stderr and maps the status to the
+exit code: 0 "completed", 2 "config_error", 1 any failed contract ("blowup",
+"mass_drift", "slope_outside_window", "lyapunov_violations").
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from . import (__version__, diagnostics, driver, hpc_solver, ks_solver, linear_analysis, model,
                spectral)
+from .model import REQUIRED, as_integer, as_number, config_kind, read_keys
 
 __all__ = ["main"]
 
@@ -30,7 +33,6 @@ class ConfigError(Exception):
 
 
 def _load_config(path: str) -> dict:
-    """The config: a JSON object whose every entry is a block, itself an object."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -40,104 +42,105 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {json.dumps(cfg)}")
-    for name, block in cfg.items():
-        if not isinstance(block, dict):
-            raise ConfigError(f"config block {name} must be a JSON object, "
-                              f"got {json.dumps(block)}")
     return cfg
 
 
-def _get(cfg: dict, dotted: str, default=None, required: bool = False):
-    node = cfg
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"missing config key: {dotted}")
-            return default
-        node = node[part]
-    return node
-
-
-def _integer(value) -> int:
-    if not float(value).is_integer():   # 2.7 is not read as 2
-        raise ValueError
-    return int(value)
-
-
+@config_kind("a pair [lo, hi], lo < hi")
 def _pair(value) -> list:
-    lo, hi = map(float, value)
+    lo, hi = map(as_number, value)
     if not lo < hi:
         raise ValueError
     return [lo, hi]
 
 
+@config_kind("a list of numbers")
 def _numbers(value) -> list:
     if not isinstance(value, list):
         raise TypeError
-    return [float(v) for v in value]
+    return [as_number(v) for v in value]
 
 
+@config_kind("a number or null")
 def _optional_number(value):
-    return None if value is None else float(value)
+    return None if value is None else as_number(value)
 
 
+@config_kind("a number or a list of numbers")
+def _wavevector(value) -> list:
+    return [as_number(k) for k in (value if isinstance(value, list) else [value])]
+
+
+_MODE = {"k": (_wavevector, REQUIRED), "amp": (as_number, 1.0), "phase": (as_number, 0.0)}
+
+
+@config_kind('a list of modes {"k": ..., "amp": ..., "phase": ...}')
 def _modes(value) -> list:
-    return [([float(k) for k in np.atleast_1d(m["k"])], float(m.get("amp", 1.0)),
-             float(m.get("phase", 0.0))) for m in value]
+    if not all(isinstance(m, dict) for m in value):
+        raise TypeError
+    return [tuple(read_keys(m, _MODE).values()) for m in value]
 
 
-_KINDS = {float: "a number", _integer: "an integer", _pair: "a pair [lo, hi], lo < hi",
-          _numbers: "a list of numbers", _optional_number: "a number or null",
-          _modes: 'a list of modes {"k": ..., "amp": ..., "phase": ...}'}
+@config_kind('"gaussian", "modes" or "random"')
+def _profile(value) -> str:
+    if value not in ("gaussian", "modes", "random"):
+        raise ValueError
+    return value
 
 
-def _read(cfg: dict, dotted: str, convert, default=None, required: bool = False):
-    """The value at ``dotted`` (see :func:`_get`) passed through ``convert``,
-    one of the converters in ``_KINDS``; ConfigError naming the key when it
-    does not convert."""
-    value = _get(cfg, dotted, default, required)
-    try:
-        return convert(value)
-    except (TypeError, ValueError, KeyError):
-        raise ConfigError(f"{dotted} must be {_KINDS[convert]}, got {json.dumps(value)}") from None
+# Each subcommand's config: block -> key table, key -> (converter, default or
+# REQUIRED), or the function that reads the block.  The grid and solver blocks
+# come back built by _BUILDERS.
+GRID = {"d": (as_integer, REQUIRED), "N": (as_integer, REQUIRED), "L": (as_number, REQUIRED)}
+SOLVER = {"dt": (as_number, 0.01), "t_end": (as_number, 10.0),
+          "snap_dt": (_optional_number, None),
+          "dealias": (lambda value: value, True)}   # SolverConfig takes only true
+HPC_INITIAL = {"profile": (_profile, "gaussian"), "width": (as_number, 0.5),
+               "modes": (_modes, [([1.0], 1.0, 0.0)]), "target_x0": (_optional_number, 0.01)}
+SCHEMAS = {
+    "analyze-symbol": {"model": model.params_from_config, "experiment": {
+        "xi_max": (as_number, 50.0), "samples": (as_integer, 1000),
+        "lowfreq_eps_xi": (_numbers, [1e-2, 1e-3]), "highfreq_eps_xi": (_numbers, [1e2])}},
+    "simulate-hpc": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
+                     "initial": HPC_INITIAL},
+    "simulate-ks": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
+                    "initial": {"amplitude": (as_number, 0.01), "width": (as_number, 0.5)}},
+    "decay-study": {"model": model.params_from_config, "experiment": {
+        "window": (_pair, [5.0, 50.0]), "d": (as_integer, 1),
+        "sigma0": (as_number, None), "sigma": (as_number, None)}},   # None: -d/2 and d/2
+    "relaxation-sweep": {"model": model.params_from_config, "grid": GRID, "experiment": {
+        "eps_list": (_numbers, REQUIRED), "tau_end": (as_number, 2.0),
+        "snap_dtau": (as_number, 0.05), "dt_fast": (as_number, 0.01),
+        "amplitude": (as_number, 0.02), "width": (as_number, 0.8),
+        "offset_amplitude": (_optional_number, None), "offset_width": (as_number, 0.6),
+        "high_freq_budget": (_optional_number, None), "slope_window": (_pair, [0.8, 1.2])}},
+    "lyapunov-check": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
+                       "initial": HPC_INITIAL,
+                       "experiment": {"eta0": (as_number, 0.1), "c_tol": (as_number, 10.0)}},
+}
+_BUILDERS = {"grid": spectral.make_grid, "solver": driver.SolverConfig}
 
 
-def _model_params(cfg: dict):
-    block = _get(cfg, "model", required=True)
-    try:
-        return model.params_from_config(block)
-    except KeyError as exc:
-        raise ConfigError(f"model block: {exc.args[0]}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model block: {exc}")
-
-
-def _grid(cfg: dict):
-    d = _read(cfg, "grid.d", _integer, required=True)
-    N = _read(cfg, "grid.N", _integer, required=True)
-    L = _read(cfg, "grid.L", float, required=True)
-    try:
-        return spectral.make_grid(d, N, L)
-    except ValueError as exc:
-        raise ConfigError(f"grid block: {exc}")
-
-
-def _solver_config(cfg: dict):
-    block = _get(cfg, "solver", default={})
-    unknown = sorted(set(block) - {"dt", "t_end", "snap_dt", "dealias"})
+def _parse(cfg: dict, schema: dict) -> dict:
+    """Every block of ``cfg`` read through ``schema``, an absent block as {};
+    ConfigError names the block of any fault."""
+    unknown = sorted(set(cfg) - set(schema))
     if unknown:
-        raise ConfigError(f"solver block: unknown keys {unknown}; "
-                          f"the keys are dt, t_end, snap_dt and dealias")
-    snap_dt = block.get("snap_dt")
-    try:
-        return driver.SolverConfig(
-            dt=float(block.get("dt", 0.01)),
-            t_end=float(block.get("t_end", 10.0)),
-            snap_dt=None if snap_dt is None else float(snap_dt),
-            dealias=block.get("dealias", True),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solver block: {exc}")
+        raise ConfigError(f"{unknown[0]} block: unknown block; this subcommand reads "
+                          f"{', '.join(schema)}")
+    parsed = {}
+    for name, keys in schema.items():
+        block = cfg.get(name, {})
+        if not isinstance(block, dict):
+            raise ConfigError(f"config block {name} must be a JSON object, "
+                              f"got {json.dumps(block)}")
+        try:
+            values = keys(block) if callable(keys) else read_keys(block, keys, f"{name}.")
+            parsed[name] = _BUILDERS[name](**values) if name in _BUILDERS else values
+        except KeyError as exc:
+            raise ConfigError(f"{name} block: {exc.args[0]}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} block: {exc}") from None
+    return parsed
 
 
 def _write_manifest(out: Path, cfg: dict, args) -> None:
@@ -159,20 +162,18 @@ def _write_summary(out: Path, payload: dict) -> None:
         json.dump(payload, fh, indent=2)
 
 
-def _initial_state(cfg: dict, grid, params, rng):
-    kind = _get(cfg, "initial.profile", "gaussian")
-    if kind == "gaussian":
-        n_prof = hpc_solver.gaussian_bump(grid, width=_read(cfg, "initial.width", float, 0.5))
-    elif kind == "modes":
-        n_prof = hpc_solver.mode_bump(grid, _read(cfg, "initial.modes", _modes, [{"k": [1]}]))
-    elif kind == "random":
+def _initial_state(c: dict, rng):
+    init, grid = c["initial"], c["grid"]
+    if init["profile"] == "gaussian":
+        n_prof = hpc_solver.gaussian_bump(grid, width=init["width"])
+    elif init["profile"] == "modes":
+        n_prof = hpc_solver.mode_bump(grid, init["modes"])
+    else:
         n_prof = rng.standard_normal(grid.shape)
         n_prof -= n_prof.mean()
-    else:
-        raise ConfigError(f"unknown initial.profile: {kind}")
-    target = _read(cfg, "initial.target_x0", _optional_number, 0.01)
     try:
-        return hpc_solver.build_initial_data(grid, params, n_profile=n_prof, target_x0=target)
+        return hpc_solver.build_initial_data(grid, c["model"], n_profile=n_prof,
+                                             target_x0=init["target_x0"])
     except ValueError as exc:  # OutsideValidityWindow included
         raise ConfigError(f"initial block: {exc}")
 
@@ -181,19 +182,16 @@ def _completed(**fields) -> dict:
     return {"status": "completed", "message": "", **fields}
 
 
-# -- subcommands: each returns its summary -------------------------------------
+# -- subcommands: each takes its parsed config and returns its summary ---------
 
-def cmd_analyze_symbol(cfg: dict, out: Path, args) -> dict:
-    params = _model_params(cfg)
-    xi_max = _read(cfg, "experiment.xi_max", float, 50.0)
-    samples = _read(cfg, "experiment.samples", _integer, 1000)
-    low_targets = _read(cfg, "experiment.lowfreq_eps_xi", _numbers, [1e-2, 1e-3])
-    high_targets = _read(cfg, "experiment.highfreq_eps_xi", _numbers, [1e2])
+def cmd_analyze_symbol(c: dict, out: Path, args) -> dict:
+    params, e = c["model"], c["experiment"]
     try:   # targets outside their regime and scan bounds, found before any output
-        low = linear_analysis.lowfreq_asymptotic_check(params, np.divide(low_targets, params.eps))
-        high = linear_analysis.highfreq_asymptotic_check(params,
-                                                          np.divide(high_targets, params.eps))
-        worst, rows = linear_analysis.stability_scan(params, xi_max, samples)
+        low = linear_analysis.lowfreq_asymptotic_check(
+            params, np.divide(e["lowfreq_eps_xi"], params.eps))
+        high = linear_analysis.highfreq_asymptotic_check(
+            params, np.divide(e["highfreq_eps_xi"], params.eps))
+        worst, rows = linear_analysis.stability_scan(params, e["xi_max"], e["samples"])
     except (RuntimeError, ValueError) as exc:
         raise ConfigError(f"experiment block: {exc}")
     diagnostics.write_csv(out / "spectrum.csv", ("xi", "re_lam1", "im_lam1", "re_lam2",
@@ -221,26 +219,22 @@ def cmd_analyze_symbol(cfg: dict, out: Path, args) -> dict:
     return summary
 
 
-def cmd_simulate(cfg: dict, out: Path, args) -> dict:
-    params = _model_params(cfg)
-    grid = _grid(cfg)
-    solver_cfg = _solver_config(cfg)
-    rng = np.random.default_rng(args.seed)
-
+def cmd_simulate(c: dict, out: Path, args) -> dict:
+    params, grid, solver_cfg = c["model"], c["grid"], c["solver"]
     snap_dir = out / "snapshots"
     snap_dir.mkdir(exist_ok=True)
 
     if args.command == "simulate-hpc":
-        state, parts = _initial_state(cfg, grid, params, rng)
+        state, _ = _initial_state(c, np.random.default_rng(args.seed))
         traj = hpc_solver.run(state, solver_cfg)
         for i, s in enumerate(traj.states):
             spectral.save_field(snap_dir / f"n_{i:04d}.npz", s.n)
             spectral.save_field(snap_dir / f"u_{i:04d}.npz", s.u)
             spectral.save_field(snap_dir / f"psi_{i:04d}.npz", s.psi)
     else:
-        amp = _read(cfg, "initial.amplitude", float, 0.01)
-        width = _read(cfg, "initial.width", float, 0.5)
-        rho0 = params.rho_bar + amp * hpc_solver.gaussian_bump(grid, width=width)
+        init = c["initial"]
+        rho0 = params.rho_bar + init["amplitude"] * hpc_solver.gaussian_bump(
+            grid, width=init["width"])
         rho_f = spectral.SpectralField.from_physical(grid, rho0[None], dealiased=True)
         traj = ks_solver.ks_run(ks_solver.KsState(0.0, rho_f, params), solver_cfg)
         for i, s in enumerate(traj.states):
@@ -251,15 +245,13 @@ def cmd_simulate(cfg: dict, out: Path, args) -> dict:
     return {"status": traj.status, "message": traj.message, "snapshots": len(traj.states)}
 
 
-def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
-    params = _model_params(cfg)
-    window = _read(cfg, "experiment.window", _pair, [5.0, 50.0])
-    d = _read(cfg, "experiment.d", _integer, 1)
-    sigma0 = _read(cfg, "experiment.sigma0", float, -d / 2.0)
-    sigma = _read(cfg, "experiment.sigma", float, d / 2.0)
+def cmd_decay_study(c: dict, out: Path, args) -> dict:
+    e, d = c["experiment"], c["experiment"]["d"]
+    sigma0 = -d / 2.0 if e["sigma0"] is None else e["sigma0"]
+    sigma = d / 2.0 if e["sigma"] is None else e["sigma"]
     try:
-        res = linear_analysis.semigroup_decay_study(params, sigma0, sigma, d=d,
-                                                    window=tuple(window))
+        res = linear_analysis.semigroup_decay_study(c["model"], sigma0, sigma, d=d,
+                                                    window=tuple(e["window"]))
     except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
 
@@ -286,34 +278,26 @@ def cmd_decay_study(cfg: dict, out: Path, args) -> dict:
                       reference={"triple": res.paper_slope, "damped": res.paper_slope_damped})
 
 
-def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
-    params = _model_params(cfg)
-    grid = _grid(cfg)
-    eps_list = _read(cfg, "experiment.eps_list", _numbers, required=True)
-    if len(eps_list) < 3:
+def cmd_relaxation_sweep(c: dict, out: Path, args) -> dict:
+    params, grid, e = c["model"], c["grid"], c["experiment"]
+    if len(e["eps_list"]) < 3:
         raise ConfigError("experiment.eps_list needs at least 3 values")
-    tau_end = _read(cfg, "experiment.tau_end", float, 2.0)
-    snap_dtau = _read(cfg, "experiment.snap_dtau", float, 0.05)
     try:
-        driver.whole_count(tau_end, snap_dtau, "tau_end")
+        driver.whole_count(e["tau_end"], e["snap_dtau"], "tau_end")
     except ValueError as exc:
         raise ConfigError(f"experiment block: {exc}")
-    amp = _read(cfg, "experiment.amplitude", float, 0.02)
-    width = _read(cfg, "experiment.width", float, 0.8)
-    rho0 = params.rho_bar + amp * hpc_solver.gaussian_bump(grid, width=width)
-    window = _read(cfg, "experiment.slope_window", _pair, [0.8, 1.2])
+    rho0 = params.rho_bar + e["amplitude"] * hpc_solver.gaussian_bump(grid, width=e["width"])
+    window = e["slope_window"]
 
     offset = None
-    offset_amp = _read(cfg, "experiment.offset_amplitude", _optional_number)
-    if offset_amp is not None:
-        offset = offset_amp * hpc_solver.gaussian_bump(
-            grid, width=_read(cfg, "experiment.offset_width", float, 0.6),
-            center=[grid.L / 3.0] * grid.d)
+    if e["offset_amplitude"] is not None:
+        offset = e["offset_amplitude"] * hpc_solver.gaussian_bump(
+            grid, width=e["offset_width"], center=[grid.L / 3.0] * grid.d)
     try:
         report = diagnostics.relaxation_sweep(
-            grid, params, rho0, eps_list, tau_end=tau_end, snap_dtau=snap_dtau,
-            dt_fast=_read(cfg, "experiment.dt_fast", float, 0.01), rho_offset_phys=offset,
-            high_freq_budget=_read(cfg, "experiment.high_freq_budget", _optional_number))
+            grid, params, rho0, e["eps_list"], tau_end=e["tau_end"], snap_dtau=e["snap_dtau"],
+            dt_fast=e["dt_fast"], rho_offset_phys=offset,
+            high_freq_budget=e["high_freq_budget"])
     except ValueError as exc:  # an eps, dt_fast, data or threshold mode rejected before any run
         raise ConfigError(f"experiment block: {exc}")
     except driver.RunFailed as exc:
@@ -332,19 +316,14 @@ def cmd_relaxation_sweep(cfg: dict, out: Path, args) -> dict:
     return summary
 
 
-def cmd_lyapunov_check(cfg: dict, out: Path, args) -> dict:
-    params = _model_params(cfg)
-    grid = _grid(cfg)
-    solver_cfg = _solver_config(cfg)
-    rng = np.random.default_rng(args.seed)
-    eta0 = _read(cfg, "experiment.eta0", float, 0.1)
-    c_tol = _read(cfg, "experiment.c_tol", float, 10.0)
+def cmd_lyapunov_check(c: dict, out: Path, args) -> dict:
+    eta0, c_tol = c["experiment"]["eta0"], c["experiment"]["c_tol"]
     if not (0.0 < eta0 < 1.0 and c_tol >= 1.0):   # checked before the run
         raise ConfigError(f"experiment block: eta0 must lie in (0, 1) and c_tol be >= 1, "
                           f"got eta0={eta0}, c_tol={c_tol}")
 
-    state, _ = _initial_state(cfg, grid, params, rng)
-    traj = hpc_solver.run(state, solver_cfg)
+    state, _ = _initial_state(c, np.random.default_rng(args.seed))
+    traj = hpc_solver.run(state, c["solver"])
     if traj.status != "completed":
         return {"status": traj.status, "message": f"run failed: {traj.message}"}
     report = diagnostics.lyapunov_equivalence_check(traj, eta0=eta0, c_tol=c_tol)
@@ -380,7 +359,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         _write_manifest(out, cfg, args)
-        summary = COMMANDS[args.command](cfg, out, args)
+        summary = COMMANDS[args.command](_parse(cfg, SCHEMAS[args.command]), out, args)
     except ConfigError as exc:
         summary = {"status": "config_error", "message": str(exc)}
     _write_summary(out, summary)

@@ -8,6 +8,7 @@ Everything is vectorized over numpy arrays so fields can be mapped pointwise.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +28,7 @@ __all__ = [
     "coefficients_GH",
     "check_stability",
     "params_from_config",
+    "REQUIRED", "config_kind", "as_number", "as_integer", "read_keys", "MODEL_KEYS",
 ]
 
 # relative validity window around rho_bar; leaving it is treated as blow-up
@@ -208,20 +210,63 @@ def check_stability(params: ModelParams):
     return margin > 0, margin
 
 
-def params_from_config(cfg: dict) -> ModelParams:
-    """Build ModelParams from a flat key/value block.
+REQUIRED = object()   # the default of a key that a config block must give
 
-    Recognized keys: epsilon, mu, a, b, rho_bar, gamma, kappa, k_offset (an
-    integer; ValueError otherwise).
-    """
-    required = ("epsilon", "mu", "a", "b", "rho_bar")
-    for key in required:
-        if key not in cfg:
-            raise KeyError(f"missing model key: {key}")
-    k_offset = cfg.get("k_offset", -2)
-    if not float(k_offset).is_integer():   # 2.7 is not read as 2
-        raise ValueError(f"k_offset must be an integer, got {k_offset!r}")
-    law = PressureLaw(kappa=float(cfg.get("kappa", 1.0)), gamma=float(cfg.get("gamma", 2.0)))
-    return ModelParams(eps=float(cfg["epsilon"]), mu=float(cfg["mu"]), a=float(cfg["a"]),
-                       b=float(cfg["b"]), rho_bar=float(cfg["rho_bar"]), pressure=law,
-                       j_offset=int(k_offset))
+
+def config_kind(kind: str):
+    """Decorator of a config-value converter: ``kind`` is what it accepts, as
+    a config error names it ("a number")."""
+    def mark(convert):
+        convert.kind = kind
+        return convert
+    return mark
+
+
+@config_kind("a number")
+def as_number(value) -> float:
+    """A JSON number as a float; not a boolean or a string, which float() takes."""
+    if isinstance(value, (bool, str)):
+        raise TypeError
+    return float(value)
+
+
+@config_kind("an integer")
+def as_integer(value) -> int:
+    """A JSON number with an integral value: 2.7 is not read as 2."""
+    if not as_number(value).is_integer():
+        raise ValueError
+    return int(value)
+
+
+def read_keys(block: dict, keys: dict, where: str = "") -> dict:
+    """A config block's values through its table, key -> (converter, default);
+    an absent key takes its default as it stands.  ValueError on an unknown key
+    or a value that does not convert, KeyError on a missing REQUIRED key."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; the keys are {', '.join(keys)}")
+    values = {}
+    for key, (convert, default) in keys.items():
+        if key not in block and default is REQUIRED:
+            raise KeyError(f"missing key {where}{key}")
+        try:
+            values[key] = convert(block[key]) if key in block else default
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise ValueError(f"{where}{key} must be {convert.kind}, "
+                             f"got {json.dumps(block[key])}") from None
+    return values
+
+
+MODEL_KEYS = {"epsilon": (as_number, REQUIRED), "mu": (as_number, REQUIRED),
+              "a": (as_number, REQUIRED), "b": (as_number, REQUIRED),
+              "rho_bar": (as_number, REQUIRED), "gamma": (as_number, 2.0),
+              "kappa": (as_number, 1.0), "k_offset": (as_integer, -2)}
+
+
+def params_from_config(cfg: dict) -> ModelParams:
+    """ModelParams from a flat block with the keys of MODEL_KEYS, read by
+    :func:`read_keys`; k_offset is the threshold offset j_offset."""
+    v = read_keys(cfg, MODEL_KEYS)
+    return ModelParams(eps=v["epsilon"], mu=v["mu"], a=v["a"], b=v["b"], rho_bar=v["rho_bar"],
+                       pressure=PressureLaw(kappa=v["kappa"], gamma=v["gamma"]),
+                       j_offset=v["k_offset"])

@@ -39,6 +39,7 @@ from chemorelax.spectral import (
     make_decomposition,
     make_grid,
 )
+from test_golden import GOLDEN, mismatches
 
 
 def report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -323,6 +324,18 @@ def test_relaxation_slopes_pinned(relaxation_report):
     for name, value in PINNED_SLOPES.items():
         assert abs(rep.slopes[name] - value) <= PINNED_RTOL * abs(value), \
             f"slope {name} = {rep.slopes[name]!r}, pinned {value!r} (rtol {PINNED_RTOL:g})"
+
+
+def test_relaxation_report_matches_golden(relaxation_report, tmp_path):
+    """The fixture has the inputs of configs/relaxation_sweep.json, so its
+    report stands for that config's relaxation.csv and relaxation.json."""
+    rep, _ = relaxation_report
+    rep.to_csv(tmp_path / "relaxation.csv")
+    rep.to_json(tmp_path / "relaxation.json")
+    files = {name: (tmp_path / name).read_text() for name in ("relaxation.csv", "relaxation.json")}
+    found = mismatches(files, GOLDEN / "relaxation_sweep")
+    assert not found, "relaxation sweep differs from tests/golden/relaxation_sweep:\n" \
+                      + "\n".join(found)
 
 
 # The criterion-10 data on a 2D N=64 grid (the smallest whose dealiased band

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemorelax.cli import main
+from chemorelax.cli import SCHEMAS, main
+from chemorelax.model import MODEL_KEYS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -182,10 +183,13 @@ class TestSimulate:
         {"dt": 0.05, "t_end": 0.5, "mass_fx": False},
         {"dt": 0.05, "t_end": float("inf")},
         {"dt": 0.05, "t_end": 0.5, "snap_dt": float("inf")},
+        {"dt": "0.01", "t_end": 0.5},
+        {"dt": 0.05, "t_end": True},
     ], ids=["dt_not_a_number", "dt_not_positive", "t_end_not_positive", "snap_dt_not_a_number",
             "snap_dt_negative", "snap_dt_zero", "t_end_before_first_snapshot",
             "t_end_between_snapshots", "dealias_false", "mass_fix_key", "cfl_safety_key",
-            "misspelled_key", "t_end_infinite", "snap_dt_infinite"])
+            "misspelled_key", "t_end_infinite", "snap_dt_infinite", "dt_string",
+            "t_end_boolean"])
     def test_invalid_solver_block_exit_2(self, tmp_path, capsys, solver):
         cfg = write_config(tmp_path / "c.json", {
             "model": base_model(),
@@ -561,7 +565,8 @@ class TestExperimentBlockErrors:
          "experiment.lowfreq_eps_xi must be a list of numbers, got 5"),
         ("analyze-symbol", {"lowfreq_eps_xi": [1.0]}, {},
          "complex eigenvalues at xi=4.0: not in the low-frequency regime"),
-        ("analyze-symbol", {}, {"model": base_model(epsilon=None)}, "model block: float()"),
+        ("analyze-symbol", {}, {"model": base_model(epsilon=None)},
+         "model block: epsilon must be a number, got null"),
         ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": None, "N": 32, "L": 1.0}},
          "grid.d must be an integer, got null"),
         ("analyze-symbol", {"samples": 2.7}, {}, "experiment.samples must be an integer, got 2.7"),
@@ -586,6 +591,53 @@ class TestExperimentBlockErrors:
          "eps_list repeats a value: [0.2, 0.2, 0.2]"),
         ("analyze-symbol", {}, {"model": base_model(k_offset=2.7)},
          "model block: k_offset must be an integer, got 2.7"),
+        # booleans and strings are not numbers
+        ("analyze-symbol", {"samples": True}, {}, "experiment.samples must be an integer, got true"),
+        ("analyze-symbol", {"xi_max": "5"}, {}, 'experiment.xi_max must be a number, got "5"'),
+        ("analyze-symbol", {}, {"model": base_model(k_offset=True)},
+         "model block: k_offset must be an integer, got true"),
+        ("analyze-symbol", {}, {"model": base_model(mu=True)},
+         "model block: mu must be a number, got true"),
+        ("analyze-symbol", {}, {"model": base_model(epsilon="0.1")},
+         'model block: epsilon must be a number, got "0.1"'),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 32, "L": True}},
+         "grid block: grid.L must be a number, got true"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": True, "N": 32, "L": 1.0}},
+         "grid block: grid.d must be an integer, got true"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 10 ** 400, "L": 1.0}},
+         "grid block: grid.N must be an integer, got 1000"),
+        # mode entries and the KS initial block
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes",
+                                                      "modes": [{"k": [1], "ampl": 5}]}},
+         'initial block: initial.modes must be a list of modes {"k": ..., "amp": ..., '
+         '"phase": ...}, got [{"k": [1], "ampl": 5}]'),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes", "modes": [[1]]}},
+         "initial block: initial.modes must be a list of modes"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "sine"}},
+         'initial block: initial.profile must be "gaussian", "modes" or "random", got "sine"'),
+        ("simulate-ks", {}, {**LYAP_RUN, "initial": {"profile": "modes"}},
+         "initial block: unknown keys ['profile']; the keys are amplitude, width"),
+        ("simulate-ks", {}, {**LYAP_RUN, "initial": {"target_x0": 0.01}},
+         "initial block: unknown keys ['target_x0']"),
+        ("simulate-ks", {}, {**LYAP_RUN, "initial": {"modes": [{"k": [1]}]}},
+         "initial block: unknown keys ['modes']"),
+        # one unknown key per block, and an unknown block
+        ("analyze-symbol", {}, {"model": base_model(gama=3.0)},
+         "model block: unknown keys ['gama']; the keys are epsilon, mu, a, b, rho_bar, gamma, "
+         "kappa, k_offset"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 32, "L": 1.0, "n": 64}},
+         "grid block: unknown keys ['n']; the keys are d, N, L"),
+        ("lyapunov-check", {}, {**LYAP_RUN, "initial": {"widht": 0.5}},
+         "initial block: unknown keys ['widht']; the keys are profile, width, modes, target_x0"),
+        ("analyze-symbol", {"sampels": 10}, {},
+         "experiment block: unknown keys ['sampels']; the keys are xi_max, samples, "
+         "lowfreq_eps_xi, highfreq_eps_xi"),
+        ("relaxation-sweep", {"eps_list": EPS, "tau_ned": 0.5}, SWEEP_GRID,
+         "experiment block: unknown keys ['tau_ned']"),
+        ("analyze-symbol", {}, {"experimnt": {"samples": 10}},
+         "experimnt block: unknown block; this subcommand reads model, experiment"),
+        ("simulate-ks", {}, {**LYAP_RUN, "experiment": {}},
+         "experiment block: unknown block; this subcommand reads model, grid, solver, initial"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
             "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
             "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
@@ -593,7 +645,14 @@ class TestExperimentBlockErrors:
             "model-null", "grid-null", "symbol-samples-fraction", "grid-N-fraction",
             "grid-d-fraction", "decay-d-fraction", "sweep-eps-zero", "sweep-eps-one",
             "sweep-dt_fast-zero", "sweep-dt_fast-negative", "sweep-dt_fast-infinite",
-            "sweep-tau_end-infinite", "sweep-eps-repeated", "model-k_offset-fraction"])
+            "sweep-tau_end-infinite", "sweep-eps-repeated", "model-k_offset-fraction",
+            "symbol-samples-boolean", "symbol-xi_max-string", "model-k_offset-boolean",
+            "model-mu-boolean", "model-epsilon-string", "grid-L-boolean", "grid-d-boolean",
+            "grid-N-overflow",
+            "hpc-mode-unknown-key", "hpc-mode-not-an-object", "hpc-profile-unknown",
+            "ks-profile", "ks-target_x0", "ks-modes", "model-unknown-key", "grid-unknown-key",
+            "initial-unknown-key", "experiment-unknown-key", "sweep-unknown-key",
+            "unknown-block", "ks-experiment-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver
@@ -604,8 +663,10 @@ class TestExperimentBlockErrors:
         for module, name in ((hpc_solver, "run"), (ks_solver, "ks_run"),
                              (diagnostics, "run"), (diagnostics, "ks_run")):
             monkeypatch.setattr(module, name, no_run)
-        cfg = write_config(tmp_path / "c.json",
-                           {"model": base_model(), **extra, "experiment": experiment})
+        payload = {"model": base_model(), **extra}
+        if "experiment" in SCHEMAS[command]:   # only the subcommands that read one
+            payload["experiment"] = experiment
+        cfg = write_config(tmp_path / "c.json", payload)
         out = tmp_path / "out"
         rc = main([command, "--config", cfg, "--out", str(out)])
         assert rc == 2
@@ -614,3 +675,15 @@ class TestExperimentBlockErrors:
         assert fragment in summary["message"]
         assert f"config error: {summary['message']}" in capsys.readouterr().err
         assert {p.name for p in out.iterdir()} <= {"manifest.json", "summary.json", "snapshots"}
+
+
+def test_readme_lists_every_config_key():
+    """The README's "Config keys" section names every key of every block that
+    a subcommand reads."""
+    readme = (CONFIGS.parent / "README.md").read_text()
+    section = readme[readme.index("### Config keys"):readme.index("### Output formats")]
+    missing = sorted({f"{block}.{key}" for schema in SCHEMAS.values()
+                      for block, keys in schema.items()
+                      for key in (MODEL_KEYS if callable(keys) else keys)
+                      if f"`{key}`" not in section})
+    assert not missing, f"README Config keys section does not name {missing}"

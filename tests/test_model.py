@@ -187,3 +187,21 @@ class TestParams:
     def test_config_missing_key(self):
         with pytest.raises(KeyError):
             params_from_config({"epsilon": 0.1})
+
+    @pytest.mark.parametrize("key,value,fragment", [
+        ("mu", True, "mu must be a number, got true"),
+        ("epsilon", "0.1", 'epsilon must be a number, got "0.1"'),
+        ("gamma", "2", 'gamma must be a number, got "2"'),
+        ("k_offset", True, "k_offset must be an integer, got true"),
+        ("k_offset", False, "k_offset must be an integer, got false"),
+        ("kappa", None, "kappa must be a number, got null"),
+    ])
+    def test_config_rejects_booleans_and_strings(self, key, value, fragment):
+        cfg = {"epsilon": 0.2, "mu": 1.0, "a": 1.0, "b": 2.0, "rho_bar": 1.5, key: value}
+        with pytest.raises(ValueError, match=fragment):
+            params_from_config(cfg)
+
+    def test_config_rejects_unknown_key(self):
+        cfg = {"epsilon": 0.2, "mu": 1.0, "a": 1.0, "b": 2.0, "rho_bar": 1.5, "gama": 3.0}
+        with pytest.raises(ValueError, match=r"unknown keys \['gama'\]; the keys are epsilon"):
+            params_from_config(cfg)
