@@ -321,6 +321,10 @@ def cmd_lyapunov_check(c: dict, out: Path, args) -> dict:
     if not (0.0 < eta0 < 1.0 and c_tol >= 1.0):   # checked before the run
         raise ConfigError(f"experiment block: eta0 must lie in (0, 1) and c_tol be >= 1, "
                           f"got eta0={eta0}, c_tol={c_tol}")
+    try:
+        diagnostics.lyapunov_blocks(c["model"], c["grid"])
+    except ValueError as exc:   # the model's threshold lies above the grid's blocks
+        raise ConfigError(f"grid block: {exc}")
 
     state, _ = _initial_state(c, np.random.default_rng(args.seed))
     traj = hpc_solver.run(state, c["solver"])

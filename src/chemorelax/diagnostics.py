@@ -2,7 +2,8 @@
 relaxation-limit error sweep.
 
 Nothing here advances a solution; every function is a pure evaluation of
-states or trajectories produced by the solvers.
+states or trajectories produced by the solvers.  A snapshot's Lyapunov blocks
+are one stack per field, so its transform count does not grow with the blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .model import (
     coefficient_H,
     coefficients_GH,
     density_perturbation,
-    density_rho,
     enthalpy_n,
 )
 from .spectral import (
@@ -48,6 +48,7 @@ __all__ = [
     "RelaxationReport",
     "effective_modes",
     "damped_mode_decay_check",
+    "lyapunov_blocks",
     "lyapunov_evaluate",
     "lyapunov_equivalence_check",
     "relaxation_sweep",
@@ -71,7 +72,6 @@ class DampedModes:
     v: SpectralField          # u + eps grad n - eps mu grad psi
     phi_eff: SpectralField    # psi - (b - Lap)^{-1}(c1 n + H(n))
     phi_tilde: SpectralField  # b psi - c1 n
-    coupling_residual: SpectralField  # b phi - a rho, as a field
 
 
 def effective_modes(state: HpcState) -> DampedModes:
@@ -79,10 +79,7 @@ def effective_modes(state: HpcState) -> DampedModes:
     v = state.u + p.eps * gradient(state.n) - (p.eps * p.mu) * gradient(state.psi)
     phi_eff = state.psi - equilibrium_psi(state.n, p)
     phi_tilde = p.b * state.psi - p.c1 * state.n
-    rho = density_rho(state.n.to_physical()[0], p)
-    resid_phys = p.b * state.phi_physical() - p.a * rho
-    coupling = SpectralField.from_physical(state.grid, resid_phys[None])
-    return DampedModes(v=v, phi_eff=phi_eff, phi_tilde=phi_tilde, coupling_residual=coupling)
+    return DampedModes(v=v, phi_eff=phi_eff, phi_tilde=phi_tilde)
 
 
 def damped_mode_decay_check(traj: Trajectory) -> dict:
@@ -124,85 +121,88 @@ def damped_mode_decay_check(traj: Trajectory) -> dict:
 
 @dataclass
 class LyapunovRecord:
-    j: int
-    energy: float           # L_j
-    dissipation: float      # H_j
-    block_sq: float         # eps ||(n_j,u_j,psi_j,grad psi_j,2^-j H_j)||_L2^2
-    w_min: float
-    w_max: float
+    j: np.ndarray             # the blocks; every field below is an array over them
+    energy: np.ndarray        # L_j
+    dissipation: np.ndarray   # H_j
+    block_sq: np.ndarray      # eps ||(n_j,u_j,psi_j,grad psi_j,2^-j H_j)||_L2^2
+    w_min: np.ndarray
+    w_max: np.ndarray
 
 
-def _integral(grid, values) -> float:
-    return float(np.sum(values) * grid.cell_volume)
+def lyapunov_blocks(params: ModelParams, grid) -> np.ndarray:
+    """The blocks the Lyapunov check covers, the active j >= J - 1; ValueError if none."""
+    dec, J = grid.decomposition, params.threshold()
+    if J - 1 > dec.j_max:
+        raise ValueError(f"no block to check: the check covers j >= J - 1 = {J - 1}, "
+                         f"and the largest active j is {dec.j_max}")
+    return np.arange(max(dec.j_min, J - 1), dec.j_max + 1)
 
 
-def _coefficient_fields(state: HpcState):
-    """G(n) and H(n) of a whole snapshot as fields; every block j shares them."""
-    g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], state.params)
-    return from_physical_all(state.grid, g_vals[None], h_vals[None])
-
-
-def lyapunov_evaluate(state: HpcState, j: int, eta0: float,
-                      coefficients=None) -> LyapunovRecord:
-    """Block energy L_j and dissipation H_j of one snapshot.
+def lyapunov_evaluate(state: HpcState, js, eta0: float) -> LyapunovRecord:
+    """Block energies L_j and dissipations H_j of one snapshot at every active j in ``js``.
 
     The psi time derivative is taken from the equation itself,
     dt psi_j = Lap psi_j - b psi_j + c1 n_j + H(n)_j, never from time
     differencing; the weight w_j = c0 + S_{j-1} G(n) is a physical-space field.
-    ``coefficients`` is the snapshot's (G(n), H(n)) field pair, computed here
-    when not given.
+    ``block_sq`` comes from the block norms of n, u, psi, grad psi and H(n)
+    (int h_j^2 = ||H(n)||_j^2 by Parseval).
     """
     if not (0.0 < eta0 < 1.0):
         raise ValueError(f"eta0 must lie in (0, 1), got {eta0}")
-    p = state.params
-    grid = state.grid
+    p, grid = state.params, state.grid
     dec = grid.decomposition
-    g_full, h_full = coefficients or _coefficient_fields(state)
+    js = np.asarray(js)
+    if js.ndim != 1 or not np.all((dec.j_min <= js) & (js <= dec.j_max)):
+        raise ValueError(f"js must be active blocks {dec.j_min}..{dec.j_max}, got {js}")
+    g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], p)
+    g_full, h_full = from_physical_all(grid, g_vals[None], h_vals[None])
 
-    n_j, u_j, psi_j = (dec.block(f, j) for f in (state.n, state.u, state.psi))
-    ((n_phys,), u_phys, (psi_phys,), grad_psi, grad_n, (lap_psi,), (div_u,), (h_j,),
-     (low_g,)) = to_physical_all(n_j, u_j, psi_j, gradient(psi_j), gradient(n_j),
-                                 laplacian(psi_j), divergence(u_j), dec.block(h_full, j),
-                                 dec.lowpass(g_full, j - 1))
+    # every value below is shaped (block, component, point); scalars have one component
+    n_j, u_j, psi_j = (dec.block(f, js) for f in (state.n, state.u, state.psi))
+    n_phys, u_phys, psi_phys, grad_psi, grad_n, lap_psi, div_u, h_j, low_g = (
+        v.reshape(len(js), -1, grid.N ** grid.d) for v in to_physical_all(
+            n_j, u_j, psi_j, gradient(psi_j), gradient(n_j), laplacian(psi_j),
+            divergence(u_j), dec.block(h_full, js), dec.lowpass(g_full, js - 1)))
     dt_psi = lap_psi - p.b * psi_phys + p.c1 * n_phys + h_j
     w = p.c0 + low_g
 
-    two_mj = 2.0 ** (-j)
-    u_grad_n = np.einsum("k...,k...->...", u_phys, grad_n)
-    grad_n_grad_psi = np.einsum("k...,k...->...", grad_n, grad_psi)
-    usq = np.einsum("k...,k...->...", u_phys, u_phys)
-    gpsq = np.einsum("k...,k...->...", grad_psi, grad_psi)
+    def integral(values):
+        return values.sum(axis=(1, 2)) * grid.cell_volume
 
-    energy = p.eps * _integral(grid, (
+    two_mj = 2.0 ** -js
+    u_grad_n = np.einsum("jkm,jkm->jm", u_phys, grad_n)[:, None]
+    grad_n_grad_psi = np.einsum("jkm,jkm->jm", grad_n, grad_psi)[:, None]
+    usq = np.einsum("jkm,jkm->jm", u_phys, u_phys)[:, None]
+    gpsq = np.einsum("jkm,jkm->jm", grad_psi, grad_psi)[:, None]
+
+    energy = p.eps * integral(
         0.5 * n_phys ** 2
-        + (two_mj ** 2 / (2.0 * eta0)) * h_j ** 2
+        + (two_mj[:, None, None] ** 2 / (2.0 * eta0)) * h_j ** 2
         + 0.5 * w * usq
         + (p.mu * p.b / (2.0 * p.c1)) * psi_phys ** 2
         + (p.mu / (2.0 * p.c1)) * gpsq
         - p.mu * n_phys * psi_phys
         - h_j * psi_phys
-    )) + eta0 * two_mj ** 2 * _integral(grid, (
+    ) + eta0 * two_mj ** 2 * integral(
         (p.mu / (2.0 * p.c1)) * gpsq + u_grad_n
-    ))
+    )
 
-    dissipation = p.eps * _integral(grid, (
+    dissipation = p.eps * integral(
         w * usq / p.eps + dt_psi ** 2
-    )) + eta0 * two_mj ** 2 * _integral(grid, (
-        np.einsum("k...,k...->...", grad_n, grad_n)
+    ) + eta0 * two_mj ** 2 * integral(
+        np.einsum("jkm,jkm->jm", grad_n, grad_n)[:, None]
         + (p.mu * p.b / p.c1) * gpsq
         + (p.mu / p.c1) * lap_psi ** 2
         - 2.0 * p.mu * grad_n_grad_psi
         - w * div_u ** 2
         + u_grad_n / p.eps
-    ))
-
-    block_sq = p.eps * (
-        n_j.l2_norm() ** 2 + u_j.l2_norm() ** 2 + psi_j.l2_norm() ** 2
-        + gradient(psi_j).l2_norm() ** 2
-        + two_mj ** 2 * _integral(grid, h_j ** 2)
     )
-    return LyapunovRecord(j=j, energy=energy, dissipation=dissipation, block_sq=block_sq,
-                          w_min=float(w.min()), w_max=float(w.max()))
+
+    norms_sq = [dec.block_norms(f)[js - dec.j_min] ** 2   # of n, u, psi, grad psi, H(n)
+                for f in (state.n, state.u, state.psi, gradient(state.psi), h_full)]
+    block_sq = p.eps * (sum(norms_sq[:4]) + two_mj ** 2 * norms_sq[4])
+    return LyapunovRecord(j=js, energy=energy, dissipation=dissipation, block_sq=block_sq,
+                          w_min=w.min(axis=(1, 2)), w_max=w.max(axis=(1, 2)))
 
 
 @dataclass
@@ -222,26 +222,22 @@ class LyapunovReport:
 def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
                                c_tol: float = 10.0) -> LyapunovReport:
     """Check L_j ~ eps block^2 and eps H_j >~ L_j on every snapshot and every
-    active block j >= J - 1 whose energy exceeds LYAPUNOV_NOISE_FLOOR."""
+    block of :func:`lyapunov_blocks` whose energy exceeds LYAPUNOV_NOISE_FLOOR."""
     p = traj.initial.params
-    dec = traj.initial.grid.decomposition
-    J = p.threshold()
+    js = lyapunov_blocks(p, traj.initial.grid)
     report = LyapunovReport()
     for s in traj.states:
-        coefficients = _coefficient_fields(s)
-        for j in dec.active_js():
-            if j < J - 1:
-                continue
-            rec = lyapunov_evaluate(s, j, eta0, coefficients)
-            if rec.energy <= LYAPUNOV_NOISE_FLOOR or rec.block_sq <= LYAPUNOV_NOISE_FLOOR:
-                report.skipped_below_floor += 1
-                continue
-            ratio1 = rec.energy / rec.block_sq
-            ratio2 = p.eps * rec.dissipation / rec.energy
-            ok = (1.0 / c_tol <= ratio1 <= c_tol) and (ratio2 >= 1.0 / c_tol)
-            report.rows.append((s.t, j, rec.energy, rec.dissipation, ratio1, ratio2, ok))
-            if not ok:
-                report.violations.append((s.t, j, ratio1, ratio2))
+        rec = lyapunov_evaluate(s, js, eta0)
+        skip = (rec.energy <= LYAPUNOV_NOISE_FLOOR) | (rec.block_sq <= LYAPUNOV_NOISE_FLOOR)
+        report.skipped_below_floor += int(np.count_nonzero(skip))
+        energy, dissipation = rec.energy[~skip], rec.dissipation[~skip]
+        ratio1 = energy / rec.block_sq[~skip]
+        ratio2 = p.eps * dissipation / energy
+        ok = (1.0 / c_tol <= ratio1) & (ratio1 <= c_tol) & (ratio2 >= 1.0 / c_tol)
+        for row in zip(*(v.tolist() for v in (js[~skip], energy, dissipation, ratio1, ratio2, ok))):
+            report.rows.append((s.t, *row))
+            if not row[-1]:
+                report.violations.append((s.t, row[0], row[3], row[4]))
     return report
 
 

@@ -107,10 +107,6 @@ class HpcState:
         """Density field recovered from the enthalpy (validity-window checked)."""
         return density_rho(self.n.to_physical()[0], self.params)
 
-    def phi_physical(self) -> np.ndarray:
-        """Concentration field psi + phi_bar."""
-        return self.psi.to_physical()[0] + self.params.phi_bar
-
     def mass_perturbation(self, pert: np.ndarray | None = None) -> float:
         """Mean of rho - rho_bar, accurate at the perturbation scale; ``pert``
         is rho - rho_bar on the grid when the caller has it."""

@@ -305,18 +305,15 @@ def bessel_inverse(f: SpectralField, b: float) -> SpectralField:
 
 
 def gradient(f: SpectralField) -> SpectralField:
-    """Gradient of a scalar field; returns a d-component field."""
-    if f.ncomp != 1:
-        raise ValueError("gradient expects a scalar field")
-    return SpectralField(f.grid, 1j * f.grid.xi_diff * f.coef[0])
+    """Gradient of each row of f: d rows per row, in row order."""
+    coef = 1j * f.grid.xi_diff * f.coef[:, None]
+    return SpectralField(f.grid, coef.reshape((-1,) + f.grid.spec_shape))
 
 
 def divergence(v: SpectralField) -> SpectralField:
-    """Divergence of a d-component field; returns a scalar field."""
-    if v.ncomp != v.grid.d:
-        raise ValueError("divergence expects a d-component field")
-    coef = np.sum(1j * v.grid.xi_diff * v.coef, axis=0)
-    return SpectralField(v.grid, coef[None])
+    """Divergence of each consecutive d rows of v: one row per d-component field."""
+    coef = np.sum(1j * v.grid.xi_diff * v.coef.reshape((-1, v.grid.d) + v.grid.spec_shape), axis=1)
+    return SpectralField(v.grid, coef)
 
 
 def laplacian(f: SpectralField) -> SpectralField:
@@ -375,18 +372,21 @@ class DyadicDecomposition:
     def active_js(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
+    def _multipliers(self, profile, j) -> np.ndarray:
+        """profile(2^{-j} |xi|) for a scalar or an array of j, shape (n_j, *spec_shape)."""
+        return profile(self.grid.xi_mag * 2.0 ** -np.reshape(j, (-1,) + (1,) * self.grid.d))
+
     @cached_property
     def weights(self) -> np.ndarray:
         """Squared ring weights times mode multiplicity, shape (n_active_blocks,
         n_stored_modes); built on first use."""
-        w2 = np.empty((len(self.active_js()), self.grid.xi_mag.size))
-        for row, j in enumerate(self.active_js()):
-            w2[row] = ring_profile(self.grid.xi_mag.ravel() * 2.0 ** (-j)) ** 2
-        return w2 * self.grid.multiplicity.ravel()
+        w2 = self._multipliers(ring_profile, self.active_js()) ** 2 * self.grid.multiplicity
+        return w2.reshape(len(self.active_js()), -1)
 
-    def block(self, f: SpectralField, j: int) -> SpectralField:
-        """Frequency block at scale 2^j (zero outside the active range)."""
-        return SpectralField(f.grid, f.coef * ring_profile(self.grid.xi_mag * 2.0 ** (-j)))
+    def block(self, f: SpectralField, j) -> SpectralField:
+        """Block at scale 2^j (zero outside the active range); an array of j stacks f per j."""
+        coef = f.coef * self._multipliers(ring_profile, j)[:, None]
+        return SpectralField(f.grid, coef.reshape((-1,) + self.grid.spec_shape))
 
     def block_norms(self, f: SpectralField) -> np.ndarray:
         """L2 norms of every active block of f (components summed), in j order."""
@@ -409,9 +409,10 @@ class DyadicDecomposition:
         return (float(np.sum((2.0 ** (js * s_low) * norms)[js <= J])),
                 float(np.sum((2.0 ** (js * s_high) * norms)[js >= J - 1])))
 
-    def lowpass(self, f: SpectralField, j: int) -> SpectralField:
-        """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi)), mean kept."""
-        return SpectralField(f.grid, f.coef * chi_profile(self.grid.xi_mag * 2.0 ** (-j)))
+    def lowpass(self, f: SpectralField, j) -> SpectralField:
+        """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi)), mean kept; stacks as block."""
+        coef = f.coef * self._multipliers(chi_profile, j)[:, None]
+        return SpectralField(f.grid, coef.reshape((-1,) + self.grid.spec_shape))
 
 
 def make_decomposition(grid: Grid) -> DyadicDecomposition:

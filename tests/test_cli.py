@@ -638,6 +638,12 @@ class TestExperimentBlockErrors:
          "experimnt block: unknown block; this subcommand reads model, experiment"),
         ("simulate-ks", {}, {**LYAP_RUN, "experiment": {}},
          "experiment block: unknown block; this subcommand reads model, grid, solver, initial"),
+        # the threshold lies above every block of the grid: nothing to check
+        ("lyapunov-check", {}, {"model": base_model(epsilon=0.01),
+                                "grid": {"d": 1, "N": 8, "L": 6.283185307179586},
+                                "solver": {"dt": 0.02, "t_end": 1.0, "snap_dt": 0.5}},
+         "grid block: no block to check: the check covers j >= J - 1 = 5, "
+         "and the largest active j is 2"),
     ], ids=["decay-d4", "decay-window5", "symbol-xi_max", "symbol-samples0",
             "lyapunov-eta0", "lyapunov-c_tol0", "lyapunov-eta0-string", "ks-amplitude",
             "hpc-width", "hpc-modes", "sweep-amplitude", "sweep-eps_list-scalar",
@@ -652,7 +658,7 @@ class TestExperimentBlockErrors:
             "hpc-mode-unknown-key", "hpc-mode-not-an-object", "hpc-profile-unknown",
             "ks-profile", "ks-target_x0", "ks-modes", "model-unknown-key", "grid-unknown-key",
             "initial-unknown-key", "experiment-unknown-key", "sweep-unknown-key",
-            "unknown-block", "ks-experiment-block"])
+            "unknown-block", "ks-experiment-block", "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -1,6 +1,7 @@
 """Damped modes, Lyapunov functionals, decay fits, rescaling, sweep plumbing."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from chemorelax.diagnostics import (
     damped_mode_decay_check,
     effective_modes,
+    lyapunov_blocks,
     lyapunov_equivalence_check,
     lyapunov_evaluate,
     relaxation_sweep,
     rescale_to_fast,
     rescale_to_slow,
 )
+from chemorelax.driver import Trajectory
 from chemorelax.hpc_solver import (
     HpcState,
     SolverConfig,
@@ -22,8 +25,17 @@ from chemorelax.hpc_solver import (
     run,
 )
 from chemorelax.linear_analysis import decay_fit
-from chemorelax.model import ModelParams, PressureLaw, coefficient_H
-from chemorelax.spectral import SpectralField, divergence, make_decomposition, make_grid
+from chemorelax.model import ModelParams, PressureLaw, coefficients_GH
+from chemorelax.spectral import (
+    SpectralField,
+    divergence,
+    from_physical_all,
+    gradient,
+    laplacian,
+    make_decomposition,
+    make_grid,
+    to_physical_all,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +64,12 @@ class TestEffectiveModes:
         assert modes.v.l2_norm() == 0.0
         assert modes.phi_eff.l2_norm() == 0.0
         assert modes.phi_tilde.l2_norm() == 0.0
-        assert modes.coupling_residual.l2_norm() <= 1e-12
 
     def test_well_prepared_phi_eff_zero(self, grid):
         p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 3.0))
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid), target_x0=0.01)
         modes = effective_modes(state)
         assert modes.phi_eff.l2_norm() <= 1e-10 * max(state.psi.l2_norm(), 1e-30)
-
-    def test_coupling_identity(self, grid, rng):
-        """b phi - a rho == b psi - c1 n - H(n) pointwise, to 1e-12."""
-        p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 3.0))
-        n = SpectralField.from_physical(grid, 0.08 * gaussian_bump(grid)[None])
-        psi = SpectralField.from_physical(grid, 0.03 * rng.standard_normal((1,) + grid.shape))
-        state = HpcState(0.0, n, SpectralField.zeros(grid, 1), psi, p)
-        modes = effective_modes(state)
-        n_phys = n.to_physical()[0]
-        rhs = p.b * psi.to_physical()[0] - p.c1 * n_phys - coefficient_H(n_phys, p)
-        lhs = modes.coupling_residual.to_physical()[0]
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_damped_velocity_equation_finite_difference(self, grid, params):
         """Along a near-linear trajectory, dt u + (1/eps) v ~ 0 (from the
@@ -137,8 +136,8 @@ class TestLyapunov:
     def test_equilibrium_zero(self, grid, params):
         state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
                          SpectralField.zeros(grid, 1), params)
-        rec = lyapunov_evaluate(state, 2, eta0=0.1)
-        assert rec.energy == 0.0 and rec.dissipation == 0.0 and rec.block_sq == 0.0
+        rec = lyapunov_evaluate(state, [2], eta0=0.1)
+        assert rec.energy[0] == 0.0 and rec.dissipation[0] == 0.0 and rec.block_sq[0] == 0.0
 
     def test_pure_density_block(self, grid, params):
         """Single high-frequency n-mode with u = psi = 0 and H == 0 (gamma=2):
@@ -149,23 +148,23 @@ class TestLyapunov:
                          SpectralField.zeros(grid, 1), params)
         dec = make_decomposition(grid)
         j = 2  # |xi| = 6 sits in ring j=2 ([3, 10.7])
-        rec = lyapunov_evaluate(state, j, eta0=0.1)
+        rec = lyapunov_evaluate(state, [j], eta0=0.1)
         expected = params.eps * 0.5 * dec.block(n, j).l2_norm() ** 2
         # psi_j = 0 kills every cross term except the dt psi (= c1 n_j) square
-        assert np.isclose(rec.energy, expected, rtol=1e-12)
-        assert rec.dissipation > 0
+        assert np.isclose(rec.energy[0], expected, rtol=1e-12)
+        assert rec.dissipation[0] > 0
 
     def test_eta0_validation(self, grid, params):
         state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
                          SpectralField.zeros(grid, 1), params)
         with pytest.raises(ValueError):
-            lyapunov_evaluate(state, 1, eta0=1.5)
+            lyapunov_evaluate(state, [1], eta0=1.5)
 
     def test_weight_bounds_small_data(self, small_traj, params):
         """c0/2 <= w_j <= 3 c0/2 on small-data states."""
         for s in small_traj.states[:: max(1, len(small_traj.states) // 4)]:
-            rec = lyapunov_evaluate(s, 2, eta0=0.1)
-            assert params.c0 / 2 <= rec.w_min <= rec.w_max <= 3 * params.c0 / 2
+            rec = lyapunov_evaluate(s, [2], eta0=0.1)
+            assert params.c0 / 2 <= rec.w_min[0] <= rec.w_max[0] <= 3 * params.c0 / 2
 
     def test_equivalence_zero_violations(self, small_traj):
         report = lyapunov_equivalence_check(small_traj, eta0=0.1, c_tol=10.0)
@@ -195,6 +194,100 @@ class TestLyapunov:
         traj = run(state, SolverConfig(dt=0.05, t_end=0.1, snap_dt=0.1))
         report = lyapunov_equivalence_check(traj)
         assert report.skipped_below_floor > 0
+
+
+def per_block_reference(state, j, eta0):
+    """One block's (L_j, H_j, block_sq, w_min, w_max), evaluated block by
+    block: blocks and norms from per-j multipliers and ``l2_norm``."""
+    p, grid = state.params, state.grid
+    dec = grid.decomposition
+
+    def integral(values):
+        return float(np.sum(values) * grid.cell_volume)
+
+    g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], p)
+    g_full, h_full = from_physical_all(grid, g_vals[None], h_vals[None])
+    n_j, u_j, psi_j = (dec.block(f, j) for f in (state.n, state.u, state.psi))
+    ((n_phys,), u_phys, (psi_phys,), grad_psi, grad_n, (lap_psi,), (div_u,), (h_j,),
+     (low_g,)) = to_physical_all(n_j, u_j, psi_j, gradient(psi_j), gradient(n_j),
+                                 laplacian(psi_j), divergence(u_j), dec.block(h_full, j),
+                                 dec.lowpass(g_full, j - 1))
+    dt_psi = lap_psi - p.b * psi_phys + p.c1 * n_phys + h_j
+    w = p.c0 + low_g
+    two_mj = 2.0 ** (-j)
+    u_grad_n = np.einsum("k...,k...->...", u_phys, grad_n)
+    grad_n_grad_psi = np.einsum("k...,k...->...", grad_n, grad_psi)
+    usq = np.einsum("k...,k...->...", u_phys, u_phys)
+    gpsq = np.einsum("k...,k...->...", grad_psi, grad_psi)
+    energy = p.eps * integral(
+        0.5 * n_phys ** 2 + (two_mj ** 2 / (2.0 * eta0)) * h_j ** 2 + 0.5 * w * usq
+        + (p.mu * p.b / (2.0 * p.c1)) * psi_phys ** 2 + (p.mu / (2.0 * p.c1)) * gpsq
+        - p.mu * n_phys * psi_phys - h_j * psi_phys
+    ) + eta0 * two_mj ** 2 * integral((p.mu / (2.0 * p.c1)) * gpsq + u_grad_n)
+    dissipation = p.eps * integral(w * usq / p.eps + dt_psi ** 2) + eta0 * two_mj ** 2 * integral(
+        np.einsum("k...,k...->...", grad_n, grad_n) + (p.mu * p.b / p.c1) * gpsq
+        + (p.mu / p.c1) * lap_psi ** 2 - 2.0 * p.mu * grad_n_grad_psi - w * div_u ** 2
+        + u_grad_n / p.eps)
+    block_sq = p.eps * (n_j.l2_norm() ** 2 + u_j.l2_norm() ** 2 + psi_j.l2_norm() ** 2
+                        + gradient(psi_j).l2_norm() ** 2 + two_mj ** 2 * integral(h_j ** 2))
+    return energy, dissipation, block_sq, float(w.min()), float(w.max())
+
+
+class TestLyapunovStack:
+    @pytest.fixture(scope="class", params=[(1, 128), (2, 32), (3, 16)], ids=["1d", "2d", "3d"])
+    def state(self, request, params):
+        d, N = request.param
+        grid = make_grid(d, N, 2 * np.pi)
+        state, _ = build_initial_data(grid, params, n_profile=gaussian_bump(grid, width=0.5),
+                                      target_x0=0.01)
+        return run(state, SolverConfig(dt=0.02, t_end=0.2, snap_dt=0.2)).states[-1]
+
+    def test_matches_per_block_reference(self, state):
+        """Every active block of one stacked call equals the block-by-block
+        evaluation: bit for bit, apart from block_sq, which comes from the
+        block norms (Parseval) instead of per-block l2 norms."""
+        dec = state.grid.decomposition
+        js = np.arange(dec.j_min, dec.j_max + 1)
+        rec = lyapunov_evaluate(state, js, eta0=0.1)
+        assert np.array_equal(rec.j, js)
+        ref = np.array([per_block_reference(state, int(j), 0.1) for j in js]).T
+        assert np.count_nonzero(ref[2]) >= 3   # the state fills several blocks
+        for name, want in zip(("energy", "dissipation", "w_min", "w_max"), ref[[0, 1, 3, 4]]):
+            assert np.array_equal(getattr(rec, name), want), name
+        np.testing.assert_allclose(rec.block_sq, ref[2], rtol=1e-15, atol=0.0)
+
+    def test_transforms_per_snapshot_do_not_grow_with_blocks(self, state, monkeypatch):
+        """One snapshot takes the same number of inverse transforms for one
+        checked block as for all of them: 2 in d = 1, 10 in d >= 2."""
+        calls = []
+        original = SpectralField.to_physical
+        monkeypatch.setattr(SpectralField, "to_physical",
+                            lambda f: calls.append(1) or original(f))
+        dec = state.grid.decomposition
+        counts = []
+        for shift in (dec.j_max + 1 - state.params.threshold(), -3):   # J - 1 = j_max, below j_min
+            params = replace(state.params, j_offset=state.params.j_offset + shift)
+            snapshot = replace(state, params=params)
+            traj = Trajectory(states=[snapshot, snapshot], row=None)
+            n_blocks = len(lyapunov_blocks(params, state.grid))
+            calls.clear()
+            lyapunov_equivalence_check(traj)
+            counts.append((n_blocks, len(calls) / 2))
+        assert counts[0][0] == 1 and counts[1][0] == len(dec.active_js())
+        expected = 2 if state.grid.d == 1 else 10
+        assert counts[0][1] == counts[1][1] == expected
+
+    def test_empty_block_range_rejected(self, params):
+        """With J - 1 above the largest active block the check has nothing to
+        check: ValueError before any snapshot is evaluated."""
+        grid = make_grid(1, 8, 2 * np.pi)
+        small = replace(params, eps=0.01)
+        with pytest.raises(ValueError, match=r"J - 1 = 5, and the largest active j is 2"):
+            lyapunov_blocks(small, grid)
+        state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
+                         SpectralField.zeros(grid, 1), small)
+        with pytest.raises(ValueError, match=r"J - 1 = 5"):
+            lyapunov_equivalence_check(Trajectory(states=[state], row=None))
 
 
 class TestDecayFit:

@@ -117,6 +117,16 @@ class TestCoefficientH:
         assert np.all(np.abs(h) <= 1.0 * n ** 2 + 1e-15)
 
 
+    def test_coupling_identity(self, rng):
+        """b (psi + phi_bar) - a rho(n) == b psi - c1 n - H(n) pointwise, to 1e-12."""
+        p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 3.0))
+        n = 0.08 * np.exp(-np.linspace(-3.0, 3.0, 128) ** 2)
+        psi = 0.03 * rng.standard_normal(128)
+        lhs = p.b * (psi + p.phi_bar) - p.a * density_rho(n, p)
+        rhs = p.b * psi - p.c1 * n - coefficient_H(n, p)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
 class TestStability:
     def test_stable_example(self):
         p = make_params(gamma=2.0)  # c0 = 2, a mu rho/b = 1
