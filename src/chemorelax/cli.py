@@ -65,6 +65,14 @@ def _optional_number(value):
     return None if value is None else as_number(value)
 
 
+@config_kind("a finite number > 0")
+def _width(value) -> float:
+    value = as_number(value)
+    if not 0 < value < float("inf"):
+        raise ValueError
+    return value
+
+
 @config_kind("a number or a list of numbers")
 def _wavevector(value) -> list:
     return [as_number(k) for k in (value if isinstance(value, list) else [value])]
@@ -94,7 +102,7 @@ GRID = {"d": (as_integer, REQUIRED), "N": (as_integer, REQUIRED), "L": (as_numbe
 SOLVER = {"dt": (as_number, 0.01), "t_end": (as_number, 10.0),
           "snap_dt": (_optional_number, None),
           "dealias": (lambda value: value, True)}   # SolverConfig takes only true
-HPC_INITIAL = {"profile": (_profile, "gaussian"), "width": (as_number, 0.5),
+HPC_INITIAL = {"profile": (_profile, "gaussian"), "width": (_width, 0.5),
                "modes": (_modes, [([1.0], 1.0, 0.0)]), "target_x0": (_optional_number, 0.01)}
 SCHEMAS = {
     "analyze-symbol": {"model": model.params_from_config, "experiment": {
@@ -103,15 +111,15 @@ SCHEMAS = {
     "simulate-hpc": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
                      "initial": HPC_INITIAL},
     "simulate-ks": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
-                    "initial": {"amplitude": (as_number, 0.01), "width": (as_number, 0.5)}},
+                    "initial": {"amplitude": (as_number, 0.01), "width": (_width, 0.5)}},
     "decay-study": {"model": model.params_from_config, "experiment": {
         "window": (_pair, [5.0, 50.0]), "d": (as_integer, 1),
         "sigma0": (as_number, None), "sigma": (as_number, None)}},   # None: -d/2 and d/2
     "relaxation-sweep": {"model": model.params_from_config, "grid": GRID, "experiment": {
         "eps_list": (_numbers, REQUIRED), "tau_end": (as_number, 2.0),
         "snap_dtau": (as_number, 0.05), "dt_fast": (as_number, 0.01),
-        "amplitude": (as_number, 0.02), "width": (as_number, 0.8),
-        "offset_amplitude": (_optional_number, None), "offset_width": (as_number, 0.6),
+        "amplitude": (as_number, 0.02), "width": (_width, 0.8),
+        "offset_amplitude": (_optional_number, None), "offset_width": (_width, 0.6),
         "high_freq_budget": (_optional_number, None), "slope_window": (_pair, [0.8, 1.2])}},
     "lyapunov-check": {"model": model.params_from_config, "grid": GRID, "solver": SOLVER,
                        "initial": HPC_INITIAL,
@@ -164,17 +172,17 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 def _initial_state(c: dict, rng):
     init, grid = c["initial"], c["grid"]
-    if init["profile"] == "gaussian":
-        n_prof = hpc_solver.gaussian_bump(grid, width=init["width"])
-    elif init["profile"] == "modes":
-        n_prof = hpc_solver.mode_bump(grid, init["modes"])
-    else:
-        n_prof = rng.standard_normal(grid.shape)
-        n_prof -= n_prof.mean()
-    try:
+    try:   # a mode's wavevector, target_x0 or OutsideValidityWindow (ValueError)
+        if init["profile"] == "gaussian":
+            n_prof = hpc_solver.gaussian_bump(grid, width=init["width"])
+        elif init["profile"] == "modes":
+            n_prof = hpc_solver.mode_bump(grid, init["modes"])
+        else:
+            n_prof = rng.standard_normal(grid.shape)
+            n_prof -= n_prof.mean()
         return hpc_solver.build_initial_data(grid, c["model"], n_profile=n_prof,
                                              target_x0=init["target_x0"])
-    except ValueError as exc:  # OutsideValidityWindow included
+    except ValueError as exc:
         raise ConfigError(f"initial block: {exc}")
 
 

@@ -2,8 +2,11 @@
 relaxation-limit error sweep.
 
 Nothing here advances a solution; every function is a pure evaluation of
-states or trajectories produced by the solvers.  A snapshot's Lyapunov blocks
-are one stack per field, so its transform count does not grow with the blocks.
+states or trajectories produced by the solvers.  The damped-mode check and
+the relaxation sweep run over snapshot stacks: one inverse transform of n and
+one density perturbation per stack, and row-wise block norms.  A snapshot's
+Lyapunov blocks are one stack per field, so its transform count does not grow
+with the blocks.
 """
 
 from __future__ import annotations
@@ -11,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .driver import DiagnosticSeries, RunFailed, SolverConfig, Trajectory, write_csv
+from .driver import DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stacks, write_csv
 from .hpc_solver import (
     HpcState,
     equilibrium_psi,
@@ -53,7 +57,6 @@ __all__ = [
     "lyapunov_equivalence_check",
     "relaxation_sweep",
     "rescale_to_slow",
-    "rescale_to_fast",
     "write_csv",
 ]
 
@@ -67,19 +70,20 @@ LYAPUNOV_NOISE_FLOOR = 1e-20
 
 @dataclass
 class DampedModes:
-    """The low-frequency damped combinations of one state."""
+    """The damped modes of a state or a snapshot stack; phi_eff on first read."""
 
+    state: HpcState
     v: SpectralField          # u + eps grad n - eps mu grad psi
-    phi_eff: SpectralField    # psi - (b - Lap)^{-1}(c1 n + H(n))
-    phi_tilde: SpectralField  # b psi - c1 n
+
+    @cached_property
+    def phi_eff(self) -> SpectralField:   # psi - (b - Lap)^{-1}(c1 n + H(n))
+        return self.state.psi - equilibrium_psi(self.state.n, self.state.params)
 
 
 def effective_modes(state: HpcState) -> DampedModes:
     p = state.params
-    v = state.u + p.eps * gradient(state.n) - (p.eps * p.mu) * gradient(state.psi)
-    phi_eff = state.psi - equilibrium_psi(state.n, p)
-    phi_tilde = p.b * state.psi - p.c1 * state.n
-    return DampedModes(v=v, phi_eff=phi_eff, phi_tilde=phi_tilde)
+    return DampedModes(state, state.u + p.eps * gradient(state.n)
+                       - (p.eps * p.mu) * gradient(state.psi))
 
 
 def damped_mode_decay_check(traj: Trajectory) -> dict:
@@ -92,21 +96,18 @@ def damped_mode_decay_check(traj: Trajectory) -> dict:
     initial = traj.initial
     p = initial.params
     dec = initial.grid.decomposition
-    J = p.threshold()
-    d_half = initial.grid.d / 2.0
+    J, d, d_half = p.threshold(), initial.grid.d, initial.grid.d / 2.0
 
-    times, v_norms, pe_norms = [], [], []
-    for s in traj.states:
-        modes = effective_modes(s)
-        v_lo, _ = dec.hybrid_norm(modes.v, d_half, d_half, J)
-        pe_lo, _ = dec.hybrid_norm(modes.phi_eff, d_half, d_half, J)
-        pe_lo2, _ = dec.hybrid_norm(modes.phi_eff, d_half + 2.0, d_half + 2.0, J)
-        times.append(s.t)
-        v_norms.append(v_lo)
-        pe_norms.append(pe_lo + pe_lo2)
-    times = np.array(times)
-    int_v = float(np.trapezoid(v_norms, times)) / p.eps
-    int_pe = float(np.trapezoid(pe_norms, times))
+    rows = []   # per snapshot stack: times and the low norms of v and phi_eff
+    for stack in stacks(traj.states):
+        modes = effective_modes(stack)
+        v, pe = dec.block_norms(modes.v.energy(d)), dec.block_norms(modes.phi_eff.energy(1))
+        rows.append((stack.t, dec.hybrid_norm(v, d_half, d_half, J)[0],
+                     dec.hybrid_norm(pe, d_half, d_half, J)[0]
+                     + dec.hybrid_norm(pe, d_half + 2.0, d_half + 2.0, J)[0]))
+    times, v_lo, pe_lo = map(np.concatenate, zip(*rows))
+    int_v = float(np.trapezoid(v_lo, times)) / p.eps
+    int_pe = float(np.trapezoid(pe_lo, times))
     x0, _ = hybrid_aggregate(initial)
     return {
         "int_v_over_eps": int_v,
@@ -198,7 +199,7 @@ def lyapunov_evaluate(state: HpcState, js, eta0: float) -> LyapunovRecord:
         + u_grad_n / p.eps
     )
 
-    norms_sq = [dec.block_norms(f)[js - dec.j_min] ** 2   # of n, u, psi, grad psi, H(n)
+    norms_sq = [dec.block_norms(f.energy(f.ncomp))[0, js - dec.j_min] ** 2
                 for f in (state.n, state.u, state.psi, gradient(state.psi), h_full)]
     block_sq = p.eps * (sum(norms_sq[:4]) + two_mj ** 2 * norms_sq[4])
     return LyapunovRecord(j=js, energy=energy, dissipation=dissipation, block_sq=block_sq,
@@ -244,29 +245,17 @@ def lyapunov_equivalence_check(traj: Trajectory, eta0: float = 0.1,
 # -- relaxation sweep --------------------------------------------------------------
 
 def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray):
-    """Diffusive rescaling tau = eps t, u -> u/eps of one fast-time snapshot.
+    """Diffusive rescaling tau = eps t, u -> u/eps of a fast-time snapshot or stack.
 
-    ``rho_phys`` is the snapshot's physical density.  Returns
+    ``rho_phys`` is the physical density, one row per snapshot.  Returns
     (tau, rho_field, u_field, phi_field) in slow variables.
     """
-    rho = SpectralField.from_physical(state.grid, rho_phys[None])
+    rho = SpectralField.from_physical(state.grid, rho_phys.reshape((-1,) + state.grid.shape))
     u_eps = (1.0 / eps) * state.u
-    zero = (0,) + (0,) * state.grid.d
+    zero = (slice(None),) + (0,) * state.grid.d
     phi = state.psi.copy()
     phi.coef[zero] += state.params.phi_bar
     return eps * state.t, rho, u_eps, phi
-
-
-def rescale_to_fast(tau: float, rho: SpectralField, u_eps: SpectralField,
-                    phi: SpectralField, params: ModelParams):
-    """Inverse of :func:`rescale_to_slow` (same factors, applied inversely);
-    kept as the tests' oracle for the rescaling round trip."""
-    n = SpectralField.from_physical(rho.grid, enthalpy_n(rho.to_physical()[0], params)[None])
-    u = params.eps * u_eps
-    zero = (0,) + (0,) * rho.grid.d
-    psi = phi.copy()
-    psi.coef[zero] -= params.phi_bar
-    return HpcState(tau / params.eps, n, u, psi, params)
 
 
 @dataclass
@@ -323,11 +312,11 @@ def _hpc_member_initial(grid, params: ModelParams, rho0_phys: np.ndarray) -> Hpc
 
 
 def _dt_psi_field(state: HpcState, n_phys: np.ndarray, pert: np.ndarray) -> SpectralField:
-    """dt psi from the equation (used for the concentration residual norms);
-    ``n_phys`` is the snapshot's n in physical space and ``pert`` its
-    density perturbation."""
+    """dt psi from the equation (used for the concentration residual norms) of
+    each snapshot of a stack; ``n_phys`` is its n in physical space and
+    ``pert`` its density perturbation."""
     p = state.params
-    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p, pert)[None],
+    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p, pert),
                                           dealiased=True)
     return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + h_field
 
@@ -405,17 +394,13 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     _require_completed(ks_traj, "limit-model run")
 
-    ks_rho, ks_u, ks_phi = [], [], []
-    for s in ks_traj.states:
-        phi = solve_phi(s.rho, s.params)
-        ks_rho.append(s.rho)
-        ks_phi.append(phi)
-        ks_u.append(reconstruct_velocity(s.rho, phi, s.params))
+    limit = []   # (rho, u, phi) of each snapshot stack
+    for stack in stacks(ks_traj.states):
+        phi = solve_phi(stack.rho, ks_params)
+        limit.append((stack.rho, reconstruct_velocity(stack.rho, phi, ks_params), phi))
 
-    report = RelaxationReport(eps_list=list(eps_list), sup_drho=[], int_drho_high=[],
-                              int_du=[], int_dphi=[], int_rho_v=[], int_dtphi=[])
-
-    def run_member(eps: float):
+    def run_member(eps: float) -> tuple:
+        """The member's six report entries, in RelaxationReport's field order."""
         params = replace(base_params, eps=eps)
         member_rho0 = rho0_phys.copy()
         if rho_offset_phys is not None:
@@ -430,38 +415,28 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         traj = run(initial, cfg)
         _require_completed(traj, f"relaxation member eps={eps}")
 
-        sup_drho = 0.0
-        drho_high, du_norm, dphi_norm, rhov_norm, dtphi_norm = [], [], [], [], []
-        for k, s in enumerate(traj.states):
-            n_phys = s.n.to_physical()[0]   # one inverse transform of n per snapshot
+        rows = []   # per snapshot stack: the six norms, one value per snapshot
+        for (ks_rho, ks_u, ks_phi), s in zip(limit, stacks(traj.states)):
+            n_phys = s.n.to_physical()   # one inverse transform of n per stack
             pert = density_perturbation(n_phys, params)   # and one density perturbation
             rho_phys = params.rho_bar + pert
             _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps, rho_phys)
-            drho = rho_eps - ks_rho[k]
-            du = u_eps - ks_u[k]
-            dphi = phi_eps - ks_phi[k]
-            sup_drho = max(sup_drho, dec.besov_norm(drho, d_half - 1.0))
-            drho_high.append(dec.besov_norm(drho, d_half + 1.0))
-            du_norm.append(dec.besov_norm(du, d_half))
-            dphi_norm.append(dec.besov_norm(dphi, d_half + 1.0)
-                             + dec.besov_norm(dphi, d_half + 2.0))
+            drho = dec.block_norms((rho_eps - ks_rho).energy(1))
+            dphi = dec.block_norms((phi_eps - ks_phi).energy(1))
             # residuals, evaluated in slow variables
-            modes_v = s.u + eps * gradient(s.n) - (eps * params.mu) * gradient(s.psi)
-            rho_v = SpectralField.from_physical(
-                grid, rho_phys[None] * modes_v.to_physical() / eps, dealiased=True)
-            rhov_norm.append(dec.besov_norm(rho_v, d_half))
-            dtphi_norm.append(dec.besov_norm(_dt_psi_field(s, n_phys, pert), d_half) / eps)
-        return dict(
-            sup_drho=sup_drho,
-            int_drho_high=float(np.trapezoid(drho_high, taus)),
-            int_du=float(np.trapezoid(du_norm, taus)),
-            int_dphi=float(np.trapezoid(dphi_norm, taus)),
-            int_rho_v=float(np.trapezoid(rhov_norm, taus)),
-            int_dtphi=eps * float(np.trapezoid(dtphi_norm, taus)),
-        )
+            rho_v = SpectralField.from_physical(grid, np.repeat(rho_phys, grid.d, axis=0)
+                                                * effective_modes(s).v.to_physical() / eps,
+                                                dealiased=True)
+            dt_psi = _dt_psi_field(s, n_phys, pert)
+            rows.append((dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
+                         dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
+                         dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
+                         dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
+                         dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps))
+        sup_drho, *integrands, dtphi = map(np.concatenate, zip(*rows))
+        return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
+                eps * float(np.trapezoid(dtphi, taus)))
 
-    for eps in eps_list:
-        for key, value in run_member(eps).items():
-            getattr(report, key).append(value)
+    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, eps_list))))
     report.fit_slopes()
     return report

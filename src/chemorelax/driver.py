@@ -1,29 +1,35 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with its blow-up status, and the
-trajectory type, whose diagnostic series (a :class:`DiagnosticSeries`,
-written with the package's one CSV writer, :func:`write_csv`) is built from
-the kept snapshots only when it is read.
+trajectory type.  Diagnostics run on snapshot stacks (:func:`stacks`): one
+state per chunk of kept snapshots, with one row per snapshot in each field,
+so a chunk takes one transform per field.  The diagnostic series is a
+:class:`DiagnosticSeries` of columns, built from the stacks only when it is
+read, and written with the package's one CSV writer, :func:`write_csv`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, fields, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .model import OutsideValidityWindow
+from .spectral import SpectralField
 
-__all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "BlowupError", "DiagnosticSeries", "RunFailed",
-           "SolverConfig", "Trajectory", "integrate", "whole_count", "write_csv"]
+__all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "SNAPSHOT_CHUNK", "BlowupError",
+           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "stacks",
+           "whole_count", "write_csv"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
 # operational smallness for near-equilibrium runs; larger data is allowed but
 # the global bound is then only an experiment, not an expectation
 SMALL_DATA_HINT = 0.05
+# snapshots per stack at most, which bounds the memory of a long run's diagnostics
+SNAPSHOT_CHUNK = 64
 
 
 class BlowupError(RuntimeError):
@@ -89,35 +95,46 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
+def stacks(states: list):
+    """The states in chunks of at most SNAPSHOT_CHUNK, each joined into one
+    state whose time is an array and whose fields hold every snapshot's rows."""
+    def joined(values):
+        if isinstance(values[0], SpectralField):
+            return SpectralField(values[0].grid, np.concatenate([v.coef for v in values]))
+        return np.array(values)
+
+    for start in range(0, len(states), SNAPSHOT_CHUNK):
+        chunk = states[start:start + SNAPSHOT_CHUNK]
+        yield replace(chunk[0], **{f.name: joined([getattr(s, f.name) for s in chunk])
+                                   for f in fields(chunk[0]) if f.name != "params"})
+
+
 class DiagnosticSeries:
-    """Column store of time-indexed diagnostics; rows are added as keywords."""
+    """Time-indexed diagnostics as named columns, one value per snapshot."""
 
     def __init__(self):
-        self._rows: list[dict] = []
+        self.columns: dict = {}
 
-    def add(self, **kw):
-        self._rows.append(kw)
-
-    @property
-    def names(self):
-        return list(self._rows[0].keys()) if self._rows else []
+    def add(self, **columns):   # the equal-length columns of one snapshot stack
+        for name, values in columns.items():
+            self.columns[name] = np.concatenate((self.columns.get(name, ()), values))
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([row[name] for row in self._rows])
+        return self.columns[name]
 
     def to_csv(self, path):
-        names = self.names
-        write_csv(path, names, ([row[k] for k in names] for row in self._rows))
+        write_csv(path, self.columns, zip(*(v.tolist() for v in self.columns.values())))
 
 
 @dataclass
 class Trajectory:
     """The snapshots of one run, its status ("completed", "blowup" or
-    "mass_drift") and the reason.  ``series``, a :class:`DiagnosticSeries`
-    with one ``row(state)`` per snapshot, is built on first read."""
+    "mass_drift") and the reason.  ``series``, the :class:`DiagnosticSeries`
+    of ``columns(stack)`` over the :func:`stacks` of the snapshots, is built
+    on first read."""
 
     states: list
-    row: Callable
+    columns: Callable
     status: str = "completed"
     message: str = ""
 
@@ -132,12 +149,12 @@ class Trajectory:
     @cached_property
     def series(self):
         series = DiagnosticSeries()
-        for state in self.states:
-            series.add(**self.row(state))
+        for stack in stacks(self.states):
+            series.add(**self.columns(stack))
         return series
 
 
-def integrate(initial, advance: Callable, check: Callable, row: Callable,
+def integrate(initial, advance: Callable, check: Callable, columns: Callable,
               config: SolverConfig) -> Trajectory:
     """Step ``initial`` with ``advance(state)`` (one step of ``config.dt``)
     through the schedule of ``config``, calling ``check(state)`` on each
@@ -153,5 +170,5 @@ def integrate(initial, advance: Callable, check: Callable, row: Callable,
             check(state)
             states.append(state.copy())
     except (OutsideValidityWindow, BlowupError) as exc:
-        return Trajectory(states, row, "blowup", str(exc))
-    return Trajectory(states, row)
+        return Trajectory(states, columns, "blowup", str(exc))
+    return Trajectory(states, columns)

@@ -53,7 +53,6 @@ from .model import (  # coefficient_G stays importable here for perfbench's trac
     coefficient_H,
     coefficients_GH,
     density_perturbation,
-    density_rho,
 )
 from .spectral import (
     Grid,
@@ -91,7 +90,7 @@ MAX_CFL_HALVINGS = 8
 
 @dataclass
 class HpcState:
-    """Snapshot of (n, u, psi) at one time instant."""
+    """Snapshot of (n, u, psi) at one time instant, or a snapshot stack."""
 
     t: float
     n: SpectralField
@@ -103,19 +102,12 @@ class HpcState:
     def grid(self) -> Grid:
         return self.n.grid
 
-    def rho_physical(self) -> np.ndarray:
-        """Density field recovered from the enthalpy (validity-window checked)."""
-        return density_rho(self.n.to_physical()[0], self.params)
+    def mass_perturbation(self) -> float:
+        """Mean of rho - rho_bar, accurate at the perturbation scale."""
+        return float(np.mean(density_perturbation(self.n.to_physical()[0], self.params)))
 
-    def mass_perturbation(self, pert: np.ndarray | None = None) -> float:
-        """Mean of rho - rho_bar, accurate at the perturbation scale; ``pert``
-        is rho - rho_bar on the grid when the caller has it."""
-        if pert is None:
-            pert = density_perturbation(self.n.to_physical()[0], self.params)
-        return float(np.mean(pert))
-
-    def total_mass(self, pert: np.ndarray | None = None) -> float:
-        return float((self.params.rho_bar + self.mass_perturbation(pert)) * self.grid.volume)
+    def total_mass(self) -> float:
+        return float((self.params.rho_bar + self.mass_perturbation()) * self.grid.volume)
 
     def copy(self) -> "HpcState":
         return HpcState(self.t, self.n.copy(), self.u.copy(), self.psi.copy(), self.params)
@@ -280,19 +272,22 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
 
 
 def hybrid_aggregate(state: HpcState):
-    """Hybrid energy of one snapshot, split at the threshold J of its parameters:
+    """Hybrid energy of a snapshot, split at the threshold J of its parameters:
     ||(n,u,psi)||^l_{B^{d/2}_{2,1}} + eps ||(n,u,grad psi)||^h_{B^{d/2+1}_{2,1}}.
 
     Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
-    breakdown holds the (low, high) pair of each of n, u, psi and grad_psi;
-    each field's block norms are computed once.
+    breakdown holds the (low, high) pair of each of n, u, psi and grad_psi.
+    The block norms of the four fields come from one product.  Each value is
+    a float for one snapshot and an array over the snapshots of a stack.
     """
-    dec = state.grid.decomposition
-    J = state.params.threshold()
-    s_lo = state.grid.d / 2.0
-    fields = {name: dec.hybrid_norm(f, s_lo, s_lo + 1.0, J)
-              for name, f in (("n", state.n), ("u", state.u), ("psi", state.psi),
-                              ("grad_psi", gradient(state.psi)))}
+    dec, d, k = state.grid.decomposition, state.grid.d, state.n.ncomp
+    norms = dec.block_norms(np.concatenate([state.n.energy(1), state.u.energy(d),
+                                            state.psi.energy(1), gradient(state.psi).energy(d)]))
+    lows, highs = dec.hybrid_norm(norms.reshape(4, k, -1), d / 2.0, d / 2.0 + 1.0,
+                                  state.params.threshold())
+    if np.ndim(state.t) == 0:   # one snapshot: floats
+        lows, highs = lows[:, 0], highs[:, 0]
+    fields = dict(zip(("n", "u", "psi", "grad_psi"), zip(lows, highs)))
     low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
     high = fields["n"][1] + fields["u"][1] + fields["grad_psi"][1]
     eps = state.params.eps
@@ -338,20 +333,21 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
         if x0 > 0 and agg > BLOWUP_FACTOR * x0:
             raise BlowupError(f"aggregate norm exceeded {BLOWUP_FACTOR:g} x initial at t={s.t}")
 
-    def row(s: HpcState) -> dict:
+    def columns(s: HpcState) -> dict:   # s is a snapshot stack: one value per snapshot
         agg, parts = hybrid_aggregate(s)
-        n_phys = s.n.to_physical()[0]
+        n_phys = s.n.to_physical()
         pert = density_perturbation(n_phys, s.params)
-        return dict(t=s.t, mass=s.total_mass(pert),
-                    mean_n=float(s.n.mean()[0]), mean_psi=float(s.psi.mean()[0]),
-                    mean_H=float(np.mean(coefficient_H(n_phys, s.params, pert))),
+        k = len(n_phys)
+        mass = (s.params.rho_bar + pert.reshape(k, -1).mean(axis=1)) * s.grid.volume
+        return dict(t=s.t, mass=mass, mean_n=s.n.mean(), mean_psi=s.psi.mean(),
+                    mean_H=coefficient_H(n_phys, s.params, pert).reshape(k, -1).mean(axis=1),
                     low_n=parts["n"][0], high_n=parts["n"][1],
                     low_u=parts["u"][0], high_u=parts["u"][1],
                     low_psi=parts["psi"][0], high_psi=parts["psi"][1],
                     x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
-                    max_u=float(np.max(np.abs(s.u.to_physical()))))
+                    max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
 
-    traj = integrate(initial, advance, check, row, config)
+    traj = integrate(initial, advance, check, columns, config)
     if traj.status == "completed":
         # bookkeeping invariant, not the mass-conservation test itself
         drift = abs(traj.final.total_mass() - mass0)
@@ -365,15 +361,14 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
 # -- initial data --------------------------------------------------------------
 
 def gaussian_bump(grid: Grid, width: float = 0.5, center=None, mean_zero: bool = True) -> np.ndarray:
-    """Smooth periodic bump (wrapped Gaussian), optionally mean-adjusted."""
+    """Smooth periodic bump (wrapped Gaussian), optionally mean-adjusted; the
+    width must be positive and finite (ValueError)."""
+    if not (0 < width < math.inf):
+        raise ValueError(f"width must be positive and finite, got {width!r}")
     center = center if center is not None else [grid.L / 2.0] * grid.d
     r2 = np.zeros(grid.shape)
-    for ax in range(grid.d):
-        x = grid.x_axes[ax]
-        dxv = np.minimum(np.abs(x - center[ax]), grid.L - np.abs(x - center[ax]))
-        sl = [None] * grid.d
-        sl[ax] = slice(None)
-        r2 = r2 + (dxv[tuple(sl)] ** 2)
+    for x, c in zip(np.meshgrid(*grid.x_axes, indexing="ij"), center, strict=True):
+        r2 = r2 + np.minimum(np.abs(x - c), grid.L - np.abs(x - c)) ** 2
     vals = np.exp(-r2 / (2.0 * width ** 2))
     if mean_zero:
         vals = vals - vals.mean()
@@ -383,14 +378,16 @@ def gaussian_bump(grid: Grid, width: float = 0.5, center=None, mean_zero: bool =
 def mode_bump(grid: Grid, modes) -> np.ndarray:
     """Low-mode trigonometric profile: sum of cos(k.x + phase) terms.
 
-    ``modes`` is a list of (k_ints, amplitude, phase).
+    ``modes`` is a list of (k_ints, amplitude, phase), each k_ints at most
+    grid.d integers (ValueError otherwise); missing components are 0.
     """
     x_mesh = np.meshgrid(*grid.x_axes, indexing="ij")
     vals = np.zeros(grid.shape)
     for k_ints, amp, phase in modes:
-        arg = np.zeros(grid.shape)
-        for ax, k in enumerate(np.atleast_1d(k_ints)):
-            arg = arg + 2.0 * np.pi * k * x_mesh[ax] / grid.L
+        ks = np.atleast_1d(k_ints)
+        if ks.ndim != 1 or len(ks) > grid.d or not np.all(np.mod(ks, 1) == 0):
+            raise ValueError(f"modes: k must be at most d = {grid.d} integers, got {k_ints!r}")
+        arg = sum((2.0 * np.pi * k * x / grid.L for k, x in zip(ks, x_mesh)), np.zeros(grid.shape))
         vals = vals + amp * np.cos(arg + phase)
     return vals
 
@@ -414,14 +411,16 @@ def rough_mode_profile(grid: Grid, params: ModelParams, budget: float) -> np.nda
     k_int = threshold_mode(grid, params)
     profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, 0.7)])
     f = SpectralField.from_physical(grid, profile[None], dealiased=True)
-    norm = grid.decomposition.besov_norm(f, grid.d / 2.0 + 1.0)
+    dec = grid.decomposition
+    norm = dec.besov_norm(dec.block_norms(f.energy(1)), grid.d / 2.0 + 1.0)[0]
     return budget / (params.eps * norm) * profile
 
 
 def equilibrium_psi(n: SpectralField, params: ModelParams) -> SpectralField:
-    """Well-prepared concentration: psi = (b - Lap)^{-1} (c1 n + H(n)), H dealiased."""
-    h_vals = coefficient_H(n.to_physical()[0], params)
-    h_field = SpectralField.from_physical(n.grid, h_vals[None], dealiased=True)
+    """Well-prepared concentration of each row of n:
+    psi = (b - Lap)^{-1} (c1 n + H(n)), H dealiased."""
+    h_field = SpectralField.from_physical(n.grid, coefficient_H(n.to_physical(), params),
+                                          dealiased=True)
     return bessel_inverse(params.c1 * n + h_field, params.b)
 
 
@@ -435,19 +434,15 @@ def build_initial_data(grid: Grid, params: ModelParams, n_profile=None, u_profil
     :func:`equilibrium_psi` of n solves the screened elliptic balance, which
     zeroes the effective concentration at t = 0.  An n that leaves the
     validity window raises OutsideValidityWindow.  A target of 0 gives the
-    equilibrium.  Returns (state, breakdown), the breakdown of
+    equilibrium; a target that is not a finite number >= 0 or None is a
+    ValueError.  Returns (state, breakdown), the breakdown of
     :func:`hybrid_aggregate`.
     """
-    def mk(profile, ncomp):
-        if profile is None:
-            return SpectralField.zeros(grid, ncomp)
-        arr = np.asarray(profile, dtype=np.float64)
-        if ncomp == 1 and arr.shape == grid.shape:
-            arr = arr[None]
-        return SpectralField.from_physical(grid, arr, dealiased=True)
-
-    n_shape = mk(n_profile, 1)
-    u_shape = mk(u_profile, grid.d)
+    if target_x0 is not None and not (0 <= target_x0 < math.inf):
+        raise ValueError(f"target_x0 must be a finite number >= 0 or None, got {target_x0!r}")
+    n_shape, u_shape = (SpectralField.zeros(grid, ncomp) if profile is None
+                        else SpectralField.from_physical(grid, profile, dealiased=True)
+                        for profile, ncomp in ((n_profile, 1), (u_profile, grid.d)))
 
     def assemble(s: float) -> HpcState:
         nf = s * n_shape

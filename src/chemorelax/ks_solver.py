@@ -50,7 +50,7 @@ __all__ = [
 
 @dataclass
 class KsState:
-    """Density snapshot at one slow-time instant (eps plays no role here)."""
+    """Density snapshot at one slow-time instant, or a snapshot stack (eps plays no role)."""
 
     tau: float
     rho: SpectralField
@@ -62,9 +62,6 @@ class KsState:
 
     def rho_physical(self) -> np.ndarray:
         return _check_window(self.rho.to_physical()[0], self.params, "density")
-
-    def total_mass(self) -> float:
-        return float(self.rho.mean()[0] * self.grid.volume)
 
     def copy(self) -> "KsState":
         return KsState(self.tau, self.rho.copy(), self.params)
@@ -83,9 +80,10 @@ def ks_symbol(xi, params: ModelParams):
 
 
 def solve_phi(rho: SpectralField, params: ModelParams) -> SpectralField:
-    """Exact screened elliptic solve: phi = phi_bar + a (b - Lap)^{-1}(rho - rho_bar)."""
+    """Exact screened elliptic solve of each row of rho:
+    phi = phi_bar + a (b - Lap)^{-1}(rho - rho_bar)."""
     grid = rho.grid
-    zero = (0,) + (0,) * grid.d
+    zero = (slice(None),) + (0,) * grid.d
     pert = rho.copy()
     pert.coef[zero] -= params.rho_bar
     phi = bessel_inverse(params.a * pert, params.b)
@@ -94,11 +92,12 @@ def solve_phi(rho: SpectralField, params: ModelParams) -> SpectralField:
 
 
 def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelParams) -> SpectralField:
-    """Momentum balance u = (-grad P(rho) + mu rho grad phi) / rho, pointwise."""
-    (rho_phys,), grad_rho, grad_phi = to_physical_all(rho, gradient(rho), gradient(phi))
-    rho_phys = _check_window(rho_phys, params, "density")
-    dp = params.pressure.dP(rho_phys)
-    u_phys = (-dp[None] * grad_rho + params.mu * rho_phys[None] * grad_phi) / rho_phys[None]
+    """Momentum balance u = (-grad P(rho) + mu rho grad phi) / rho, pointwise,
+    for each row of rho and phi: d rows of u per row."""
+    rho_phys, grad_rho, grad_phi = to_physical_all(rho, gradient(rho), gradient(phi))
+    rho_rows = np.repeat(_check_window(rho_phys, params, "density"), rho.grid.d, axis=0)
+    dp = params.pressure.dP(rho_rows)
+    u_phys = (-dp * grad_rho + params.mu * rho_rows * grad_phi) / rho_rows
     return SpectralField.from_physical(rho.grid, u_phys, dealiased=True)
 
 
@@ -162,19 +161,21 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     tables = KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
     # block norms exclude the zero mode, so these are norms of rho - rho_bar
-    norm0 = dec.besov_norm(initial.rho, d_half)
+    norm0 = dec.besov_norm(dec.block_norms(initial.rho.energy(1)), d_half)[0]
 
     def advance(s: KsState) -> KsState:
         return ks_step(s, tables)
 
     def check(s: KsState):
         s.rho_physical()  # window check
-        if norm0 > 0 and dec.besov_norm(s.rho, d_half) > BLOWUP_FACTOR * norm0:
+        norm = dec.besov_norm(dec.block_norms(s.rho.energy(1)), d_half)[0]
+        if norm0 > 0 and norm > BLOWUP_FACTOR * norm0:
             raise BlowupError(f"norm explosion at tau={s.tau}")
 
-    def row(s: KsState) -> dict:
-        return dict(tau=s.tau, mass=s.total_mass(),
-                    norm_d2=dec.besov_norm(s.rho, d_half),
-                    norm_d2p2=dec.besov_norm(s.rho, d_half + 2.0))
+    def columns(stack: KsState) -> dict:
+        norms = dec.block_norms(stack.rho.energy(1))
+        return dict(tau=stack.tau, mass=stack.rho.mean() * grid.volume,
+                    norm_d2=dec.besov_norm(norms, d_half),
+                    norm_d2p2=dec.besov_norm(norms, d_half + 2.0))
 
-    return integrate(initial, advance, check, row, config)
+    return integrate(initial, advance, check, columns, config)

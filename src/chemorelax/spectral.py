@@ -40,8 +40,11 @@ Conventions
 * block norms come from one cached ``(n_blocks, n_modes)`` matrix of squared
   ring weights per decomposition, itself cached on its grid as
   ``Grid.decomposition``, multiplicity included, times the stored modes'
-  energies; Besov and hybrid norms are weighted sums over those block norms,
-* L2 norms are torus integrals, computed from coefficients by Parseval,
+  energies.  They are computed row by row: each field of a stack, such as one
+  field over a chunk of snapshots, has an energy row (:meth:`SpectralField.energy`),
+  and one product gives all their block norms.  Besov and hybrid norms are
+  weighted sums over those rows.  Block norms are torus integrals, computed
+  from coefficients by Parseval,
 * snapshots (:func:`save_field`) keep the full ``fftn`` coefficient layout,
   ``(ncomp, N, ..., N)``; :func:`load_field` reads it back.
 """
@@ -228,20 +231,15 @@ class SpectralField:
         return np.fft.irfft(coef, n=grid.N, axis=-1, norm="forward")
 
     def mean(self) -> np.ndarray:
-        """Spatial mean per component (the zero-mode coefficient)."""
+        """Spatial mean per row (the zero-mode coefficient)."""
         zero = (slice(None),) + (0,) * self.grid.d
         return self.coef[zero].real.copy()
 
-    def l2_norm(self) -> float:
-        """sqrt of the torus integral of |f|^2, summed over components."""
-        energy = np.sum(self.grid.multiplicity * np.abs(self.coef) ** 2)
-        return float(np.sqrt(energy) * self.grid.L ** (self.grid.d / 2))
-
-    def l2_norm_physical(self) -> float:
-        """Same norm by physical-space quadrature; kept as the tests' Parseval
-        reference for :meth:`l2_norm`."""
-        vals = self.to_physical()
-        return float(np.sqrt(np.sum(vals ** 2) * self.grid.cell_volume))
+    def energy(self, ncomp: int) -> np.ndarray:
+        """|coef|^2 of each field stacked here, a field being ``ncomp``
+        consecutive rows whose energies are summed: shape (fields, n_modes)."""
+        energy = np.abs(self.coef.reshape(-1, ncomp, self.coef[0].size))
+        return np.square(energy, out=energy).sum(axis=1)
 
     # -- arithmetic --------------------------------------------------------
     def _like(self, coef: np.ndarray) -> "SpectralField":
@@ -388,26 +386,30 @@ class DyadicDecomposition:
         coef = f.coef * self._multipliers(ring_profile, j)[:, None]
         return SpectralField(f.grid, coef.reshape((-1,) + self.grid.spec_shape))
 
-    def block_norms(self, f: SpectralField) -> np.ndarray:
-        """L2 norms of every active block of f (components summed), in j order."""
-        energy = np.sum(np.abs(f.coef) ** 2, axis=0).ravel()
-        return np.sqrt(self.weights @ energy) * self.grid.L ** (self.grid.d / 2)
+    def block_norms(self, energy: np.ndarray) -> np.ndarray:
+        """L2 norms of every active block of each field whose energy row
+        (:meth:`SpectralField.energy`) is given, shape (fields,
+        n_active_blocks), in j order: one product with ``weights``."""
+        return np.sqrt(self.weights @ energy[..., None])[..., 0] * self.grid.L ** (self.grid.d / 2)
 
     def block_l2(self, f: SpectralField, j: int) -> float:
-        """L2 norm of block j; 0.0 outside the active range."""
-        return float(self.block_norms(f)[j - self.j_min]) if j in self.active_js() else 0.0
+        """L2 norm of block j of f (components summed); 0.0 outside the active range."""
+        return (float(self.block_norms(f.energy(f.ncomp))[0, j - self.j_min])
+                if j in self.active_js() else 0.0)
 
-    def besov_norm(self, f: SpectralField, s: float) -> float:
-        """Homogeneous Besov norm B^s_{2,1} (zero mode excluded)."""
+    def besov_norm(self, norms: np.ndarray, s: float) -> np.ndarray:
+        """Homogeneous Besov norm B^s_{2,1} (zero mode excluded) of each row of
+        :meth:`block_norms`."""
         js = np.arange(self.j_min, self.j_max + 1)
-        return float(np.sum(2.0 ** (js * s) * self.block_norms(f)))
+        return np.sum(2.0 ** (js * s) * norms, axis=-1)
 
-    def hybrid_norm(self, f: SpectralField, s_low: float, s_high: float, J: int):
-        """Low part sums blocks j <= J, high part j >= J - 1 (one-block overlap)."""
+    def hybrid_norm(self, norms: np.ndarray, s_low: float, s_high: float, J: int):
+        """(low, high) of each row of :meth:`block_norms`: the low part sums
+        blocks j <= J, the high part j >= J - 1 (one-block overlap)."""
         js = np.arange(self.j_min, self.j_max + 1)
-        norms = self.block_norms(f)
-        return (float(np.sum((2.0 ** (js * s_low) * norms)[js <= J])),
-                float(np.sum((2.0 ** (js * s_high) * norms)[js >= J - 1])))
+        # compress gives contiguous rows, each summed in the order of a 1-D sum
+        return (np.compress(js <= J, 2.0 ** (js * s_low) * norms, axis=-1).sum(axis=-1),
+                np.compress(js >= J - 1, 2.0 ** (js * s_high) * norms, axis=-1).sum(axis=-1))
 
     def lowpass(self, f: SpectralField, j) -> SpectralField:
         """Low-frequency cutoff S_j (multiplier chi(2^{-j} xi)), mean kept; stacks as block."""

@@ -550,7 +550,7 @@ class TestExperimentBlockErrors:
         ("simulate-ks", {}, {**LYAP_RUN, "initial": {"amplitude": "x"}},
          'initial.amplitude must be a number, got "x"'),
         ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"width": "x"}},
-         'initial.width must be a number, got "x"'),
+         'initial.width must be a finite number > 0, got "x"'),
         ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes", "modes": [{"k": "a"}]}},
          "initial.modes must be a list of modes"),
         ("relaxation-sweep", {"eps_list": EPS, "amplitude": "x"}, SWEEP_GRID,
@@ -638,6 +638,27 @@ class TestExperimentBlockErrors:
          "experimnt block: unknown block; this subcommand reads model, experiment"),
         ("simulate-ks", {}, {**LYAP_RUN, "experiment": {}},
          "experiment block: unknown block; this subcommand reads model, grid, solver, initial"),
+        # initial-data targets, mode wavevectors and Gaussian widths
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"target_x0": -0.01}},
+         "initial block: target_x0 must be a finite number >= 0 or None, got -0.01"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"target_x0": float("inf")}},
+         "initial block: target_x0 must be a finite number >= 0 or None, got inf"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes",
+                                                      "modes": [{"k": [1, 2]}]}},
+         "initial block: modes: k must be at most d = 1 integers, "
+         "got [1.0, 2.0]"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"profile": "modes", "modes": [{"k": 1.5}]}},
+         "initial block: modes: k must be at most d = 1 integers, got [1.5]"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"width": 0}},
+         "initial block: initial.width must be a finite number > 0, got 0"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "initial": {"width": -0.5}},
+         "initial block: initial.width must be a finite number > 0, got -0.5"),
+        ("simulate-ks", {}, {**LYAP_RUN, "initial": {"width": 0}},
+         "initial block: initial.width must be a finite number > 0, got 0"),
+        ("relaxation-sweep", {"eps_list": EPS, "width": -0.8}, SWEEP_GRID,
+         "experiment block: experiment.width must be a finite number > 0, got -0.8"),
+        ("relaxation-sweep", {"eps_list": EPS, "offset_amplitude": 0.1, "offset_width": 0},
+         SWEEP_GRID, "experiment.offset_width must be a finite number > 0, got 0"),
         # the threshold lies above every block of the grid: nothing to check
         ("lyapunov-check", {}, {"model": base_model(epsilon=0.01),
                                 "grid": {"d": 1, "N": 8, "L": 6.283185307179586},
@@ -658,7 +679,10 @@ class TestExperimentBlockErrors:
             "hpc-mode-unknown-key", "hpc-mode-not-an-object", "hpc-profile-unknown",
             "ks-profile", "ks-target_x0", "ks-modes", "model-unknown-key", "grid-unknown-key",
             "initial-unknown-key", "experiment-unknown-key", "sweep-unknown-key",
-            "unknown-block", "ks-experiment-block", "lyapunov-no-block"])
+            "unknown-block", "ks-experiment-block", "hpc-target_x0-negative",
+            "hpc-target_x0-infinite", "hpc-mode-k-too-long", "hpc-mode-k-fraction",
+            "hpc-width-zero", "hpc-width-negative", "ks-width-zero", "sweep-width-negative",
+            "sweep-offset_width-zero", "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -1,6 +1,5 @@
 """Damped modes, Lyapunov functionals, decay fits, rescaling, sweep plumbing."""
 
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +12,9 @@ from chemorelax.diagnostics import (
     lyapunov_equivalence_check,
     lyapunov_evaluate,
     relaxation_sweep,
-    rescale_to_fast,
     rescale_to_slow,
 )
-from chemorelax.driver import Trajectory
+from chemorelax.driver import SNAPSHOT_CHUNK, Trajectory
 from chemorelax.hpc_solver import (
     HpcState,
     SolverConfig,
@@ -25,9 +23,18 @@ from chemorelax.hpc_solver import (
     run,
 )
 from chemorelax.linear_analysis import decay_fit
-from chemorelax.model import ModelParams, PressureLaw, coefficients_GH
+from chemorelax.model import (
+    ModelParams,
+    PressureLaw,
+    coefficient_H,
+    coefficients_GH,
+    density_perturbation,
+    density_rho,
+    enthalpy_n,
+)
 from chemorelax.spectral import (
     SpectralField,
+    bessel_inverse,
     divergence,
     from_physical_all,
     gradient,
@@ -36,6 +43,7 @@ from chemorelax.spectral import (
     make_grid,
     to_physical_all,
 )
+from norms import l2_norm, snapshot_besov, snapshot_hybrid
 
 
 @pytest.fixture(scope="module")
@@ -61,15 +69,15 @@ class TestEffectiveModes:
         state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
                          SpectralField.zeros(grid, 1), params)
         modes = effective_modes(state)
-        assert modes.v.l2_norm() == 0.0
-        assert modes.phi_eff.l2_norm() == 0.0
-        assert modes.phi_tilde.l2_norm() == 0.0
+        assert l2_norm(modes.v) == 0.0
+        assert l2_norm(modes.phi_eff) == 0.0
+        assert l2_norm(params.b * state.psi - params.c1 * state.n) == 0.0
 
     def test_well_prepared_phi_eff_zero(self, grid):
         p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 3.0))
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid), target_x0=0.01)
         modes = effective_modes(state)
-        assert modes.phi_eff.l2_norm() <= 1e-10 * max(state.psi.l2_norm(), 1e-30)
+        assert l2_norm(modes.phi_eff) <= 1e-10 * max(l2_norm(state.psi), 1e-30)
 
     def test_damped_velocity_equation_finite_difference(self, grid, params):
         """Along a near-linear trajectory, dt u + (1/eps) v ~ 0 (from the
@@ -96,7 +104,7 @@ class TestEffectiveModes:
         traj = run(state, SolverConfig(dt=dt, t_end=10 * dt, snap_dt=dt))
         p = params
         prev, mid, nxt = traj.states[4], traj.states[5], traj.states[6]
-        pt = [effective_modes(s).phi_tilde.to_physical()[0] for s in (prev, mid, nxt)]
+        pt = [(p.b * s.psi - p.c1 * s.n).to_physical()[0] for s in (prev, mid, nxt)]
         dpt = (pt[2] - pt[0]) / (2 * dt)
         from chemorelax.spectral import laplacian
         rhs = (p.b * laplacian(mid.psi).to_physical()[0]
@@ -131,6 +139,37 @@ class TestDampedModeDecayCheck:
         ratio = outs[1] / outs[0]
         assert 0.3 <= ratio <= 3.0
 
+    @pytest.mark.parametrize("d,N", [(1, 64), (2, 16)], ids=["1d", "2d"])
+    def test_matches_per_snapshot_reference(self, params, d, N):
+        """Over snapshot stacks, the check's integrals and x0 are within 1e-13
+        relative of the damped modes evaluated snapshot by snapshot; the run
+        keeps more snapshots than one stack holds."""
+        grid = make_grid(d, N, 2 * np.pi)
+        p = replace(params, pressure=PressureLaw(1.0, 3.0))   # H(n) != 0
+        u_prof = np.stack([gaussian_bump(grid, width=0.7, center=[1.0 + k] * d) for k in range(d)])
+        state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid, width=0.8),
+                                      u_profile=u_prof, target_x0=0.01)
+        n_snaps = SNAPSHOT_CHUNK + 2
+        traj = run(state, SolverConfig(dt=0.05, t_end=0.05 * n_snaps, snap_dt=0.05))
+        assert len(traj.states) == n_snaps + 1
+        J, d_half = p.threshold(), d / 2.0
+        v_lo, pe_lo = [], []
+        for s in traj.states:
+            v = s.u + p.eps * gradient(s.n) - (p.eps * p.mu) * gradient(s.psi)
+            h = SpectralField.from_physical(
+                grid, coefficient_H(s.n.to_physical()[0], p)[None], dealiased=True)
+            phi_eff = s.psi - bessel_inverse(p.c1 * s.n + h, p.b)
+            v_lo.append(snapshot_hybrid(v, d_half, d_half, J)[0])
+            pe_lo.append(snapshot_hybrid(phi_eff, d_half, d_half, J)[0]
+                         + snapshot_hybrid(phi_eff, d_half + 2.0, d_half + 2.0, J)[0])
+        times = [s.t for s in traj.states]
+        out = damped_mode_decay_check(traj)
+        assert out["int_v_over_eps"] > 0 and out["int_phi_eff"] > 0
+        assert out["int_v_over_eps"] == pytest.approx(np.trapezoid(v_lo, times) / p.eps,
+                                                      rel=1e-13, abs=0.0)
+        assert out["int_phi_eff"] == pytest.approx(np.trapezoid(pe_lo, times), rel=1e-13, abs=0.0)
+        assert out["x0"] == pytest.approx(0.01, rel=1e-10)
+
 
 class TestLyapunov:
     def test_equilibrium_zero(self, grid, params):
@@ -149,7 +188,7 @@ class TestLyapunov:
         dec = make_decomposition(grid)
         j = 2  # |xi| = 6 sits in ring j=2 ([3, 10.7])
         rec = lyapunov_evaluate(state, [j], eta0=0.1)
-        expected = params.eps * 0.5 * dec.block(n, j).l2_norm() ** 2
+        expected = params.eps * 0.5 * l2_norm(dec.block(n, j)) ** 2
         # psi_j = 0 kills every cross term except the dt psi (= c1 n_j) square
         assert np.isclose(rec.energy[0], expected, rtol=1e-12)
         assert rec.dissipation[0] > 0
@@ -228,8 +267,8 @@ def per_block_reference(state, j, eta0):
         np.einsum("k...,k...->...", grad_n, grad_n) + (p.mu * p.b / p.c1) * gpsq
         + (p.mu / p.c1) * lap_psi ** 2 - 2.0 * p.mu * grad_n_grad_psi - w * div_u ** 2
         + u_grad_n / p.eps)
-    block_sq = p.eps * (n_j.l2_norm() ** 2 + u_j.l2_norm() ** 2 + psi_j.l2_norm() ** 2
-                        + gradient(psi_j).l2_norm() ** 2 + two_mj ** 2 * integral(h_j ** 2))
+    block_sq = p.eps * (l2_norm(n_j) ** 2 + l2_norm(u_j) ** 2 + l2_norm(psi_j) ** 2
+                        + l2_norm(gradient(psi_j)) ** 2 + two_mj ** 2 * integral(h_j ** 2))
     return energy, dissipation, block_sq, float(w.min()), float(w.max())
 
 
@@ -268,7 +307,7 @@ class TestLyapunovStack:
         for shift in (dec.j_max + 1 - state.params.threshold(), -3):   # J - 1 = j_max, below j_min
             params = replace(state.params, j_offset=state.params.j_offset + shift)
             snapshot = replace(state, params=params)
-            traj = Trajectory(states=[snapshot, snapshot], row=None)
+            traj = Trajectory(states=[snapshot, snapshot], columns=None)
             n_blocks = len(lyapunov_blocks(params, state.grid))
             calls.clear()
             lyapunov_equivalence_check(traj)
@@ -287,7 +326,7 @@ class TestLyapunovStack:
         state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
                          SpectralField.zeros(grid, 1), small)
         with pytest.raises(ValueError, match=r"J - 1 = 5"):
-            lyapunov_equivalence_check(Trajectory(states=[state], row=None))
+            lyapunov_equivalence_check(Trajectory(states=[state], columns=None))
 
 
 class TestDecayFit:
@@ -331,8 +370,13 @@ class TestRescaling:
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid, width=0.5),
                                       target_x0=0.01)
         state.t = 3.0
-        tau, rho, u_eps, phi = rescale_to_slow(state, p.eps, state.rho_physical())
-        back = rescale_to_fast(tau, rho, u_eps, phi, p)
+        tau, rho, u_eps, phi = rescale_to_slow(state, p.eps,
+                                               density_rho(state.n.to_physical()[0], p))
+        # the inverse rescaling: the same factors, applied inversely
+        n = SpectralField.from_physical(grid, enthalpy_n(rho.to_physical()[0], p)[None])
+        psi = phi.copy()
+        psi.coef[0, 0] -= p.phi_bar
+        back = HpcState(tau / p.eps, n, p.eps * u_eps, psi, p)
         assert back.t == state.t
         assert np.array_equal(back.u.coef, state.u.coef)
         assert np.allclose(back.psi.coef, state.psi.coef, atol=1e-16)
@@ -367,10 +411,12 @@ class TestRelaxationSweep:
         assert rows == []
 
     @pytest.mark.filterwarnings("ignore:initial hybrid energy")
-    def test_one_n_transform_per_kept_snapshot(self, params, monkeypatch):
-        """The member loop inverse-transforms each kept snapshot's n once: the
-        rescaled density, the momentum residual and H(n) share it."""
-        from chemorelax import diagnostics
+    def test_one_n_transform_per_stack(self, params, monkeypatch):
+        """The member loop inverse-transforms the n of each snapshot stack once:
+        the rescaled density, the momentum residual and H(n) share it.  With
+        stacks of two snapshots, a member's five snapshots make three stacks."""
+        from chemorelax import diagnostics, driver
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
         kept, calls = [], []
         original_run, original_to_physical = diagnostics.run, SpectralField.to_physical
 
@@ -382,7 +428,7 @@ class TestRelaxationSweep:
             return traj
 
         def to_physical(self):
-            calls.append(self)   # holds the field, so no id is reused
+            calls.append(self.coef)
             return original_to_physical(self)
 
         monkeypatch.setattr(diagnostics, "run", run)
@@ -391,18 +437,21 @@ class TestRelaxationSweep:
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        per_field = Counter(id(f) for f in calls)
         assert len(kept) == 2
         for states in kept:
             assert len(states) == 5
-            assert [per_field[id(s.n)] for s in states] == [1] * len(states)
+            stacked = [np.concatenate([s.n.coef for s in states[k:k + 2]]) for k in (0, 2, 4)]
+            assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in calls)
+                    for n in stacked] == [1, 1, 1]
 
     @pytest.mark.filterwarnings("ignore:initial hybrid energy")
-    def test_one_density_perturbation_per_kept_snapshot(self, params, monkeypatch):
+    def test_one_density_perturbation_per_stack(self, params, monkeypatch):
         """From the end of its run to the next member's setup, a member
-        evaluates the density perturbation once per kept snapshot: the
-        rescaled density and H(n) share it."""
-        from chemorelax import diagnostics, model
+        evaluates the density perturbation once per snapshot stack: the
+        rescaled density and H(n) share it.  Stacks of two snapshots split a
+        member's five snapshots into three stacks."""
+        from chemorelax import diagnostics, driver, model
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
         members, live = [], [False]   # per member: [kept snapshots, perturbations]
         original_run, original_initial = diagnostics.run, diagnostics._hpc_member_initial
         original = model.density_perturbation
@@ -431,7 +480,66 @@ class TestRelaxationSweep:
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        assert members == [[5, 5], [5, 5]]
+        assert members == [[5, 3], [5, 3]]
+
+    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
+    def test_member_errors_match_per_snapshot_reference(self, params, monkeypatch, d, N):
+        """Every error and residual integral of the report is within 1e-13
+        relative of the same quantities evaluated snapshot by snapshot on the
+        member and limit-model trajectories; stacks of three snapshots split
+        each member's five snapshots at a stack boundary."""
+        from chemorelax import diagnostics, driver
+        from chemorelax.ks_solver import reconstruct_velocity, solve_phi
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 3)
+        trajs = {}
+        original_run, original_ks_run = diagnostics.run, diagnostics.ks_run
+        monkeypatch.setattr(diagnostics, "run", lambda initial, cfg: trajs.setdefault(
+            initial.params.eps, original_run(initial, cfg)))
+        monkeypatch.setattr(diagnostics, "ks_run", lambda initial, cfg: trajs.setdefault(
+            "limit", original_ks_run(initial, cfg)))
+        grid = make_grid(d, N, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        offset = 0.05 * gaussian_bump(grid, width=0.6, center=[2.0] * d)
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1, snap_dtau=0.05,
+                               dt_fast=0.02, rho_offset_phys=offset)
+        limit = trajs["limit"].states
+        taus = 0.025 * np.arange(len(limit))   # snap_dtau refined for eps_min = 0.25
+        d_half = d / 2.0
+        zero = (0,) * (d + 1)
+        for i, eps in enumerate(rep.eps_list):
+            p = replace(params, eps=eps)
+            rows = []
+            for s, k in zip(trajs[eps].states, limit, strict=True):
+                phi_k = solve_phi(k.rho, k.params)
+                u_k = reconstruct_velocity(k.rho, phi_k, k.params)
+                n_phys = s.n.to_physical()[0]
+                pert = density_perturbation(n_phys, p)
+                rho_phys = p.rho_bar + pert
+                phi = s.psi.copy()
+                phi.coef[zero] += p.phi_bar
+                drho = SpectralField.from_physical(grid, rho_phys[None]) - k.rho
+                dphi = phi - phi_k
+                v = s.u + eps * gradient(s.n) - (eps * p.mu) * gradient(s.psi)
+                rho_v = SpectralField.from_physical(grid, rho_phys[None] * v.to_physical() / eps,
+                                                    dealiased=True)
+                h = SpectralField.from_physical(grid, coefficient_H(n_phys, p, pert)[None],
+                                                dealiased=True)
+                dt_psi = laplacian(s.psi) - p.b * s.psi + p.c1 * s.n + h
+                rows.append((snapshot_besov(drho, d_half - 1.0),
+                             snapshot_besov(drho, d_half + 1.0),
+                             snapshot_besov((1.0 / eps) * s.u - u_k, d_half),
+                             snapshot_besov(dphi, d_half + 1.0)
+                             + snapshot_besov(dphi, d_half + 2.0),
+                             snapshot_besov(rho_v, d_half), snapshot_besov(dt_psi, d_half) / eps))
+            cols = np.array(rows).T
+            ref = dict(sup_drho=cols[0].max(), int_drho_high=np.trapezoid(cols[1], taus),
+                       int_du=np.trapezoid(cols[2], taus), int_dphi=np.trapezoid(cols[3], taus),
+                       int_rho_v=np.trapezoid(cols[4], taus),
+                       int_dtphi=eps * np.trapezoid(cols[5], taus))
+            for name, value in ref.items():
+                assert value > 0, name
+                assert getattr(rep, name)[i] == pytest.approx(value, rel=1e-13, abs=0.0), name
 
     def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
         """At N = 32 the eps = 0.05 member's threshold mode lies outside the
@@ -459,6 +567,6 @@ class TestRelaxationSweep:
         phi = solve_phi(rho_f, params)
         u_star = reconstruct_velocity(rho_f, phi, params)
         du0 = (1.0 / params.eps) * init.u - u_star
-        assert du0.l2_norm() <= 1e-14
+        assert l2_norm(du0) <= 1e-14
         modes = effective_modes(init)
-        assert modes.v.l2_norm() <= 1e-14 * max(1.0, init.u.l2_norm())
+        assert l2_norm(modes.v) <= 1e-14 * max(1.0, l2_norm(init.u))

@@ -12,6 +12,9 @@ Re-recording is a change of test data: say in CHANGES.md which files moved,
 by how much and why.  Record from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for every recorded file, its ``mismatches`` line against the
+golden it overwrites, or that it is unchanged.
 """
 
 import csv
@@ -48,7 +51,10 @@ def outputs(out: Path) -> dict:
 
 
 def _column_deviations(got: str, want: str) -> str:
-    """The largest relative deviation of each numeric CSV column."""
+    """The largest deviation of each numeric CSV column, relative to each cell
+    and relative to the column's largest recorded |value|.  The second keeps a
+    column of round-off-sized values (a mean near 1e-21) from showing an O(1)
+    relative move."""
     got_rows, want_rows = list(csv.reader(got.splitlines())), list(csv.reader(want.splitlines()))
     if got_rows[0] != want_rows[0] or len(got_rows) != len(want_rows):
         return f"header or row count differs: {got_rows[0]} x {len(got_rows) - 1} rows, " \
@@ -59,8 +65,11 @@ def _column_deviations(got: str, want: str) -> str:
         if not diff:
             continue
         try:
-            worst = max(abs(float(g) - float(w)) / max(abs(float(w)), 1e-300) for g, w in diff)
-            parts.append(f"{name}: {worst:.3g}")
+            moves = [(abs(float(g) - float(w)), abs(float(w))) for g, w in diff]
+            scale = max(abs(float(w[j])) for w in want_rows[1:])
+            per_cell = max(move / max(size, 1e-300) for move, size in moves)
+            per_column = max(move for move, _ in moves) / max(scale, 1e-300)
+            parts.append(f"{name}: {per_cell:.3g} per cell, {per_column:.3g} of the column's max")
         except ValueError:   # a label column
             parts.append(f"{name}: {len(diff)} cells differ")
     return "max relative deviation " + ", ".join(parts)
@@ -87,6 +96,15 @@ def run_config(config: str, out: Path) -> dict:
     return outputs(out)
 
 
+def test_column_deviations_per_cell_and_per_column():
+    """A move is reported relative to its cell and to its column's largest
+    |value|, so a round-off-sized cell's O(1) move shows at its true weight."""
+    want = "t,mean_n,label\n0.0,1e-21,a\n1.0,2.0,b\n"
+    got = "t,mean_n,label\n0.0,2e-21,c\n1.0,2.0,b\n"
+    assert _column_deviations(got, want) == ("max relative deviation mean_n: 1 per cell, "
+                                             "5e-22 of the column's max, label: 1 cells differ")
+
+
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 def test_config_outputs_match_golden(tmp_path, config):
     found = mismatches(run_config(config, tmp_path), GOLDEN / config)
@@ -102,6 +120,8 @@ def _record(scratch: Path) -> None:
                                 for name in ("relaxation.csv", "relaxation.json")}
     for config, files in runs.items():
         target = GOLDEN / config
+        found = mismatches(files, target) if target.is_dir() else ["no golden recorded yet"]
+        print("\n".join(f"{config}/{line}" for line in found) or f"{config}: unchanged")
         shutil.rmtree(target, ignore_errors=True)
         target.mkdir(parents=True)
         for name, text in files.items():

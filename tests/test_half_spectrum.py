@@ -32,6 +32,7 @@ from chemorelax.spectral import (
     ring_profile,
     save_field,
 )
+from norms import l2_norm
 
 CASES = [(1, 32, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)]
 RTOL = 1e-13
@@ -99,7 +100,7 @@ class TestNormsAgainstFull:
         _, fg, fields = setup
         for half, full in fields.values():
             ref = np.sqrt(np.sum(np.abs(full) ** 2)) * fg.L ** (fg.d / 2)
-            assert np.isclose(half.l2_norm(), ref, rtol=RTOL, atol=0.0)
+            assert np.isclose(l2_norm(half), ref, rtol=RTOL, atol=0.0)
 
     def test_block_besov_hybrid_norms(self, setup):
         grid, fg, fields = setup
@@ -108,12 +109,17 @@ class TestNormsAgainstFull:
         d = grid.d
         for half, full in fields.values():
             ref = full_block_norms(fg, dec, full)
-            np.testing.assert_allclose(dec.block_norms(half), ref, rtol=RTOL, atol=0.0)
+            norms = dec.block_norms(half.energy(half.ncomp))
+            np.testing.assert_allclose(norms, [ref], rtol=RTOL, atol=0.0)
+            # with one row per field, each component on its own
+            np.testing.assert_allclose(dec.block_norms(half.energy(1)),
+                                       [full_block_norms(fg, dec, row[None]) for row in full],
+                                       rtol=RTOL, atol=0.0)
             for s in (-0.5, d / 2.0 + 1.0):
                 terms = 2.0 ** (js * s) * ref
-                assert np.isclose(dec.besov_norm(half, s), terms.sum(), rtol=RTOL, atol=0.0)
+                assert np.isclose(dec.besov_norm(norms, s)[0], terms.sum(), rtol=RTOL, atol=0.0)
             for J in (dec.j_min + 1, dec.j_max - 1):
-                lo, hi = dec.hybrid_norm(half, d / 2.0, d / 2.0 + 1.0, J)
+                (lo,), (hi,) = dec.hybrid_norm(norms, d / 2.0, d / 2.0 + 1.0, J)
                 assert np.isclose(lo, np.sum((2.0 ** (js * d / 2.0) * ref)[js <= J]),
                                   rtol=RTOL, atol=0.0)
                 assert np.isclose(hi, np.sum((2.0 ** (js * (d / 2.0 + 1.0)) * ref)[js >= J - 1]),

@@ -23,6 +23,7 @@ from chemorelax.hpc_solver import (
 from chemorelax.linear_analysis import eigenvalues, symbol_matrix
 from chemorelax.model import ModelParams, PressureLaw
 from chemorelax.spectral import SpectralField, make_grid
+from norms import l2_norm
 
 
 @pytest.fixture(scope="module")
@@ -122,16 +123,16 @@ class TestNonlinearRhs:
         state = HpcState(0.0, n, SpectralField.zeros(grid1d, 1),
                          SpectralField.zeros(grid1d, 1), params)
         nn, nu, npsi, _ = nonlinear_rhs(state)
-        assert nn.l2_norm() <= 1e-14
-        assert nu.l2_norm() <= 1e-14
-        assert npsi.l2_norm() > 0
+        assert l2_norm(nn) <= 1e-14
+        assert l2_norm(nu) <= 1e-14
+        assert l2_norm(npsi) > 0
 
     def test_gamma2_has_zero_psi_source(self, solver_params, grid1d, rng):
         n = SpectralField.from_physical(grid1d, 0.1 * gaussian_bump(grid1d)[None])
         u = SpectralField.from_physical(grid1d, 0.05 * rng.standard_normal((1,) + grid1d.shape))
         state = HpcState(0.0, n, u, SpectralField.zeros(grid1d, 1), solver_params)
         _, _, npsi, _ = nonlinear_rhs(state)
-        assert npsi.l2_norm() <= 1e-14
+        assert l2_norm(npsi) <= 1e-14
 
     def test_advection_trig_identity(self, solver_params, grid1d):
         """u = sin x: u u_x = sin x cos x = sin(2x)/2, so N_u = -sin(2x)/2."""
@@ -149,7 +150,7 @@ class TestStep:
                          SpectralField.zeros(grid1d, 1), solver_params)
         out = step(state, PropagatorTables(grid1d, solver_params, 0.1), 0.0,
                    nonlinear_rhs(state))
-        assert out.n.l2_norm() == 0.0 and out.u.l2_norm() == 0.0 and out.psi.l2_norm() == 0.0
+        assert l2_norm(out.n) == 0.0 and l2_norm(out.u) == 0.0 and l2_norm(out.psi) == 0.0
 
     def test_linear_regime_matches_propagator_per_step(self, solver_params, grid1d):
         state = small_state(grid1d, solver_params, target=1e-10)
@@ -238,7 +239,7 @@ class TestRun:
         traj = run(state, SolverConfig(dt=0.05, t_end=1.0, snap_dt=0.25))
         assert traj.status == "completed"
         for s in traj.states:
-            assert s.n.l2_norm() == 0.0 and s.u.l2_norm() == 0.0 and s.psi.l2_norm() == 0.0
+            assert l2_norm(s.n) == 0.0 and l2_norm(s.u) == 0.0 and l2_norm(s.psi) == 0.0
 
     def test_mass_conservation(self, solver_params, grid1d):
         traj = run(small_state(grid1d, solver_params, target=0.05),
@@ -349,19 +350,24 @@ class TestRun:
             counts.append(len(calls))
         assert counts[1] - counts[0] == 2 * per_step
 
-    def test_series_row_transforms_n_once(self, solver_params, monkeypatch):
-        """A series row inverse-transforms n once and evaluates one density
-        perturbation for its mass and mean H, with the same bits as
-        total_mass() and coefficient_H(n)."""
+    def test_series_transforms_n_once_per_stack(self, solver_params, monkeypatch):
+        """The series inverse-transforms the n of each snapshot stack once and
+        evaluates one density perturbation per stack, for the mass and mean H
+        of all its rows, with the same bits as total_mass() and
+        coefficient_H(n) of each snapshot.  The run keeps more snapshots than
+        one stack holds, so the series joins two stacks."""
         from chemorelax import model
+        from chemorelax.driver import SNAPSHOT_CHUNK
         from chemorelax.model import coefficient_H
         state = small_state(make_grid(1, 32, 2 * np.pi), solver_params)
-        traj = run(state, SolverConfig(dt=0.01, t_end=0.04, snap_dt=0.02))
+        n_snaps = SNAPSHOT_CHUNK + 6
+        traj = run(state, SolverConfig(dt=0.01, t_end=0.01 * n_snaps, snap_dt=0.01))
+        assert len(traj.states) == n_snaps + 1
         transformed, perturbations = [], []
         to_physical, perturbation = SpectralField.to_physical, model.density_perturbation
 
         def counted_to_physical(self):
-            transformed.append(self)   # holds the field, so no id is reused
+            transformed.append(self.coef)
             return to_physical(self)
 
         def counted_perturbation(*args):
@@ -372,10 +378,15 @@ class TestRun:
         for module in (hpc_solver, model):
             monkeypatch.setattr(module, "density_perturbation", counted_perturbation)
         series = traj.series
-        assert [sum(f is s.n for f in transformed) for s in traj.states] == [1, 1, 1]
-        assert len(perturbations) == len(traj.states)
+        stacked_n = [np.concatenate([s.n.coef for s in chunk])
+                     for chunk in (traj.states[:SNAPSHOT_CHUNK], traj.states[SNAPSHOT_CHUNK:])]
+        assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in transformed)
+                for n in stacked_n] == [1, 1]
+        assert len(perturbations) == 2
         monkeypatch.undo()
+        assert len(series.column("t")) == len(traj.states)
         for k, s in enumerate(traj.states):
+            assert series.column("t")[k] == s.t
             assert series.column("mass")[k] == s.total_mass()
             assert series.column("mean_H")[k] == float(
                 np.mean(coefficient_H(s.n.to_physical()[0], s.params)))
@@ -498,7 +509,7 @@ class TestBuildInitialData:
     def test_zero_target(self, solver_params, grid1d):
         state, parts = build_initial_data(grid1d, solver_params,
                                           n_profile=gaussian_bump(grid1d), target_x0=0.0)
-        assert state.n.l2_norm() == 0.0
+        assert l2_norm(state.n) == 0.0
         assert parts["low"] == 0.0
 
     @pytest.mark.parametrize("profile", ["bump", None])
@@ -508,7 +519,7 @@ class TestBuildInitialData:
         n_profile = gaussian_bump(grid1d) if profile else None
         state, parts = build_initial_data(grid1d, solver_params, n_profile=n_profile,
                                           target_x0=0)
-        assert all(getattr(state, f).l2_norm() == 0.0 for f in ("n", "u", "psi"))
+        assert all(l2_norm(getattr(state, f)) == 0.0 for f in ("n", "u", "psi"))
         assert set(parts) == {"low", "high", "eps_high", "n", "u", "psi", "grad_psi"}
         assert parts == hybrid_aggregate(state)[1]
         assert parts["n"] == (0.0, 0.0) and parts["grad_psi"] == (0.0, 0.0)
@@ -524,7 +535,7 @@ class TestBuildInitialData:
         state, _ = build_initial_data(grid1d, params, n_profile=gaussian_bump(grid1d),
                                       target_x0=0.01)
         residual = state.psi - equilibrium_psi(state.n, params)
-        assert residual.l2_norm() <= 1e-10 * max(state.psi.l2_norm(), 1e-30)
+        assert l2_norm(residual) <= 1e-10 * max(l2_norm(state.psi), 1e-30)
 
     def test_zero_profile_nonzero_target_rejected(self, solver_params, grid1d):
         with pytest.raises(ValueError):
