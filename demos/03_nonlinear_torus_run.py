@@ -32,9 +32,9 @@ print(f"initial hybrid energy: low {parts['low']:.3e} + eps*high {parts['eps_hig
 traj = run(state, SolverConfig(dt=0.02, t_end=50.0, snap_dt=1.0))
 print(f"run status: {traj.status}, {len(traj.states)} snapshots")
 
-t = traj.series.column("t")
-agg = traj.series.column("x_aggregate")
-mass = traj.series.column("mass")
+t = traj.series.columns["t"]
+agg = traj.series.columns["x_aggregate"]
+mass = traj.series.columns["mass"]
 print(f"mass drift (relative, whole run): {abs(mass[-1] - mass[0]) / mass[0]:.2e}")
 print(f"max aggregate / X0: {agg.max() / agg[0]:.4f}")
 print("aggregate samples:")

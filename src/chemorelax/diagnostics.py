@@ -18,7 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .driver import DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stacks, write_csv
+from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stacks, whole_count,
+                     write_csv)
 from .hpc_solver import (
     HpcState,
     equilibrium_psi,
@@ -275,7 +276,7 @@ class RelaxationReport:
         le = np.log(np.asarray(self.eps_list, dtype=float))
         for name in ("sup_drho", "int_drho_high", "int_du", "int_dphi"):
             vals = np.asarray(getattr(self, name), dtype=float)
-            if len(vals) >= 3 and np.all(vals > 0):
+            if np.all(vals > 0):
                 self.slopes[name] = float(np.polyfit(le, np.log(vals), 1)[0])
         # residual ratios: the estimate is O(eps), so value/eps should be flat
         for name in ("int_rho_v", "int_dtphi"):
@@ -357,8 +358,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    Before any run, the eps must be distinct and each must give valid
-    parameters and a threshold J_eps, ``dt_fast`` must be positive and finite,
+    Before any run, eps_list must hold at least three distinct eps, each
+    giving valid parameters and a threshold J_eps, ``tau_end`` must be a whole
+    number of ``snap_dtau``, ``dt_fast`` must be positive and finite,
     and with ``high_freq_budget`` every member's threshold mode must lie in the
     grid's dealiased band (ValueError otherwise).  A member or limit-model run that
     does not complete raises :class:`RunFailed` with its status ("blowup" or
@@ -370,6 +372,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         raise ValueError(f"dt_fast must be positive and finite, got {dt_fast!r}")
     if len(set(eps_list)) < len(eps_list):   # the slope fit needs distinct log(eps)
         raise ValueError(f"eps_list repeats a value: {list(eps_list)}")
+    if len(eps_list) < 3:
+        raise ValueError(f"eps_list needs at least 3 values for the slope fit, "
+                         f"got {list(eps_list)}")
+    whole_count(tau_end, snap_dtau, "tau_end")
 
     eps_list = sorted(eps_list, reverse=True)
     for eps in eps_list:   # every member's eps, threshold and threshold mode

@@ -1,5 +1,6 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
-schedule, the time-integration loop with its blow-up status, and the
+schedule, the time-integration loop with the one run policy (a solver gives
+:func:`integrate` only its step, its norm and its columns), and the
 trajectory type.  Diagnostics run on snapshot stacks (:func:`stacks`): one
 state per chunk of kept snapshots, with one row per snapshot in each field,
 so a chunk takes one transform per field.  The diagnostic series is a
@@ -10,6 +11,7 @@ read, and written with the package's one CSV writer, :func:`write_csv`.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import InitVar, dataclass, fields, replace
 from functools import cached_property
 from typing import Callable
@@ -59,8 +61,10 @@ def whole_count(span: float, unit: float, name: str) -> int:
 class SolverConfig:
     """Time step, end time and snapshots of one run, for either solver.
 
-    ``snap_dt`` (default: about 100 snapshots) is rounded to a whole number
-    of steps, and ``t_end`` must be a whole number of snapshot intervals.
+    ``snap_dt`` is rounded to a whole number of steps, and ``t_end`` must be a
+    whole number of snapshot intervals.  Without ``snap_dt``, ``t_end`` must
+    be a whole number of steps, and a snapshot is kept every k steps for the
+    smallest divisor k of the step count that gives at most 100 intervals.
     Products are always 2/3-dealiased: ``dealias`` is not stored, and any
     value but True is a ValueError.
     """
@@ -81,8 +85,11 @@ class SolverConfig:
 
     def schedule(self) -> tuple[int, int]:
         """(steps_per_snap, n_snaps); ValueError if they do not end at t_end."""
-        snap_dt = self.snap_dt if self.snap_dt is not None else max(self.dt, self.t_end / 100.0)
-        steps_per_snap = max(1, round(snap_dt / self.dt))
+        if self.snap_dt is None:
+            steps = whole_count(self.t_end, self.dt, "t_end")
+            n_snaps = next(n for n in range(min(steps, 100), 0, -1) if steps % n == 0)
+            return steps // n_snaps, n_snaps
+        steps_per_snap = max(1, round(self.snap_dt / self.dt))
         return steps_per_snap, whole_count(self.t_end, steps_per_snap * self.dt, "t_end")
 
 
@@ -119,9 +126,6 @@ class DiagnosticSeries:
         for name, values in columns.items():
             self.columns[name] = np.concatenate((self.columns.get(name, ()), values))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     def to_csv(self, path):
         write_csv(path, self.columns, zip(*(v.tolist() for v in self.columns.values())))
 
@@ -154,20 +158,30 @@ class Trajectory:
         return series
 
 
-def integrate(initial, advance: Callable, check: Callable, columns: Callable,
+def integrate(initial, advance: Callable, size: Callable, columns: Callable,
               config: SolverConfig) -> Trajectory:
     """Step ``initial`` with ``advance(state)`` (one step of ``config.dt``)
-    through the schedule of ``config``, calling ``check(state)`` on each
-    snapshot before it is kept.  A BlowupError or OutsideValidityWindow from
-    either ends the run with status "blowup" and the snapshots kept so far."""
+    through the schedule of ``config``; ``size(state)`` is the solver's norm
+    of a snapshot, and an initial one above SMALL_DATA_HINT warns.  A size
+    above BLOWUP_FACTOR times the initial one, or a BlowupError or
+    OutsideValidityWindow from either callable, ends the run with status
+    "blowup" and the snapshots kept so far."""
     steps_per_snap, n_snaps = config.schedule()
     states = [initial.copy()]
     state = initial.copy()
     try:
-        for _ in range(n_snaps):
+        size0 = size(initial)
+        if size0 > SMALL_DATA_HINT:
+            warnings.warn(f"initial norm {size0:.3g} exceeds the operational smallness "
+                          f"{SMALL_DATA_HINT}; global boundedness is not guaranteed",
+                          stacklevel=3)
+        for k in range(1, n_snaps + 1):
             for _ in range(steps_per_snap):
                 state = advance(state)
-            check(state)
+            norm = size(state)
+            if size0 > 0 and norm > BLOWUP_FACTOR * size0:
+                raise BlowupError(f"norm explosion: {norm:.3g} exceeds {BLOWUP_FACTOR:g} x the "
+                                  f"initial {size0:.3g} at t={k * steps_per_snap * config.dt:g}")
             states.append(state.copy())
     except (OutsideValidityWindow, BlowupError) as exc:
         return Trajectory(states, columns, "blowup", str(exc))

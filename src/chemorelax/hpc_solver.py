@@ -15,11 +15,11 @@ integrator from :mod:`chemorelax.etd`.  In 1D each right-hand side makes one
 stacked inverse transform of [n, u, dn, du] and one stacked forward transform
 of [N_n, N_u, H], and G and H share one density-perturbation evaluation.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
-the divergence form of the density equation.  :func:`run` steps on the
-snapshot schedule of :mod:`chemorelax.driver`.  Its CFL test takes the speed
-max|u| from the step's first right-hand side, which transforms the dealiased
-u; the states of a run lie in the 2/3 box, where that is u itself, so the
-test costs no transform of its own.
+the divergence form of the density equation.  :func:`run` runs on
+:func:`chemorelax.driver.integrate`, whose run policy watches the hybrid
+energy.  Its CFL test takes the speed max|u| from the step's first
+right-hand side, which transforms the dealiased u; the states of a run lie in
+the 2/3 box, where that is u itself, so the test costs no transform of its own.
 
 Each step applies three propagator tables (E, P1, P2).  In d=1, unit =
 sign(xi) is +-1 on every mode but the mean and Nyquist modes, where it is 0,
@@ -38,14 +38,12 @@ measured slower there and take several times the memory.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import etd
-from .driver import (BLOWUP_FACTOR, SMALL_DATA_HINT, BlowupError, SolverConfig, Trajectory,
-                     integrate)
+from .driver import BlowupError, SolverConfig, Trajectory, integrate
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
@@ -295,23 +293,16 @@ def hybrid_aggregate(state: HpcState):
 
 
 def run(initial: HpcState, config: SolverConfig) -> Trajectory:
-    """Integrate to t_end, keeping a snapshot every snap_dt.
-
-    A validity-window escape or an aggregate-norm explosion ends the run with
-    status "blowup" (the expected outcome for large data or a negative
-    stability margin); everything kept up to that point is returned.
-    Every step projects the total mass back onto its initial value; a final
-    total mass off the initial one by more than 1e-8 relative gives status
-    "mass_drift".
+    """Integrate to t_end; a snapshot's size is its :func:`hybrid_aggregate`,
+    and a window escape or a CFL violation left after MAX_CFL_HALVINGS
+    halvings is "blowup" too.  Every step projects the total mass back onto
+    its initial value; a final total mass off the initial one by more than
+    1e-8 relative gives status "mass_drift".
     """
     cache: dict = {}
 
     mass0 = initial.total_mass()
     mass_target = initial.mass_perturbation()
-    x0, _ = hybrid_aggregate(initial)
-    if x0 > SMALL_DATA_HINT:
-        warnings.warn(f"initial hybrid energy {x0:.3g} exceeds the operational smallness "
-                      f"{SMALL_DATA_HINT}; global boundedness is not guaranteed", stacklevel=2)
 
     def advance(s: HpcState, dt: float = config.dt, depth: int = 0,
                 rhs: tuple | None = None) -> HpcState:
@@ -328,11 +319,6 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
         return advance(advance(s, dt / 2, depth + 1, rhs), dt / 2, depth + 1)
 
-    def check(s: HpcState):
-        agg, _ = hybrid_aggregate(s)
-        if x0 > 0 and agg > BLOWUP_FACTOR * x0:
-            raise BlowupError(f"aggregate norm exceeded {BLOWUP_FACTOR:g} x initial at t={s.t}")
-
     def columns(s: HpcState) -> dict:   # s is a snapshot stack: one value per snapshot
         agg, parts = hybrid_aggregate(s)
         n_phys = s.n.to_physical()
@@ -347,7 +333,7 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
                     x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
                     max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
 
-    traj = integrate(initial, advance, check, columns, config)
+    traj = integrate(initial, advance, lambda s: hybrid_aggregate(s)[0], columns, config)
     if traj.status == "completed":
         # bookkeeping invariant, not the mass-conservation test itself
         drift = abs(traj.final.total_mass() - mass0)

@@ -21,7 +21,6 @@ __all__ = [
     "ModelParams",
     "OutsideValidityWindow",
     "enthalpy_n",
-    "density_rho",
     "density_perturbation",
     "coefficient_G",
     "coefficient_H",
@@ -91,6 +90,9 @@ class ModelParams:
         for rho in (WINDOW_LO * self.rho_bar, self.rho_bar, WINDOW_HI * self.rho_bar):
             if not (self.pressure.dP(rho) > 0):
                 raise ValueError(f"pressure must be increasing on the validity window, P'({rho}) <= 0")
+        for name in ("c0", "c1", "phi_bar", "stability_margin"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @cached_property
     def c0(self) -> float:
@@ -166,11 +168,6 @@ def density_perturbation(n, params: ModelParams):
     if g == 2.0:
         return rb * x
     return rb * np.expm1(np.log1p(x) / (g - 1.0))
-
-
-def density_rho(n, params: ModelParams):
-    """Exact inverse of :func:`enthalpy_n` on the validity window."""
-    return params.rho_bar + density_perturbation(n, params)
 
 
 def coefficients_GH(n, params: ModelParams):

@@ -135,13 +135,13 @@ class Grid:
 
 
 def make_grid(d: int, N: int, L: float) -> Grid:
-    """Build a Grid, validating d in {1,2,3}, N a power of two >= 8, L > 0."""
+    """Build a Grid, validating d in {1,2,3}, N a power of two >= 8, L > 0 finite."""
     if d not in (1, 2, 3):
         raise ValueError(f"grid dimension must be 1, 2 or 3, got {d}")
     if not isinstance(N, (int, np.integer)) or N < 8 or not _is_power_of_two(int(N)):
         raise ValueError(f"N must be a power of two >= 8, got {N}")
-    if not (L > 0):
-        raise ValueError(f"period length must be positive, got {L}")
+    if not (0 < L < math.inf):
+        raise ValueError(f"period length must be positive and finite, got {L}")
     N = int(N)
     half = N // 2 + 1
     spec_shape = (N,) * (d - 1) + (half,)

@@ -230,10 +230,10 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
 
     # (b) mass drift on the criterion-8 trajectory and a KS run
     traj, _ = bounded_trajectory
-    mass = traj.series.column("mass")
+    mass = traj.series.columns["mass"]
     drift_hpc = np.max(np.abs(mass - mass[0])) / abs(mass[0]) / 50.0
     ks_traj = ks_run(ks0, SolverConfig(dt=0.02, t_end=2.0, snap_dt=0.5))
-    ks_mass = ks_traj.series.column("mass")
+    ks_mass = ks_traj.series.columns["mass"]
     drift_ks = np.max(np.abs(ks_mass - ks_mass[0])) / abs(ks_mass[0]) / 2.0
     ok_b = drift_hpc <= 1e-10 and drift_ks <= 1e-10
 
@@ -272,7 +272,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
 def test_criterion_08_global_bound_proxy(bounded_trajectory):
     t0 = time.perf_counter()
     traj, run_time = bounded_trajectory
-    agg = traj.series.column("x_aggregate")
+    agg = traj.series.columns["x_aggregate"]
     x0 = agg[0]
     ok = traj.status == "completed" and np.max(agg) <= 10.0 * x0
     report(8, ok, f"max aggregate / X0 = {np.max(agg) / x0:.3f} (tol 10); "

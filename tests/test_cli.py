@@ -136,6 +136,22 @@ class TestSimulate:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["status"] == "blowup"
 
+    def test_ks_data_outside_window_is_blowup(self, tmp_path):
+        """Limit-model data outside the validity window end the run before any
+        step: exit 1, status "blowup", the initial snapshot kept."""
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(),
+            "grid": {"d": 1, "N": 64, "L": 6.283185307179586},
+            "solver": {"dt": 0.02, "t_end": 0.4, "snap_dt": 0.1},
+            "initial": {"amplitude": 3.0, "width": 0.6},
+        })
+        rc = main(["simulate-ks", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "blowup"
+        assert summary["snapshots"] == 1
+        assert "density left the validity window" in summary["message"]
+
     def test_mass_drift_exit_nonzero(self, tmp_path, monkeypatch):
         """A leaking mass projection ends the run with status mass_drift."""
         from chemorelax import hpc_solver
@@ -659,6 +675,15 @@ class TestExperimentBlockErrors:
          "experiment block: experiment.width must be a finite number > 0, got -0.8"),
         ("relaxation-sweep", {"eps_list": EPS, "offset_amplitude": 0.1, "offset_width": 0},
          SWEEP_GRID, "experiment.offset_width must be a finite number > 0, got 0"),
+        # model constants beyond the decay study's numerics, and non-finite constants
+        ("decay-study", {}, {"model": base_model(b=1e300)},
+         "experiment block: near-defective symbol matrix in decay study"),
+        ("decay-study", {}, {"model": base_model(kappa=1e-308)},
+         "experiment block: near-defective symbol matrix in decay study"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(kappa=1e308)},
+         "model block: c0 must be finite, got inf"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 32, "L": float("inf")}},
+         "grid block: period length must be positive and finite, got inf"),
         # the threshold lies above every block of the grid: nothing to check
         ("lyapunov-check", {}, {"model": base_model(epsilon=0.01),
                                 "grid": {"d": 1, "N": 8, "L": 6.283185307179586},
@@ -682,7 +707,8 @@ class TestExperimentBlockErrors:
             "unknown-block", "ks-experiment-block", "hpc-target_x0-negative",
             "hpc-target_x0-infinite", "hpc-mode-k-too-long", "hpc-mode-k-fraction",
             "hpc-width-zero", "hpc-width-negative", "ks-width-zero", "sweep-width-negative",
-            "sweep-offset_width-zero", "lyapunov-no-block"])
+            "sweep-offset_width-zero", "decay-b-huge", "decay-kappa-tiny", "model-kappa-overflow",
+            "grid-L-infinite", "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -29,7 +29,6 @@ from chemorelax.model import (
     coefficient_H,
     coefficients_GH,
     density_perturbation,
-    density_rho,
     enthalpy_n,
 )
 from chemorelax.spectral import (
@@ -370,8 +369,8 @@ class TestRescaling:
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid, width=0.5),
                                       target_x0=0.01)
         state.t = 3.0
-        tau, rho, u_eps, phi = rescale_to_slow(state, p.eps,
-                                               density_rho(state.n.to_physical()[0], p))
+        tau, rho, u_eps, phi = rescale_to_slow(
+            state, p.eps, p.rho_bar + density_perturbation(state.n.to_physical()[0], p))
         # the inverse rescaling: the same factors, applied inversely
         n = SpectralField.from_physical(grid, enthalpy_n(rho.to_physical()[0], p)[None])
         psi = phi.copy()
@@ -384,19 +383,40 @@ class TestRescaling:
 
 
 class TestRelaxationSweep:
-    def test_two_member_smoke(self, grid, params):
-        """Plumbing: all report entries finite and nonnegative; no slopes
-        with fewer than 3 eps values."""
+    def test_three_member_smoke(self, grid, params):
+        """Plumbing: all report entries finite and nonnegative, every slope
+        and residual spread fitted."""
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
-        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.5,
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.5,
                                snap_dtau=0.05, dt_fast=0.02)
         for name in ("sup_drho", "int_drho_high", "int_du", "int_dphi",
                      "int_rho_v", "int_dtphi"):
             vals = getattr(rep, name)
-            assert len(vals) == 2
+            assert len(vals) == 3
             assert all(np.isfinite(v) and v >= 0 for v in vals)
-        assert "sup_drho" not in rep.slopes
-        assert "int_rho_v_over_eps_spread" in rep.slopes
+        assert set(rep.slopes) == {"sup_drho", "int_drho_high", "int_du", "int_dphi",
+                                   "int_rho_v_over_eps_spread", "int_dtphi_over_eps_spread"}
+
+    @pytest.mark.parametrize("eps_list,tau_end,message", [
+        ([0.2, 0.1], 0.1, r"eps_list needs at least 3 values for the slope fit, got \[0.2, 0.1\]"),
+        ([0.4, 0.283, 0.2], 0.07,
+         "tau_end=0.07 is not a whole number of snapshot intervals of 0.05"),
+    ], ids=["short-eps_list", "tau_end-off-the-snapshot-grid"])
+    def test_sweep_shape_rejected_before_any_run(self, params, monkeypatch, eps_list, tau_end,
+                                                 message):
+        """Fewer than three eps (no slope to fit), or a horizon that is not a
+        whole number of snapshot intervals, is a ValueError before any run."""
+        from chemorelax import diagnostics
+
+        def no_run(*args):
+            raise AssertionError("the sweep must be rejected before any run")
+
+        for name in ("run", "ks_run"):
+            monkeypatch.setattr(diagnostics, name, no_run)
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        with pytest.raises(ValueError, match=message):
+            relaxation_sweep(grid, params, rho0, eps_list, tau_end=tau_end, snap_dtau=0.05)
 
     def test_builds_no_diagnostic_series(self, params, monkeypatch):
         """The sweep reads snapshots only: no series row is ever recorded."""
@@ -405,12 +425,12 @@ class TestRelaxationSweep:
         monkeypatch.setattr(DiagnosticSeries, "add", lambda self, **kw: rows.append(kw))
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
-        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                                snap_dtau=0.05, dt_fast=0.02)
-        assert len(rep.sup_drho) == 2
+        assert len(rep.sup_drho) == 3
         assert rows == []
 
-    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_n_transform_per_stack(self, params, monkeypatch):
         """The member loop inverse-transforms the n of each snapshot stack once:
         the rescaled density, the momentum residual and H(n) share it.  With
@@ -435,16 +455,16 @@ class TestRelaxationSweep:
         monkeypatch.setattr(SpectralField, "to_physical", to_physical)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
-        relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+        relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        assert len(kept) == 2
+        assert len(kept) == 3
         for states in kept:
             assert len(states) == 5
             stacked = [np.concatenate([s.n.coef for s in states[k:k + 2]]) for k in (0, 2, 4)]
             assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in calls)
                     for n in stacked] == [1, 1, 1]
 
-    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_density_perturbation_per_stack(self, params, monkeypatch):
         """From the end of its run to the next member's setup, a member
         evaluates the density perturbation once per snapshot stack: the
@@ -478,11 +498,11 @@ class TestRelaxationSweep:
                                 raising=False)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
-        relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1,
+        relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        assert members == [[5, 3], [5, 3]]
+        assert members == [[5, 3]] * 3
 
-    @pytest.mark.filterwarnings("ignore:initial hybrid energy")
+    @pytest.mark.filterwarnings("ignore:initial norm")
     @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
     def test_member_errors_match_per_snapshot_reference(self, params, monkeypatch, d, N):
         """Every error and residual integral of the report is within 1e-13
@@ -501,8 +521,8 @@ class TestRelaxationSweep:
         grid = make_grid(d, N, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         offset = 0.05 * gaussian_bump(grid, width=0.6, center=[2.0] * d)
-        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.25], tau_end=0.1, snap_dtau=0.05,
-                               dt_fast=0.02, rho_offset_phys=offset)
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
+                               snap_dtau=0.05, dt_fast=0.02, rho_offset_phys=offset)
         limit = trajs["limit"].states
         taus = 0.025 * np.arange(len(limit))   # snap_dtau refined for eps_min = 0.25
         d_half = d / 2.0

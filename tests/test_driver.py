@@ -25,9 +25,10 @@ def grid():
 
 @pytest.mark.parametrize("dt,t_end,snap_dt,expected", [
     (0.05, 1.0, 0.25, (5, 4)),
-    (0.01, 10.0, None, (10, 100)),      # default: about 100 snapshots
+    (0.01, 10.0, None, (10, 100)),      # default: at most 100 snapshots
     (0.05, 0.5, 0.07, (1, 10)),         # snap_dt rounds to whole steps
     (0.1, 0.3, 0.1, (1, 3)),            # 3 x 0.1 != 0.3 in floats, within round-off
+    (0.01, 10.07, None, (19, 53)),      # default: 1007 = 19 x 53 steps
 ])
 def test_schedule_ends_at_t_end(dt, t_end, snap_dt, expected):
     config = SolverConfig(dt=dt, t_end=t_end, snap_dt=snap_dt)
@@ -49,7 +50,7 @@ def test_run_and_ks_run_share_one_trajectory_type(grid, params):
         assert traj.initial is traj.states[0] and traj.final is traj.states[-1]
         # the series is built on first read, one row per kept snapshot
         assert "series" not in vars(traj)
-        np.testing.assert_allclose(traj.series.column(time_name), [0.0, 0.25, 0.5], atol=1e-12)
+        np.testing.assert_allclose(traj.series.columns[time_name], [0.0, 0.25, 0.5], atol=1e-12)
         assert traj.series is traj.series
 
 

@@ -1,7 +1,8 @@
 """Every name a chemorelax module lists in ``__all__`` resolves, and so does
 every name the benchmark's tracer wraps; the solver-side modules' public
 signatures carry no more defaulted parameters than pinned here, no module
-checks an invariant with ``assert``, and no function imports inside its body."""
+checks an invariant with ``assert``, no function imports inside its body, and
+only the driver holds the run policy."""
 
 import ast
 import importlib
@@ -103,4 +104,23 @@ def test_imports_at_module_top():
     src = Path(chemorelax.__file__).resolve().parent
     found = [f"{name}:{line}" for path in sorted(src.glob("*.py"))
              for name, line in _imports_in_functions(ast.parse(path.read_text()), path.stem)]
+    assert not found, found
+
+
+def test_run_policy_only_in_the_driver():
+    """The blow-up factor, the small-data hint and warnings belong to
+    ``driver.integrate`` alone: no other module names BLOWUP_FACTOR or
+    SMALL_DATA_HINT, or calls ``warnings.warn``."""
+    src = Path(chemorelax.__file__).resolve().parent
+    policy = {"BLOWUP_FACTOR", "SMALL_DATA_HINT", "warn"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "driver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name in policy:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, found

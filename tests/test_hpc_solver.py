@@ -245,7 +245,7 @@ class TestRun:
         traj = run(small_state(grid1d, solver_params, target=0.05),
                    SolverConfig(dt=0.02, t_end=5.0, snap_dt=0.5))
         assert traj.status == "completed"
-        mass = traj.series.column("mass")
+        mass = traj.series.columns["mass"]
         drift = np.max(np.abs(mass - mass[0])) / abs(mass[0]) / 5.0
         assert drift <= 1e-10
 
@@ -253,7 +253,7 @@ class TestRun:
         traj = run(small_state(grid1d, solver_params, target=0.01),
                    SolverConfig(dt=0.02, t_end=10.0, snap_dt=0.5))
         assert traj.status == "completed"
-        agg = traj.series.column("x_aggregate")
+        agg = traj.series.columns["x_aggregate"]
         assert np.max(agg) <= 10.0 * agg[0]
 
     def test_linear_regime_per_mode_fidelity(self, solver_params, grid1d):
@@ -290,10 +290,10 @@ class TestRun:
         state, _ = build_initial_data(grid, params, n_profile=n_prof)
         dt = 0.005
         traj = run(state, SolverConfig(dt=dt, t_end=10.0, snap_dt=dt))
-        t = traj.series.column("t")
-        mean_n = traj.series.column("mean_n")
-        mean_h = traj.series.column("mean_H")
-        mean_psi = traj.series.column("mean_psi")
+        t = traj.series.columns["t"]
+        mean_n = traj.series.columns["mean_n"]
+        mean_h = traj.series.columns["mean_H"]
+        mean_psi = traj.series.columns["mean_psi"]
         source = scipy.interpolate.CubicSpline(t, params.c1 * mean_n + mean_h)
         sol = scipy.integrate.solve_ivp(
             lambda tt, y: -params.b * y + source(tt), (t[0], t[-1]),
@@ -384,11 +384,11 @@ class TestRun:
                 for n in stacked_n] == [1, 1]
         assert len(perturbations) == 2
         monkeypatch.undo()
-        assert len(series.column("t")) == len(traj.states)
+        assert len(series.columns["t"]) == len(traj.states)
         for k, s in enumerate(traj.states):
-            assert series.column("t")[k] == s.t
-            assert series.column("mass")[k] == s.total_mass()
-            assert series.column("mean_H")[k] == float(
+            assert series.columns["t"][k] == s.t
+            assert series.columns["mass"][k] == s.total_mass()
+            assert series.columns["mean_H"][k] == float(
                 np.mean(coefficient_H(s.n.to_physical()[0], s.params)))
 
     def test_cfl_violation_halves_the_step(self, solver_params):
@@ -477,7 +477,7 @@ class TestDimensionConsistency:
             expected[axis] = spread(ref_u)
             assert np.max(np.abs(got_u - expected)) <= 1e-12 * np.max(np.abs(ref_u))
         for col in ("mean_n", "mean_psi", "mean_H", "max_u"):
-            np.testing.assert_allclose(trajd.series.column(col), traj1.series.column(col),
+            np.testing.assert_allclose(trajd.series.columns[col], traj1.series.columns[col],
                                        rtol=0.0, atol=1e-12 * np.max(np.abs(n1)))
 
 

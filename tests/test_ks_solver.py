@@ -5,7 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from chemorelax.hpc_solver import SolverConfig, gaussian_bump
+from chemorelax.hpc_solver import (
+    HpcState,
+    PropagatorTables,
+    SolverConfig,
+    build_initial_data,
+    gaussian_bump,
+    hybrid_aggregate,
+    nonlinear_rhs,
+    run,
+    step,
+)
 from chemorelax.ks_solver import (
     KsState,
     KsTables,
@@ -176,7 +186,7 @@ class TestRun:
 
     def test_mass_conserved_exactly(self, grid, params):
         traj = ks_run(rho_state(grid, params), SolverConfig(dt=0.01, t_end=2.0, snap_dt=0.5))
-        mass = traj.series.column("mass")
+        mass = traj.series.columns["mass"]
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * abs(mass[0])
 
     def test_second_order_self_convergence(self, grid, params):
@@ -199,7 +209,7 @@ class TestRun:
     def test_norm_nonincreasing_proxy(self, grid, params):
         traj = ks_run(rho_state(grid, params, amp=0.02),
                       SolverConfig(dt=0.02, t_end=5.0, snap_dt=0.2))
-        norms = traj.series.column("norm_d2")
+        norms = traj.series.columns["norm_d2"]
         assert traj.status == "completed"
         assert np.max(norms) <= 10.0 * norms[0]
 
@@ -216,41 +226,57 @@ class TestRun:
         assert np.all(mods1[mask] <= mods0[mask] * (1 + 1e-10))
 
 
-    @pytest.mark.parametrize("amp,reason", [(0.01, "validity window"),
-                                            (1e-6, "norm explosion")])
-    def test_unstable_run_blows_up_at_last_admissible_snapshot(self, grid, amp, reason):
+    @pytest.mark.parametrize("solver,amp,reason", [
+        ("ks", 0.01, "validity window"), ("ks", 1e-6, "norm explosion"),
+        ("hpc", 1e-6, "norm explosion"),
+    ], ids=["0.01-validity window", "1e-06-norm explosion", "hpc-1e-06-norm explosion"])
+    def test_unstable_run_blows_up_at_last_admissible_snapshot(self, grid, solver, amp, reason):
         """Negative margin: the lowest mode grows until the density leaves its
-        window (larger data) or its norm passes 1e3 x the initial one (tiny
-        data).  The run keeps every snapshot up to the last admissible one."""
+        window (larger data) or the solver's norm passes 1e3 x the initial one
+        (tiny data), in the limit model and in the chemotaxis system alike.
+        The run keeps every snapshot up to the last admissible one, and the
+        message gives the time of the first inadmissible one."""
         p = ModelParams(eps=0.5, mu=3.0, a=1.0, b=1.0, rho_bar=1.0,
                         pressure=PressureLaw(kappa=1.0, gamma=1.0), j_offset=0)
         assert p.stability_margin < 0
-        rho0 = p.rho_bar + amp * np.cos(grid.x_axes[0])
-        state = KsState(0.0, dealias(SpectralField.from_physical(grid, rho0[None])), p)
+        profile = amp * np.cos(grid.x_axes[0])
         dt, snap_dt = 0.02, 0.5
-        traj = ks_run(state, SolverConfig(dt=dt, t_end=40.0, snap_dt=snap_dt))
+        if solver == "ks":
+            state = KsState(0.0, dealias(SpectralField.from_physical(
+                grid, (p.rho_bar + profile)[None])), p)
+            tables = KsTables(grid, p, dt)
+            run_solver, admissible = ks_run, KsState.rho_physical
+            advance = lambda s: ks_step(s, tables)
+            time, size = "tau", lambda s: besov_norm(make_decomposition(grid), s.rho, 0.5)
+        else:
+            state, _ = build_initial_data(grid, p, n_profile=profile)
+            tables, target = PropagatorTables(grid, p, dt), state.mass_perturbation()
+            run_solver, admissible = run, HpcState.mass_perturbation   # evaluates rho(n)
+            advance = lambda s: step(s, tables, target, nonlinear_rhs(s))
+            time, size = "t", lambda s: hybrid_aggregate(s)[0]
+        traj = run_solver(state, SolverConfig(dt=dt, t_end=40.0, snap_dt=snap_dt))
         assert traj.status == "blowup"
         assert reason in traj.message
         assert 2 <= len(traj.states) < 81
-        np.testing.assert_allclose([s.tau for s in traj.states],
+        if reason == "norm explosion":
+            assert traj.message.endswith(f"at t={len(traj.states) * snap_dt:g}")
+        np.testing.assert_allclose(traj.series.columns[time],
                                    snap_dt * np.arange(len(traj.states)), atol=1e-9)
-        norms = traj.series.column("norm_d2")
-        assert len(norms) == len(traj.states)
+        norms = np.array([size(s) for s in traj.states])
         assert np.all(norms <= 1e3 * norms[0])
         for s in traj.states:
-            s.rho_physical()  # inside the window
+            admissible(s)  # inside the window
         # one more snapshot interval leaves the admissible set, for the stated reason
         nxt = traj.final
-        tables = KsTables(grid, p, dt)
         try:
             for _ in range(round(snap_dt / dt)):
-                nxt = ks_step(nxt, tables)
-            nxt.rho_physical()
+                nxt = advance(nxt)
+            admissible(nxt)
         except OutsideValidityWindow:
             assert reason == "validity window"
         else:
             assert reason == "norm explosion"
-            assert besov_norm(make_decomposition(grid), nxt.rho, 0.5) > 1e3 * norms[0]
+            assert size(nxt) > 1e3 * norms[0]
 
 
 class TestFormEquivalence:

@@ -10,10 +10,15 @@ from chemorelax.model import (
     check_stability,
     coefficient_G,
     coefficient_H,
-    density_rho,
+    density_perturbation,
     enthalpy_n,
     params_from_config,
 )
+
+
+def density_rho(n, p):
+    """rho(n), the inverse of enthalpy_n on the validity window."""
+    return p.rho_bar + density_perturbation(n, p)
 
 
 def make_params(gamma=2.0, kappa=1.0, eps=0.1, mu=1.0, a=1.0, b=1.0, rho_bar=1.0):
