@@ -170,7 +170,9 @@ def _write_summary(out: Path, payload: dict) -> None:
         json.dump(payload, fh, indent=2)
 
 
-def _initial_state(c: dict, rng):
+def _hpc_run(c: dict, args) -> driver.Trajectory:
+    """The HPC run from the initial block's data, after a build of its propagator
+    tables: extreme constants that leave them non-finite are a model-block error."""
     init, grid = c["initial"], c["grid"]
     try:   # a mode's wavevector, target_x0 or OutsideValidityWindow (ValueError)
         if init["profile"] == "gaussian":
@@ -178,12 +180,17 @@ def _initial_state(c: dict, rng):
         elif init["profile"] == "modes":
             n_prof = hpc_solver.mode_bump(grid, init["modes"])
         else:
-            n_prof = rng.standard_normal(grid.shape)
+            n_prof = np.random.default_rng(args.seed).standard_normal(grid.shape)
             n_prof -= n_prof.mean()
-        return hpc_solver.build_initial_data(grid, c["model"], n_profile=n_prof,
-                                             target_x0=init["target_x0"])
+        state, _ = hpc_solver.build_initial_data(grid, c["model"], n_profile=n_prof,
+                                                 target_x0=init["target_x0"])
     except ValueError as exc:
         raise ConfigError(f"initial block: {exc}")
+    try:
+        hpc_solver.propagator_tables(grid, c["model"], c["solver"].dt)
+    except ValueError as exc:
+        raise ConfigError(f"model block: {exc}")
+    return hpc_solver.run(state, c["solver"])
 
 
 def _completed(**fields) -> dict:
@@ -233,8 +240,7 @@ def cmd_simulate(c: dict, out: Path, args) -> dict:
     snap_dir.mkdir(exist_ok=True)
 
     if args.command == "simulate-hpc":
-        state, _ = _initial_state(c, np.random.default_rng(args.seed))
-        traj = hpc_solver.run(state, solver_cfg)
+        traj = _hpc_run(c, args)
         for i, s in enumerate(traj.states):
             spectral.save_field(snap_dir / f"n_{i:04d}.npz", s.n)
             spectral.save_field(snap_dir / f"u_{i:04d}.npz", s.u)
@@ -328,8 +334,7 @@ def cmd_lyapunov_check(c: dict, out: Path, args) -> dict:
     except ValueError as exc:   # the model's threshold lies above the grid's blocks
         raise ConfigError(f"grid block: {exc}")
 
-    state, _ = _initial_state(c, np.random.default_rng(args.seed))
-    traj = hpc_solver.run(state, c["solver"])
+    traj = _hpc_run(c, args)
     if traj.status != "completed":
         return {"status": traj.status, "message": f"run failed: {traj.message}"}
     report = diagnostics.lyapunov_equivalence_check(traj, eta0=eta0, c_tol=c_tol)

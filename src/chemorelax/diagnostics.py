@@ -26,7 +26,6 @@ from .hpc_solver import (
     hybrid_aggregate,
     rough_mode_profile,
     run,
-    threshold_mode,
 )
 from .ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from .model import (
@@ -252,11 +251,7 @@ def rescale_to_slow(state: HpcState, eps: float, rho_phys: np.ndarray):
     (tau, rho_field, u_field, phi_field) in slow variables.
     """
     rho = SpectralField.from_physical(state.grid, rho_phys.reshape((-1,) + state.grid.shape))
-    u_eps = (1.0 / eps) * state.u
-    zero = (slice(None),) + (0,) * state.grid.d
-    phi = state.psi.copy()
-    phi.coef[zero] += state.params.phi_bar
-    return eps * state.t, rho, u_eps, phi
+    return eps * state.t, rho, (1.0 / eps) * state.u, state.psi.shifted(state.params.phi_bar)
 
 
 @dataclass
@@ -307,19 +302,7 @@ def _hpc_member_initial(grid, params: ModelParams, rho0_phys: np.ndarray) -> Hpc
                                      dealiased=True)
     phi0 = solve_phi(rho_f, params)
     u_star = reconstruct_velocity(rho_f, phi0, params)
-    state = HpcState(0.0, n0, params.eps * u_star, SpectralField.zeros(grid, 1), params)
-    state.psi = equilibrium_psi(state.n, params)
-    return state
-
-
-def _dt_psi_field(state: HpcState, n_phys: np.ndarray, pert: np.ndarray) -> SpectralField:
-    """dt psi from the equation (used for the concentration residual norms) of
-    each snapshot of a stack; ``n_phys`` is its n in physical space and
-    ``pert`` its density perturbation."""
-    p = state.params
-    h_field = SpectralField.from_physical(state.grid, coefficient_H(n_phys, p, pert),
-                                          dealiased=True)
-    return laplacian(state.psi) - p.b * state.psi + p.c1 * state.n + h_field
+    return HpcState(0.0, n0, params.eps * u_star, equilibrium_psi(n0, params), params)
 
 
 def _require_completed(traj: Trajectory, name: str) -> None:
@@ -358,11 +341,12 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
       residual over eps to be flat (it is the high-frequency data energy that
       saturates that bound).
 
-    Before any run, eps_list must hold at least three distinct eps, each
-    giving valid parameters and a threshold J_eps, ``tau_end`` must be a whole
-    number of ``snap_dtau``, ``dt_fast`` must be positive and finite,
-    and with ``high_freq_budget`` every member's threshold mode must lie in the
-    grid's dealiased band (ValueError otherwise).  A member or limit-model run that
+    Every member's data are built before any run.  By then eps_list must
+    hold at least three distinct eps, each giving valid parameters and a
+    threshold J_eps, ``tau_end`` must be a whole number of ``snap_dtau``,
+    ``dt_fast`` must be positive and finite, and with ``high_freq_budget``
+    every member's threshold mode must lie in the grid's dealiased band
+    (ValueError otherwise).  A member or limit-model run that
     does not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift").  Members run one after another: ``threads`` must be 1.
     """
@@ -377,13 +361,19 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
                          f"got {list(eps_list)}")
     whole_count(tau_end, snap_dtau, "tau_end")
 
+    def member_initial(eps: float) -> HpcState:
+        """The member's data; rough_mode_profile checks the threshold mode."""
+        params = replace(base_params, eps=eps)
+        params.threshold()
+        member_rho0 = rho0_phys
+        if rho_offset_phys is not None:
+            member_rho0 = member_rho0 + eps * rho_offset_phys
+        if high_freq_budget is not None:
+            member_rho0 = member_rho0 + rough_mode_profile(grid, params, high_freq_budget)
+        return _hpc_member_initial(grid, params, member_rho0)
+
     eps_list = sorted(eps_list, reverse=True)
-    for eps in eps_list:   # every member's eps, threshold and threshold mode
-        member = replace(base_params, eps=eps)
-        if high_freq_budget is None:
-            member.threshold()
-        else:
-            threshold_mode(grid, member)
+    initials = [member_initial(eps) for eps in eps_list]
     dec = grid.decomposition
     d_half = grid.d / 2.0
 
@@ -405,15 +395,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         phi = solve_phi(stack.rho, ks_params)
         limit.append((stack.rho, reconstruct_velocity(stack.rho, phi, ks_params), phi))
 
-    def run_member(eps: float) -> tuple:
+    def run_member(initial: HpcState) -> tuple:
         """The member's six report entries, in RelaxationReport's field order."""
-        params = replace(base_params, eps=eps)
-        member_rho0 = rho0_phys.copy()
-        if rho_offset_phys is not None:
-            member_rho0 = member_rho0 + eps * rho_offset_phys
-        if high_freq_budget is not None:
-            member_rho0 = member_rho0 + rough_mode_profile(grid, params, high_freq_budget)
-        initial = _hpc_member_initial(grid, params, member_rho0)
+        params, eps = initial.params, initial.params.eps
         # land snapshots exactly on the shared slow grid
         t_snap = fine_dtau / eps
         substeps = max(1, math.ceil(t_snap / dt_fast))
@@ -433,7 +417,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
             rho_v = SpectralField.from_physical(grid, np.repeat(rho_phys, grid.d, axis=0)
                                                 * effective_modes(s).v.to_physical() / eps,
                                                 dealiased=True)
-            dt_psi = _dt_psi_field(s, n_phys, pert)
+            # dt psi from the equation, never from differences in time
+            h_field = SpectralField.from_physical(grid, coefficient_H(n_phys, params, pert),
+                                                  dealiased=True)
+            dt_psi = laplacian(s.psi) - params.b * s.psi + params.c1 * s.n + h_field
             rows.append((dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
                          dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
                          dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
@@ -443,6 +430,6 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
-    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, eps_list))))
+    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, initials))))
     report.fit_slopes()
     return report

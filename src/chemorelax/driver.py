@@ -1,11 +1,14 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with the one run policy (a solver gives
 :func:`integrate` only its step, its norm and its columns), and the
-trajectory type.  Diagnostics run on snapshot stacks (:func:`stacks`): one
-state per chunk of kept snapshots, with one row per snapshot in each field,
-so a chunk takes one transform per field.  The diagnostic series is a
-:class:`DiagnosticSeries` of columns, built from the stacks only when it is
-read, and written with the package's one CSV writer, :func:`write_csv`.
+trajectory type.  States are values: frozen, and never written into.  A
+step returns a new state, and the driver keeps the states the steps return,
+the initial one included, without copying them.  Diagnostics run on snapshot
+stacks (:func:`stacks`): one state per chunk of kept snapshots, with one row
+per snapshot in each field, so a chunk takes one transform per field.  The
+diagnostic series is a :class:`DiagnosticSeries` of columns, built from the
+stacks only when it is read, and written with the package's one CSV writer,
+:func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -160,15 +163,15 @@ class Trajectory:
 
 def integrate(initial, advance: Callable, size: Callable, columns: Callable,
               config: SolverConfig) -> Trajectory:
-    """Step ``initial`` with ``advance(state)`` (one step of ``config.dt``)
-    through the schedule of ``config``; ``size(state)`` is the solver's norm
-    of a snapshot, and an initial one above SMALL_DATA_HINT warns.  A size
-    above BLOWUP_FACTOR times the initial one, or a BlowupError or
-    OutsideValidityWindow from either callable, ends the run with status
+    """Step ``initial`` with ``advance(state)`` (one step of ``config.dt``; it
+    returns a new state) through the schedule of ``config``, and keep
+    ``initial`` and the state at each snapshot, uncopied.  ``size(state)`` is
+    the solver's norm of a snapshot, and an initial one above SMALL_DATA_HINT
+    warns.  A size above BLOWUP_FACTOR times the initial one, or a BlowupError
+    or OutsideValidityWindow from either callable, ends the run with status
     "blowup" and the snapshots kept so far."""
     steps_per_snap, n_snaps = config.schedule()
-    states = [initial.copy()]
-    state = initial.copy()
+    states, state = [initial], initial
     try:
         size0 = size(initial)
         if size0 > SMALL_DATA_HINT:
@@ -182,7 +185,7 @@ def integrate(initial, advance: Callable, size: Callable, columns: Callable,
             if size0 > 0 and norm > BLOWUP_FACTOR * size0:
                 raise BlowupError(f"norm explosion: {norm:.3g} exceeds {BLOWUP_FACTOR:g} x the "
                                   f"initial {size0:.3g} at t={k * steps_per_snap * config.dt:g}")
-            states.append(state.copy())
+            states.append(state)
     except (OutsideValidityWindow, BlowupError) as exc:
         return Trajectory(states, columns, "blowup", str(exc))
     return Trajectory(states, columns)

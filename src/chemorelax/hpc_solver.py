@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,7 @@ __all__ = [
     "SolverConfig",
     "BlowupError",
     "PropagatorTables",
+    "propagator_tables",
     "nonlinear_rhs",
     "step",
     "run",
@@ -77,7 +79,6 @@ __all__ = [
     "gaussian_bump",
     "mode_bump",
     "rough_mode_profile",
-    "threshold_mode",
 ]
 
 # a step of dt is taken when dt max|u| <= CFL_SAFETY dx, else halved, at most
@@ -86,9 +87,10 @@ CFL_SAFETY = 0.4
 MAX_CFL_HALVINGS = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class HpcState:
-    """Snapshot of (n, u, psi) at one time instant, or a snapshot stack."""
+    """Snapshot of (n, u, psi) at one time instant, or a snapshot stack; a
+    value, frozen and never written into (see :mod:`chemorelax.driver`)."""
 
     t: float
     n: SpectralField
@@ -107,9 +109,6 @@ class HpcState:
     def total_mass(self) -> float:
         return float((self.params.rho_bar + self.mass_perturbation()) * self.grid.volume)
 
-    def copy(self) -> "HpcState":
-        return HpcState(self.t, self.n.copy(), self.u.copy(), self.psi.copy(), self.params)
-
 
 # -- exact linear propagation -------------------------------------------------
 
@@ -121,7 +120,8 @@ class PropagatorTables:
     and spread over the half-spectrum at build time: ``E3[i, j]`` is the
     (i, j) entry at every mode, shape (3, 3, *grid.spec_shape).  The
     incompressible components use scalar factors.  In d=1 each table is also
-    folded, once, into one complex 3x3 matrix per mode on (n, u, psi).
+    folded, once, into one complex 3x3 matrix per mode on (n, u, psi).  A
+    non-finite entry or factor (extreme model constants) is a ValueError.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
@@ -129,14 +129,17 @@ class PropagatorTables:
         self.dt = dt
         mags, inverse = np.unique(grid.xi_mag_diff, return_inverse=True)
         self.index = inverse.reshape(grid.spec_shape)
-        mats = symbol_matrix(mags, params)
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite entries raise below
+            phis = etd.batched_matrix_phis(symbol_matrix(mags, params), dt)
+            scalars = etd.scalar_phis(-1.0 / params.eps, dt)
+        bad = sum(np.count_nonzero(~np.isfinite(f)) for f in (*phis, *scalars))
+        if bad:
+            raise ValueError(f"the propagator tables at dt={dt!r} hold {bad} non-finite entries; "
+                             f"the model constants are too extreme for the linear propagator")
         self.E3, self.P13, self.P23 = (
             np.ascontiguousarray(np.moveaxis(table[self.index], (-2, -1), (0, 1)))
-            for table in etd.batched_matrix_phis(mats, dt))
-        z = -dt / params.eps
-        self.e_inc = math.exp(z)
-        self.p1_inc = float(dt * etd.phi1(z).real)
-        self.p2_inc = float(dt * etd.phi2(z).real)
+            for table in phis)
+        self.e_inc, self.p1_inc, self.p2_inc = (float(f.real) for f in scalars)
 
         mag = grid.xi_mag_diff
         self._unit = grid.xi_diff / np.where(mag > 0, mag, 1.0)  # (d, *spec_shape), 0 at mean
@@ -184,6 +187,11 @@ class PropagatorTables:
 
     def apply_phi2(self, n, u, psi):
         return self._apply(2, n, u, psi)
+
+
+# the tables of the last (grid, params, dt) built: the CLI builds a run's first
+# tables before the run, which reuses them
+propagator_tables = lru_cache(maxsize=1)(PropagatorTables)
 
 
 # -- nonlinear terms ----------------------------------------------------------
@@ -313,7 +321,7 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
         vmax = rhs[3]
         if dt * vmax <= CFL_SAFETY * s.grid.dx or vmax == 0.0:
             if dt not in cache:
-                cache[dt] = PropagatorTables(s.grid, s.params, dt)
+                cache[dt] = propagator_tables(s.grid, s.params, dt)
             return step(s, cache[dt], mass_target, rhs)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
@@ -346,8 +354,8 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
 
 # -- initial data --------------------------------------------------------------
 
-def gaussian_bump(grid: Grid, width: float = 0.5, center=None, mean_zero: bool = True) -> np.ndarray:
-    """Smooth periodic bump (wrapped Gaussian), optionally mean-adjusted; the
+def gaussian_bump(grid: Grid, width: float = 0.5, center=None) -> np.ndarray:
+    """Smooth periodic bump (wrapped Gaussian) with its mean subtracted; the
     width must be positive and finite (ValueError)."""
     if not (0 < width < math.inf):
         raise ValueError(f"width must be positive and finite, got {width!r}")
@@ -356,9 +364,7 @@ def gaussian_bump(grid: Grid, width: float = 0.5, center=None, mean_zero: bool =
     for x, c in zip(np.meshgrid(*grid.x_axes, indexing="ij"), center, strict=True):
         r2 = r2 + np.minimum(np.abs(x - c), grid.L - np.abs(x - c)) ** 2
     vals = np.exp(-r2 / (2.0 * width ** 2))
-    if mean_zero:
-        vals = vals - vals.mean()
-    return vals
+    return vals - vals.mean()
 
 
 def mode_bump(grid: Grid, modes) -> np.ndarray:
@@ -378,23 +384,17 @@ def mode_bump(grid: Grid, modes) -> np.ndarray:
     return vals
 
 
-def threshold_mode(grid: Grid, params: ModelParams) -> int:
-    """The integer mode 2^J at the low/high frequency threshold; ValueError if
-    it lies outside the grid's dealiased band."""
-    k_int = 2 ** params.threshold()
-    if k_int * grid.xi_min > grid.xi_max / math.sqrt(grid.d) * 2.0 / 3.0:
-        raise ValueError(f"threshold mode {k_int} exceeds the dealiased band; refine the grid")
-    return k_int
-
-
 def rough_mode_profile(grid: Grid, params: ModelParams, budget: float) -> np.ndarray:
     """Single cosine mode (phase 0.7) at the low/high frequency threshold, with
     a prescribed high-frequency energy: eps * ||mode||_{B^{d/2+1}_{2,1}} = budget.
 
     This is how an eps-family of initial data keeps the high-frequency part of
     its energy uniformly filled: the mode tracks |xi| ~ 2^J as eps shrinks.
+    ValueError if the threshold mode 2^J lies outside the grid's dealiased band.
     """
-    k_int = threshold_mode(grid, params)
+    k_int = 2 ** params.threshold()
+    if k_int * grid.xi_min > grid.xi_max / math.sqrt(grid.d) * 2.0 / 3.0:
+        raise ValueError(f"threshold mode {k_int} exceeds the dealiased band; refine the grid")
     profile = mode_bump(grid, [([k_int] + [0] * (grid.d - 1), 1.0, 0.7)])
     f = SpectralField.from_physical(grid, profile[None], dealiased=True)
     dec = grid.decomposition

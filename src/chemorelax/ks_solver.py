@@ -47,9 +47,10 @@ __all__ = [
     "ks_run",
 ]
 
-@dataclass
+@dataclass(frozen=True)
 class KsState:
-    """Density snapshot at one slow-time instant, or a snapshot stack (eps plays no role)."""
+    """Density snapshot at one slow-time instant, or a snapshot stack (eps plays
+    no role); a value, frozen and never written into (see :mod:`chemorelax.driver`)."""
 
     tau: float
     rho: SpectralField
@@ -61,9 +62,6 @@ class KsState:
 
     def rho_physical(self) -> np.ndarray:
         return _check_window(self.rho.to_physical()[0], self.params, "density")
-
-    def copy(self) -> "KsState":
-        return KsState(self.tau, self.rho.copy(), self.params)
 
 
 def ks_symbol(xi, params: ModelParams):
@@ -81,13 +79,8 @@ def ks_symbol(xi, params: ModelParams):
 def solve_phi(rho: SpectralField, params: ModelParams) -> SpectralField:
     """Exact screened elliptic solve of each row of rho:
     phi = phi_bar + a (b - Lap)^{-1}(rho - rho_bar)."""
-    grid = rho.grid
-    zero = (slice(None),) + (0,) * grid.d
-    pert = rho.copy()
-    pert.coef[zero] -= params.rho_bar
-    phi = bessel_inverse(params.a * pert, params.b)
-    phi.coef[zero] += params.phi_bar
-    return phi
+    source = params.a * rho.shifted(-params.rho_bar)
+    return bessel_inverse(source, params.b).shifted(params.phi_bar)
 
 
 def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelParams) -> SpectralField:

@@ -174,8 +174,9 @@ class SpectralField:
 
     ``coef`` is the half-spectrum, shape ``(ncomp, *grid.spec_shape)``: ncomp
     is 1 for a scalar, grid.d for a vector, and any count for a stack of
-    fields transformed together.  All arithmetic is coefficient-wise and
-    returns new fields; nothing here mutates its inputs.
+    fields transformed together.  A field is a value: all arithmetic is
+    coefficient-wise and returns new fields, and nothing here mutates its
+    inputs, so solver states share fields freely.
     """
 
     __slots__ = ("grid", "coef")
@@ -230,10 +231,19 @@ class SpectralField:
                 np.fft.ifft(cols, axis=ax, norm="forward", out=cols)
         return np.fft.irfft(coef, n=grid.N, axis=-1, norm="forward")
 
+    @property
+    def _zero(self) -> tuple:   # every row's zero-mode coefficient
+        return (slice(None),) + (0,) * self.grid.d
+
     def mean(self) -> np.ndarray:
         """Spatial mean per row (the zero-mode coefficient)."""
-        zero = (slice(None),) + (0,) * self.grid.d
-        return self.coef[zero].real.copy()
+        return self.coef[self._zero].real.copy()
+
+    def shifted(self, value) -> "SpectralField":
+        """A new field: this one plus the constant ``value`` in every row."""
+        coef = self.coef.copy()
+        coef[self._zero] += value
+        return self._like(coef)
 
     def energy(self, ncomp: int) -> np.ndarray:
         """|coef|^2 of each field stacked here, a field being ``ncomp``

@@ -199,7 +199,7 @@ def test_criterion_07_solver_correctness(bounded_trajectory):
 
     def advance_hpc(dt):
         tab = PropagatorTables(grid, params, dt)
-        cur, target = state.copy(), state.mass_perturbation()
+        cur, target = state, state.mass_perturbation()
         for _ in range(round(1.0 / dt)):
             cur = step(cur, tab, target, nonlinear_rhs(cur))
         return cur

@@ -684,6 +684,15 @@ class TestExperimentBlockErrors:
          "model block: c0 must be finite, got inf"),
         ("simulate-hpc", {}, {**LYAP_RUN, "grid": {"d": 1, "N": 32, "L": float("inf")}},
          "grid block: period length must be positive and finite, got inf"),
+        # finite constants too extreme for the propagator tables, or for the data
+        ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(b=1e300)},
+         "model block: the propagator tables at dt=0.02 hold"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(mu=1e300)},
+         "model block: the propagator tables at dt=0.02 hold"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(epsilon=1e-300)},
+         "model block: the propagator tables at dt=0.02 hold"),
+        ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(a=1e300)},
+         "initial block: enthalpy left the admissible range"),
         # the threshold lies above every block of the grid: nothing to check
         ("lyapunov-check", {}, {"model": base_model(epsilon=0.01),
                                 "grid": {"d": 1, "N": 8, "L": 6.283185307179586},
@@ -708,7 +717,8 @@ class TestExperimentBlockErrors:
             "hpc-target_x0-infinite", "hpc-mode-k-too-long", "hpc-mode-k-fraction",
             "hpc-width-zero", "hpc-width-negative", "ks-width-zero", "sweep-width-negative",
             "sweep-offset_width-zero", "decay-b-huge", "decay-kappa-tiny", "model-kappa-overflow",
-            "grid-L-infinite", "lyapunov-no-block"])
+            "grid-L-infinite", "hpc-b-huge", "hpc-mu-huge", "hpc-epsilon-tiny", "hpc-a-huge",
+            "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -368,7 +368,7 @@ class TestRescaling:
         p = ModelParams(eps=0.25, pressure=PressureLaw(1.0, 2.0))
         state, _ = build_initial_data(grid, p, n_profile=gaussian_bump(grid, width=0.5),
                                       target_x0=0.01)
-        state.t = 3.0
+        state = replace(state, t=3.0)
         tau, rho, u_eps, phi = rescale_to_slow(
             state, p.eps, p.rho_bar + density_perturbation(state.n.to_physical()[0], p))
         # the inverse rescaling: the same factors, applied inversely
@@ -466,25 +466,22 @@ class TestRelaxationSweep:
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_density_perturbation_per_stack(self, params, monkeypatch):
-        """From the end of its run to the next member's setup, a member
-        evaluates the density perturbation once per snapshot stack: the
+        """From the end of its run to the start of the next member's run, a
+        member evaluates the density perturbation once per snapshot stack: the
         rescaled density and H(n) share it.  Stacks of two snapshots split a
         member's five snapshots into three stacks."""
         from chemorelax import diagnostics, driver, model
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
         members, live = [], [False]   # per member: [kept snapshots, perturbations]
-        original_run, original_initial = diagnostics.run, diagnostics._hpc_member_initial
+        original_run = diagnostics.run
         original = model.density_perturbation
 
         def run(*args):
+            live[0] = False
             traj = original_run(*args)
             members.append([len(traj.states), 0])
             live[0] = True
             return traj
-
-        def member_initial(*args):
-            live[0] = False
-            return original_initial(*args)
 
         def density_perturbation(*args):
             if live[0]:
@@ -492,7 +489,6 @@ class TestRelaxationSweep:
             return original(*args)
 
         monkeypatch.setattr(diagnostics, "run", run)
-        monkeypatch.setattr(diagnostics, "_hpc_member_initial", member_initial)
         for module in (diagnostics, model):
             monkeypatch.setattr(module, "density_perturbation", density_perturbation,
                                 raising=False)

@@ -1,12 +1,16 @@
 """Snapshot driver shared by both solvers: schedule, trajectory type, snapshot
 stacks and the lazy series of columns."""
 
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
+from chemorelax.diagnostics import (damped_mode_decay_check, lyapunov_equivalence_check,
+                                    rescale_to_slow)
 from chemorelax.driver import SNAPSHOT_CHUNK, SolverConfig, Trajectory, stacks
-from chemorelax.hpc_solver import build_initial_data, gaussian_bump, run
-from chemorelax.ks_solver import KsState, ks_run
+from chemorelax.hpc_solver import HpcState, build_initial_data, gaussian_bump, run
+from chemorelax.ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from chemorelax.model import ModelParams, PressureLaw, coefficient_H, density_perturbation
 from chemorelax.spectral import SpectralField, dealias, gradient, make_grid
 from norms import snapshot_besov, snapshot_hybrid
@@ -43,15 +47,57 @@ def test_run_and_ks_run_share_one_trajectory_type(grid, params):
     rho0 = params.rho_bar + 0.01 * gaussian_bump(grid)
     ks = KsState(0.0, dealias(SpectralField.from_physical(grid, rho0[None])), params)
     trajs = [run(hpc, config), ks_run(ks, config)]
-    for traj, time_name in zip(trajs, ("t", "tau")):
+    for traj, initial, time_name in zip(trajs, (hpc, ks), ("t", "tau")):
         assert type(traj) is Trajectory
         assert traj.status == "completed"
         assert len(traj.states) == 3
+        assert traj.initial is initial   # states are values: kept, not copied
         assert traj.initial is traj.states[0] and traj.final is traj.states[-1]
         # the series is built on first read, one row per kept snapshot
         assert "series" not in vars(traj)
         np.testing.assert_allclose(traj.series.columns[time_name], [0.0, 0.25, 0.5], atol=1e-12)
         assert traj.series is traj.series
+
+
+def test_states_are_frozen(grid, params):
+    """A state is a value: assigning any field of either state type raises."""
+    hpc, _ = build_initial_data(grid, params, n_profile=gaussian_bump(grid), target_x0=0.01)
+    rho = SpectralField.from_physical(grid, params.rho_bar + 0.01 * gaussian_bump(grid))
+    for state in (hpc, KsState(0.0, rho, params)):
+        for f in fields(state):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, f.name, getattr(state, f.name))
+
+
+@pytest.mark.filterwarnings("ignore:initial norm")
+@pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
+def test_nothing_writes_into_a_state(params, d, N):
+    """Both solvers run from initial states whose coefficients are read-only;
+    with every kept snapshot read-only too, the series, the damped-mode and
+    Lyapunov checks and the sweep's per-stack helpers evaluate.  A write into
+    a state's coefficients would raise."""
+    grid = make_grid(d, N, 2 * np.pi)
+    hpc, _ = build_initial_data(grid, params, n_profile=gaussian_bump(grid), target_x0=0.01)
+    rho0 = params.rho_bar + 0.01 * gaussian_bump(grid)
+    ks = KsState(0.0, dealias(SpectralField.from_physical(grid, rho0[None])), params)
+
+    def read_only(states):
+        for s in states:
+            for f in (s.n, s.u, s.psi) if isinstance(s, HpcState) else (s.rho,):
+                f.coef.flags.writeable = False
+
+    read_only([hpc, ks])
+    config = SolverConfig(dt=0.05, t_end=0.5, snap_dt=0.25)
+    traj, ks_traj = run(hpc, config), ks_run(ks, config)
+    assert traj.status == ks_traj.status == "completed"
+    read_only(traj.states + ks_traj.states)
+    assert len(traj.series.columns["t"]) == len(ks_traj.series.columns["tau"]) == 3
+    assert damped_mode_decay_check(traj)["ok"]
+    assert lyapunov_equivalence_check(traj).rows
+    for s, k in zip(traj.states, ks_traj.states, strict=True):
+        rho_phys = params.rho_bar + density_perturbation(s.n.to_physical(), params)
+        rescale_to_slow(s, params.eps, rho_phys)
+        reconstruct_velocity(k.rho, solve_phi(k.rho, params), params)
 
 
 def test_stacks_join_chunks_of_snapshots(grid, params):
@@ -62,8 +108,7 @@ def test_stacks_join_chunks_of_snapshots(grid, params):
     states = [build_initial_data(grid2, params, n_profile=0.01 * rng.standard_normal(grid2.shape),
                                  u_profile=0.01 * rng.standard_normal((2,) + grid2.shape))[0]
               for _ in range(SNAPSHOT_CHUNK + 3)]
-    for k, s in enumerate(states):
-        s.t = 0.5 * k
+    states = [replace(s, t=0.5 * k) for k, s in enumerate(states)]
     chunks = list(stacks(states))
     assert [len(c.t) for c in chunks] == [SNAPSHOT_CHUNK, 3]
     joined = states[SNAPSHOT_CHUNK:]

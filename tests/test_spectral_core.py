@@ -390,6 +390,21 @@ class TestInvariantsAndProperties:
         overlap = sum(2.0 ** (j * s) * dec.block_l2(f, j) for j in (J - 1, J))
         assert np.isclose(lo + hi, total + overlap, rtol=1e-12)
 
+    @pytest.mark.parametrize("d,N", [(1, 16), (2, 8), (3, 8)])
+    def test_shifted_adds_a_constant_to_every_row(self, rng, d, N):
+        """The shift is a new field that differs from its input in each row's
+        zero mode only, by the constant, and leaves the input as it was."""
+        g = make_grid(d, N, 2 * np.pi)
+        f = random_field(g, rng, ncomp=3)
+        before = f.coef.copy()
+        out = f.shifted(0.75)
+        assert np.array_equal(f.coef, before)
+        assert np.array_equal(out.mean(), f.mean() + 0.75)
+        rest = np.ones(g.spec_shape, dtype=bool)
+        rest[(0,) * d] = False
+        assert np.array_equal(out.coef[:, rest], f.coef[:, rest])
+        np.testing.assert_allclose(out.to_physical(), f.to_physical() + 0.75, atol=1e-13)
+
     def test_reality_roundtrip(self, rng):
         g = make_grid(2, 16, 2 * np.pi)
         vals = rng.standard_normal((1,) + g.shape)
