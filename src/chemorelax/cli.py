@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (__version__, diagnostics, driver, hpc_solver, ks_solver, linear_analysis, model,
-               spectral)
+from . import (__version__, diagnostics, driver, etd, hpc_solver, ks_solver, linear_analysis,
+               model, spectral)
 from .model import REQUIRED, as_integer, as_number, config_kind, read_keys
 
 __all__ = ["main"]
@@ -250,6 +250,10 @@ def cmd_simulate(c: dict, out: Path, args) -> dict:
         rho0 = params.rho_bar + init["amplitude"] * hpc_solver.gaussian_bump(
             grid, width=init["width"])
         rho_f = spectral.SpectralField.from_physical(grid, rho0[None], dealiased=True)
+        try:   # the run's tables, built before it: extreme constants are a model-block error
+            ks_solver.KsTables(grid, params, solver_cfg.dt)
+        except etd.NonFiniteTables as exc:
+            raise ConfigError(f"model block: {exc}")
         traj = ks_solver.ks_run(ks_solver.KsState(0.0, rho_f, params), solver_cfg)
         for i, s in enumerate(traj.states):
             spectral.save_field(snap_dir / f"rho_{i:04d}.npz", s.rho)
@@ -306,6 +310,8 @@ def cmd_relaxation_sweep(c: dict, out: Path, args) -> dict:
             grid, params, rho0, e["eps_list"], tau_end=e["tau_end"], snap_dtau=e["snap_dtau"],
             dt_fast=e["dt_fast"], rho_offset_phys=offset,
             high_freq_budget=e["high_freq_budget"])
+    except etd.NonFiniteTables as exc:   # extreme constants, found before any run
+        raise ConfigError(f"model block: {exc}")
     except ValueError as exc:  # eps_list, tau_end, dt_fast, data or threshold mode, before any run
         raise ConfigError(f"experiment block: {exc}")
     except driver.RunFailed as exc:

@@ -24,10 +24,11 @@ from .hpc_solver import (
     HpcState,
     equilibrium_psi,
     hybrid_aggregate,
+    propagator_tables,
     rough_mode_profile,
     run,
 )
-from .ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
+from .ks_solver import KsState, KsTables, ks_run, reconstruct_velocity, solve_phi
 from .model import (
     ModelParams,
     coefficient_H,
@@ -346,7 +347,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     threshold J_eps, ``tau_end`` must be a whole number of ``snap_dtau``,
     ``dt_fast`` must be positive and finite, and with ``high_freq_budget``
     every member's threshold mode must lie in the grid's dealiased band
-    (ValueError otherwise).  A member or limit-model run that
+    (ValueError otherwise); so are every run's first propagator tables
+    (etd.NonFiniteTables, a ValueError).  A member or limit-model run that
     does not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift").  Members run one after another: ``threads`` must be 1.
     """
@@ -384,8 +386,21 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     ks_cfg = SolverConfig(dt=fine_dtau / 2.0, t_end=tau_end, snap_dt=fine_dtau)
     taus = fine_dtau * np.arange(ks_cfg.schedule()[1] + 1)
 
-    # shared limit-model trajectory (eps plays no role in it)
+    def member_config(eps: float) -> SolverConfig:
+        """The member's schedule: snapshots land exactly on the shared slow grid."""
+        t_snap = fine_dtau / eps
+        substeps = max(1, math.ceil(t_snap / dt_fast))
+        return SolverConfig(dt=t_snap / substeps, t_end=tau_end / eps, snap_dt=t_snap)
+
+    configs = [member_config(eps) for eps in eps_list]
     ks_params = replace(base_params, eps=eps_min)
+    # every run's first tables, before any run (NonFiniteTables for extreme constants);
+    # the first member's are built last, so its run takes them from the cache
+    KsTables(grid, ks_params, ks_cfg.dt)
+    for initial, cfg in zip(initials[::-1], configs[::-1]):
+        propagator_tables(grid, initial.params, cfg.dt)
+
+    # shared limit-model trajectory (eps plays no role in it)
     rho_f0 = SpectralField.from_physical(grid, rho0_phys[None], dealiased=True)
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     _require_completed(ks_traj, "limit-model run")
@@ -395,13 +410,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         phi = solve_phi(stack.rho, ks_params)
         limit.append((stack.rho, reconstruct_velocity(stack.rho, phi, ks_params), phi))
 
-    def run_member(initial: HpcState) -> tuple:
+    def run_member(initial: HpcState, cfg: SolverConfig) -> tuple:
         """The member's six report entries, in RelaxationReport's field order."""
         params, eps = initial.params, initial.params.eps
-        # land snapshots exactly on the shared slow grid
-        t_snap = fine_dtau / eps
-        substeps = max(1, math.ceil(t_snap / dt_fast))
-        cfg = SolverConfig(dt=t_snap / substeps, t_end=tau_end / eps, snap_dt=t_snap)
         traj = run(initial, cfg)
         _require_completed(traj, f"relaxation member eps={eps}")
 
@@ -430,6 +441,6 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
-    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, initials))))
+    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, initials, configs))))
     report.fit_slopes()
     return report

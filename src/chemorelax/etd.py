@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-__all__ = ["phi1", "phi2", "batched_matrix_phis", "scalar_phis"]
+__all__ = ["phi1", "phi2", "batched_matrix_phis", "scalar_phis", "NonFiniteTables",
+           "require_finite"]
 
 # phi1 = sum z^k/(k+1)!, phi2 = sum z^k/(k+2)! for |z| < 1, where the direct forms
 # lose eps/|z| and eps/|z|^2 to cancellation; 20 terms leave a remainder under
@@ -61,6 +62,18 @@ def phi2(z):
     with np.errstate(invalid="ignore", divide="ignore"):
         direct = (np.exp(zs) - 1.0 - zs) / zs ** 2
     return np.where(small, _poly(z, _PHI2_COEFFS), direct)
+
+
+class NonFiniteTables(ValueError):
+    """Propagator factors with a non-finite entry: model constants too extreme."""
+
+
+def require_finite(dt: float, factors) -> None:
+    """NonFiniteTables if a factor array built for step dt has a non-finite entry."""
+    bad = sum(np.count_nonzero(~np.isfinite(f)) for f in factors)
+    if bad:
+        raise NonFiniteTables(f"the propagator tables at dt={dt!r} hold {bad} non-finite entries; "
+                              f"the model constants are too extreme for the linear propagator")
 
 
 def scalar_phis(symbol, dt: float):

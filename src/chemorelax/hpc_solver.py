@@ -11,9 +11,12 @@ The full coupled linear part (not just the stiff diagonal) is applied exactly
 per Fourier mode through the 3x3 compressible symbol and the scalar
 incompressible relaxation factor; quadratic terms are formed in physical space
 under the 2/3 dealiasing rule and advanced with the second-order exponential
-integrator from :mod:`chemorelax.etd`.  In 1D each right-hand side makes one
-stacked inverse transform of [n, u, dn, du] and one stacked forward transform
-of [N_n, N_u, H], and G and H share one density-perturbation evaluation.
+integrator from :mod:`chemorelax.etd`; G and H share one density-perturbation
+evaluation.  A 1D step is bound by per-call overhead, so the 1D right-hand side
+masks the stacked rows [n, u] once, multiplies them by i xi for [dn, du], takes
+all four rows to the grid in one inverse transform, forms N_n = -(u dn) - G du,
+N_u = -(u du) and H with plain ufuncs in one (3, N) array, and returns its one
+masked forward transform as row views.  d >= 2 transforms field by field.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation.  :func:`run` runs on
 :func:`chemorelax.driver.integrate`, whose run policy watches the hybrid
@@ -121,7 +124,7 @@ class PropagatorTables:
     (i, j) entry at every mode, shape (3, 3, *grid.spec_shape).  The
     incompressible components use scalar factors.  In d=1 each table is also
     folded, once, into one complex 3x3 matrix per mode on (n, u, psi).  A
-    non-finite entry or factor (extreme model constants) is a ValueError.
+    non-finite entry or factor (extreme model constants) is etd.NonFiniteTables.
     """
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
@@ -132,10 +135,7 @@ class PropagatorTables:
         with np.errstate(over="ignore", invalid="ignore"):   # non-finite entries raise below
             phis = etd.batched_matrix_phis(symbol_matrix(mags, params), dt)
             scalars = etd.scalar_phis(-1.0 / params.eps, dt)
-        bad = sum(np.count_nonzero(~np.isfinite(f)) for f in (*phis, *scalars))
-        if bad:
-            raise ValueError(f"the propagator tables at dt={dt!r} hold {bad} non-finite entries; "
-                             f"the model constants are too extreme for the linear propagator")
+        etd.require_finite(dt, (*phis, *scalars))
         self.E3, self.P13, self.P23 = (
             np.ascontiguousarray(np.moveaxis(table[self.index], (-2, -1), (0, 1)))
             for table in phis)
@@ -203,18 +203,27 @@ def nonlinear_rhs(state: HpcState):
     The 2/3 mask is applied to the inputs and to the assembled outputs;
     max|u| is taken over the grid values of the dealiased u, for the CFL test.
     """
+    grid, d = state.grid, state.grid.d
+    if d == 1:
+        rows = np.concatenate((state.n.coef, state.u.coef)) * grid.dealias_mask
+        n_phys, u_phys, dn, du = SpectralField(
+            grid, np.concatenate((rows, (1j * grid.xi_diff) * rows))).to_physical()
+        g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
+        out = np.array((-(u_phys * dn) - g_vals * du, -(u_phys * du), h_vals))
+        coef = SpectralField.from_physical(grid, out, dealiased=True).coef
+        return (SpectralField(grid, coef[:1]), SpectralField(grid, coef[1:2]),
+                SpectralField(grid, coef[2:]), float(np.abs(u_phys).max()))
+
     nf = dealias(state.n)
     uf = dealias(state.u)
-    grid, d = state.grid, state.grid.d
-
-    # rows [n, u, grad n, div u, grad u_1 .. grad u_d]; in 1D div u is grad u_1
-    vals = to_physical_all(nf, uf, gradient(nf), *([divergence(uf)] if d > 1 else []),
+    # rows [n, u, grad n, div u, grad u_1 .. grad u_d], one transform per field
+    vals = to_physical_all(nf, uf, gradient(nf), divergence(uf),
                            *(SpectralField(grid, 1j * grid.xi_diff * uf.coef[i]) for i in range(d)))
     (n_phys,), u_phys, grad_n, (div_u,) = vals[:4]
     nu = np.empty_like(u_phys)
     for i in range(d):
         nu[i] = -np.einsum("k...,k...->...", u_phys, vals[i - d])
-    del vals   # in d >= 2, free the velocity gradients before G and H (peak memory)
+    del vals   # free the velocity gradients before G and H (peak memory)
 
     g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
@@ -235,17 +244,18 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
     out = n.copy()
     zero = (0,) + (0,) * n.grid.d
     n_phys = out.to_physical()[0]
+    size = n_phys.size   # x.sum() / size is np.mean(x) bit for bit, without its dispatch
     for _ in range(3):
         pert = density_perturbation(n_phys, params)
-        defect = target_mean_pert - float(np.mean(pert))
-        # np.mean (pairwise summation) rounds to a few ulps of mean|pert|: no pass can
-        # remove a defect under 8 ulps, and for a round-off target no relative test passes.
-        floor = 8.0 * np.finfo(float).eps * float(np.mean(np.abs(pert)))
+        defect = target_mean_pert - float(pert.sum() / size)
+        # the pairwise sum rounds to a few ulps of mean|pert|: no pass can remove a
+        # defect under 8 ulps, and for a round-off target no relative test passes.
+        floor = 8.0 * np.finfo(float).eps * float(np.abs(pert).sum() / size)
         if abs(defect) <= max(1e-15 * abs(target_mean_pert), floor):
             break
         rho = params.rho_bar + pert
         drho_dn = rho / params.pressure.dP(rho)   # inverse of dn/drho = P'(rho)/rho
-        shift = defect / float(np.mean(drho_dn))
+        shift = defect / float(drho_dn.sum() / size)
         out.coef[zero] += shift
         n_phys += shift
     return out

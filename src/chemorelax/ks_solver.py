@@ -110,22 +110,34 @@ def pressure_remainder(rho, params: ModelParams):
 
 def ks_rhs(state: KsState) -> SpectralField:
     """Quadratic terms Lap Q(rho) - mu div((rho-rho_bar) grad phi),
-    2/3-dealiased on input and output; in 1D [rho, grad phi] and
-    [Q(rho), (rho-rho_bar) grad phi] each take one stacked transform."""
+    2/3-dealiased on input and output.  In 1D [rho, grad phi] and
+    [Q(rho), (rho-rho_bar) grad phi] each take one stacked transform, and
+    the symbols -xi^2 and i xi act on the masked rows directly."""
     rho_f = dealias(state.rho)
-    p = state.params
+    grid, p = state.grid, state.params
+    if grid.d == 1:
+        ik = 1j * grid.xi_diff
+        rho_phys, grad_phi = SpectralField(
+            grid, np.concatenate((rho_f.coef, ik * solve_phi(rho_f, p).coef))).to_physical()
+        q, flux = SpectralField.from_physical(
+            grid, np.array((pressure_remainder(rho_phys, p), (rho_phys - p.rho_bar) * grad_phi)),
+            dealiased=True).coef
+        return SpectralField(grid, q * -(grid.xi_diff[0] ** 2) - (ik * flux) * p.mu)
     (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(solve_phi(rho_f, p)))
-    term_a, flux = from_physical_all(state.grid, pressure_remainder(rho_phys, p)[None],
+    term_a, flux = from_physical_all(grid, pressure_remainder(rho_phys, p)[None],
                                      (rho_phys - p.rho_bar)[None] * grad_phi)
     return dealias(laplacian(term_a) - p.mu * divergence(flux))
 
 
 class KsTables:
-    """E / phi1 / phi2 factors of :func:`ks_symbol` for one (grid, params, dt)."""
+    """E / phi1 / phi2 factors of :func:`ks_symbol` for one (grid, params, dt);
+    a non-finite factor (extreme model constants) is etd.NonFiniteTables."""
 
     def __init__(self, grid: Grid, params: ModelParams, dt: float):
         self.dt = dt
-        self.E, self.P1, self.P2 = etd.scalar_phis(ks_symbol(grid.xi_mag_diff, params), dt)
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite factors raise below
+            self.E, self.P1, self.P2 = etd.scalar_phis(ks_symbol(grid.xi_mag_diff, params), dt)
+        etd.require_finite(dt, (self.E, self.P1, self.P2))
 
 
 def ks_step(state: KsState, tables: KsTables) -> KsState:

@@ -693,6 +693,14 @@ class TestExperimentBlockErrors:
          "model block: the propagator tables at dt=0.02 hold"),
         ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(a=1e300)},
          "initial block: enthalpy left the admissible range"),
+        ("relaxation-sweep", {"eps_list": EPS, "tau_end": 0.05, "high_freq_budget": None},
+         {**SWEEP_GRID, "model": base_model(b=1e300)},
+         "model block: the propagator tables at dt="),
+        ("relaxation-sweep", {"eps_list": EPS, "tau_end": 0.05, "high_freq_budget": None},
+         {**SWEEP_GRID, "model": base_model(mu=1e300)},
+         "model block: the propagator tables at dt="),
+        ("simulate-ks", {}, {**LYAP_RUN, "model": base_model(mu=1e300)},
+         "model block: the propagator tables at dt=0.02 hold"),
         # the threshold lies above every block of the grid: nothing to check
         ("lyapunov-check", {}, {"model": base_model(epsilon=0.01),
                                 "grid": {"d": 1, "N": 8, "L": 6.283185307179586},
@@ -718,7 +726,7 @@ class TestExperimentBlockErrors:
             "hpc-width-zero", "hpc-width-negative", "ks-width-zero", "sweep-width-negative",
             "sweep-offset_width-zero", "decay-b-huge", "decay-kappa-tiny", "model-kappa-overflow",
             "grid-L-infinite", "hpc-b-huge", "hpc-mu-huge", "hpc-epsilon-tiny", "hpc-a-huge",
-            "lyapunov-no-block"])
+            "sweep-b-huge", "sweep-mu-huge", "ks-mu-huge", "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver

@@ -1,19 +1,31 @@
 """The stacked right-hand sides against the per-field formulas they replace,
-and the number of transform calls they make."""
+the 1D step against the general formulas it replaced, and the number of
+transform calls they make."""
 
 import numpy as np
 import pytest
 
-from chemorelax.hpc_solver import HpcState, nonlinear_rhs
+from chemorelax import hpc_solver
+from chemorelax.driver import SolverConfig
+from chemorelax.hpc_solver import (
+    HpcState,
+    PropagatorTables,
+    build_initial_data,
+    gaussian_bump,
+    nonlinear_rhs,
+    step,
+)
 from chemorelax.ks_solver import KsState, ks_rhs, pressure_remainder, solve_phi
-from chemorelax.model import coefficient_G, coefficient_H
+from chemorelax.model import coefficient_G, coefficient_H, coefficients_GH, density_perturbation
 from chemorelax.spectral import (
     SpectralField,
     dealias,
     divergence,
+    from_physical_all,
     gradient,
     laplacian,
     make_grid,
+    to_physical_all,
 )
 
 GRIDS = [(1, 128), (2, 32), (3, 16)]
@@ -80,6 +92,120 @@ def quotient_remainder(rho, p):
     return np.where(small, taylor, exact) * delta
 
 
+def general_nonlinear_rhs(state):
+    """nonlinear_rhs as the general code forms it in 1D: dealiased fields,
+    one stacked transform each way through to_physical_all / from_physical_all,
+    products summed over the components with einsum."""
+    grid = state.grid
+    nf, uf = dealias(state.n), dealias(state.u)
+    vals = to_physical_all(nf, uf, gradient(nf),
+                           SpectralField(grid, 1j * grid.xi_diff * uf.coef[0]))
+    (n_phys,), u_phys, grad_n, (div_u,) = vals
+    nu = np.empty_like(u_phys)
+    nu[0] = -np.einsum("k...,k...->...", u_phys, vals[-1])
+    g_vals, h_vals = coefficients_GH(n_phys, state.params)
+    nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
+    return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
+            float(np.abs(u_phys).max()))
+
+
+def general_fix_mass(n, params, target_mean_pert):
+    """The mass projection with np.mean."""
+    out = n.copy()
+    n_phys = out.to_physical()[0]
+    for _ in range(3):
+        pert = density_perturbation(n_phys, params)
+        defect = target_mean_pert - float(np.mean(pert))
+        floor = 8.0 * np.finfo(float).eps * float(np.mean(np.abs(pert)))
+        if abs(defect) <= max(1e-15 * abs(target_mean_pert), floor):
+            break
+        rho = params.rho_bar + pert
+        shift = defect / float(np.mean(rho / params.pressure.dP(rho)))
+        out.coef[0, 0] += shift
+        n_phys += shift
+    return out
+
+
+def general_step(state, tables, mass_target, rhs):
+    """One exponential Runge-Kutta step from the general right-hand side and
+    mass projection."""
+    grid, dt = state.grid, tables.dt
+    nn, nu, npsi, _ = rhs
+    en, eu, ep = tables.apply_exp(state.n.coef, state.u.coef, state.psi.coef)
+    fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
+    star = HpcState(state.t + dt, SpectralField(grid, en + fn), SpectralField(grid, eu + fu),
+                    SpectralField(grid, ep + fp), state.params)
+    sn, su, sp, _ = general_nonlinear_rhs(star)
+    cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
+    return HpcState(state.t + dt,
+                    general_fix_mass(SpectralField(grid, star.n.coef + cn), state.params,
+                                     mass_target),
+                    SpectralField(grid, star.u.coef + cu),
+                    SpectralField(grid, star.psi.coef + cp), state.params)
+
+
+def smooth_1d_state(params, u_amplitude):
+    """d = 1, N = 64: a Gaussian enthalpy bump and u = u_amplitude sin(x)."""
+    grid = make_grid(1, 64, 2 * np.pi)
+    state, _ = build_initial_data(grid, params, n_profile=0.1 * gaussian_bump(grid, 0.6),
+                                  u_profile=u_amplitude * np.sin(grid.x_axes[0])[None])
+    return state
+
+
+def assert_states_equal(a, b):
+    assert a.t == b.t
+    for name in ("n", "u", "psi"):
+        assert np.array_equal(getattr(a, name).coef, getattr(b, name).coef), name
+
+
+def test_1d_nonlinear_rhs_matches_general_code_outside_the_box(cubic_params, rng):
+    """Data with energy outside the 2/3 box: the input mask still acts."""
+    state = hpc_state(1, 64, cubic_params, rng)
+    outside = ~state.grid.dealias_mask
+    assert np.any(state.n.coef[:, outside]) and np.any(state.u.coef[:, outside])
+    *fields, vmax = nonlinear_rhs(state)
+    *ref_fields, ref_vmax = general_nonlinear_rhs(state)
+    for got, ref in zip(fields, ref_fields, strict=True):
+        assert np.any(ref.coef)
+        assert np.array_equal(got.coef, ref.coef)
+    assert vmax == ref_vmax
+
+
+def test_1d_steps_match_general_code(cubic_params):
+    """20 steps of step / nonlinear_rhs / the mass projection give the same
+    bits as the general formulas, with a mass target the projection has to
+    reach by Newton passes."""
+    state = smooth_1d_state(cubic_params, 0.05)
+    tables = PropagatorTables(state.grid, cubic_params, 0.02)
+    target = state.mass_perturbation() + 1e-7
+    cur = ref = state
+    for _ in range(20):
+        cur = step(cur, tables, target, nonlinear_rhs(cur))
+        ref = general_step(ref, tables, target, general_nonlinear_rhs(ref))
+        assert_states_equal(cur, ref)
+
+
+@pytest.mark.parametrize("dt,halved", [(0.02, False), (0.2, True)], ids=["plain", "cfl-halving"])
+def test_1d_run_matches_general_code(cubic_params, monkeypatch, dt, halved):
+    """run over 20 steps of dt, once as it is and once with the general
+    formulas put in place of step, nonlinear_rhs and the mass projection: the
+    same states, bit for bit, with and without a CFL halving."""
+    state = smooth_1d_state(cubic_params, 0.3)
+    cfg = SolverConfig(dt=dt, t_end=20 * dt, snap_dt=5 * dt)
+    steps = []
+    original = hpc_solver.step
+    monkeypatch.setattr(hpc_solver, "step", lambda *a: steps.append(a[1].dt) or original(*a))
+    got = hpc_solver.run(state, cfg)
+    assert (min(steps) < dt) == halved
+    monkeypatch.setattr(hpc_solver, "step", general_step)
+    monkeypatch.setattr(hpc_solver, "nonlinear_rhs", general_nonlinear_rhs)
+    ref = hpc_solver.run(state, cfg)
+    assert got.status == ref.status == "completed"
+    assert len(got.states) == len(ref.states) == 5
+    for a, b in zip(got.states, ref.states, strict=True):
+        assert_states_equal(a, b)
+
+
 @pytest.mark.parametrize("d,N", GRIDS)
 def test_nonlinear_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     """Stacking changes no bit: the 1D transforms act row by row, and d >= 2
@@ -144,3 +270,19 @@ def test_one_transform_each_way_per_1d_nonlinear_rhs(cubic_params, rng, count_tr
 
 def test_one_transform_each_way_per_1d_ks_rhs(cubic_params, rng, count_transforms):
     assert count_transforms(ks_rhs, ks_state(1, 64, cubic_params, rng)) == (1, 1)
+
+
+@pytest.mark.parametrize("offset,passes", [(0.0, 2), (1e-4, 3)])
+def test_three_inverse_two_forward_transforms_per_1d_step(cubic_params, monkeypatch,
+                                                          count_transforms, offset, passes):
+    """A 1D step with its first right-hand side: two right-hand sides and one
+    mass projection, whether that projection takes two Newton passes or three."""
+    state = smooth_1d_state(cubic_params, 0.05)
+    tables = PropagatorTables(state.grid, cubic_params, 0.02)
+    target = state.mass_perturbation() + offset
+    evals = []
+    original = hpc_solver.density_perturbation
+    monkeypatch.setattr(hpc_solver, "density_perturbation",
+                        lambda n, p: evals.append(1) or original(n, p))
+    assert count_transforms(lambda: step(state, tables, target, nonlinear_rhs(state))) == (3, 2)
+    assert len(evals) == passes

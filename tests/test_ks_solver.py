@@ -1,10 +1,12 @@
 """Limit-model solver: symbol, elliptic solve, velocity reconstruction, runs."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from chemorelax.etd import NonFiniteTables
 from chemorelax.hpc_solver import (
     HpcState,
     PropagatorTables,
@@ -69,6 +71,11 @@ class TestSymbol:
         xi = np.linspace(0.0, 40.0, 400)
         sym = ks_symbol(xi, params)
         assert np.all(sym <= -params.stability_margin * xi ** 2 + 1e-14)
+
+    def test_tables_reject_non_finite_factors(self, grid, params):
+        """mu = 1e300 makes the symbol about +1e300 |xi|^2 / (1 + |xi|^2): exp overflows."""
+        with pytest.raises(NonFiniteTables, match="the model constants are too extreme"):
+            KsTables(grid, replace(params, mu=1e300), 0.01)
 
 
 class TestSolvePhi:
