@@ -187,10 +187,10 @@ def _hpc_run(c: dict, args) -> driver.Trajectory:
     except ValueError as exc:
         raise ConfigError(f"initial block: {exc}")
     try:
-        hpc_solver.propagator_tables(grid, c["model"], c["solver"].dt)
+        tables = hpc_solver.PropagatorTables(grid, c["model"], c["solver"].dt)
     except ValueError as exc:
         raise ConfigError(f"model block: {exc}")
-    return hpc_solver.run(state, c["solver"])
+    return hpc_solver.run_members([state], [c["solver"]], [tables])[0]
 
 
 def _completed(**fields) -> dict:

@@ -22,11 +22,11 @@ from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stac
                      write_csv)
 from .hpc_solver import (
     HpcState,
+    PropagatorTables,
     equilibrium_psi,
     hybrid_aggregate,
-    propagator_tables,
     rough_mode_profile,
-    run,
+    run_members,
 )
 from .ks_solver import KsState, KsTables, ks_run, reconstruct_velocity, solve_phi
 from .model import (
@@ -348,9 +348,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     ``dt_fast`` must be positive and finite, and with ``high_freq_budget``
     every member's threshold mode must lie in the grid's dealiased band
     (ValueError otherwise); so are every run's first propagator tables
-    (etd.NonFiniteTables, a ValueError).  A member or limit-model run that
-    does not complete raises :class:`RunFailed` with its status ("blowup" or
-    "mass_drift").  Members run one after another: ``threads`` must be 1.
+    (etd.NonFiniteTables, a ValueError), which the runs take.  A run that does
+    not complete raises :class:`RunFailed` with its status ("blowup" or
+    "mass_drift"), as if the members ran in turn; they run as one member stack
+    (:func:`run_members`) in d = 1, one at a time in d >= 2.  ``threads`` must be 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
@@ -394,11 +395,10 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
 
     configs = [member_config(eps) for eps in eps_list]
     ks_params = replace(base_params, eps=eps_min)
-    # every run's first tables, before any run (NonFiniteTables for extreme constants);
-    # the first member's are built last, so its run takes them from the cache
+    # every run's first tables, before any run (NonFiniteTables for extreme constants)
     KsTables(grid, ks_params, ks_cfg.dt)
-    for initial, cfg in zip(initials[::-1], configs[::-1]):
-        propagator_tables(grid, initial.params, cfg.dt)
+    tables = [PropagatorTables(grid, initial.params, cfg.dt)
+              for initial, cfg in zip(initials[::-1], configs[::-1])][::-1]
 
     # shared limit-model trajectory (eps plays no role in it)
     rho_f0 = SpectralField.from_physical(grid, rho0_phys[None], dealiased=True)
@@ -410,10 +410,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         phi = solve_phi(stack.rho, ks_params)
         limit.append((stack.rho, reconstruct_velocity(stack.rho, phi, ks_params), phi))
 
-    def run_member(initial: HpcState, cfg: SolverConfig) -> tuple:
+    def member_errors(traj: Trajectory) -> tuple:
         """The member's six report entries, in RelaxationReport's field order."""
-        params, eps = initial.params, initial.params.eps
-        traj = run(initial, cfg)
+        params, eps = traj.initial.params, traj.initial.params.eps
         _require_completed(traj, f"relaxation member eps={eps}")
 
         rows = []   # per snapshot stack: the six norms, one value per snapshot
@@ -441,6 +440,9 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
-    report = RelaxationReport(list(eps_list), *map(list, zip(*map(run_member, initials, configs))))
+    runs = ([run_members(initials, configs, tables)] if grid.d == 1 else   # d >= 2: one by one
+            (run_members([i], [c], [t]) for i, c, t in zip(initials, configs, tables)))
+    report = RelaxationReport(list(eps_list), *map(list, zip(*(
+        member_errors(traj) for trajs in runs for traj in trajs))))
     report.fit_slopes()
     return report

@@ -1,7 +1,9 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with the one run policy (a solver gives
-:func:`integrate` only its step, its norm and its columns), and the
-trajectory type.  States are values: frozen, and never written into.  A
+:func:`integrate` only its advance over one snapshot interval, its norm and
+its columns), and the trajectory type; a member stack holds several runs as
+one state, one row group per member.  States are values: frozen, and never
+written into.  A
 step returns a new state, and the driver keeps the states the steps return,
 the initial one included, without copying them.  Diagnostics run on snapshot
 stacks (:func:`stacks`): one state per chunk of kept snapshots, with one row
@@ -105,18 +107,53 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def stacks(states: list):
-    """The states in chunks of at most SNAPSHOT_CHUNK, each joined into one
-    state whose time is an array and whose fields hold every snapshot's rows."""
+def _joined(parts: list, params):
+    """The states ``parts`` as one state with ``params``, their rows in order."""
     def joined(values):
         if isinstance(values[0], SpectralField):
             return SpectralField(values[0].grid, np.concatenate([v.coef for v in values]))
-        return np.array(values)
+        return np.hstack(values)
 
+    return replace(parts[0], params=params, **{
+        f.name: joined([getattr(p, f.name) for p in parts]) for f in fields(parts[0])
+        if f.name != "params"})
+
+
+def stacks(states: list):
+    """The states in chunks of at most SNAPSHOT_CHUNK, each joined into one
+    state whose time is an array and whose fields hold every snapshot's rows."""
     for start in range(0, len(states), SNAPSHOT_CHUNK):
         chunk = states[start:start + SNAPSHOT_CHUNK]
-        yield replace(chunk[0], **{f.name: joined([getattr(s, f.name) for s in chunk])
-                                   for f in fields(chunk[0]) if f.name != "params"})
+        yield _joined(chunk, chunk[0].params)
+
+
+def member_stack(parts: list):
+    """``parts`` (states and member stacks) as one member stack: the members'
+    params in the tuple ``params``, times in an array, row groups in order."""
+    if len(parts) == 1:
+        return parts[0]
+    return _joined(parts, sum((p.params if isinstance(p.params, tuple) else (p.params,)
+                               for p in parts), ()))
+
+
+def member_slice(stack, start: int, stop: int):
+    """Members start .. stop - 1 of a member stack as views; one is a plain state."""
+    if not isinstance(stack.params, tuple):
+        return stack
+
+    def cut(value):
+        if isinstance(value, SpectralField):
+            rows = len(value.coef) // len(stack.params)
+            return SpectralField(value.grid, value.coef[start * rows:stop * rows])
+        return value[start] if stop - start == 1 else value[start:stop]
+
+    return replace(stack, **{f.name: cut(getattr(stack, f.name)) for f in fields(stack)})
+
+
+def members(stack) -> list:
+    """The member states of a member stack (or of a plain state, itself)."""
+    return [member_slice(stack, m, m + 1)
+            for m in range(len(stack.params) if isinstance(stack.params, tuple) else 1)]
 
 
 class DiagnosticSeries:
@@ -162,30 +199,43 @@ class Trajectory:
 
 
 def integrate(initial, advance: Callable, size: Callable, columns: Callable,
-              config: SolverConfig) -> Trajectory:
-    """Step ``initial`` with ``advance(state)`` (one step of ``config.dt``; it
-    returns a new state) through the schedule of ``config``, and keep
-    ``initial`` and the state at each snapshot, uncopied.  ``size(state)`` is
-    the solver's norm of a snapshot, and an initial one above SMALL_DATA_HINT
-    warns.  A size above BLOWUP_FACTOR times the initial one, or a BlowupError
-    or OutsideValidityWindow from either callable, ends the run with status
-    "blowup" and the snapshots kept so far."""
-    steps_per_snap, n_snaps = config.schedule()
-    states, state = [initial], initial
-    try:
-        size0 = size(initial)
-        if size0 > SMALL_DATA_HINT:
-            warnings.warn(f"initial norm {size0:.3g} exceeds the operational smallness "
-                          f"{SMALL_DATA_HINT}; global boundedness is not guaranteed",
-                          stacklevel=3)
-        for k in range(1, n_snaps + 1):
-            for _ in range(steps_per_snap):
-                state = advance(state)
-            norm = size(state)
-            if size0 > 0 and norm > BLOWUP_FACTOR * size0:
-                raise BlowupError(f"norm explosion: {norm:.3g} exceeds {BLOWUP_FACTOR:g} x the "
-                                  f"initial {size0:.3g} at t={k * steps_per_snap * config.dt:g}")
-            states.append(state)
-    except (OutsideValidityWindow, BlowupError) as exc:
-        return Trajectory(states, columns, "blowup", str(exc))
-    return Trajectory(states, columns)
+              configs: list) -> list:
+    """Step ``initial`` (a state, or a member stack of ``len(configs)`` members
+    with one snapshot count) an interval at a time with ``advance(state)``,
+    keeping it and each snapshot uncopied.  ``size(state)`` is each member's
+    norm; an initial one above SMALL_DATA_HINT warns.  One above BLOWUP_FACTOR
+    times the initial, or a BlowupError or OutsideValidityWindow (its
+    ``member``, else 0) ends that member as "blowup"; as if the members ran in
+    turn, the later ones drop out and the earlier ones retake the interval.
+    Returns the members' trajectories up to the first that blows up."""
+    n_snaps, = {config.schedule()[1] for config in configs}   # one count (ValueError otherwise)
+    alive, state, kept, ends, size0 = len(configs), initial, [], {}, None
+    while alive and (k := len(kept)) <= n_snaps:
+        try:
+            new = advance(state) if k else state
+            norms = np.atleast_1d(size(new))
+            if size0 is None:
+                size0 = norms
+                for norm in size0[size0 > SMALL_DATA_HINT]:
+                    warnings.warn(f"initial norm {norm:.3g} exceeds the operational smallness "
+                                  f"{SMALL_DATA_HINT}; global boundedness is not guaranteed",
+                                  stacklevel=3)
+            over = np.flatnonzero((size0[:alive] > 0) & (norms > BLOWUP_FACTOR * size0[:alive]))
+            if over.size:
+                m = over[0]
+                exc = BlowupError(f"norm explosion: {norms[m]:.3g} exceeds {BLOWUP_FACTOR:g} x the "
+                                  f"initial {size0[m]:.3g} at "
+                                  f"t={k * configs[m].schedule()[0] * configs[m].dt:g}")
+                exc.member = m
+                raise exc
+        except (OutsideValidityWindow, BlowupError) as exc:
+            alive = getattr(exc, "member", 0)
+            ends[alive] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
+            state = member_slice(state, 0, alive)
+            continue
+        kept.append(new if k else initial)
+        state = new
+    history = [members(s) for s in kept or [initial]]
+    return [Trajectory([h[m] for h in history[:count]], columns, status, message)
+            for m in range(min(ends, default=len(configs) - 1) + 1)
+            for status, message, count in [ends.get(m, ("completed", "", len(history)))]]

@@ -15,12 +15,14 @@ integrator from :mod:`chemorelax.etd`; G and H share one density-perturbation
 evaluation.  A 1D step is bound by per-call overhead, so the 1D right-hand side
 masks the stacked rows [n, u] once, multiplies them by i xi for [dn, du], takes
 all four rows to the grid in one inverse transform, forms N_n = -(u dn) - G du,
-N_u = -(u du) and H with plain ufuncs in one (3, N) array, and returns its one
+N_u = -(u du) and H with plain ufuncs in one array, and returns its one
 masked forward transform as row views.  d >= 2 transforms field by field.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
-the divergence form of the density equation.  :func:`run` runs on
-:func:`chemorelax.driver.integrate`, whose run policy watches the hybrid
-energy.  Its CFL test takes the speed max|u| from the step's first
+the divergence form of the density equation.  :func:`run_members` runs a run,
+or a d=1 member stack (a sweep's eps family: one row group per member, each
+stepped at its own eps and dt, bit for bit as alone, in one call), on
+:func:`chemorelax.driver.integrate`, whose run policy watches each member's
+hybrid energy.  The CFL test takes the speed max|u| from the step's first
 right-hand side, which transforms the dealiased u; the states of a run lie in
 the 2/3 box, where that is u itself, so the test costs no transform of its own.
 
@@ -47,10 +49,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import etd
-from .driver import BlowupError, SolverConfig, Trajectory, integrate
+from .driver import (BlowupError, SolverConfig, Trajectory, integrate, member_slice,
+                     member_stack, members)
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
+    OutsideValidityWindow,
     coefficient_G,
     coefficient_H,
     coefficients_GH,
@@ -72,10 +76,10 @@ __all__ = [
     "SolverConfig",
     "BlowupError",
     "PropagatorTables",
-    "propagator_tables",
     "nonlinear_rhs",
     "step",
     "run",
+    "run_members",
     "build_initial_data",
     "equilibrium_psi",
     "hybrid_aggregate",
@@ -90,10 +94,10 @@ CFL_SAFETY = 0.4
 MAX_CFL_HALVINGS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HpcState:
-    """Snapshot of (n, u, psi) at one time instant, or a snapshot stack; a
-    value, frozen and never written into (see :mod:`chemorelax.driver`)."""
+    """Snapshot of (n, u, psi) at one time instant, a snapshot stack or a member
+    stack; a value, frozen and never written into (see :mod:`chemorelax.driver`)."""
 
     t: float
     n: SpectralField
@@ -104,6 +108,10 @@ class HpcState:
     @property
     def grid(self) -> Grid:
         return self.n.grid
+
+    @property
+    def member_params(self) -> tuple:   # a state that is not a member stack is one member
+        return self.params if isinstance(self.params, tuple) else (self.params,)
 
     def mass_perturbation(self) -> float:
         """Mean of rho - rho_bar, accurate at the perturbation scale."""
@@ -146,6 +154,14 @@ class PropagatorTables:
         self._tables = [(self.E3, self.e_inc), (self.P13, self.p1_inc), (self.P23, self.p2_inc)]
         self._folded = [self._fold(*t) for t in self._tables] if grid.d == 1 else None
 
+    @classmethod
+    def stack(cls, tables: list) -> "PropagatorTables":
+        """The d=1 tables of a member stack: folded on a member axis, dt an array."""
+        out = cls.__new__(cls)
+        out.index, out.dt = tables[0].index, np.array([t.dt for t in tables])
+        out._folded = [np.stack(parts, axis=2) for parts in zip(*(t._folded for t in tables))]
+        return out
+
     def _fold(self, t: np.ndarray, scal: float) -> np.ndarray:
         """Table t and scalar factor scal as the d=1 complex 3x3 matrix per
         mode given in the module docstring."""
@@ -158,15 +174,18 @@ class PropagatorTables:
     def _apply(self, k: int, n_coef, u_coef, psi_coef):
         """Propagate (n, u, psi) per mode with table k (0: E, 1: P1, 2: P2).
 
-        d=1: one complex 3x3 product on the stacked coefficients.  d >= 2: the
+        d=1: one complex 3x3 product per member on the stacked rows.  d >= 2: the
         velocity splits into the compressible amplitude m = i w,
         w = xi.u/|xi|, which enters the real 3x3 table with n and psi, and
         the transverse rest u - (xi/|xi|) w, which is scaled by the scalar
         factor."""
         if self._folded is not None:
-            out = np.einsum("ij...,j...->i...", self._folded[k],
-                            np.concatenate((n_coef, u_coef, psi_coef)))
-            return out[0:1], out[1:2], out[2:3]
+            table, rows = self._folded[k], np.concatenate((n_coef, u_coef, psi_coef))
+            if table.ndim == 3:   # one member: (3, 3, modes)
+                out = np.einsum("ij...,j...->i...", table, rows)
+                return out[0:1], out[1:2], out[2:3]
+            out = np.einsum("ij...,j...->i...", table, rows.reshape(3, len(n_coef), -1))
+            return out[0], out[1], out[2]
         table3, scal = self._tables[k]
         unit = self._unit
         w = unit[0] * u_coef[0]
@@ -189,11 +208,6 @@ class PropagatorTables:
         return self._apply(2, n, u, psi)
 
 
-# the tables of the last (grid, params, dt) built: the CLI builds a run's first
-# tables before the run, which reuses them
-propagator_tables = lru_cache(maxsize=1)(PropagatorTables)
-
-
 # -- nonlinear terms ----------------------------------------------------------
 
 def nonlinear_rhs(state: HpcState):
@@ -201,18 +215,20 @@ def nonlinear_rhs(state: HpcState):
 
     N_n = -u.grad n - G(n) div u,  N_u = -(u.grad) u,  N_psi = H(n).
     The 2/3 mask is applied to the inputs and to the assembled outputs;
-    max|u| is taken over the grid values of the dealiased u, for the CFL test.
+    max|u|, one per member (a d=1 member stack's; G and H read no eps), is taken
+    over the grid values of the dealiased u, for the CFL test.
     """
     grid, d = state.grid, state.grid.d
     if d == 1:
+        k = state.n.ncomp   # members; the products run on flat rows, the fastest layout
         rows = np.concatenate((state.n.coef, state.u.coef)) * grid.dealias_mask
-        n_phys, u_phys, dn, du = SpectralField(
-            grid, np.concatenate((rows, (1j * grid.xi_diff) * rows))).to_physical()
-        g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
-        out = np.array((-(u_phys * dn) - g_vals * du, -(u_phys * du), h_vals))
-        coef = SpectralField.from_physical(grid, out, dealiased=True).coef
-        return (SpectralField(grid, coef[:1]), SpectralField(grid, coef[1:2]),
-                SpectralField(grid, coef[2:]), float(np.abs(u_phys).max()))
+        n_phys, u_phys, dn, du = SpectralField(grid, np.concatenate(
+            (rows, (1j * grid.xi_diff) * rows))).to_physical().reshape(4, -1)
+        g_vals, h_vals = coefficients_GH(n_phys, state.member_params[0])   # raises off the window
+        out = np.concatenate((-(u_phys * dn) - g_vals * du, -(u_phys * du), h_vals))
+        coef = SpectralField.from_physical(grid, out.reshape(3 * k, -1), dealiased=True).coef
+        return (SpectralField(grid, coef[:k]), SpectralField(grid, coef[k:2 * k]),
+                SpectralField(grid, coef[2 * k:]), np.abs(u_phys).reshape(k, -1).max(axis=1))
 
     nf = dealias(state.n)
     uf = dealias(state.u)
@@ -228,11 +244,12 @@ def nonlinear_rhs(state: HpcState):
     g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
     return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
-            float(np.abs(u_phys).max()))
+            np.abs(u_phys).reshape(1, -1).max(axis=1))
 
 
-def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) -> SpectralField:
-    """Shift the mean enthalpy so that mean(rho - rho_bar) matches the target.
+def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> SpectralField:
+    """Shift the mean enthalpy of each row (member) so that its mean(rho - rho_bar)
+    matches its target (one per row, or one number).
 
     The density equation is in divergence form, so total mass is an invariant
     of the flow; the integrator's O(dt^3) mean defect is projected out with a
@@ -242,22 +259,22 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert: float) ->
     serves every Newton pass.
     """
     out = n.copy()
-    zero = (0,) + (0,) * n.grid.d
-    n_phys = out.to_physical()[0]
-    size = n_phys.size   # x.sum() / size is np.mean(x) bit for bit, without its dispatch
-    for _ in range(3):
-        pert = density_perturbation(n_phys, params)
-        defect = target_mean_pert - float(pert.sum() / size)
-        # the pairwise sum rounds to a few ulps of mean|pert|: no pass can remove a
-        # defect under 8 ulps, and for a round-off target no relative test passes.
-        floor = 8.0 * np.finfo(float).eps * float(np.abs(pert).sum() / size)
-        if abs(defect) <= max(1e-15 * abs(target_mean_pert), floor):
-            break
-        rho = params.rho_bar + pert
-        drho_dn = rho / params.pressure.dP(rho)   # inverse of dn/drho = P'(rho)/rho
-        shift = defect / float(drho_dn.sum() / size)
-        out.coef[zero] += shift
-        n_phys += shift
+    n_phys = out.to_physical().reshape(n.ncomp, -1)
+    size = n_phys.shape[1]   # x.sum() / size is np.mean(x) bit for bit, without its dispatch
+    for row, target in enumerate(np.array(target_mean_pert, ndmin=1).tolist()):
+        for _ in range(3):
+            pert = density_perturbation(n_phys[row], params)
+            defect = target - float(pert.sum() / size)
+            # the pairwise sum rounds to a few ulps of mean|pert|: no pass can remove a
+            # defect under 8 ulps, and for a round-off target no relative test passes.
+            floor = 8.0 * np.finfo(float).eps * float(np.abs(pert).sum() / size)
+            if abs(defect) <= max(1e-15 * abs(target), floor):
+                break
+            rho = params.rho_bar + pert
+            drho_dn = rho / params.pressure.dP(rho)   # inverse of dn/drho = P'(rho)/rho
+            shift = defect / float(drho_dn.sum() / size)
+            out.coef[(row,) + (0,) * n.grid.d] += shift
+            n_phys[row] += shift
     return out
 
 
@@ -266,7 +283,8 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
     """One exponential Runge-Kutta step of ``tables.dt``; reduces to the exact
     propagator when the nonlinearity vanishes identically.  ``rhs`` is
     ``nonlinear_rhs(state)``, and the step ends by projecting the mean density
-    perturbation onto ``mass_target``."""
+    perturbation onto ``mass_target``; a member stack's members each take their
+    own target and :meth:`PropagatorTables.stack` table, bit for bit as alone."""
     dt = tables.dt
     n0, u0, p0 = state.n.coef, state.u.coef, state.psi.coef
     nn, nu, npsi, _ = rhs
@@ -281,8 +299,8 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
     sn, su, sp, _ = nonlinear_rhs(star)
     cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
     return HpcState(state.t + dt,
-                    _fix_mass(SpectralField(state.grid, star.n.coef + cn), state.params,
-                              mass_target),
+                    _fix_mass(SpectralField(state.grid, star.n.coef + cn),
+                              state.member_params[0], mass_target),
                     SpectralField(state.grid, star.u.coef + cu),
                     SpectralField(state.grid, star.psi.coef + cp), state.params)
 
@@ -294,48 +312,85 @@ def hybrid_aggregate(state: HpcState):
     Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
     breakdown holds the (low, high) pair of each of n, u, psi and grad_psi.
     The block norms of the four fields come from one product.  Each value is
-    a float for one snapshot and an array over the snapshots of a stack.
+    a float for one snapshot and an array over a stack's snapshots or members.
     """
     dec, d, k = state.grid.decomposition, state.grid.d, state.n.ncomp
+    members = state.member_params   # a member's rows take its own J and eps
     norms = dec.block_norms(np.concatenate([state.n.energy(1), state.u.energy(d),
                                             state.psi.energy(1), gradient(state.psi).energy(d)]))
-    lows, highs = dec.hybrid_norm(norms.reshape(4, k, -1), d / 2.0, d / 2.0 + 1.0,
-                                  state.params.threshold())
+    lows, highs = np.concatenate([
+        dec.hybrid_norm(rows, d / 2.0, d / 2.0 + 1.0, p.threshold())
+        for rows, p in zip(np.split(norms.reshape(4, k, -1), len(members), axis=1), members)], -1)
     if np.ndim(state.t) == 0:   # one snapshot: floats
         lows, highs = lows[:, 0], highs[:, 0]
     fields = dict(zip(("n", "u", "psi", "grad_psi"), zip(lows, highs)))
     low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
     high = fields["n"][1] + fields["u"][1] + fields["grad_psi"][1]
-    eps = state.params.eps
+    eps = members[0].eps if len(members) == 1 else np.array([p.eps for p in members])
     return low + eps * high, {"low": low, "high": high, "eps_high": eps * high, **fields}
 
 
 def run(initial: HpcState, config: SolverConfig) -> Trajectory:
-    """Integrate to t_end; a snapshot's size is its :func:`hybrid_aggregate`,
-    and a window escape or a CFL violation left after MAX_CFL_HALVINGS
-    halvings is "blowup" too.  Every step projects the total mass back onto
-    its initial value; a final total mass off the initial one by more than
-    1e-8 relative gives status "mass_drift".
-    """
-    cache: dict = {}
+    """Integrate to t_end: the one-member :func:`run_members`."""
+    return run_members([initial], [config],
+                       [PropagatorTables(initial.grid, initial.params, config.dt)])[0]
 
-    mass0 = initial.total_mass()
-    mass_target = initial.mass_perturbation()
 
-    def advance(s: HpcState, dt: float = config.dt, depth: int = 0,
-                rhs: tuple | None = None) -> HpcState:
-        """One step of dt, halved on a CFL violation (at most MAX_CFL_HALVINGS
-        times).  The CFL speed is the max|u| of the step's first right-hand
-        side ``rhs``, which the step and a first half-step reuse."""
+def run_members(initials: list, configs: list, tables: list) -> list:
+    """Integrate members (params differing in eps only, the tables of each
+    config's dt; several in d=1 only, in order of steps per snapshot) as one
+    member stack on :func:`chemorelax.driver.integrate`: substep j of an
+    interval steps the members with more than j steps.  A CFL violation or an
+    error sends the interval one member at a time through steps halved on a CFL
+    violation (speed from the first right-hand side, which a first half-step
+    reuses; MAX_CFL_HALVINGS at most, else "blowup").  Sizes are
+    :func:`hybrid_aggregate`; a final mass off by 1e-8 relative is "mass_drift"."""
+    grid, substeps = initials[0].grid, [config.schedule()[0] for config in configs]
+    if len(initials) > 1 and (grid.d != 1 or substeps != sorted(substeps)):
+        raise ValueError("members stack in d=1 only, in order of their steps per snapshot")
+    targets = [s.mass_perturbation() for s in initials]
+    member_tables = lru_cache(maxsize=None)(lambda m, dt: (   # for a step of dt of member m
+        tables[m] if dt == configs[m].dt else PropagatorTables(grid, initials[m].params, dt)))
+    batch_tables = lru_cache(maxsize=None)(   # for a step of members start .. stop - 1
+        lambda start, stop: PropagatorTables.stack(tables[start:stop]))
+
+    def alone(s: HpcState, m: int, dt: float, depth: int = 0, rhs: tuple | None = None):
         rhs = nonlinear_rhs(s) if rhs is None else rhs
-        vmax = rhs[3]
-        if dt * vmax <= CFL_SAFETY * s.grid.dx or vmax == 0.0:
-            if dt not in cache:
-                cache[dt] = propagator_tables(s.grid, s.params, dt)
-            return step(s, cache[dt], mass_target, rhs)
+        if dt * rhs[3][0] <= CFL_SAFETY * grid.dx:   # no flow passes too: 0 <= CFL_SAFETY dx
+            return step(s, member_tables(m, dt), targets[m], rhs)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
-        return advance(advance(s, dt / 2, depth + 1, rhs), dt / 2, depth + 1)
+        return alone(alone(s, m, dt / 2, depth + 1, rhs), m, dt / 2, depth + 1)
+
+    def batched(s: HpcState) -> HpcState:   # BlowupError on a CFL violation
+        stop, start, cur, done = len(s.member_params), 0, s, []
+        for j in range(substeps[stop - 1]):
+            first = next(m for m in range(start, stop) if substeps[m] > j)   # with steps left
+            if first > start:
+                done.append(member_slice(cur, 0, first - start))
+                cur, start = member_slice(cur, first - start, stop - start), first
+            rhs, step_tables = nonlinear_rhs(cur), batch_tables(start, stop)
+            if np.count_nonzero(step_tables.dt * rhs[3] <= CFL_SAFETY * grid.dx) < stop - start:
+                raise BlowupError("CFL violation")   # each member: dt max|u| <= CFL_SAFETY dx
+            cur = step(cur, step_tables, targets[start:stop], rhs)
+        return member_stack(done + [cur])
+
+    def advance(s: HpcState) -> HpcState:
+        if s.n.ncomp > 1:
+            try:
+                return batched(s)
+            except (OutsideValidityWindow, BlowupError):   # go one member at a time
+                pass
+        out = []
+        for m, member in enumerate(members(s)):
+            try:
+                for _ in range(substeps[m]):
+                    member = alone(member, m, configs[m].dt)
+            except (OutsideValidityWindow, BlowupError) as exc:
+                exc.member = m
+                raise
+            out.append(member)
+        return member_stack(out)
 
     def columns(s: HpcState) -> dict:   # s is a snapshot stack: one value per snapshot
         agg, parts = hybrid_aggregate(s)
@@ -351,15 +406,18 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
                     x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
                     max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
 
-    traj = integrate(initial, advance, lambda s: hybrid_aggregate(s)[0], columns, config)
-    if traj.status == "completed":
-        # bookkeeping invariant, not the mass-conservation test itself
-        drift = abs(traj.final.total_mass() - mass0)
-        if drift > 1e-8 * abs(mass0) + 1e-14:
-            traj.status = "mass_drift"
-            traj.message = (f"total mass drifted by {drift:.3e} from {mass0!r} "
-                            f"by t={traj.final.t} (bound 1e-8 relative)")
-    return traj
+    trajs = integrate(member_stack(initials), advance, lambda s: hybrid_aggregate(s)[0], columns,
+                      configs)
+    for traj, initial in zip(trajs, initials):
+        if traj.status == "completed":
+            # bookkeeping invariant, not the mass-conservation test itself
+            mass0 = initial.total_mass()
+            drift = abs(traj.final.total_mass() - mass0)
+            if drift > 1e-8 * abs(mass0) + 1e-14:
+                traj.status = "mass_drift"
+                traj.message = (f"total mass drifted by {drift:.3e} from {mass0!r} "
+                                f"by t={traj.final.t} (bound 1e-8 relative)")
+    return trajs
 
 
 # -- initial data --------------------------------------------------------------

@@ -122,7 +122,7 @@ def ks_rhs(state: KsState) -> SpectralField:
         q, flux = SpectralField.from_physical(
             grid, np.array((pressure_remainder(rho_phys, p), (rho_phys - p.rho_bar) * grad_phi)),
             dealiased=True).coef
-        return SpectralField(grid, q * -(grid.xi_diff[0] ** 2) - (ik * flux) * p.mu)
+        return SpectralField(grid, q * grid.lap_symbol - (ik * flux) * p.mu)
     (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(solve_phi(rho_f, p)))
     term_a, flux = from_physical_all(grid, pressure_remainder(rho_phys, p)[None],
                                      (rho_phys - p.rho_bar)[None] * grad_phi)
@@ -171,4 +171,9 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
                     norm_d2=dec.besov_norm(norms, d_half),
                     norm_d2p2=dec.besov_norm(norms, d_half + 2.0))
 
-    return integrate(initial, lambda s: ks_step(s, tables), size, columns, config)
+    def advance(s: KsState) -> KsState:   # one snapshot interval
+        for _ in range(config.schedule()[0]):
+            s = ks_step(s, tables)
+        return s
+
+    return integrate(initial, advance, size, columns, [config])[0]

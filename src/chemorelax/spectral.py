@@ -100,6 +100,8 @@ class Grid:
     xi_mag_diff: np.ndarray = field(repr=False, default=None)  # |xi| from xi_diff
     dealias_mask: np.ndarray = field(repr=False, default=None)
     multiplicity: np.ndarray = field(repr=False, default=None)  # modes per stored coefficient
+    xi_sq: np.ndarray = field(repr=False, default=None)       # xi_mag_diff^2
+    lap_symbol: np.ndarray = field(repr=False, default=None)  # -sum(xi_diff^2): Laplacian
 
     @property
     def dx(self) -> float:
@@ -166,7 +168,8 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     x1 = np.arange(N) * (L / N)
     return Grid(d=d, N=N, L=float(L), shape=(N,) * d, spec_shape=spec_shape, x_axes=[x1] * d,
                 xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
-                dealias_mask=np.all(keep, axis=0), multiplicity=multiplicity)
+                dealias_mask=np.all(keep, axis=0), multiplicity=multiplicity,
+                xi_sq=xi_mag_diff ** 2, lap_symbol=-np.sum(xi_diff ** 2, axis=0))
 
 
 class SpectralField:
@@ -309,7 +312,7 @@ def bessel_inverse(f: SpectralField, b: float) -> SpectralField:
     """
     if not (b > 0):
         raise ValueError(f"bessel_inverse requires b > 0, got {b}")
-    return SpectralField(f.grid, f.coef / (b + f.grid.xi_mag_diff ** 2))
+    return SpectralField(f.grid, f.coef / (b + f.grid.xi_sq))
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -326,8 +329,7 @@ def divergence(v: SpectralField) -> SpectralField:
 
 def laplacian(f: SpectralField) -> SpectralField:
     """Laplacian (per component); symbol -|xi|^2 built from xi_diff."""
-    sym = -np.sum(f.grid.xi_diff ** 2, axis=0)
-    return SpectralField(f.grid, f.coef * sym)
+    return SpectralField(f.grid, f.coef * f.grid.lap_symbol)
 
 
 def dealias(f: SpectralField) -> SpectralField:

@@ -445,13 +445,15 @@ class TestRelaxationSweepCommand:
         assert "exceeds the dealiased band" in summary["message"]
 
     def test_member_mass_drift_exit_1_with_summary(self, tmp_path, monkeypatch):
-        """A member whose mass projection leaks fails the sweep's contract."""
+        """Members whose mass projection leaks fail the sweep's contract; the
+        first in eps order is named, as if the members ran one after another.
+        The projection of a member stack leaks in every member's row."""
         from chemorelax import hpc_solver
         fix = hpc_solver._fix_mass
 
         def leaky(n, params, target):
             out = fix(n, params, target)
-            out.coef[(0,) * (1 + n.grid.d)] += 1e-6
+            out.coef[(slice(None),) + (0,) * n.grid.d] += 1e-6
             return out
 
         monkeypatch.setattr(hpc_solver, "_fix_mass", leaky)
@@ -735,7 +737,7 @@ class TestExperimentBlockErrors:
             raise AssertionError("the config must be rejected before the run")
 
         for module, name in ((hpc_solver, "run"), (ks_solver, "ks_run"),
-                             (diagnostics, "run"), (diagnostics, "ks_run")):
+                             (diagnostics, "run_members"), (diagnostics, "ks_run")):
             monkeypatch.setattr(module, name, no_run)
         payload = {"model": base_model(), **extra}
         if "experiment" in SCHEMAS[command]:   # only the subcommands that read one

@@ -411,7 +411,7 @@ class TestRelaxationSweep:
         def no_run(*args):
             raise AssertionError("the sweep must be rejected before any run")
 
-        for name in ("run", "ks_run"):
+        for name in ("run_members", "ks_run"):
             monkeypatch.setattr(diagnostics, name, no_run)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
@@ -438,20 +438,20 @@ class TestRelaxationSweep:
         from chemorelax import diagnostics, driver
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
         kept, calls = [], []
-        original_run, original_to_physical = diagnostics.run, SpectralField.to_physical
+        original_run, original_to_physical = diagnostics.run_members, SpectralField.to_physical
 
-        def run(*args):   # counts only the calls made after a member's run
+        def run_members(*args):   # counts only the calls made after the members' run
             start = len(calls)
-            traj = original_run(*args)
+            trajs = original_run(*args)
             del calls[start:]
-            kept.append(traj.states)
-            return traj
+            kept.extend(traj.states for traj in trajs)
+            return trajs
 
         def to_physical(self):
             calls.append(self.coef)
             return original_to_physical(self)
 
-        monkeypatch.setattr(diagnostics, "run", run)
+        monkeypatch.setattr(diagnostics, "run_members", run_members)
         monkeypatch.setattr(SpectralField, "to_physical", to_physical)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
@@ -466,29 +466,29 @@ class TestRelaxationSweep:
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_density_perturbation_per_stack(self, params, monkeypatch):
-        """From the end of its run to the start of the next member's run, a
-        member evaluates the density perturbation once per snapshot stack: the
+        """After the members' run, each member evaluates the density
+        perturbation, with its own params, once per snapshot stack: the
         rescaled density and H(n) share it.  Stacks of two snapshots split a
         member's five snapshots into three stacks."""
         from chemorelax import diagnostics, driver, model
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        members, live = [], [False]   # per member: [kept snapshots, perturbations]
-        original_run = diagnostics.run
+        members, evals, live = [], {}, [False]   # members: [kept snapshots, eps]
+        original_run = diagnostics.run_members
         original = model.density_perturbation
 
-        def run(*args):
+        def run_members(*args):
             live[0] = False
-            traj = original_run(*args)
-            members.append([len(traj.states), 0])
+            trajs = original_run(*args)
+            members.extend([len(traj.states), traj.initial.params.eps] for traj in trajs)
             live[0] = True
-            return traj
+            return trajs
 
-        def density_perturbation(*args):
+        def density_perturbation(n, p):
             if live[0]:
-                members[-1][1] += 1
-            return original(*args)
+                evals[p.eps] = evals.get(p.eps, 0) + 1
+            return original(n, p)
 
-        monkeypatch.setattr(diagnostics, "run", run)
+        monkeypatch.setattr(diagnostics, "run_members", run_members)
         for module in (diagnostics, model):
             monkeypatch.setattr(module, "density_perturbation", density_perturbation,
                                 raising=False)
@@ -496,7 +496,7 @@ class TestRelaxationSweep:
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        assert members == [[5, 3]] * 3
+        assert [[kept, evals[eps]] for kept, eps in members] == [[5, 3]] * 3
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
@@ -509,9 +509,9 @@ class TestRelaxationSweep:
         from chemorelax.ks_solver import reconstruct_velocity, solve_phi
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 3)
         trajs = {}
-        original_run, original_ks_run = diagnostics.run, diagnostics.ks_run
-        monkeypatch.setattr(diagnostics, "run", lambda initial, cfg: trajs.setdefault(
-            initial.params.eps, original_run(initial, cfg)))
+        original_run, original_ks_run = diagnostics.run_members, diagnostics.ks_run
+        monkeypatch.setattr(diagnostics, "run_members", lambda *args: [
+            trajs.setdefault(traj.initial.params.eps, traj) for traj in original_run(*args)])
         monkeypatch.setattr(diagnostics, "ks_run", lambda initial, cfg: trajs.setdefault(
             "limit", original_ks_run(initial, cfg)))
         grid = make_grid(d, N, 2 * np.pi)

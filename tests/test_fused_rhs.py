@@ -2,11 +2,14 @@
 the 1D step against the general formulas it replaced, and the number of
 transform calls they make."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chemorelax import hpc_solver
-from chemorelax.driver import SolverConfig
+from chemorelax.diagnostics import relaxation_sweep
+from chemorelax.driver import RunFailed, SolverConfig, member_stack, members
 from chemorelax.hpc_solver import (
     HpcState,
     PropagatorTables,
@@ -106,7 +109,7 @@ def general_nonlinear_rhs(state):
     g_vals, h_vals = coefficients_GH(n_phys, state.params)
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
     return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
-            float(np.abs(u_phys).max()))
+            np.abs(u_phys).max(axis=1))
 
 
 def general_fix_mass(n, params, target_mean_pert):
@@ -286,3 +289,117 @@ def test_three_inverse_two_forward_transforms_per_1d_step(cubic_params, monkeypa
                         lambda n, p: evals.append(1) or original(n, p))
     assert count_transforms(lambda: step(state, tables, target, nonlinear_rhs(state))) == (3, 2)
     assert len(evals) == passes
+
+
+# -- member stacks: several runs, one per eps, stepped together --------------------
+
+def member_states(params, eps_list, amplitudes):
+    """d = 1, N = 64 members, one per eps: the data of smooth_1d_state with
+    u = amplitude sin(x)."""
+    grid = make_grid(1, 64, 2 * np.pi)
+    return [build_initial_data(grid, replace(params, eps=eps),
+                               n_profile=0.1 * gaussian_bump(grid, 0.6),
+                               u_profile=amplitude * np.sin(grid.x_axes[0])[None])[0]
+            for eps, amplitude in zip(eps_list, amplitudes, strict=True)]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-4], ids=["own-targets", "shifted-target"])
+def test_member_stack_step_matches_each_member(cubic_params, monkeypatch, offset):
+    """Ten steps of a 3-member stack, each member with its own eps and dt, give
+    every member's rows, time and max|u| bit for bit as its own one-member
+    step.  The members stop the mass projection's Newton passes at different
+    counts, and a target off by 1e-4 forces the first member's third pass."""
+    states = member_states(cubic_params, (0.2, 0.1, 0.05), (0.05, 0.1, 0.2))
+    tables = [PropagatorTables(s.grid, s.params, dt) for s, dt in zip(states, (0.02, 0.015, 0.01))]
+    targets = np.array([s.mass_perturbation() for s in states]) + [offset, 0.0, 0.0]
+    passes = []
+    original = hpc_solver.density_perturbation
+    monkeypatch.setattr(hpc_solver, "density_perturbation",
+                        lambda n, p: passes.append(1) or original(n, p))
+    stack, counts = member_stack(states), set()
+    for k in range(10):
+        rhs = nonlinear_rhs(stack)
+        stack = step(stack, PropagatorTables.stack(tables), targets, rhs)
+        own_passes = []
+        for m, s in enumerate(states):
+            own_rhs = nonlinear_rhs(s)
+            assert own_rhs[3] == rhs[3][m]
+            passes.clear()
+            states[m] = step(s, tables[m], targets[m], own_rhs)
+            own_passes.append(len(passes))
+        counts.add(tuple(own_passes))
+        assert own_passes[0] == (3 if offset and k == 0 else 2)
+        for got, ref in zip(members(stack), states, strict=True):
+            assert_states_equal(got, ref)
+    assert any(len(set(c)) > 1 for c in counts)
+
+
+@pytest.mark.filterwarnings("ignore:initial norm")
+def test_member_stack_run_matches_member_runs_with_a_cfl_halving(cubic_params, monkeypatch):
+    """run_members over three members whose steps per snapshot are 1, 2 and 3,
+    the second with a velocity that needs a CFL halving, keeps every member's
+    states bit for bit as its own run."""
+    states = member_states(cubic_params, (0.2, 0.1, 0.05), (0.05, 4.2, 0.05))
+    configs = [SolverConfig(dt=0.02 / k, t_end=0.06, snap_dt=0.02) for k in (1, 2, 3)]
+    tables = [PropagatorTables(s.grid, s.params, c.dt) for s, c in zip(states, configs)]
+    dts = []
+    original = hpc_solver.step
+    monkeypatch.setattr(hpc_solver, "step", lambda *a: dts.append(a[1].dt) or original(*a))
+    got = hpc_solver.run_members(states, configs, tables)
+    assert any(np.ndim(dt) == 1 for dt in dts)                  # members stepped together
+    assert 0.01 / 2 in dts                                      # and the second one halved
+    for traj, state, config in zip(got, states, configs, strict=True):
+        ref = hpc_solver.run(state, config)
+        assert traj.status == ref.status == "completed"
+        assert len(traj.states) == len(ref.states) == 4
+        for a, b in zip(traj.states, ref.states, strict=True):
+            assert_states_equal(a, b)
+
+
+@pytest.mark.parametrize("blowups,named", [({0.1: 0.0}, 0.1), ({0.1: 0.01, 0.05: 0.0}, 0.1)],
+                         ids=["one-member", "a-later-member-first"])
+def test_member_blowup_names_its_eps(cubic_params, monkeypatch, blowups, named):
+    """A member whose size explodes fails the sweep with RunFailed naming its
+    eps; when a member after it in eps order explodes first, the sweep still
+    names the earlier member, as when the members ran one after another."""
+    original = hpc_solver.hybrid_aggregate
+
+    def exploding(s):   # member eps explodes past slow time tau
+        total, parts = original(s)
+        for m, p in enumerate(s.member_params):
+            if p.eps in blowups and p.eps * np.atleast_1d(s.t)[m] > blowups[p.eps]:
+                total = np.where(np.arange(np.size(total)) == m, 1e6 * total, total)
+        return total, parts
+
+    monkeypatch.setattr(hpc_solver, "hybrid_aggregate", exploding)
+    grid = make_grid(1, 32, 2 * np.pi)
+    rho0 = cubic_params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+    with pytest.raises(RunFailed, match=rf"^relaxation member eps={named} blew up: norm explosion"):
+        relaxation_sweep(grid, cubic_params, rho0, [0.2, 0.1, 0.05], tau_end=0.05,
+                         snap_dtau=0.05)
+
+
+def test_sweep_builds_each_member_table_once(cubic_params, monkeypatch):
+    """A 3-member sweep builds three propagator tables: one per member, handed to its run."""
+    built = []
+    original = PropagatorTables.__init__
+    monkeypatch.setattr(PropagatorTables, "__init__",
+                        lambda self, *args: built.append(args[1].eps) or original(self, *args))
+    grid = make_grid(1, 32, 2 * np.pi)
+    rho0 = cubic_params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+    relaxation_sweep(grid, cubic_params, rho0, [0.2, 0.1, 0.05], tau_end=0.05, snap_dtau=0.05)
+    assert sorted(built) == [0.05, 0.1, 0.2]
+
+
+def test_member_initial_norms_warn_once_each(cubic_params):
+    """Each member above the small-data hint warns with its own initial norm,
+    in member order."""
+    states = member_states(cubic_params, (0.2, 0.1, 0.05), (0.5, 0.05, 1.0))
+    configs = [SolverConfig(dt=0.02 / k, t_end=0.02, snap_dt=0.02) for k in (1, 2, 3)]
+    tables = [PropagatorTables(s.grid, s.params, c.dt) for s, c in zip(states, configs)]
+    sizes = [hpc_solver.hybrid_aggregate(s)[0] for s in states]
+    with pytest.warns(UserWarning, match="initial norm") as record:
+        hpc_solver.run_members(states, configs, tables)
+    assert [str(w.message) for w in record] == [
+        f"initial norm {x:.3g} exceeds the operational smallness 0.05; global boundedness "
+        f"is not guaranteed" for x in sizes if x > 0.05]
