@@ -171,9 +171,14 @@ def _write_summary(out: Path, payload: dict) -> None:
 
 
 def _hpc_run(c: dict, args) -> driver.Trajectory:
-    """The HPC run from the initial block's data, after a build of its propagator
-    tables: extreme constants that leave them non-finite are a model-block error."""
+    """The HPC run from the initial block's data.  Its propagator tables are
+    built first, so extreme constants that leave them non-finite are a
+    model-block error, not a fault of the data."""
     init, grid = c["initial"], c["grid"]
+    try:
+        tables = hpc_solver.PropagatorTables(grid, c["model"], c["solver"].dt)
+    except ValueError as exc:
+        raise ConfigError(f"model block: {exc}")
     try:   # a mode's wavevector, target_x0 or OutsideValidityWindow (ValueError)
         if init["profile"] == "gaussian":
             n_prof = hpc_solver.gaussian_bump(grid, width=init["width"])
@@ -186,10 +191,6 @@ def _hpc_run(c: dict, args) -> driver.Trajectory:
                                                  target_x0=init["target_x0"])
     except ValueError as exc:
         raise ConfigError(f"initial block: {exc}")
-    try:
-        tables = hpc_solver.PropagatorTables(grid, c["model"], c["solver"].dt)
-    except ValueError as exc:
-        raise ConfigError(f"model block: {exc}")
     return hpc_solver.run_members([state], [c["solver"]], [tables])[0]
 
 

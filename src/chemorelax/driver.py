@@ -1,16 +1,19 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with the one run policy (a solver gives
-:func:`integrate` only its advance over one snapshot interval, its norm and
-its columns), and the trajectory type; a member stack holds several runs as
-one state, one row group per member.  States are values: frozen, and never
-written into.  A
-step returns a new state, and the driver keeps the states the steps return,
-the initial one included, without copying them.  Diagnostics run on snapshot
-stacks (:func:`stacks`): one state per chunk of kept snapshots, with one row
-per snapshot in each field, so a chunk takes one transform per field.  The
-diagnostic series is a :class:`DiagnosticSeries` of columns, built from the
-stacks only when it is read, and written with the package's one CSV writer,
-:func:`write_csv`.
+:func:`integrate` only its advance over one snapshot interval, its norms of a
+stack and its columns), and the trajectory type; a member stack holds several
+runs as one state, one row group per member.  The loop checks sizes a chunk
+of snapshots at a time: in d = 1 it advances up to SNAPSHOT_CHUNK intervals
+and takes their sizes in one call, and it retakes a chunk that fails one
+interval at a time, so a run keeps the states, status and message of a check
+after every interval; d >= 2 checks every interval alone.  States are values:
+frozen, and never written into.  A step returns a new state, and the driver
+keeps the states the steps return, the initial one included, without copying
+them.  Diagnostics run on snapshot stacks (:func:`stacks`): one state per
+chunk of kept snapshots, with one row per snapshot in each field, so a chunk
+takes one transform per field.  The diagnostic series is a
+:class:`DiagnosticSeries` of columns, built from the stacks only when it is
+read, and written with the package's one CSV writer, :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ BLOWUP_FACTOR = 1e3
 # operational smallness for near-equilibrium runs; larger data is allowed but
 # the global bound is then only an experiment, not an expectation
 SMALL_DATA_HINT = 0.05
-# snapshots per stack at most, which bounds the memory of a long run's diagnostics
+# snapshots per stack at most, which bounds the memory of a long run's diagnostics,
+# and intervals per size check of a 1D run
 SNAPSHOT_CHUNK = 64
 
 
@@ -107,12 +111,19 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def _joined(parts: list, params):
-    """The states ``parts`` as one state with ``params``, their rows in order."""
+def _joined(parts: list, params, groups: int):
+    """The states ``parts`` as one state with ``params``: each part's rows and
+    times fall in ``groups`` equal groups (members), joined group-major, each
+    group's parts in order; one group keeps every row in order."""
     def joined(values):
         if isinstance(values[0], SpectralField):
-            return SpectralField(values[0].grid, np.concatenate([v.coef for v in values]))
-        return np.hstack(values)
+            coef = np.concatenate([v.coef for v in values])
+            if groups > 1:   # parts of equal row count
+                modes = coef.shape[1:]
+                coef = (coef.reshape(len(values), groups, -1, *modes).swapaxes(0, 1)
+                        .reshape(-1, *modes))
+            return SpectralField(values[0].grid, coef)
+        return np.hstack(values).reshape(-1, groups).T.ravel()
 
     return replace(parts[0], params=params, **{
         f.name: joined([getattr(p, f.name) for p in parts]) for f in fields(parts[0])
@@ -124,7 +135,7 @@ def stacks(states: list):
     state whose time is an array and whose fields hold every snapshot's rows."""
     for start in range(0, len(states), SNAPSHOT_CHUNK):
         chunk = states[start:start + SNAPSHOT_CHUNK]
-        yield _joined(chunk, chunk[0].params)
+        yield _joined(chunk, chunk[0].params, 1)
 
 
 def member_stack(parts: list):
@@ -133,7 +144,7 @@ def member_stack(parts: list):
     if len(parts) == 1:
         return parts[0]
     return _joined(parts, sum((p.params if isinstance(p.params, tuple) else (p.params,)
-                               for p in parts), ()))
+                               for p in parts), ()), 1)
 
 
 def member_slice(stack, start: int, stop: int):
@@ -202,38 +213,55 @@ def integrate(initial, advance: Callable, size: Callable, columns: Callable,
               configs: list) -> list:
     """Step ``initial`` (a state, or a member stack of ``len(configs)`` members
     with one snapshot count) an interval at a time with ``advance(state)``,
-    keeping it and each snapshot uncopied.  ``size(state)`` is each member's
-    norm; an initial one above SMALL_DATA_HINT warns.  One above BLOWUP_FACTOR
-    times the initial, or a BlowupError or OutsideValidityWindow (its
-    ``member``, else 0) ends that member as "blowup"; as if the members ran in
-    turn, the later ones drop out and the earlier ones retake the interval.
-    Returns the members' trajectories up to the first that blows up."""
+    keeping it and each snapshot uncopied.
+
+    ``size(stack)`` gives one norm per row group of a stack of member stacks
+    joined member-major (each member's snapshots in turn), in that order.  The
+    initial sizes are taken alone, and one above SMALL_DATA_HINT warns.  Then,
+    in d = 1, up to SNAPSHOT_CHUNK intervals are advanced before their sizes
+    are taken in one call; in d >= 2 one interval (stacked sizes are a loss
+    there).  A size above BLOWUP_FACTOR times the member's initial one, or a
+    BlowupError or OutsideValidityWindow, sends a chunk of several intervals
+    back to be retaken from its start one interval at a time.  In a chunk of
+    one it ends the member (the exception's ``member``, else 0) as "blowup";
+    as if the members ran in turn, the later ones drop out and the earlier
+    ones retake the interval.  Returns the members' trajectories up to the
+    first that blows up."""
     n_snaps, = {config.schedule()[1] for config in configs}   # one count (ValueError otherwise)
     alive, state, kept, ends, size0 = len(configs), initial, [], {}, None
+    retake = 1   # snapshots before this one are taken one at a time: the initial, a retaken chunk
     while alive and (k := len(kept)) <= n_snaps:
+        span = 1 if k < retake or initial.grid.d > 1 else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
         try:
-            new = advance(state) if k else state
-            norms = np.atleast_1d(size(new))
+            pending, new = [], state
+            for j in range(k, k + span):
+                new = advance(new) if j else new
+                pending.append(new)
+            norms = np.reshape(size(_joined(pending, new.params, alive) if span > 1 else new),
+                               (alive, span)).T   # (snapshots, members)
             if size0 is None:
-                size0 = norms
+                size0 = norms[0]
                 for norm in size0[size0 > SMALL_DATA_HINT]:
                     warnings.warn(f"initial norm {norm:.3g} exceeds the operational smallness "
                                   f"{SMALL_DATA_HINT}; global boundedness is not guaranteed",
                                   stacklevel=3)
-            over = np.flatnonzero((size0[:alive] > 0) & (norms > BLOWUP_FACTOR * size0[:alive]))
-            if over.size:
-                m = over[0]
-                exc = BlowupError(f"norm explosion: {norms[m]:.3g} exceeds {BLOWUP_FACTOR:g} x the "
-                                  f"initial {size0[m]:.3g} at "
-                                  f"t={k * configs[m].schedule()[0] * configs[m].dt:g}")
+            over = np.argwhere((size0[:alive] > 0) & (norms > BLOWUP_FACTOR * size0[:alive]))
+            if over.size:   # the first snapshot over, and its first member
+                row, m = over[0]
+                exc = BlowupError(f"norm explosion: {norms[row, m]:.3g} exceeds {BLOWUP_FACTOR:g} "
+                                  f"x the initial {size0[m]:.3g} at "
+                                  f"t={(k + row) * configs[m].schedule()[0] * configs[m].dt:g}")
                 exc.member = m
                 raise exc
         except (OutsideValidityWindow, BlowupError) as exc:
+            if span > 1:
+                retake = k + span
+                continue
             alive = getattr(exc, "member", 0)
             ends[alive] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
             state = member_slice(state, 0, alive)
             continue
-        kept.append(new if k else initial)
+        kept.extend(pending if k else [initial])
         state = new
     history = [members(s) for s in kept or [initial]]
     return [Trajectory([h[m] for h in history[:count]], columns, status, message)

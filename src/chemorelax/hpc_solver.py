@@ -312,7 +312,8 @@ def hybrid_aggregate(state: HpcState):
     Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
     breakdown holds the (low, high) pair of each of n, u, psi and grad_psi.
     The block norms of the four fields come from one product.  Each value is
-    a float for one snapshot and an array over a stack's snapshots or members.
+    a float for one snapshot and an array over the rows of a stack: its
+    snapshots, its members, or a stack of member stacks joined member-major.
     """
     dec, d, k = state.grid.decomposition, state.grid.d, state.n.ncomp
     members = state.member_params   # a member's rows take its own J and eps
@@ -326,7 +327,8 @@ def hybrid_aggregate(state: HpcState):
     fields = dict(zip(("n", "u", "psi", "grad_psi"), zip(lows, highs)))
     low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
     high = fields["n"][1] + fields["u"][1] + fields["grad_psi"][1]
-    eps = members[0].eps if len(members) == 1 else np.array([p.eps for p in members])
+    eps = (members[0].eps if len(members) == 1   # else one per row of the member stack
+           else np.repeat([p.eps for p in members], k // len(members)))
     return low + eps * high, {"low": low, "high": high, "eps_high": eps * high, **fields}
 
 

@@ -112,18 +112,21 @@ def ks_rhs(state: KsState) -> SpectralField:
     """Quadratic terms Lap Q(rho) - mu div((rho-rho_bar) grad phi),
     2/3-dealiased on input and output.  In 1D [rho, grad phi] and
     [Q(rho), (rho-rho_bar) grad phi] each take one stacked transform, and
-    the symbols -xi^2 and i xi act on the masked rows directly."""
+    the symbols -xi^2 and i xi act on the masked rows directly.  grad phi is
+    grad a (b - Lap)^{-1} rho: the gradient drops the constants of
+    :func:`solve_phi`, so they are not formed."""
     rho_f = dealias(state.rho)
     grid, p = state.grid, state.params
     if grid.d == 1:
         ik = 1j * grid.xi_diff
+        phi_x = ik * bessel_inverse(p.a * rho_f, p.b).coef
         rho_phys, grad_phi = SpectralField(
-            grid, np.concatenate((rho_f.coef, ik * solve_phi(rho_f, p).coef))).to_physical()
+            grid, np.concatenate((rho_f.coef, phi_x))).to_physical()
         q, flux = SpectralField.from_physical(
             grid, np.array((pressure_remainder(rho_phys, p), (rho_phys - p.rho_bar) * grad_phi)),
             dealiased=True).coef
         return SpectralField(grid, q * grid.lap_symbol - (ik * flux) * p.mu)
-    (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(solve_phi(rho_f, p)))
+    (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(bessel_inverse(p.a * rho_f, p.b)))
     term_a, flux = from_physical_all(grid, pressure_remainder(rho_phys, p)[None],
                                      (rho_phys - p.rho_bar)[None] * grad_phi)
     return dealias(laplacian(term_a) - p.mu * divergence(flux))
@@ -154,16 +157,17 @@ def ks_step(state: KsState, tables: KsTables) -> KsState:
 
 def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
     """Integrate to config.t_end (interpreted in slow time tau); a snapshot's
-    size is its B^{d/2}_{2,1} norm after a window check."""
+    size is its B^{d/2}_{2,1} norm after a window check, taken for every
+    snapshot of a stack from one transform and one block-norm product."""
     grid = initial.grid
     dec = grid.decomposition
     tables = KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
 
-    def size(s: KsState) -> float:
-        s.rho_physical()  # window check
+    def size(s: KsState) -> np.ndarray:   # one per snapshot of a stack
+        _check_window(s.rho.to_physical(), s.params, "density")
         # block norms exclude the zero mode, so this is the norm of rho - rho_bar
-        return dec.besov_norm(dec.block_norms(s.rho.energy(1)), d_half)[0]
+        return dec.besov_norm(dec.block_norms(s.rho.energy(1)), d_half)
 
     def columns(stack: KsState) -> dict:
         norms = dec.block_norms(stack.rho.energy(1))

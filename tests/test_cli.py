@@ -694,7 +694,9 @@ class TestExperimentBlockErrors:
         ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(epsilon=1e-300)},
          "model block: the propagator tables at dt=0.02 hold"),
         ("simulate-hpc", {}, {**LYAP_RUN, "model": base_model(a=1e300)},
-         "initial block: enthalpy left the admissible range"),
+         "model block: the propagator tables at dt=0.02 hold"),
+        ("lyapunov-check", {}, {**LYAP_RUN, "model": base_model(a=1e300)},
+         "model block: the propagator tables at dt=0.02 hold"),
         ("relaxation-sweep", {"eps_list": EPS, "tau_end": 0.05, "high_freq_budget": None},
          {**SWEEP_GRID, "model": base_model(b=1e300)},
          "model block: the propagator tables at dt="),
@@ -728,7 +730,7 @@ class TestExperimentBlockErrors:
             "hpc-width-zero", "hpc-width-negative", "ks-width-zero", "sweep-width-negative",
             "sweep-offset_width-zero", "decay-b-huge", "decay-kappa-tiny", "model-kappa-overflow",
             "grid-L-infinite", "hpc-b-huge", "hpc-mu-huge", "hpc-epsilon-tiny", "hpc-a-huge",
-            "sweep-b-huge", "sweep-mu-huge", "ks-mu-huge", "lyapunov-no-block"])
+            "lyapunov-a-huge", "sweep-b-huge", "sweep-mu-huge", "ks-mu-huge", "lyapunov-no-block"])
     def test_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
                                    command, experiment, extra, fragment):
         from chemorelax import diagnostics, hpc_solver, ks_solver
@@ -736,8 +738,9 @@ class TestExperimentBlockErrors:
         def no_run(*args):
             raise AssertionError("the config must be rejected before the run")
 
-        for module, name in ((hpc_solver, "run"), (ks_solver, "ks_run"),
-                             (diagnostics, "run_members"), (diagnostics, "ks_run")):
+        for module, name in ((hpc_solver, "run"), (hpc_solver, "run_members"),
+                             (ks_solver, "ks_run"), (diagnostics, "run_members"),
+                             (diagnostics, "ks_run")):
             monkeypatch.setattr(module, name, no_run)
         payload = {"model": base_model(), **extra}
         if "experiment" in SCHEMAS[command]:   # only the subcommands that read one

@@ -6,10 +6,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+from chemorelax import driver, hpc_solver
 from chemorelax.diagnostics import (damped_mode_decay_check, lyapunov_equivalence_check,
                                     rescale_to_slow)
 from chemorelax.driver import SNAPSHOT_CHUNK, SolverConfig, Trajectory, stacks
-from chemorelax.hpc_solver import HpcState, build_initial_data, gaussian_bump, run
+from chemorelax.hpc_solver import (HpcState, PropagatorTables, build_initial_data, gaussian_bump,
+                                   run)
 from chemorelax.ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from chemorelax.model import ModelParams, PressureLaw, coefficient_H, density_perturbation
 from chemorelax.spectral import SpectralField, dealias, gradient, make_grid
@@ -166,3 +168,91 @@ def test_series_columns_match_per_snapshot_reference(params, d, N):
         for name, values in t.series.columns.items():
             np.testing.assert_allclose(values, [row[name] for row in rows], rtol=1e-13, atol=0.0,
                                        err_msg=name)
+
+
+# -- sizes one chunk of snapshots at a time -------------------------------------
+
+def chunk_invariant(monkeypatch, run_all) -> list:
+    """The trajectories of ``run_all()`` with the default SNAPSHOT_CHUNK, after
+    a check that their states (bit for bit), statuses and messages are those
+    of size checks one snapshot at a time."""
+    got = run_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(driver, "SNAPSHOT_CHUNK", 1)
+        ref = run_all()
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.status, a.message) == (b.status, b.message)
+        assert len(a.states) == len(b.states)
+        for s, r in zip(a.states, b.states):
+            for f in fields(s):
+                x, y = getattr(s, f.name), getattr(r, f.name)
+                assert (np.array_equal(x.coef, y.coef) if isinstance(x, SpectralField)
+                        else np.array_equal(x, y) if f.name in ("t", "tau") else x == y), f.name
+    return got
+
+
+def hpc_and_ks_initial(grid, params, amp):
+    """Each solver's run and its initial state from the profile amp cos(x)."""
+    profile = amp * np.cos(grid.x_axes[0])
+    hpc, _ = build_initial_data(grid, params, n_profile=profile)
+    rho = dealias(SpectralField.from_physical(grid, (params.rho_bar + profile)[None]))
+    return {"hpc": (run, hpc), "ks": (ks_run, KsState(0.0, rho, params))}
+
+
+@pytest.mark.parametrize("solver", ["hpc", "ks"])
+def test_completed_run_is_chunk_invariant(grid, params, monkeypatch, solver):
+    """A 1D run that keeps more snapshots than one chunk holds."""
+    config = SolverConfig(dt=0.02, t_end=0.02 * (SNAPSHOT_CHUNK + 6), snap_dt=0.02)
+    run_solver, initial = hpc_and_ks_initial(grid, params, 0.01)[solver]
+    traj, = chunk_invariant(monkeypatch, lambda: [run_solver(initial, config)])
+    assert traj.status == "completed" and len(traj.states) == SNAPSHOT_CHUNK + 7
+
+
+def test_member_stack_is_chunk_invariant(grid, params, monkeypatch):
+    """Three members of 1, 2 and 3 steps per snapshot, over more snapshots than
+    one chunk holds."""
+    initials = [build_initial_data(grid, replace(params, eps=eps),
+                                   n_profile=0.01 * gaussian_bump(grid))[0]
+                for eps in (0.2, 0.1, 0.05)]
+    configs = [SolverConfig(dt=0.02 / k, t_end=0.02 * (SNAPSHOT_CHUNK + 6), snap_dt=0.02)
+               for k in (1, 2, 3)]
+    tables = [PropagatorTables(grid, s.params, c.dt) for s, c in zip(initials, configs)]
+    trajs = chunk_invariant(monkeypatch,
+                            lambda: hpc_solver.run_members(initials, configs, tables))
+    assert [(t.status, len(t.states)) for t in trajs] == [("completed", SNAPSHOT_CHUNK + 7)] * 3
+
+
+@pytest.mark.filterwarnings("ignore:initial norm")
+@pytest.mark.parametrize("solver,amp,reason", [
+    ("hpc", 1e-6, "norm explosion"), ("ks", 1e-6, "norm explosion"),
+    ("hpc", 0.2, "enthalpy left the admissible range"), ("ks", 0.05, "density left the validity"),
+], ids=["hpc-norm", "ks-norm", "hpc-window", "ks-window"])
+def test_blowup_in_a_chunk_is_chunk_invariant(grid, monkeypatch, solver, amp, reason):
+    """Negative margin: the run leaves the admissible set at a snapshot in the
+    middle of a chunk; the run keeps the same snapshots and message as with
+    size checks one snapshot at a time."""
+    p = ModelParams(eps=0.5, mu=3.0, a=1.0, b=1.0, rho_bar=1.0,
+                    pressure=PressureLaw(kappa=1.0, gamma=1.0), j_offset=0)
+    run_solver, initial = hpc_and_ks_initial(grid, p, amp)[solver]
+    config = SolverConfig(dt=0.02, t_end=40.0, snap_dt=0.5)
+    traj, = chunk_invariant(monkeypatch, lambda: [run_solver(initial, config)])
+    assert traj.status == "blowup" and reason in traj.message
+    assert 0 < (len(traj.states) - 1) % SNAPSHOT_CHUNK < SNAPSHOT_CHUNK - 1   # the failing one
+
+
+@pytest.mark.parametrize("d,n_snaps,calls", [
+    (1, 5, 2), (1, SNAPSHOT_CHUNK, 2), (1, SNAPSHOT_CHUNK + 1, 3), (1, 2 * SNAPSHOT_CHUNK + 3, 4),
+    (2, 5, 6)])
+def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, calls):
+    """A 1D run of K snapshots takes its sizes in ceil(K / SNAPSHOT_CHUNK) + 1
+    calls: the initial one alone, then one per chunk.  d >= 2 takes one per
+    snapshot."""
+    grid = make_grid(d, 8, 2 * np.pi)
+    initial, _ = build_initial_data(grid, params, n_profile=0.01 * gaussian_bump(grid))
+    sizes = []
+    original = hpc_solver.hybrid_aggregate
+    monkeypatch.setattr(hpc_solver, "hybrid_aggregate", lambda s: sizes.append(1) or original(s))
+    traj = run(initial, SolverConfig(dt=0.02, t_end=0.02 * n_snaps, snap_dt=0.02))
+    assert traj.status == "completed" and len(traj.states) == n_snaps + 1
+    assert len(sizes) == calls

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemorelax import hpc_solver
+from chemorelax import driver, hpc_solver
 from chemorelax.diagnostics import relaxation_sweep
 from chemorelax.driver import RunFailed, SolverConfig, member_stack, members
 from chemorelax.hpc_solver import (
@@ -356,27 +356,66 @@ def test_member_stack_run_matches_member_runs_with_a_cfl_halving(cubic_params, m
             assert_states_equal(a, b)
 
 
+def exploding_sizes(blowups: dict):
+    """hybrid_aggregate with the size of member eps times 1e6 past slow time
+    blowups[eps], read row by row: a stack of member stacks holds each
+    member's snapshots in turn, so a row's member and time are its own."""
+    original = hpc_solver.hybrid_aggregate
+
+    def exploding(s):
+        total, parts = original(s)
+        members = s.member_params
+        eps = np.repeat([p.eps for p in members], np.size(s.t) // len(members))
+        boom = [e in blowups and e * t > blowups[e] for e, t in zip(eps, np.atleast_1d(s.t))]
+        return np.where(boom, 1e6 * total, total), parts
+
+    return exploding
+
+
 @pytest.mark.parametrize("blowups,named", [({0.1: 0.0}, 0.1), ({0.1: 0.01, 0.05: 0.0}, 0.1)],
                          ids=["one-member", "a-later-member-first"])
 def test_member_blowup_names_its_eps(cubic_params, monkeypatch, blowups, named):
     """A member whose size explodes fails the sweep with RunFailed naming its
     eps; when a member after it in eps order explodes first, the sweep still
     names the earlier member, as when the members ran one after another."""
-    original = hpc_solver.hybrid_aggregate
-
-    def exploding(s):   # member eps explodes past slow time tau
-        total, parts = original(s)
-        for m, p in enumerate(s.member_params):
-            if p.eps in blowups and p.eps * np.atleast_1d(s.t)[m] > blowups[p.eps]:
-                total = np.where(np.arange(np.size(total)) == m, 1e6 * total, total)
-        return total, parts
-
-    monkeypatch.setattr(hpc_solver, "hybrid_aggregate", exploding)
+    monkeypatch.setattr(hpc_solver, "hybrid_aggregate", exploding_sizes(blowups))
     grid = make_grid(1, 32, 2 * np.pi)
     rho0 = cubic_params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
     with pytest.raises(RunFailed, match=rf"^relaxation member eps={named} blew up: norm explosion"):
         relaxation_sweep(grid, cubic_params, rho0, [0.2, 0.1, 0.05], tau_end=0.05,
                          snap_dtau=0.05)
+
+
+@pytest.mark.filterwarnings("ignore:initial norm")
+@pytest.mark.parametrize("blowups", [{0.1: 0.01}, {0.1: 0.02, 0.05: 0.01}],
+                         ids=["one-member", "a-later-member-first"])
+def test_member_blowup_in_a_chunk_is_chunk_invariant(cubic_params, monkeypatch, blowups):
+    """A member that explodes at a snapshot in the middle of a chunk: the member
+    stack keeps the same states, statuses and messages as with size checks one
+    snapshot at a time, and the sweep still names the member eps 0.1."""
+    monkeypatch.setattr(hpc_solver, "hybrid_aggregate", exploding_sizes(blowups))
+    grid = make_grid(1, 32, 2 * np.pi)
+    rho0 = cubic_params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+    states = member_states(cubic_params, (0.2, 0.1, 0.05), (0.0, 0.0, 0.0))
+    configs = [SolverConfig(dt=0.00125 / eps / k, t_end=0.05 / eps, snap_dt=0.00125 / eps)
+               for eps, k in ((0.2, 1), (0.1, 2), (0.05, 3))]   # the sweep's schedules
+    tables = [PropagatorTables(s.grid, s.params, c.dt) for s, c in zip(states, configs)]
+    runs, messages, named = [], [], r"^relaxation member eps=0.1 blew up: norm explosion"
+    for chunk in (driver.SNAPSHOT_CHUNK, 1):
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", chunk)
+        runs.append(hpc_solver.run_members(states, configs, tables))
+        with pytest.raises(RunFailed, match=named) as failed:
+            relaxation_sweep(grid, cubic_params, rho0, [0.2, 0.1, 0.05], tau_end=0.05,
+                             snap_dtau=0.05)
+        messages.append(str(failed.value))
+    assert messages[0] == messages[1]
+    chunked, alone = runs
+    assert [t.status for t in chunked] == ["completed", "blowup"]
+    assert 2 < len(chunked[1].states) < 40   # the member fails inside the first chunk
+    for a, b in zip(chunked, alone, strict=True):
+        assert (a.status, a.message, len(a.states)) == (b.status, b.message, len(b.states))
+        for x, y in zip(a.states, b.states, strict=True):
+            assert_states_equal(x, y)
 
 
 def test_sweep_builds_each_member_table_once(cubic_params, monkeypatch):
