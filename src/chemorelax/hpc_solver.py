@@ -16,7 +16,11 @@ evaluation.  A 1D step is bound by per-call overhead, so the 1D right-hand side
 masks the stacked rows [n, u] once, multiplies them by i xi for [dn, du], takes
 all four rows to the grid in one inverse transform, forms N_n = -(u dn) - G du,
 N_u = -(u du) and H with plain ufuncs in one array, and returns its one
-masked forward transform as row views.  d >= 2 transforms field by field.
+masked forward transform as row views.  d >= 2 does the same on the 2 + 2d + d^2
+rows [n, u, grad n, div u, grad u_1 .. grad u_d], on the last-axis columns that
+the 2/3 rule keeps, in a scratch that each grid holds for the length of a run
+(:func:`_scratch`): one inverse transform of the stack, products in its spent
+rows, one forward transform into the one array returned.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation.  :func:`run_members` runs a run,
 or a d=1 member stack (a sweep's eps family: one row group per member, each
@@ -36,13 +40,15 @@ factor s:
      [T20, i unit T21, T22]]
 
 and applied as one einsum.  d >= 2 keeps the split, nine multiply-adds on the
-real table and the scalar transverse scaling: folded (2+d)x(2+d) complex tables
-measured slower there and take several times the memory.
+real table and the scalar transverse scaling, with its temporaries in the
+grid's scratch: folded (2+d)x(2+d) complex tables measured slower there and
+take several times the memory.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -64,11 +70,7 @@ from .spectral import (
     Grid,
     SpectralField,
     bessel_inverse,
-    dealias,
-    divergence,
-    from_physical_all,
     gradient,
-    to_physical_all,
 )
 
 __all__ = [
@@ -119,6 +121,28 @@ class HpcState:
 
     def total_mass(self) -> float:
         return float((self.params.rho_bar + self.mass_perturbation()) * self.grid.volume)
+
+
+# -- d >= 2 work arrays ---------------------------------------------------------
+
+_SCRATCH = weakref.WeakKeyDictionary()   # grid -> its d >= 2 work arrays; a run drops its own
+
+
+def _scratch(grid: Grid) -> tuple:
+    """(complex stack, real stack, i xi_diff, 2/3 mask) of a d >= 2 grid, the
+    last two on the kept last-axis columns.  The flat complex stack takes in turn the
+    2 + 2d + d^2 right-hand-side rows on the kept columns, the half-spectra of
+    its 2 + d output rows and the 4 + d temporaries of the propagator apply
+    (the two never run at once); the real stack takes the rows' grid values.
+    No array a caller receives points into them."""
+    if grid not in _SCRATCH:
+        d, keep = grid.d, grid.kept_columns
+        n_rows, size = 2 + 2 * d + d * d, math.prod(grid.spec_shape)
+        kept = n_rows * size // grid.spec_shape[-1] * keep
+        _SCRATCH[grid] = (np.empty(max(kept, (4 + d) * size), dtype=np.complex128),
+                          np.empty((n_rows,) + grid.shape),
+                          1j * grid.xi_diff[..., :keep], grid.dealias_mask[..., :keep])
+    return _SCRATCH[grid]
 
 
 # -- exact linear propagation -------------------------------------------------
@@ -178,7 +202,8 @@ class PropagatorTables:
         velocity splits into the compressible amplitude m = i w,
         w = xi.u/|xi|, which enters the real 3x3 table with n and psi, and
         the transverse rest u - (xi/|xi|) w, which is scaled by the scalar
-        factor."""
+        factor; the temporaries live in the grid's scratch and the result in
+        one new array."""
         if self._folded is not None:
             table, rows = self._folded[k], np.concatenate((n_coef, u_coef, psi_coef))
             if table.ndim == 3:   # one member: (3, 3, modes)
@@ -187,16 +212,24 @@ class PropagatorTables:
             out = np.einsum("ij...,j...->i...", table, rows.reshape(3, len(n_coef), -1))
             return out[0], out[1], out[2]
         table3, scal = self._tables[k]
-        unit = self._unit
-        w = unit[0] * u_coef[0]
-        for ax in range(1, self.grid.d):
-            w += unit[ax] * u_coef[ax]
-        m = 1j * w
-        n, psi = n_coef[0], psi_coef[0]
-        n_out, m_out, psi_out = (row[0] * n + row[1] * m + row[2] * psi for row in table3)
-        # scal * (u - unit w) - i unit m_out
-        u_out = scal * u_coef - unit * (scal * w + 1j * m_out)
-        return n_out[None], u_out, psi_out[None]
+        unit, d, spec = self._unit, self.grid.d, self.grid.spec_shape
+        c_buf, size = _scratch(self.grid)[0], math.prod(spec)
+        w, m, m_out, tmp = (c_buf[i * size:(i + 1) * size].reshape(spec) for i in range(4))
+        out = np.empty((2 + d,) + spec, dtype=np.complex128)
+        np.multiply(unit[0], u_coef[0], out=w)
+        for ax in range(1, d):
+            np.add(w, np.multiply(unit[ax], u_coef[ax], out=tmp), out=w)
+        np.multiply(1j, w, out=m)
+        for row, dest in zip(table3, (out[0], m_out, out[1 + d])):
+            np.multiply(row[0], n_coef[0], out=dest)
+            np.add(dest, np.multiply(row[1], m, out=tmp), out=dest)
+            np.add(dest, np.multiply(row[2], psi_coef[0], out=tmp), out=dest)
+        # scal * (u - unit w) - i unit m_out, as scal u - unit (scal w + i m_out)
+        u_out = np.multiply(scal, u_coef, out=out[1:1 + d])
+        np.add(np.multiply(scal, w, out=w), np.multiply(1j, m_out, out=tmp), out=w)
+        scaled = c_buf[4 * size:(4 + d) * size].reshape(unit.shape)
+        np.subtract(u_out, np.multiply(unit, w, out=scaled), out=u_out)
+        return out[:1], u_out, out[1 + d:]
 
     def apply_exp(self, n, u, psi):
         return self._apply(0, n, u, psi)
@@ -230,21 +263,46 @@ def nonlinear_rhs(state: HpcState):
         return (SpectralField(grid, coef[:k]), SpectralField(grid, coef[k:2 * k]),
                 SpectralField(grid, coef[2 * k:]), np.abs(u_phys).reshape(k, -1).max(axis=1))
 
-    nf = dealias(state.n)
-    uf = dealias(state.u)
-    # rows [n, u, grad n, div u, grad u_1 .. grad u_d], one transform per field
-    vals = to_physical_all(nf, uf, gradient(nf), divergence(uf),
-                           *(SpectralField(grid, 1j * grid.xi_diff * uf.coef[i]) for i in range(d)))
-    (n_phys,), u_phys, grad_n, (div_u,) = vals[:4]
-    nu = np.empty_like(u_phys)
-    for i in range(d):
-        nu[i] = -np.einsum("k...,k...->...", u_phys, vals[i - d])
-    del vals   # free the velocity gradients before G and H (peak memory)
+    # rows [n, u, grad n, div u, grad u_1 .. grad u_d] of the dealiased input on the
+    # kept columns, then their grid values; grad u_i[k] = i xi_k u_i, and div u
+    # sums the diagonal rows grad u_i[i], as np.sum over the stacked products
+    c_buf, vals, ixi, mask = _scratch(grid)
+    keep = grid.kept_columns
+    rows = c_buf[:vals.size // grid.N * keep].reshape(len(vals), *grid.shape[:-1], keep)
+    np.multiply(state.n.coef[..., :keep], mask, out=rows[:1])
+    np.multiply(state.u.coef[..., :keep], mask, out=rows[1:1 + d])
+    np.multiply(ixi, rows[:1], out=rows[1 + d:1 + 2 * d])
+    grad_u = rows[2 + 2 * d:]
+    np.multiply(ixi, rows[1:1 + d, None], out=grad_u.reshape(d, d, *rows.shape[1:]))
+    np.sum(grad_u[::d + 1], axis=0, out=rows[1 + 2 * d])
+    for ax in range(1, d):
+        np.fft.ifft(rows, axis=ax, norm="forward", out=rows)
+    np.fft.irfft(rows, n=grid.N, axis=-1, norm="forward", out=vals)   # zero-pads the columns
 
+    n_phys, u_phys, grad_n, div_u = vals[0], vals[1:1 + d], vals[1 + d:1 + 2 * d], vals[1 + 2 * d]
+    grad_u = vals[2 + 2 * d:]
     g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
-    nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
-    return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
-            np.abs(u_phys).reshape(1, -1).max(axis=1))
+    # [N_n, N_u, H] in the spent rows d+1 .. 2d+2 (n is spent once G and H are
+    # formed): N_n past the einsum over grad n, N_u[i] in rows that no grad u_j
+    # occupies, H past the einsum over grad u_1
+    out = vals[1 + d:3 + 2 * d]
+    np.einsum("k...,k...->...", u_phys, grad_n, out=n_phys)
+    np.negative(n_phys, out=n_phys)
+    np.subtract(n_phys, np.multiply(g_vals, div_u, out=div_u), out=out[0])
+    for i in range(d):
+        np.einsum("k...,k...->...", u_phys, grad_u[i * d:(i + 1) * d], out=out[1 + i])
+        np.negative(out[1 + i], out=out[1 + i])
+    out[1 + d] = h_vals
+    vmax = np.abs(u_phys, out=u_phys).reshape(1, -1).max(axis=1)
+
+    half = c_buf[:out.size // grid.N * grid.spec_shape[-1]].reshape(out.shape[:-1] + (-1,))
+    np.fft.rfft(out, axis=-1, norm="forward", out=half)
+    cols = half[..., :keep]
+    for ax in range(d - 1, 0, -1):
+        np.fft.fft(cols, axis=ax, norm="forward", out=cols)
+    coef = half * grid.dealias_mask
+    return (SpectralField(grid, coef[:1]), SpectralField(grid, coef[1:1 + d]),
+            SpectralField(grid, coef[1 + d:]), vmax)
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> SpectralField:
@@ -291,10 +349,13 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
 
     en, eu, ep = tables.apply_exp(n0, u0, p0)
     fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
+    # peak memory: the sums go into the new arrays of apply_exp, and the phi1
+    # terms are dropped before the second half
     star = HpcState(state.t + dt,
-                    SpectralField(state.grid, en + fn),
-                    SpectralField(state.grid, eu + fu),
-                    SpectralField(state.grid, ep + fp), state.params)
+                    SpectralField(state.grid, np.add(en, fn, out=en)),
+                    SpectralField(state.grid, np.add(eu, fu, out=eu)),
+                    SpectralField(state.grid, np.add(ep, fp, out=ep)), state.params)
+    del fn, fu, fp
 
     sn, su, sp, _ = nonlinear_rhs(star)
     cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
@@ -408,8 +469,11 @@ def run_members(initials: list, configs: list, tables: list) -> list:
                     x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
                     max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
 
-    trajs = integrate(member_stack(initials), advance, lambda s: hybrid_aggregate(s)[0], columns,
-                      configs)
+    try:
+        trajs = integrate(member_stack(initials), advance, lambda s: hybrid_aggregate(s)[0],
+                          columns, configs)
+    finally:
+        _SCRATCH.pop(grid, None)
     for traj, initial in zip(trajs, initials):
         if traj.status == "completed":
             # bookkeeping invariant, not the mass-conservation test itself

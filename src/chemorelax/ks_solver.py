@@ -60,9 +60,6 @@ class KsState:
     def grid(self) -> Grid:
         return self.rho.grid
 
-    def rho_physical(self) -> np.ndarray:
-        return _check_window(self.rho.to_physical()[0], self.params, "density")
-
 
 def ks_symbol(xi, params: ModelParams):
     """Dispersion relation of the exactly-applied linear operator:

@@ -32,8 +32,11 @@ Conventions
 * a :class:`SpectralField` may stack any number of components, so several
   fields can share one transform call.  :func:`to_physical_all` and
   :func:`from_physical_all` hold the one choice of grouping: one stacked call
-  in d = 1, where per-call overhead dominates; one call per field in d >= 2,
-  where a stacked ``irfftn`` measured slower than separate calls,
+  in d = 1, where per-call overhead dominates; one call per field in d >= 2.
+  A stacked d >= 2 call on new arrays once measured slower, but that measured
+  the heap growth and page faults of its large temporaries: the d >= 2 HPC
+  right-hand side makes the same 1-D calls on one stack in a scratch reused
+  for a whole run (:mod:`chemorelax.hpc_solver`), which is faster,
 * the Nyquist mode is zeroed by all differentiation operators,
 * dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
   the mean is tracked separately by the solvers,

@@ -1,7 +1,8 @@
 """The stacked right-hand sides against the per-field formulas they replace,
-the 1D step against the general formulas it replaced, and the number of
-transform calls they make."""
+the 1D step and the d >= 2 step against the general formulas they replaced,
+and the number of transform calls and the memory they take."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -442,3 +443,135 @@ def test_member_initial_norms_warn_once_each(cubic_params):
     assert [str(w.message) for w in record] == [
         f"initial norm {x:.3g} exceeds the operational smallness 0.05; global boundedness "
         f"is not guaranteed" for x in sizes if x > 0.05]
+
+
+# -- d >= 2: the right-hand side and the propagator apply in the grid's scratch ----
+
+def per_field_rhs_and_speed(state):
+    """per_field_nonlinear_rhs with the CFL speed max|u| of the dealiased u."""
+    return (*per_field_nonlinear_rhs(state),
+            np.abs(dealias(state.u).to_physical()).reshape(1, -1).max(axis=1))
+
+
+def split_apply(tables, k, n_coef, u_coef, psi_coef):
+    """The d >= 2 propagator apply with table k as the split formula, a new array
+    for every temporary: m = i w, w = xi.u/|xi|, enters the real 3x3 table with n
+    and psi, and scal (u - unit w) - i unit m_out is the new velocity."""
+    table3, scal = tables._tables[k]
+    unit = tables._unit
+    w = unit[0] * u_coef[0]
+    for ax in range(1, tables.grid.d):
+        w = w + unit[ax] * u_coef[ax]
+    m = 1j * w
+    n_out, m_out, psi_out = (row[0] * n_coef[0] + row[1] * m + row[2] * psi_coef[0]
+                             for row in table3)
+    return n_out[None], scal * u_coef - unit * (scal * w + 1j * m_out), psi_out[None]
+
+
+def rotational_state(grid, params, rng, amplitude=0.1):
+    """u_k = amplitude (sin x_{k+1} + cos(x_k) / 2), a rotational flow with a
+    divergence, and a Gaussian enthalpy bump, both with noise outside the 2/3 box."""
+    d = grid.d
+    x = np.meshgrid(*grid.x_axes, indexing="ij")
+    u = amplitude * np.stack([np.sin(x[(k + 1) % d]) + 0.5 * np.cos(x[k]) for k in range(d)])
+    noise = 0.01 * rng.standard_normal((1 + d,) + grid.shape)
+    n = 0.1 * gaussian_bump(grid, 0.6) + noise[0]
+    return HpcState(0.0, SpectralField.from_physical(grid, n),
+                    SpectralField.from_physical(grid, u + noise[1:]), SpectralField.zeros(grid, 1),
+                    params)
+
+
+def assert_rhs_equal(got, ref):
+    for a, b in zip(got[:3], ref[:3], strict=True):
+        assert np.any(b.coef)
+        assert np.array_equal(a.coef, b.coef)
+    assert np.array_equal(got[3], ref[3])
+
+
+@pytest.mark.parametrize("d,N", GRIDS[1:])
+def test_rotational_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
+    """A flow with vorticity, so the off-diagonal grad u rows carry data."""
+    state = rotational_state(make_grid(d, N, 2 * np.pi), cubic_params, rng)
+    xi, u = state.grid.xi_diff, dealias(state.u).coef
+    assert np.max(np.abs(xi[1] * u[0] - xi[0] * u[1])) > 1e-3   # the vorticity
+    assert_rhs_equal(nonlinear_rhs(state), per_field_rhs_and_speed(state))
+
+
+@pytest.mark.parametrize("d,N", GRIDS[1:])
+def test_interleaved_rhs_calls_share_nothing(cubic_params, rng, d, N):
+    """Calls on two states of one grid in turn: each matches the per-field
+    formulas, so the grid's scratch carries nothing from one call to the next,
+    and an earlier output is unchanged after the later calls."""
+    grid = make_grid(d, N, 2 * np.pi)
+    a = rotational_state(grid, cubic_params, rng)
+    b = rotational_state(grid, cubic_params, rng, amplitude=0.3)
+    ref_a, ref_b = per_field_rhs_and_speed(a), per_field_rhs_and_speed(b)
+    first = nonlinear_rhs(a)
+    kept = [f.coef.copy() for f in first[:3]]
+    for state, ref in ((b, ref_b), (a, ref_a), (b, ref_b)):
+        assert_rhs_equal(nonlinear_rhs(state), ref)
+    for f, coef in zip(first[:3], kept, strict=True):
+        assert np.array_equal(f.coef, coef)
+    assert_rhs_equal(first, ref_a)
+
+
+@pytest.mark.parametrize("d,N", GRIDS[1:])
+def test_apply_matches_split_formula(cubic_params, rng, d, N):
+    """Each table's apply gives the bits of the split formula, and its output is
+    unchanged by the right-hand side and the applies that follow."""
+    state = rotational_state(make_grid(d, N, 2 * np.pi), cubic_params, rng)
+    tables = PropagatorTables(state.grid, cubic_params, 0.05)
+    args = [state.n.coef, state.u.coef, nonlinear_rhs(state)[2].coef]
+    outputs = []
+    for k in range(3):
+        got = tables._apply(k, *args)
+        ref = split_apply(tables, k, *args)
+        for a, b in zip(got, ref, strict=True):
+            assert np.any(b) and np.array_equal(a, b)
+        outputs.append(([a.copy() for a in got], got))
+    nonlinear_rhs(state)
+    for kept, got in outputs:
+        for a, b in zip(got, kept, strict=True):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dt,halved", [(0.1, False), (0.8, True)], ids=["plain", "cfl-halving"])
+def test_2d_run_matches_per_field_code(cubic_params, rng, monkeypatch, dt, halved):
+    """run over 4 steps of dt in 2D, once as it is and once with the per-field
+    right-hand side and the split apply in place: the same states, bit for bit.
+    A CFL halving reuses the first right-hand side in the first half-step, whose
+    own right-hand side runs in the scratch before the reused one is read again."""
+    grid = make_grid(2, 32, 2 * np.pi)
+    rough = rotational_state(grid, cubic_params, rng)
+    state, _ = build_initial_data(grid, cubic_params, n_profile=rough.n.to_physical(),
+                                  u_profile=rough.u.to_physical())
+    cfg = SolverConfig(dt=dt, t_end=4 * dt, snap_dt=2 * dt)
+    steps = []
+    original = hpc_solver.step
+    monkeypatch.setattr(hpc_solver, "step", lambda *a: steps.append(a[1].dt) or original(*a))
+    got = hpc_solver.run(state, cfg)
+    assert (min(steps) < dt) == halved
+    monkeypatch.setattr(hpc_solver, "nonlinear_rhs", per_field_rhs_and_speed)
+    monkeypatch.setattr(PropagatorTables, "_apply", split_apply)
+    ref = hpc_solver.run(state, cfg)
+    assert got.status == ref.status == "completed"
+    assert len(got.states) == len(ref.states) == 3
+    for a, b in zip(got.states, ref.states, strict=True):
+        assert_states_equal(a, b)
+
+
+def test_warm_2d_rhs_allocates_little_beyond_its_output(cubic_params, rng):
+    """A 2D N = 128 right-hand side after a first call on its grid: its traced
+    peak stays under its output plus four grid-value arrays (G, H and the
+    temporaries of the density perturbation).  The per-field code peaked at
+    about eighteen arrays more."""
+    state = rotational_state(make_grid(2, 128, 2 * np.pi), cubic_params, rng)
+    nonlinear_rhs(state)
+    tracemalloc.start()
+    try:
+        out = nonlinear_rhs(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(f.coef.nbytes for f in out[:3]) + out[3].nbytes
+    assert peak <= output + 4 * state.grid.N ** 2 * 8

@@ -333,10 +333,12 @@ class TestRun:
         assert traj.status == "blowup"
         assert traj.message
 
-    @pytest.mark.parametrize("d,N,per_step", [(1, 32, 3), (2, 16, 13)])
+    @pytest.mark.parametrize("d,N,per_step", [(1, 32, 3), (2, 16, 1)])
     def test_inverse_transforms_per_step(self, solver_params, monkeypatch, d, N, per_step):
         """A step makes the inverse transforms of its two right-hand sides and
-        of the mass fix: the CFL test reads max|u| from the first one."""
+        of the mass fix: the CFL test reads max|u| from the first one.  In
+        d >= 2 the right-hand side transforms its rows in the grid's scratch,
+        not through SpectralField.to_physical, so the mass fix makes the one call."""
         calls = []
         original = SpectralField.to_physical
 

@@ -29,7 +29,7 @@ from chemorelax.ks_solver import (
     reconstruct_velocity,
     solve_phi,
 )
-from chemorelax.model import ModelParams, OutsideValidityWindow, PressureLaw
+from chemorelax.model import ModelParams, OutsideValidityWindow, PressureLaw, _check_window
 from chemorelax.spectral import (
     SpectralField,
     dealias,
@@ -131,7 +131,8 @@ class TestReconstructVelocity:
         mid = traj_states[1]
         u = reconstruct_velocity(mid.rho, solve_phi(mid.rho, params), params)
         flux = SpectralField.from_physical(
-            grid, mid.rho_physical()[None] * u.to_physical())
+            grid, _check_window(mid.rho.to_physical()[0], params, "density")[None]
+            * u.to_physical())
         div_flux = divergence(dealias(flux)).to_physical()[0]
         ddt = (traj_states[2].rho.to_physical()[0] - traj_states[0].rho.to_physical()[0]) / (2 * dt)
         scale = np.max(np.abs(div_flux))
@@ -252,7 +253,8 @@ class TestRun:
             state = KsState(0.0, dealias(SpectralField.from_physical(
                 grid, (p.rho_bar + profile)[None])), p)
             tables = KsTables(grid, p, dt)
-            run_solver, admissible = ks_run, KsState.rho_physical
+            run_solver = ks_run
+            admissible = lambda s: _check_window(s.rho.to_physical()[0], p, "density")
             advance = lambda s: ks_step(s, tables)
             time, size = "tau", lambda s: besov_norm(make_decomposition(grid), s.rho, 0.5)
         else:
@@ -296,7 +298,7 @@ class TestFormEquivalence:
         linear = SpectralField(grid, sym * state.rho.coef)
         total_rewritten = linear + ks_rhs(state)
 
-        rho_phys = state.rho_physical()
+        rho_phys = _check_window(state.rho.to_physical()[0], params, "density")
         phi = solve_phi(state.rho, params)
         grad_phi = gradient(phi).to_physical()
         grad_rho = gradient(state.rho).to_physical()
