@@ -5,8 +5,8 @@ Nothing here advances a solution; every function is a pure evaluation of
 states or trajectories produced by the solvers.  The damped-mode check and
 the relaxation sweep run over snapshot stacks: one inverse transform of n and
 one density perturbation per stack, and row-wise block norms.  A snapshot's
-Lyapunov blocks are one stack per field, so its transform count does not grow
-with the blocks.
+Lyapunov blocks of every field are one stack with one inverse transform, so
+its transform count does not grow with the blocks.
 """
 
 from __future__ import annotations
@@ -36,14 +36,7 @@ from .model import (
     density_perturbation,
     enthalpy_n,
 )
-from .spectral import (
-    SpectralField,
-    divergence,
-    from_physical_all,
-    gradient,
-    laplacian,
-    to_physical_all,
-)
+from .spectral import SpectralField, divergence, gradient, laplacian
 
 __all__ = [
     "DiagnosticSeries",
@@ -157,14 +150,17 @@ def lyapunov_evaluate(state: HpcState, js, eta0: float) -> LyapunovRecord:
     if js.ndim != 1 or not np.all((dec.j_min <= js) & (js <= dec.j_max)):
         raise ValueError(f"js must be active blocks {dec.j_min}..{dec.j_max}, got {js}")
     g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], p)
-    g_full, h_full = from_physical_all(grid, g_vals[None], h_vals[None])
+    g_h = SpectralField.from_physical(grid, np.stack((g_vals, h_vals))).coef
+    g_full, h_full = SpectralField(grid, g_h[:1]), SpectralField(grid, g_h[1:])
 
     # every value below is shaped (block, component, point); scalars have one component
     n_j, u_j, psi_j = (dec.block(f, js) for f in (state.n, state.u, state.psi))
+    fields = (n_j, u_j, psi_j, gradient(psi_j), gradient(n_j), laplacian(psi_j),
+              divergence(u_j), dec.block(h_full, js), dec.lowpass(g_full, js - 1))
+    vals = SpectralField(grid, np.concatenate([f.coef for f in fields])).to_physical()
     n_phys, u_phys, psi_phys, grad_psi, grad_n, lap_psi, div_u, h_j, low_g = (
-        v.reshape(len(js), -1, grid.N ** grid.d) for v in to_physical_all(
-            n_j, u_j, psi_j, gradient(psi_j), gradient(n_j), laplacian(psi_j),
-            divergence(u_j), dec.block(h_full, js), dec.lowpass(g_full, js - 1)))
+        v.reshape(len(js), -1, grid.N ** grid.d)
+        for v in np.split(vals, np.cumsum([f.ncomp for f in fields])[:-1]))
     dt_psi = lap_psi - p.b * psi_phys + p.c1 * n_phys + h_j
     w = p.c0 + low_g
 

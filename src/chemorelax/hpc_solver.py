@@ -12,15 +12,17 @@ per Fourier mode through the 3x3 compressible symbol and the scalar
 incompressible relaxation factor; quadratic terms are formed in physical space
 under the 2/3 dealiasing rule and advanced with the second-order exponential
 integrator from :mod:`chemorelax.etd`; G and H share one density-perturbation
-evaluation.  A 1D step is bound by per-call overhead, so the 1D right-hand side
-masks the stacked rows [n, u] once, multiplies them by i xi for [dn, du], takes
-all four rows to the grid in one inverse transform, forms N_n = -(u dn) - G du,
-N_u = -(u du) and H with plain ufuncs in one array, and returns its one
-masked forward transform as row views.  d >= 2 does the same on the 2 + 2d + d^2
-rows [n, u, grad n, div u, grad u_1 .. grad u_d], on the last-axis columns that
-the 2/3 rule keeps, in a scratch that each grid holds for the length of a run
-(:func:`_scratch`): one inverse transform of the stack, products in its spent
-rows, one forward transform into the one array returned.
+evaluation.  The right-hand side takes one path in every d, with one
+transform each way, as a 1D step is bound by per-call overhead: it masks the
+rows [n, u] on the last-axis columns that the 2/3 rule keeps and multiplies
+them by i xi, for the 2 + 2d + d^2 rows [n, u, div u, grad n, grad u_1 ..
+grad u_d] (each row holding a d=1 member stack's members), takes them to the
+grid in one inverse transform (:func:`chemorelax.spectral.pruned_inverse`),
+forms -u.grad of [n, u] in one einsum and N_n, N_u and H in output rows, and
+takes those in one masked forward transform
+(:func:`chemorelax.spectral.pruned_forward`) into the one array returned, as
+row views.  The rows live in a scratch that each grid holds for the length of
+a run (:func:`_scratch`).
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation.  :func:`run_members` runs a run,
 or a d=1 member stack (a sweep's eps family: one row group per member, each
@@ -71,6 +73,8 @@ from .spectral import (
     SpectralField,
     bessel_inverse,
     gradient,
+    pruned_forward,
+    pruned_inverse,
 )
 
 __all__ = [
@@ -123,26 +127,34 @@ class HpcState:
         return float((self.params.rho_bar + self.mass_perturbation()) * self.grid.volume)
 
 
-# -- d >= 2 work arrays ---------------------------------------------------------
+# -- work arrays -----------------------------------------------------------------
 
-_SCRATCH = weakref.WeakKeyDictionary()   # grid -> its d >= 2 work arrays; a run drops its own
+_SCRATCH = weakref.WeakKeyDictionary()   # grid -> {members: work arrays}; a run drops its grid's
 
 
-def _scratch(grid: Grid) -> tuple:
-    """(complex stack, real stack, i xi_diff, 2/3 mask) of a d >= 2 grid, the
-    last two on the kept last-axis columns.  The flat complex stack takes in turn the
-    2 + 2d + d^2 right-hand-side rows on the kept columns, the half-spectra of
-    its 2 + d output rows and the 4 + d temporaries of the propagator apply
-    (the two never run at once); the real stack takes the rows' grid values.
-    No array a caller receives points into them."""
-    if grid not in _SCRATCH:
+def _scratch(grid: Grid, k: int) -> tuple:
+    """(flat complex buffer, complex rows, their gradient rows, real rows, their
+    gradient rows, i xi_diff, 2/3 mask) of the right-hand side of k members (one
+    unless d = 1) on grid, made on first use.  The complex rows, a view of the
+    buffer shaped (2 + 2d + d^2, k, *grid.shape[:-1], kept), take the rows
+    [n, u, div u, grad n, grad u_1 .. grad u_d] on the kept last-axis columns,
+    the gradient rows viewed as (1 + d, d, ...); the buffer also takes the
+    4 + d temporaries of the d >= 2 propagator apply (the two never run at
+    once).  The real rows take the rows' grid values, then 2 + d output rows.
+    i xi_diff (with a member axis) and the mask are on the kept columns.  No
+    array a caller receives points into them."""
+    per_grid = _SCRATCH.setdefault(grid, {})
+    if k not in per_grid:
         d, keep = grid.d, grid.kept_columns
         n_rows, size = 2 + 2 * d + d * d, math.prod(grid.spec_shape)
-        kept = n_rows * size // grid.spec_shape[-1] * keep
-        _SCRATCH[grid] = (np.empty(max(kept, (4 + d) * size), dtype=np.complex128),
-                          np.empty((n_rows,) + grid.shape),
-                          1j * grid.xi_diff[..., :keep], grid.dealias_mask[..., :keep])
-    return _SCRATCH[grid]
+        shape = (n_rows, k) + grid.shape[:-1] + (keep,)
+        buf = np.empty(max(math.prod(shape), (4 + d) * size), dtype=np.complex128)
+        rows = buf[:math.prod(shape)].reshape(shape)
+        vals = np.empty((n_rows + 2 + d, k) + grid.shape)
+        per_grid[k] = (buf, rows, rows[2 + d:].reshape((1 + d, d) + shape[1:]), vals,
+                       vals[2 + d:n_rows].reshape((1 + d, d) + vals.shape[1:]),
+                       1j * grid.xi_diff[:, None, ..., :keep], grid.dealias_mask[..., :keep])
+    return per_grid[k]
 
 
 # -- exact linear propagation -------------------------------------------------
@@ -213,7 +225,7 @@ class PropagatorTables:
             return out[0], out[1], out[2]
         table3, scal = self._tables[k]
         unit, d, spec = self._unit, self.grid.d, self.grid.spec_shape
-        c_buf, size = _scratch(self.grid)[0], math.prod(spec)
+        c_buf, size = _scratch(self.grid, 1)[0], math.prod(spec)
         w, m, m_out, tmp = (c_buf[i * size:(i + 1) * size].reshape(spec) for i in range(4))
         out = np.empty((2 + d,) + spec, dtype=np.complex128)
         np.multiply(unit[0], u_coef[0], out=w)
@@ -251,58 +263,34 @@ def nonlinear_rhs(state: HpcState):
     max|u|, one per member (a d=1 member stack's; G and H read no eps), is taken
     over the grid values of the dealiased u, for the CFL test.
     """
-    grid, d = state.grid, state.grid.d
-    if d == 1:
-        k = state.n.ncomp   # members; the products run on flat rows, the fastest layout
-        rows = np.concatenate((state.n.coef, state.u.coef)) * grid.dealias_mask
-        n_phys, u_phys, dn, du = SpectralField(grid, np.concatenate(
-            (rows, (1j * grid.xi_diff) * rows))).to_physical().reshape(4, -1)
-        g_vals, h_vals = coefficients_GH(n_phys, state.member_params[0])   # raises off the window
-        out = np.concatenate((-(u_phys * dn) - g_vals * du, -(u_phys * du), h_vals))
-        coef = SpectralField.from_physical(grid, out.reshape(3 * k, -1), dealiased=True).coef
-        return (SpectralField(grid, coef[:k]), SpectralField(grid, coef[k:2 * k]),
-                SpectralField(grid, coef[2 * k:]), np.abs(u_phys).reshape(k, -1).max(axis=1))
+    grid, d, k = state.grid, state.grid.d, state.n.ncomp
+    # rows [n, u, div u, grad n, grad u_1 .. grad u_d] of the dealiased input on the
+    # kept columns, then their grid values; grad f[i] = i xi_i f for f in [n, u],
+    # and div u sums the diagonal rows grad u_i[i] over the stacked products
+    _, rows, grad_rows, vals, grad_vals, ixi, mask = _scratch(grid, k)
+    keep, n_rows = grid.kept_columns, len(rows)
+    np.multiply(state.n.coef[..., :keep], mask, out=rows[0])
+    np.multiply(state.u.coef.reshape((d, k) + grid.spec_shape)[..., :keep], mask,
+                out=rows[1:1 + d])
+    np.multiply(ixi, rows[:1 + d, None], out=grad_rows)
+    np.add.reduce(rows[2 + 2 * d::d + 1], axis=0, out=rows[1 + d])
+    pruned_inverse(grid, rows, vals[:n_rows])
 
-    # rows [n, u, grad n, div u, grad u_1 .. grad u_d] of the dealiased input on the
-    # kept columns, then their grid values; grad u_i[k] = i xi_k u_i, and div u
-    # sums the diagonal rows grad u_i[i], as np.sum over the stacked products
-    c_buf, vals, ixi, mask = _scratch(grid)
-    keep = grid.kept_columns
-    rows = c_buf[:vals.size // grid.N * keep].reshape(len(vals), *grid.shape[:-1], keep)
-    np.multiply(state.n.coef[..., :keep], mask, out=rows[:1])
-    np.multiply(state.u.coef[..., :keep], mask, out=rows[1:1 + d])
-    np.multiply(ixi, rows[:1], out=rows[1 + d:1 + 2 * d])
-    grad_u = rows[2 + 2 * d:]
-    np.multiply(ixi, rows[1:1 + d, None], out=grad_u.reshape(d, d, *rows.shape[1:]))
-    np.sum(grad_u[::d + 1], axis=0, out=rows[1 + 2 * d])
-    for ax in range(1, d):
-        np.fft.ifft(rows, axis=ax, norm="forward", out=rows)
-    np.fft.irfft(rows, n=grid.N, axis=-1, norm="forward", out=vals)   # zero-pads the columns
-
-    n_phys, u_phys, grad_n, div_u = vals[0], vals[1:1 + d], vals[1 + d:1 + 2 * d], vals[1 + 2 * d]
-    grad_u = vals[2 + 2 * d:]
-    g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises on window violation
-    # [N_n, N_u, H] in the spent rows d+1 .. 2d+2 (n is spent once G and H are
-    # formed): N_n past the einsum over grad n, N_u[i] in rows that no grad u_j
-    # occupies, H past the einsum over grad u_1
-    out = vals[1 + d:3 + 2 * d]
-    np.einsum("k...,k...->...", u_phys, grad_n, out=n_phys)
-    np.negative(n_phys, out=n_phys)
-    np.subtract(n_phys, np.multiply(g_vals, div_u, out=div_u), out=out[0])
-    for i in range(d):
-        np.einsum("k...,k...->...", u_phys, grad_u[i * d:(i + 1) * d], out=out[1 + i])
-        np.negative(out[1 + i], out=out[1 + i])
+    n_phys, u_phys, div_u = vals[0], vals[1:1 + d], vals[1 + d]
+    g_vals, h_vals = coefficients_GH(n_phys, state.member_params[0])   # raises off the window
+    # [N_n, N_u, H] in the output rows: -u.grad of [n, u] in one einsum, then G div u
+    out = vals[n_rows:]
+    np.einsum("jk...,k...->j...", grad_vals, u_phys, out=out[:1 + d])
+    np.negative(out[:1 + d], out=out[:1 + d])
+    np.subtract(out[0], np.multiply(g_vals, div_u, out=div_u), out=out[0])
     out[1 + d] = h_vals
-    vmax = np.abs(u_phys, out=u_phys).reshape(1, -1).max(axis=1)
+    vmax = np.abs(u_phys, out=u_phys).reshape(d, k, -1).max(axis=(0, 2))
 
-    half = c_buf[:out.size // grid.N * grid.spec_shape[-1]].reshape(out.shape[:-1] + (-1,))
-    np.fft.rfft(out, axis=-1, norm="forward", out=half)
-    cols = half[..., :keep]
-    for ax in range(d - 1, 0, -1):
-        np.fft.fft(cols, axis=ax, norm="forward", out=cols)
-    coef = half * grid.dealias_mask
-    return (SpectralField(grid, coef[:1]), SpectralField(grid, coef[1:1 + d]),
-            SpectralField(grid, coef[1 + d:]), vmax)
+    coef = pruned_forward(grid, out, np.empty(out.shape[:-1] + grid.spec_shape[-1:],
+                                              dtype=np.complex128), True)
+    return (SpectralField(grid, coef[0]),
+            SpectralField(grid, coef[1:1 + d].reshape((d * k,) + grid.spec_shape)),
+            SpectralField(grid, coef[1 + d]), vmax)
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> SpectralField:

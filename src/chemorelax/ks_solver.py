@@ -23,17 +23,7 @@ import numpy as np
 from . import etd
 from .driver import SolverConfig, Trajectory, integrate
 from .model import ModelParams, _check_window
-from .spectral import (
-    Grid,
-    SpectralField,
-    bessel_inverse,
-    dealias,
-    divergence,
-    from_physical_all,
-    gradient,
-    laplacian,
-    to_physical_all,
-)
+from .spectral import Grid, SpectralField, bessel_inverse, dealias, gradient
 
 __all__ = [
     "KsState",
@@ -82,9 +72,12 @@ def solve_phi(rho: SpectralField, params: ModelParams) -> SpectralField:
 
 def reconstruct_velocity(rho: SpectralField, phi: SpectralField, params: ModelParams) -> SpectralField:
     """Momentum balance u = (-grad P(rho) + mu rho grad phi) / rho, pointwise,
-    for each row of rho and phi: d rows of u per row."""
-    rho_phys, grad_rho, grad_phi = to_physical_all(rho, gradient(rho), gradient(phi))
-    rho_rows = np.repeat(_check_window(rho_phys, params, "density"), rho.grid.d, axis=0)
+    for each row of rho and phi: d rows of u per row.  [rho, grad rho, grad phi]
+    take one stacked inverse transform."""
+    k, d = rho.ncomp, rho.grid.d
+    rho_phys, grad_rho, grad_phi = np.split(SpectralField(rho.grid, np.concatenate(
+        (rho.coef, gradient(rho).coef, gradient(phi).coef))).to_physical(), [k, k + k * d])
+    rho_rows = np.repeat(_check_window(rho_phys, params, "density"), d, axis=0)
     dp = params.pressure.dP(rho_rows)
     u_phys = (-dp * grad_rho + params.mu * rho_rows * grad_phi) / rho_rows
     return SpectralField.from_physical(rho.grid, u_phys, dealiased=True)
@@ -107,26 +100,21 @@ def pressure_remainder(rho, params: ModelParams):
 
 def ks_rhs(state: KsState) -> SpectralField:
     """Quadratic terms Lap Q(rho) - mu div((rho-rho_bar) grad phi),
-    2/3-dealiased on input and output.  In 1D [rho, grad phi] and
-    [Q(rho), (rho-rho_bar) grad phi] each take one stacked transform, and
-    the symbols -xi^2 and i xi act on the masked rows directly.  grad phi is
-    grad a (b - Lap)^{-1} rho: the gradient drops the constants of
-    :func:`solve_phi`, so they are not formed."""
+    2/3-dealiased on input and output.  [rho, grad phi] take one stacked
+    inverse transform and [Q(rho), (rho-rho_bar) grad phi] one stacked masked
+    forward transform, and the symbols -|xi|^2 and i xi act on the masked rows
+    directly.  grad phi is grad a (b - Lap)^{-1} rho: the gradient drops the
+    constants of :func:`solve_phi`, so they are not formed."""
     rho_f = dealias(state.rho)
     grid, p = state.grid, state.params
-    if grid.d == 1:
-        ik = 1j * grid.xi_diff
-        phi_x = ik * bessel_inverse(p.a * rho_f, p.b).coef
-        rho_phys, grad_phi = SpectralField(
-            grid, np.concatenate((rho_f.coef, phi_x))).to_physical()
-        q, flux = SpectralField.from_physical(
-            grid, np.array((pressure_remainder(rho_phys, p), (rho_phys - p.rho_bar) * grad_phi)),
-            dealiased=True).coef
-        return SpectralField(grid, q * grid.lap_symbol - (ik * flux) * p.mu)
-    (rho_phys,), grad_phi = to_physical_all(rho_f, gradient(bessel_inverse(p.a * rho_f, p.b)))
-    term_a, flux = from_physical_all(grid, pressure_remainder(rho_phys, p)[None],
-                                     (rho_phys - p.rho_bar)[None] * grad_phi)
-    return dealias(laplacian(term_a) - p.mu * divergence(flux))
+    grad_phi = gradient(bessel_inverse(p.a * rho_f, p.b))
+    vals = SpectralField(grid, np.concatenate((rho_f.coef, grad_phi.coef))).to_physical()
+    rho_phys = vals[0]
+    q_flux = SpectralField.from_physical(grid, np.concatenate(
+        (pressure_remainder(rho_phys, p)[None], (rho_phys - p.rho_bar) * vals[1:])),
+        dealiased=True).coef
+    return SpectralField(grid, q_flux[:1] * grid.lap_symbol
+                         - np.add.reduce(1j * grid.xi_diff * q_flux[1:], axis=0) * p.mu)
 
 
 class KsTables:

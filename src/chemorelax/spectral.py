@@ -20,23 +20,19 @@ Conventions
 * transforms are ``numpy.fft`` with ``norm="forward"``, written as the
   sequence of 1-D calls that ``rfftn`` / ``irfftn`` make: ``rfft`` over the
   last axis, then ``fft`` over axes d-1 .. 1; ``ifft`` over axes 1 .. d-1,
-  then ``irfft`` over the last axis.  In d >= 2 the complex passes run in
-  place and are pruned to the last-axis columns 0 .. N/3 that the 2/3 rule
-  keeps (FFT pruning): in a forward transform whose result is masked
-  (``dealiased=True``), and in an inverse transform of a field whose other
-  columns are all zero, which holds for every field the solvers transform.
-  Both are bit-identical to the unpruned transforms (up to the sign of
-  zeros), and about a third of the complex passes is skipped.  ``scipy.fft``
-  is not used: importing it costs more resident memory than the transforms
-  save,
+  then ``irfft`` over the last axis.  :func:`pruned_inverse` and
+  :func:`pruned_forward` make these calls, on arrays their caller holds, and
+  no other code does.  In d >= 2 the complex passes run in place and are
+  pruned to the last-axis columns 0 .. N/3 that the 2/3 rule keeps (FFT
+  pruning): in a forward transform whose result is masked, and in an inverse
+  transform of rows whose other columns are all zero, which holds for every
+  field the solvers transform.  Both are bit-identical to the unpruned
+  transforms (up to the sign of zeros), and about a third of the complex
+  passes is skipped.  ``scipy.fft`` is not used: importing it costs more
+  resident memory than the transforms save,
 * a :class:`SpectralField` may stack any number of components, so several
-  fields can share one transform call.  :func:`to_physical_all` and
-  :func:`from_physical_all` hold the one choice of grouping: one stacked call
-  in d = 1, where per-call overhead dominates; one call per field in d >= 2.
-  A stacked d >= 2 call on new arrays once measured slower, but that measured
-  the heap growth and page faults of its large temporaries: the d >= 2 HPC
-  right-hand side makes the same 1-D calls on one stack in a scratch reused
-  for a whole run (:mod:`chemorelax.hpc_solver`), which is faster,
+  fields share one transform call: each right-hand side stacks its inputs
+  into one inverse and its outputs into one forward transform,
 * the Nyquist mode is zeroed by all differentiation operators,
 * dyadic blocks exclude the zero mode (the ring profile vanishes at 0);
   the mean is tracked separately by the solvers,
@@ -66,8 +62,8 @@ __all__ = [
     "DyadicDecomposition",
     "make_grid",
     "make_decomposition",
-    "to_physical_all",
-    "from_physical_all",
+    "pruned_inverse",
+    "pruned_forward",
     "bessel_inverse",
     "gradient",
     "divergence",
@@ -175,6 +171,32 @@ def make_grid(d: int, N: int, L: float) -> Grid:
                 xi_sq=xi_mag_diff ** 2, lap_symbol=-np.sum(xi_diff ** 2, axis=0))
 
 
+# -- transforms ---------------------------------------------------------------
+
+def pruned_inverse(grid: Grid, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Real grid values of half-spectrum rows given on their first last-axis
+    columns, the others zero: ``cols`` is shaped (..., *grid.shape[:-1],
+    columns) and spent, as the ``ifft`` passes over the non-last axes run in
+    place in it; one ``irfft(n=N)`` then writes ``out``, shaped (...,
+    *grid.shape), which is returned."""
+    for ax in range(-grid.d, -1):
+        np.fft.ifft(cols, axis=ax, norm="forward", out=cols)
+    return np.fft.irfft(cols, n=grid.N, axis=-1, norm="forward", out=out)
+
+
+def pruned_forward(grid: Grid, values: np.ndarray, out: np.ndarray,
+                   dealiased: bool) -> np.ndarray:
+    """Half-spectrum of real rows shaped (..., *grid.shape), written into
+    ``out``, shaped (..., *grid.spec_shape), which is returned: one ``rfft``,
+    then the ``fft`` passes over the non-last axes in place, on the kept
+    last-axis columns alone and 2/3-masked if ``dealiased``."""
+    np.fft.rfft(values, axis=-1, norm="forward", out=out)
+    cols = out[..., :grid.kept_columns] if dealiased else out
+    for ax in range(-2, -grid.d - 1, -1):
+        np.fft.fft(cols, axis=ax, norm="forward", out=cols)
+    return np.multiply(out, grid.dealias_mask, out=out) if dealiased else out
+
+
 class SpectralField:
     """Real periodic field stored as Fourier coefficients.
 
@@ -200,16 +222,12 @@ class SpectralField:
     def from_physical(cls, grid: Grid, values: np.ndarray,
                       dealiased: bool = False) -> "SpectralField":
         """Field of real values shaped (ncomp, *shape) or ``grid.shape``,
-        2/3-masked if ``dealiased``; a masked result takes the complex passes
-        over the kept last-axis columns only."""
+        2/3-masked if ``dealiased`` (:func:`pruned_forward`)."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape == grid.shape:
             values = values[None]
-        coef = np.fft.rfft(values, axis=-1, norm="forward")
-        cols = coef[..., :grid.kept_columns] if dealiased else coef
-        for ax in range(grid.d - 1, 0, -1):
-            np.fft.fft(cols, axis=ax, norm="forward", out=cols)
-        return cls(grid, coef * grid.dealias_mask if dealiased else coef)
+        coef = np.empty(values.shape[:-1] + grid.spec_shape[-1:], dtype=np.complex128)
+        return cls(grid, pruned_forward(grid, values, coef, dealiased))
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 1) -> "SpectralField":
@@ -224,18 +242,15 @@ class SpectralField:
         return SpectralField(self.grid, self.coef.copy())
 
     def to_physical(self) -> np.ndarray:
-        """Inverse transform to real values, shape (ncomp, *shape); in d >= 2
-        the complex passes skip the last-axis columns past N/3 when they are
-        all zero."""
-        grid = self.grid
-        coef = self.coef
+        """Inverse transform to real values, shape (ncomp, *shape), by
+        :func:`pruned_inverse`; in d >= 2, whose passes run in place, on a
+        copy of the coefficients, of the kept last-axis columns alone when
+        the others are all zero."""
+        grid, coef = self.grid, self.coef
         if grid.d > 1:
             keep = grid.kept_columns
-            coef = coef.copy()
-            cols = coef if coef[..., keep:].any() else coef[..., :keep]
-            for ax in range(1, grid.d):
-                np.fft.ifft(cols, axis=ax, norm="forward", out=cols)
-        return np.fft.irfft(coef, n=grid.N, axis=-1, norm="forward")
+            coef = (coef if coef[..., keep:].any() else coef[..., :keep]).copy()
+        return pruned_inverse(grid, coef, np.empty((len(coef),) + grid.shape))
 
     @property
     def _zero(self) -> tuple:   # every row's zero-mode coefficient
@@ -274,35 +289,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return self._like(-self.coef)
-
-
-def _row_blocks(stack: np.ndarray, parts) -> list:
-    """Split a stack into consecutive row blocks as long as ``parts``."""
-    blocks, start = [], 0
-    for part in parts:
-        blocks.append(stack[start:start + len(part)])
-        start += len(part)
-    return blocks
-
-
-def to_physical_all(*fields: SpectralField) -> list:
-    """Physical values of fields on one grid, each shaped (ncomp, *shape):
-    one stacked inverse transform in d = 1, one per field in d >= 2."""
-    grid = fields[0].grid
-    if grid.d > 1:
-        return [f.to_physical() for f in fields]
-    coefs = [f.coef for f in fields]
-    return _row_blocks(SpectralField(grid, np.concatenate(coefs)).to_physical(), coefs)
-
-
-def from_physical_all(grid: Grid, *values: np.ndarray, dealiased: bool = False) -> list:
-    """Fields of physical arrays each shaped (ncomp, *shape), 2/3-masked if
-    ``dealiased``: one stacked forward transform in d = 1, one per array in
-    d >= 2."""
-    if grid.d > 1:
-        return [SpectralField.from_physical(grid, v, dealiased=dealiased) for v in values]
-    coef = SpectralField.from_physical(grid, np.concatenate(values), dealiased=dealiased).coef
-    return [SpectralField(grid, c) for c in _row_blocks(coef, values)]
 
 
 # -- Fourier multipliers ----------------------------------------------------

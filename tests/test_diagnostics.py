@@ -35,12 +35,10 @@ from chemorelax.spectral import (
     SpectralField,
     bessel_inverse,
     divergence,
-    from_physical_all,
     gradient,
     laplacian,
     make_decomposition,
     make_grid,
-    to_physical_all,
 )
 from norms import l2_norm, snapshot_besov, snapshot_hybrid
 
@@ -244,12 +242,12 @@ def per_block_reference(state, j, eta0):
         return float(np.sum(values) * grid.cell_volume)
 
     g_vals, h_vals = coefficients_GH(state.n.to_physical()[0], p)
-    g_full, h_full = from_physical_all(grid, g_vals[None], h_vals[None])
+    g_full, h_full = (SpectralField.from_physical(grid, v) for v in (g_vals, h_vals))
     n_j, u_j, psi_j = (dec.block(f, j) for f in (state.n, state.u, state.psi))
     ((n_phys,), u_phys, (psi_phys,), grad_psi, grad_n, (lap_psi,), (div_u,), (h_j,),
-     (low_g,)) = to_physical_all(n_j, u_j, psi_j, gradient(psi_j), gradient(n_j),
-                                 laplacian(psi_j), divergence(u_j), dec.block(h_full, j),
-                                 dec.lowpass(g_full, j - 1))
+     (low_g,)) = (f.to_physical() for f in (n_j, u_j, psi_j, gradient(psi_j), gradient(n_j),
+                                            laplacian(psi_j), divergence(u_j),
+                                            dec.block(h_full, j), dec.lowpass(g_full, j - 1)))
     dt_psi = lap_psi - p.b * psi_phys + p.c1 * n_phys + h_j
     w = p.c0 + low_g
     two_mj = 2.0 ** (-j)
@@ -296,7 +294,7 @@ class TestLyapunovStack:
 
     def test_transforms_per_snapshot_do_not_grow_with_blocks(self, state, monkeypatch):
         """One snapshot takes the same number of inverse transforms for one
-        checked block as for all of them: 2 in d = 1, 10 in d >= 2."""
+        checked block as for all of them: 2, one of n and one of the stacked blocks."""
         calls = []
         original = SpectralField.to_physical
         monkeypatch.setattr(SpectralField, "to_physical",
@@ -312,8 +310,7 @@ class TestLyapunovStack:
             lyapunov_equivalence_check(traj)
             counts.append((n_blocks, len(calls) / 2))
         assert counts[0][0] == 1 and counts[1][0] == len(dec.active_js())
-        expected = 2 if state.grid.d == 1 else 10
-        assert counts[0][1] == counts[1][1] == expected
+        assert counts[0][1] == counts[1][1] == 2
 
     def test_empty_block_range_rejected(self, params):
         """With J - 1 above the largest active block the check has nothing to

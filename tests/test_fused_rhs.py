@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemorelax import driver, hpc_solver
+from chemorelax import driver, hpc_solver, spectral
 from chemorelax.diagnostics import relaxation_sweep
 from chemorelax.driver import RunFailed, SolverConfig, member_stack, members
 from chemorelax.hpc_solver import (
@@ -25,11 +25,9 @@ from chemorelax.spectral import (
     SpectralField,
     dealias,
     divergence,
-    from_physical_all,
     gradient,
     laplacian,
     make_grid,
-    to_physical_all,
 )
 
 GRIDS = [(1, 128), (2, 32), (3, 16)]
@@ -97,19 +95,19 @@ def quotient_remainder(rho, p):
 
 
 def general_nonlinear_rhs(state):
-    """nonlinear_rhs as the general code forms it in 1D: dealiased fields,
-    one stacked transform each way through to_physical_all / from_physical_all,
-    products summed over the components with einsum."""
+    """nonlinear_rhs as the general code forms it in 1D: dealiased fields, one
+    transform per field each way, products summed over the components with
+    einsum; div u is grad u_1."""
     grid = state.grid
     nf, uf = dealias(state.n), dealias(state.u)
-    vals = to_physical_all(nf, uf, gradient(nf),
-                           SpectralField(grid, 1j * grid.xi_diff * uf.coef[0]))
-    (n_phys,), u_phys, grad_n, (div_u,) = vals
+    (n_phys,), u_phys, grad_n = nf.to_physical(), uf.to_physical(), gradient(nf).to_physical()
+    (div_u,) = grad_u = SpectralField(grid, 1j * grid.xi_diff * uf.coef[0]).to_physical()
     nu = np.empty_like(u_phys)
-    nu[0] = -np.einsum("k...,k...->...", u_phys, vals[-1])
+    nu[0] = -np.einsum("k...,k...->...", u_phys, grad_u)
     g_vals, h_vals = coefficients_GH(n_phys, state.params)
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
-    return (*from_physical_all(grid, nn[None], nu, h_vals[None], dealiased=True),
+    return (*(SpectralField.from_physical(grid, v, dealiased=True)
+              for v in (nn[None], nu, h_vals[None])),
             np.abs(u_phys).max(axis=1))
 
 
@@ -212,8 +210,7 @@ def test_1d_run_matches_general_code(cubic_params, monkeypatch, dt, halved):
 
 @pytest.mark.parametrize("d,N", GRIDS)
 def test_nonlinear_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
-    """Stacking changes no bit: the 1D transforms act row by row, and d >= 2
-    keeps one transform per field."""
+    """Stacking changes no bit: the transforms act row by row."""
     state = hpc_state(d, N, cubic_params, rng)
     *fields, vmax = nonlinear_rhs(state)
     for got, ref in zip(fields, per_field_nonlinear_rhs(state), strict=True):
@@ -244,36 +241,32 @@ def test_ks_rhs_matches_quotient_form(cubic_params, rng, d, N):
 
 @pytest.fixture()
 def count_transforms(monkeypatch):
-    """count_transforms(f, *args): the (to_physical, from_physical) calls that
-    f(*args) makes."""
-    calls = {"inverse": 0, "forward": 0}
-    inverse, forward = SpectralField.to_physical, SpectralField.from_physical.__func__
+    """count_transforms(f, *args): the (pruned_inverse, pruned_forward) calls
+    that f(*args) makes, counted in every module that looks them up."""
+    calls = dict(pruned_inverse=0, pruned_forward=0)
+    for name in calls:
+        original = getattr(spectral, name)
 
-    def counted_inverse(self):
-        calls["inverse"] += 1
-        return inverse(self)
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    def counted_forward(cls, grid, values, **kwargs):
-        calls["forward"] += 1
-        return forward(cls, grid, values, **kwargs)
-
-    monkeypatch.setattr(SpectralField, "to_physical", counted_inverse)
-    monkeypatch.setattr(SpectralField, "from_physical", classmethod(counted_forward))
+        for module in (spectral, hpc_solver):
+            monkeypatch.setattr(module, name, counted)
 
     def count(fn, *args):
-        calls.update(inverse=0, forward=0)
+        calls.update(pruned_inverse=0, pruned_forward=0)
         fn(*args)
-        return calls["inverse"], calls["forward"]
+        return calls["pruned_inverse"], calls["pruned_forward"]
 
     return count
 
 
-def test_one_transform_each_way_per_1d_nonlinear_rhs(cubic_params, rng, count_transforms):
-    assert count_transforms(nonlinear_rhs, hpc_state(1, 64, cubic_params, rng)) == (1, 1)
-
-
-def test_one_transform_each_way_per_1d_ks_rhs(cubic_params, rng, count_transforms):
-    assert count_transforms(ks_rhs, ks_state(1, 64, cubic_params, rng)) == (1, 1)
+@pytest.mark.parametrize("d,N", GRIDS)
+@pytest.mark.parametrize("rhs,state", [(nonlinear_rhs, hpc_state), (ks_rhs, ks_state)],
+                         ids=["hpc", "ks"])
+def test_one_transform_each_way_per_rhs(cubic_params, rng, count_transforms, rhs, state, d, N):
+    assert count_transforms(rhs, state(d, N, cubic_params, rng)) == (1, 1)
 
 
 @pytest.mark.parametrize("offset,passes", [(0.0, 2), (1e-4, 3)])
@@ -448,9 +441,13 @@ def test_member_initial_norms_warn_once_each(cubic_params):
 # -- d >= 2: the right-hand side and the propagator apply in the grid's scratch ----
 
 def per_field_rhs_and_speed(state):
-    """per_field_nonlinear_rhs with the CFL speed max|u| of the dealiased u."""
-    return (*per_field_nonlinear_rhs(state),
-            np.abs(dealias(state.u).to_physical()).reshape(1, -1).max(axis=1))
+    """per_field_nonlinear_rhs with the CFL speed max|u| of the dealiased u, for
+    each member of a member stack, its rows stacked member by member."""
+    refs = [(*per_field_nonlinear_rhs(m),
+             np.abs(dealias(m.u).to_physical()).reshape(1, -1).max(axis=1))
+            for m in members(state)]
+    return (*(SpectralField(state.grid, np.concatenate([r[i].coef for r in refs]))
+              for i in range(3)), np.concatenate([r[3] for r in refs]))
 
 
 def split_apply(tables, k, n_coef, u_coef, psi_coef):
@@ -497,14 +494,24 @@ def test_rotational_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     assert_rhs_equal(nonlinear_rhs(state), per_field_rhs_and_speed(state))
 
 
-@pytest.mark.parametrize("d,N", GRIDS[1:])
-def test_interleaved_rhs_calls_share_nothing(cubic_params, rng, d, N):
-    """Calls on two states of one grid in turn: each matches the per-field
-    formulas, so the grid's scratch carries nothing from one call to the next,
-    and an earlier output is unchanged after the later calls."""
+def rotational_stack(d, N, params, rng, amplitude):
+    """rotational_state on a d-dimensional grid; in d = 1 a member stack of three
+    of them, with eps 0.2, 0.1, 0.05 and amplitudes scaled by 1, 2 and 3."""
     grid = make_grid(d, N, 2 * np.pi)
-    a = rotational_state(grid, cubic_params, rng)
-    b = rotational_state(grid, cubic_params, rng, amplitude=0.3)
+    if d > 1:
+        return rotational_state(grid, params, rng, amplitude)
+    return member_stack([rotational_state(grid, replace(params, eps=eps), rng, m * amplitude)
+                         for m, eps in ((1, 0.2), (2, 0.1), (3, 0.05))])
+
+
+@pytest.mark.parametrize("d,N", GRIDS)
+def test_interleaved_rhs_calls_share_nothing(cubic_params, rng, d, N):
+    """Calls on two states of one grid (in d = 1, two three-member stacks) in
+    turn: each matches the per-field formulas, so the grid's scratch carries
+    nothing from one call to the next, and an earlier output is unchanged
+    after the later calls."""
+    a = rotational_stack(d, N, cubic_params, rng, 0.1)
+    b = rotational_stack(d, N, cubic_params, rng, 0.3)
     ref_a, ref_b = per_field_rhs_and_speed(a), per_field_rhs_and_speed(b)
     first = nonlinear_rhs(a)
     kept = [f.coef.copy() for f in first[:3]]
@@ -560,12 +567,13 @@ def test_2d_run_matches_per_field_code(cubic_params, rng, monkeypatch, dt, halve
         assert_states_equal(a, b)
 
 
-def test_warm_2d_rhs_allocates_little_beyond_its_output(cubic_params, rng):
-    """A 2D N = 128 right-hand side after a first call on its grid: its traced
-    peak stays under its output plus four grid-value arrays (G, H and the
-    temporaries of the density perturbation).  The per-field code peaked at
-    about eighteen arrays more."""
-    state = rotational_state(make_grid(2, 128, 2 * np.pi), cubic_params, rng)
+@pytest.mark.parametrize("d,N", [(1, 4096), (2, 128), (3, 32)])
+def test_warm_rhs_allocates_little_beyond_its_output(cubic_params, rng, d, N):
+    """A right-hand side after a first call on its grid (in d = 1, of a
+    three-member stack): its traced peak stays under its output plus four
+    grid-value arrays (G, H and the temporaries of the density perturbation).
+    The 2D per-field code peaked at about eighteen arrays more."""
+    state = rotational_stack(d, N, cubic_params, rng, 0.1)
     nonlinear_rhs(state)
     tracemalloc.start()
     try:
@@ -574,4 +582,4 @@ def test_warm_2d_rhs_allocates_little_beyond_its_output(cubic_params, rng):
     finally:
         tracemalloc.stop()
     output = sum(f.coef.nbytes for f in out[:3]) + out[3].nbytes
-    assert peak <= output + 4 * state.grid.N ** 2 * 8
+    assert peak <= output + 4 * state.n.ncomp * N ** d * 8

@@ -8,7 +8,7 @@ import scipy.integrate
 import scipy.interpolate
 import scipy.linalg
 
-from chemorelax import hpc_solver
+from chemorelax import hpc_solver, spectral
 from chemorelax.hpc_solver import (
     HpcState,
     PropagatorTables,
@@ -215,6 +215,35 @@ class TestStep:
 
         assert 3.6 <= dist(a, b) / dist(b, c) <= 4.4
 
+    def test_second_order_self_convergence_3d(self, cubic_params):
+        """3D, N = 16, non-separable data: from dt = 0.04 to 0.005 to t = 0.4,
+        each halving of dt cuts the change between successive solutions by 4."""
+        grid = make_grid(3, 16, 2 * np.pi)
+        x1, x2, x3 = np.meshgrid(*grid.x_axes, indexing="ij")
+        u_prof = 0.1 * np.stack([np.sin(x2 + x3) + 0.5 * np.cos(x1 - x3),
+                                 np.cos(2 * x1 + x3) - 0.3 * np.sin(x1 - x2),
+                                 np.sin(x1 + 2 * x2) + 0.2 * np.cos(x3)])
+        n_prof = 0.1 * np.sin(x1 + 2 * x2 + 3 * x3) * np.cos(x1 - x3)
+        state, _ = build_initial_data(grid, cubic_params, n_profile=n_prof, u_profile=u_prof)
+        target = state.mass_perturbation()
+
+        def advance(dt):
+            tab = PropagatorTables(grid, cubic_params, dt)
+            cur = state
+            for _ in range(round(0.4 / dt)):
+                cur = step(cur, tab, target, nonlinear_rhs(cur))
+            return cur
+
+        sols = [advance(dt) for dt in (0.04, 0.02, 0.01, 0.005)]
+
+        def dist(x, y):
+            return max(np.max(np.abs(getattr(x, f).coef - getattr(y, f).coef))
+                       for f in ("n", "u", "psi"))
+
+        changes = [dist(a, b) for a, b in zip(sols, sols[1:])]
+        orders = np.log2(np.array(changes[:-1]) / changes[1:])
+        assert np.all((1.9 <= orders) & (orders <= 2.1)), orders
+
     def test_mass_projection_stops_at_roundoff(self, solver_params, grid1d, monkeypatch):
         """A mean-zero bump's target mass perturbation is itself round-off; one
         Newton pass reaches the summation floor, so a step evaluates the
@@ -333,20 +362,20 @@ class TestRun:
         assert traj.status == "blowup"
         assert traj.message
 
-    @pytest.mark.parametrize("d,N,per_step", [(1, 32, 3), (2, 16, 1)])
+    @pytest.mark.parametrize("d,N,per_step", [(1, 32, 3), (2, 16, 3)])
     def test_inverse_transforms_per_step(self, solver_params, monkeypatch, d, N, per_step):
         """A step makes the inverse transforms of its two right-hand sides and
-        of the mass fix: the CFL test reads max|u| from the first one.  In
-        d >= 2 the right-hand side transforms its rows in the grid's scratch,
-        not through SpectralField.to_physical, so the mass fix makes the one call."""
+        of the mass fix, three in every d: the CFL test reads max|u| from the
+        first right-hand side."""
         calls = []
-        original = SpectralField.to_physical
+        original = spectral.pruned_inverse
 
-        def to_physical(self):
+        def pruned_inverse(*args):
             calls.append(1)
-            return original(self)
+            return original(*args)
 
-        monkeypatch.setattr(SpectralField, "to_physical", to_physical)
+        for module in (spectral, hpc_solver):
+            monkeypatch.setattr(module, "pruned_inverse", pruned_inverse)
         state = small_state(make_grid(d, N, 2 * np.pi), solver_params)
         counts = []
         for steps in (2, 4):
