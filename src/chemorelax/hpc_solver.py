@@ -20,13 +20,16 @@ grad u_d] (each row holding a d=1 member stack's members), takes them to the
 grid in one inverse transform (:func:`chemorelax.spectral.pruned_inverse`),
 forms -u.grad of [n, u] in one einsum and N_n, N_u and H in output rows, and
 takes those in one masked forward transform
-(:func:`chemorelax.spectral.pruned_forward`) into the one array returned, as
-row views.  The rows live in a scratch that each grid holds for the length of
-a run (:func:`_scratch`).
+(:func:`chemorelax.spectral.pruned_forward`) into the one array it returns,
+of rows [N_n, N_u, N_psi].  The rows live in a scratch that each grid holds
+for the length of a run (:func:`_scratch`).  A step passes one coefficient
+array of rows [n, u, psi] through each stage (right-hand side, propagator
+apply, sum) and builds fields only for the star state and the new state.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
-the divergence form of the density equation.  :func:`run_members` runs a run,
-or a d=1 member stack (a sweep's eps family: one row group per member, each
-stepped at its own eps and dt, bit for bit as alone, in one call), on
+the divergence form of the density equation, which shifts the zero modes of
+the new state's n rows in place.  :func:`run_members` runs a run, or a d=1
+member stack (a sweep's eps family: one row group per member, each stepped at
+its own eps and dt, bit for bit as alone, in one call), on
 :func:`chemorelax.driver.integrate`, whose run policy watches each member's
 hybrid energy.  The CFL test takes the speed max|u| from the step's first
 right-hand side, which transforms the dealiased u; the states of a run lie in
@@ -41,10 +44,11 @@ factor s:
     [[T00, i unit T01, T02], [-i unit T10, s + unit^2 (T11 - s), -i unit T12],
      [T20, i unit T21, T22]]
 
-and applied as one einsum.  d >= 2 keeps the split, nine multiply-adds on the
-real table and the scalar transverse scaling, with its temporaries in the
-grid's scratch: folded (2+d)x(2+d) complex tables measured slower there and
-take several times the memory.
+on a member axis (one long; a member stack's tables are joined on it), and
+applied as one einsum for every member count.  d >= 2 keeps the split, nine
+multiply-adds on the real table and the scalar transverse scaling, with its
+temporaries in the grid's scratch: folded (2+d)x(2+d) complex tables measured
+slower there and take several times the memory.
 """
 
 from __future__ import annotations
@@ -192,37 +196,33 @@ class PropagatorTables:
 
     @classmethod
     def stack(cls, tables: list) -> "PropagatorTables":
-        """The d=1 tables of a member stack: folded on a member axis, dt an array."""
+        """The d=1 tables of a member stack: joined on the member axis, dt an array."""
         out = cls.__new__(cls)
         out.index, out.dt = tables[0].index, np.array([t.dt for t in tables])
-        out._folded = [np.stack(parts, axis=2) for parts in zip(*(t._folded for t in tables))]
+        out._folded = [np.concatenate(p, axis=2) for p in zip(*(t._folded for t in tables))]
         return out
 
     def _fold(self, t: np.ndarray, scal: float) -> np.ndarray:
         """Table t and scalar factor scal as the d=1 complex 3x3 matrix per
-        mode given in the module docstring."""
+        mode given in the module docstring, on a member axis of one."""
         unit = self._unit[0]
         iu = 1j * unit
         return np.array([[t[0, 0], iu * t[0, 1], t[0, 2]],
                          [-iu * t[1, 0], scal + unit * unit * (t[1, 1] - scal), -iu * t[1, 2]],
-                         [t[2, 0], iu * t[2, 1], t[2, 2]]])
+                         [t[2, 0], iu * t[2, 1], t[2, 2]]])[:, :, None]
 
-    def _apply(self, k: int, n_coef, u_coef, psi_coef):
-        """Propagate (n, u, psi) per mode with table k (0: E, 1: P1, 2: P2).
+    def _apply(self, k: int, n_coef, u_coef, psi_coef) -> np.ndarray:
+        """Propagate (n, u, psi) per mode with table k (0: E, 1: P1, 2: P2) into
+        one new array of rows [n, u, psi], shaped (2 + d, members, *spec_shape).
 
         d=1: one complex 3x3 product per member on the stacked rows.  d >= 2: the
         velocity splits into the compressible amplitude m = i w,
         w = xi.u/|xi|, which enters the real 3x3 table with n and psi, and
         the transverse rest u - (xi/|xi|) w, which is scaled by the scalar
-        factor; the temporaries live in the grid's scratch and the result in
-        one new array."""
+        factor; the temporaries live in the grid's scratch."""
         if self._folded is not None:
-            table, rows = self._folded[k], np.concatenate((n_coef, u_coef, psi_coef))
-            if table.ndim == 3:   # one member: (3, 3, modes)
-                out = np.einsum("ij...,j...->i...", table, rows)
-                return out[0:1], out[1:2], out[2:3]
-            out = np.einsum("ij...,j...->i...", table, rows.reshape(3, len(n_coef), -1))
-            return out[0], out[1], out[2]
+            rows = np.concatenate((n_coef, u_coef, psi_coef)).reshape(3, len(n_coef), -1)
+            return np.einsum("ij...,j...->i...", self._folded[k], rows)
         table3, scal = self._tables[k]
         unit, d, spec = self._unit, self.grid.d, self.grid.spec_shape
         c_buf, size = _scratch(self.grid, 1)[0], math.prod(spec)
@@ -241,7 +241,7 @@ class PropagatorTables:
         np.add(np.multiply(scal, w, out=w), np.multiply(1j, m_out, out=tmp), out=w)
         scaled = c_buf[4 * size:(4 + d) * size].reshape(unit.shape)
         np.subtract(u_out, np.multiply(unit, w, out=scaled), out=u_out)
-        return out[:1], u_out, out[1 + d:]
+        return out[:, None]
 
     def apply_exp(self, n, u, psi):
         return self._apply(0, n, u, psi)
@@ -256,7 +256,9 @@ class PropagatorTables:
 # -- nonlinear terms ----------------------------------------------------------
 
 def nonlinear_rhs(state: HpcState):
-    """(N_n, N_u, N_psi, max|u|) with products formed in physical space.
+    """(rows, max|u|): the coefficients of N_n, N_u and N_psi as one new array
+    of rows [N_n, N_u, N_psi], shaped (2 + d, members, *spec_shape), with
+    products formed in physical space.
 
     N_n = -u.grad n - G(n) div u,  N_u = -(u.grad) u,  N_psi = H(n).
     The 2/3 mask is applied to the inputs and to the assembled outputs;
@@ -286,16 +288,14 @@ def nonlinear_rhs(state: HpcState):
     out[1 + d] = h_vals
     vmax = np.abs(u_phys, out=u_phys).reshape(d, k, -1).max(axis=(0, 2))
 
-    coef = pruned_forward(grid, out, np.empty(out.shape[:-1] + grid.spec_shape[-1:],
-                                              dtype=np.complex128), True)
-    return (SpectralField(grid, coef[0]),
-            SpectralField(grid, coef[1:1 + d].reshape((d * k,) + grid.spec_shape)),
-            SpectralField(grid, coef[1 + d]), vmax)
+    return pruned_forward(grid, out, np.empty(out.shape[:-1] + grid.spec_shape[-1:],
+                                              dtype=np.complex128), True), vmax
 
 
 def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> SpectralField:
-    """Shift the mean enthalpy of each row (member) so that its mean(rho - rho_bar)
-    matches its target (one per row, or one number).
+    """Shift the mean enthalpy of each row (member) of n, in place, so that its
+    mean(rho - rho_bar) matches its target (one per row, or one number);
+    returns n.
 
     The density equation is in divergence form, so total mass is an invariant
     of the flow; the integrator's O(dt^3) mean defect is projected out with a
@@ -304,8 +304,7 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> Spectr
     zero-mode shift is a constant in physical space, so one inverse transform
     serves every Newton pass.
     """
-    out = n.copy()
-    n_phys = out.to_physical().reshape(n.ncomp, -1)
+    n_phys = n.to_physical().reshape(n.ncomp, -1)
     size = n_phys.shape[1]   # x.sum() / size is np.mean(x) bit for bit, without its dispatch
     for row, target in enumerate(np.array(target_mean_pert, ndmin=1).tolist()):
         for _ in range(3):
@@ -319,9 +318,15 @@ def _fix_mass(n: SpectralField, params: ModelParams, target_mean_pert) -> Spectr
             rho = params.rho_bar + pert
             drho_dn = rho / params.pressure.dP(rho)   # inverse of dn/drho = P'(rho)/rho
             shift = defect / float(drho_dn.sum() / size)
-            out.coef[(row,) + (0,) * n.grid.d] += shift
+            n.coef[(row,) + (0,) * n.grid.d] += shift
             n_phys[row] += shift
-    return out
+    return n
+
+
+def _fields(grid: Grid, rows: np.ndarray) -> tuple:
+    """The (n, u, psi) coefficient views of rows [n, u, psi] shaped
+    (2 + d, members, *spec_shape), u with its d rows per member component-major."""
+    return rows[0], rows[1:1 + grid.d].reshape((-1,) + grid.spec_shape), rows[1 + grid.d]
 
 
 def step(state: HpcState, tables: PropagatorTables, mass_target: float,
@@ -330,28 +335,18 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
     propagator when the nonlinearity vanishes identically.  ``rhs`` is
     ``nonlinear_rhs(state)``, and the step ends by projecting the mean density
     perturbation onto ``mass_target``; a member stack's members each take their
-    own target and :meth:`PropagatorTables.stack` table, bit for bit as alone."""
-    dt = tables.dt
-    n0, u0, p0 = state.n.coef, state.u.coef, state.psi.coef
-    nn, nu, npsi, _ = rhs
-
-    en, eu, ep = tables.apply_exp(n0, u0, p0)
-    fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
-    # peak memory: the sums go into the new arrays of apply_exp, and the phi1
-    # terms are dropped before the second half
-    star = HpcState(state.t + dt,
-                    SpectralField(state.grid, np.add(en, fn, out=en)),
-                    SpectralField(state.grid, np.add(eu, fu, out=eu)),
-                    SpectralField(state.grid, np.add(ep, fp, out=ep)), state.params)
-    del fn, fu, fp
-
-    sn, su, sp, _ = nonlinear_rhs(star)
-    cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
-    return HpcState(state.t + dt,
-                    _fix_mass(SpectralField(state.grid, star.n.coef + cn),
-                              state.member_params[0], mass_target),
-                    SpectralField(state.grid, star.u.coef + cu),
-                    SpectralField(state.grid, star.psi.coef + cp), state.params)
+    own target and :meth:`PropagatorTables.stack` table, bit for bit as alone.
+    With y the rows [n, u, psi] and N their right-hand side:
+    star = E y + P1 N(y), then y+ = star + P2 (N(star) - N(y))."""
+    grid, t, n0 = state.grid, state.t + tables.dt, rhs[0]
+    # peak memory: the phi1 term goes into the new array of apply_exp and is dropped
+    star = tables.apply_exp(state.n.coef, state.u.coef, state.psi.coef)
+    star += tables.apply_phi1(*_fields(grid, n0))
+    n1 = nonlinear_rhs(HpcState(t, *(SpectralField(grid, f) for f in _fields(grid, star)),
+                                state.params))[0]
+    new = tables.apply_phi2(*_fields(grid, np.subtract(n1, n0, out=n1)))
+    n, u, psi = (SpectralField(grid, f) for f in _fields(grid, np.add(star, new, out=new)))
+    return HpcState(t, _fix_mass(n, state.member_params[0], mass_target), u, psi, state.params)
 
 
 def hybrid_aggregate(state: HpcState):
@@ -407,7 +402,7 @@ def run_members(initials: list, configs: list, tables: list) -> list:
 
     def alone(s: HpcState, m: int, dt: float, depth: int = 0, rhs: tuple | None = None):
         rhs = nonlinear_rhs(s) if rhs is None else rhs
-        if dt * rhs[3][0] <= CFL_SAFETY * grid.dx:   # no flow passes too: 0 <= CFL_SAFETY dx
+        if dt * rhs[1][0] <= CFL_SAFETY * grid.dx:   # no flow passes too: 0 <= CFL_SAFETY dx
             return step(s, member_tables(m, dt), targets[m], rhs)
         if depth >= MAX_CFL_HALVINGS:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
@@ -421,7 +416,7 @@ def run_members(initials: list, configs: list, tables: list) -> list:
                 done.append(member_slice(cur, 0, first - start))
                 cur, start = member_slice(cur, first - start, stop - start), first
             rhs, step_tables = nonlinear_rhs(cur), batch_tables(start, stop)
-            if np.count_nonzero(step_tables.dt * rhs[3] <= CFL_SAFETY * grid.dx) < stop - start:
+            if np.count_nonzero(step_tables.dt * rhs[1] <= CFL_SAFETY * grid.dx) < stop - start:
                 raise BlowupError("CFL violation")   # each member: dt max|u| <= CFL_SAFETY dx
             cur = step(cur, step_tables, targets[start:stop], rhs)
         return member_stack(done + [cur])

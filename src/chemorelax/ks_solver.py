@@ -98,13 +98,14 @@ def pressure_remainder(rho, params: ModelParams):
     return law.kappa * rb ** g * (np.expm1(g * np.log1p(z)) - g * z)
 
 
-def ks_rhs(state: KsState) -> SpectralField:
-    """Quadratic terms Lap Q(rho) - mu div((rho-rho_bar) grad phi),
-    2/3-dealiased on input and output.  [rho, grad phi] take one stacked
-    inverse transform and [Q(rho), (rho-rho_bar) grad phi] one stacked masked
-    forward transform, and the symbols -|xi|^2 and i xi act on the masked rows
-    directly.  grad phi is grad a (b - Lap)^{-1} rho: the gradient drops the
-    constants of :func:`solve_phi`, so they are not formed."""
+def ks_rhs(state: KsState) -> np.ndarray:
+    """Coefficients of the quadratic terms Lap Q(rho) - mu div((rho-rho_bar)
+    grad phi), one row per row of rho, 2/3-dealiased on input and output.
+    [rho, grad phi] take one stacked inverse transform and [Q(rho),
+    (rho-rho_bar) grad phi] one stacked masked forward transform, and the
+    symbols -|xi|^2 and i xi act on the masked rows directly.  grad phi is
+    grad a (b - Lap)^{-1} rho: the gradient drops the constants of
+    :func:`solve_phi`, so they are not formed."""
     rho_f = dealias(state.rho)
     grid, p = state.grid, state.params
     grad_phi = gradient(bessel_inverse(p.a * rho_f, p.b))
@@ -113,8 +114,8 @@ def ks_rhs(state: KsState) -> SpectralField:
     q_flux = SpectralField.from_physical(grid, np.concatenate(
         (pressure_remainder(rho_phys, p)[None], (rho_phys - p.rho_bar) * vals[1:])),
         dealiased=True).coef
-    return SpectralField(grid, q_flux[:1] * grid.lap_symbol
-                         - np.add.reduce(1j * grid.xi_diff * q_flux[1:], axis=0) * p.mu)
+    return (q_flux[:1] * grid.lap_symbol
+            - np.add.reduce(1j * grid.xi_diff * q_flux[1:], axis=0) * p.mu)
 
 
 class KsTables:
@@ -129,15 +130,14 @@ class KsTables:
 
 
 def ks_step(state: KsState, tables: KsTables) -> KsState:
-    """One exponential Runge-Kutta step of ``tables.dt`` in slow time."""
-    dt = tables.dt
+    """One exponential Runge-Kutta step of ``tables.dt`` in slow time: with N
+    the right-hand side, star = E rho + P1 N(rho), then
+    rho+ = star + P2 (N(star) - N(rho))."""
+    grid, tau = state.grid, state.tau + tables.dt
     n0 = ks_rhs(state)
-    star = KsState(state.tau + dt,
-                   SpectralField(state.grid, tables.E * state.rho.coef + tables.P1 * n0.coef),
-                   state.params)
-    n1 = ks_rhs(star)
-    rho_new = star.rho.coef + tables.P2 * (n1.coef - n0.coef)
-    return KsState(state.tau + dt, SpectralField(state.grid, rho_new), state.params)
+    star = tables.E * state.rho.coef + tables.P1 * n0
+    n1 = ks_rhs(KsState(tau, SpectralField(grid, star), state.params))
+    return KsState(tau, SpectralField(grid, star + tables.P2 * (n1 - n0)), state.params)
 
 
 def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:

@@ -94,6 +94,13 @@ def quotient_remainder(rho, p):
     return np.where(small, taylor, exact) * delta
 
 
+def rhs_rows(fields):
+    """Right-hand-side fields [N_n, N_u, N_psi] as the one array nonlinear_rhs
+    returns, of rows [N_n, N_u, N_psi] shaped (2 + d, members, *spec_shape)."""
+    grid = fields[0].grid
+    return np.concatenate([f.coef for f in fields]).reshape((2 + grid.d, -1) + grid.spec_shape)
+
+
 def general_nonlinear_rhs(state):
     """nonlinear_rhs as the general code forms it in 1D: dealiased fields, one
     transform per field each way, products summed over the components with
@@ -106,8 +113,8 @@ def general_nonlinear_rhs(state):
     nu[0] = -np.einsum("k...,k...->...", u_phys, grad_u)
     g_vals, h_vals = coefficients_GH(n_phys, state.params)
     nn = -np.einsum("k...,k...->...", u_phys, grad_n) - g_vals * div_u
-    return (*(SpectralField.from_physical(grid, v, dealiased=True)
-              for v in (nn[None], nu, h_vals[None])),
+    return (rhs_rows([SpectralField.from_physical(grid, v, dealiased=True)
+                      for v in (nn[None], nu, h_vals[None])]),
             np.abs(u_phys).max(axis=1))
 
 
@@ -132,13 +139,13 @@ def general_step(state, tables, mass_target, rhs):
     """One exponential Runge-Kutta step from the general right-hand side and
     mass projection."""
     grid, dt = state.grid, tables.dt
-    nn, nu, npsi, _ = rhs
+    nn, nu, npsi = rhs[0]
     en, eu, ep = tables.apply_exp(state.n.coef, state.u.coef, state.psi.coef)
-    fn, fu, fp = tables.apply_phi1(nn.coef, nu.coef, npsi.coef)
+    fn, fu, fp = tables.apply_phi1(nn, nu, npsi)
     star = HpcState(state.t + dt, SpectralField(grid, en + fn), SpectralField(grid, eu + fu),
                     SpectralField(grid, ep + fp), state.params)
-    sn, su, sp, _ = general_nonlinear_rhs(star)
-    cn, cu, cp = tables.apply_phi2(sn.coef - nn.coef, su.coef - nu.coef, sp.coef - npsi.coef)
+    sn, su, sp = general_nonlinear_rhs(star)[0]
+    cn, cu, cp = tables.apply_phi2(sn - nn, su - nu, sp - npsi)
     return HpcState(state.t + dt,
                     general_fix_mass(SpectralField(grid, star.n.coef + cn), state.params,
                                      mass_target),
@@ -165,11 +172,11 @@ def test_1d_nonlinear_rhs_matches_general_code_outside_the_box(cubic_params, rng
     state = hpc_state(1, 64, cubic_params, rng)
     outside = ~state.grid.dealias_mask
     assert np.any(state.n.coef[:, outside]) and np.any(state.u.coef[:, outside])
-    *fields, vmax = nonlinear_rhs(state)
-    *ref_fields, ref_vmax = general_nonlinear_rhs(state)
-    for got, ref in zip(fields, ref_fields, strict=True):
-        assert np.any(ref.coef)
-        assert np.array_equal(got.coef, ref.coef)
+    rows, vmax = nonlinear_rhs(state)
+    ref_rows, ref_vmax = general_nonlinear_rhs(state)
+    for got, ref in zip(rows, ref_rows, strict=True):
+        assert np.any(ref)
+        assert np.array_equal(got, ref)
     assert vmax == ref_vmax
 
 
@@ -212,10 +219,10 @@ def test_1d_run_matches_general_code(cubic_params, monkeypatch, dt, halved):
 def test_nonlinear_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     """Stacking changes no bit: the transforms act row by row."""
     state = hpc_state(d, N, cubic_params, rng)
-    *fields, vmax = nonlinear_rhs(state)
-    for got, ref in zip(fields, per_field_nonlinear_rhs(state), strict=True):
-        assert np.any(ref.coef)
-        assert np.array_equal(got.coef, ref.coef)
+    rows, vmax = nonlinear_rhs(state)
+    for got, ref in zip(rows, rhs_rows(per_field_nonlinear_rhs(state)), strict=True):
+        assert np.any(ref)
+        assert np.array_equal(got, ref)
     assert vmax == np.max(np.abs(dealias(state.u).to_physical()))
 
 
@@ -224,7 +231,7 @@ def test_ks_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     state = ks_state(d, N, cubic_params, rng)
     ref = per_field_ks_rhs(state)
     assert np.any(ref.coef)
-    assert np.array_equal(ks_rhs(state).coef, ref.coef)
+    assert np.array_equal(ks_rhs(state), ref.coef)
 
 
 @pytest.mark.parametrize("d,N", GRIDS[:2])
@@ -236,7 +243,7 @@ def test_ks_rhs_matches_quotient_form(cubic_params, rng, d, N):
     near[::3] = cubic_params.rho_bar + 1e-7 * rng.standard_normal(near[::3].shape)
     for s in (state, KsState(0.0, SpectralField.from_physical(state.grid, near), cubic_params)):
         ref = per_field_ks_rhs(s, quotient_remainder).coef
-        assert np.max(np.abs(ks_rhs(s).coef - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(ks_rhs(s) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.fixture()
@@ -317,7 +324,7 @@ def test_member_stack_step_matches_each_member(cubic_params, monkeypatch, offset
         own_passes = []
         for m, s in enumerate(states):
             own_rhs = nonlinear_rhs(s)
-            assert own_rhs[3] == rhs[3][m]
+            assert own_rhs[1] == rhs[1][m]
             passes.clear()
             states[m] = step(s, tables[m], targets[m], own_rhs)
             own_passes.append(len(passes))
@@ -443,11 +450,10 @@ def test_member_initial_norms_warn_once_each(cubic_params):
 def per_field_rhs_and_speed(state):
     """per_field_nonlinear_rhs with the CFL speed max|u| of the dealiased u, for
     each member of a member stack, its rows stacked member by member."""
-    refs = [(*per_field_nonlinear_rhs(m),
+    refs = [(rhs_rows(per_field_nonlinear_rhs(m)),
              np.abs(dealias(m.u).to_physical()).reshape(1, -1).max(axis=1))
             for m in members(state)]
-    return (*(SpectralField(state.grid, np.concatenate([r[i].coef for r in refs]))
-              for i in range(3)), np.concatenate([r[3] for r in refs]))
+    return (np.concatenate([r[0] for r in refs], axis=1), np.concatenate([r[1] for r in refs]))
 
 
 def split_apply(tables, k, n_coef, u_coef, psi_coef):
@@ -462,7 +468,8 @@ def split_apply(tables, k, n_coef, u_coef, psi_coef):
     m = 1j * w
     n_out, m_out, psi_out = (row[0] * n_coef[0] + row[1] * m + row[2] * psi_coef[0]
                              for row in table3)
-    return n_out[None], scal * u_coef - unit * (scal * w + 1j * m_out), psi_out[None]
+    return np.concatenate((n_out[None], scal * u_coef - unit * (scal * w + 1j * m_out),
+                           psi_out[None]))[:, None]
 
 
 def rotational_state(grid, params, rng, amplitude=0.1):
@@ -479,10 +486,10 @@ def rotational_state(grid, params, rng, amplitude=0.1):
 
 
 def assert_rhs_equal(got, ref):
-    for a, b in zip(got[:3], ref[:3], strict=True):
-        assert np.any(b.coef)
-        assert np.array_equal(a.coef, b.coef)
-    assert np.array_equal(got[3], ref[3])
+    for a, b in zip(got[0], ref[0], strict=True):
+        assert np.any(b)
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[1], ref[1])
 
 
 @pytest.mark.parametrize("d,N", GRIDS[1:])
@@ -514,11 +521,10 @@ def test_interleaved_rhs_calls_share_nothing(cubic_params, rng, d, N):
     b = rotational_stack(d, N, cubic_params, rng, 0.3)
     ref_a, ref_b = per_field_rhs_and_speed(a), per_field_rhs_and_speed(b)
     first = nonlinear_rhs(a)
-    kept = [f.coef.copy() for f in first[:3]]
+    kept = first[0].copy()
     for state, ref in ((b, ref_b), (a, ref_a), (b, ref_b)):
         assert_rhs_equal(nonlinear_rhs(state), ref)
-    for f, coef in zip(first[:3], kept, strict=True):
-        assert np.array_equal(f.coef, coef)
+    assert np.array_equal(first[0], kept)
     assert_rhs_equal(first, ref_a)
 
 
@@ -528,7 +534,7 @@ def test_apply_matches_split_formula(cubic_params, rng, d, N):
     unchanged by the right-hand side and the applies that follow."""
     state = rotational_state(make_grid(d, N, 2 * np.pi), cubic_params, rng)
     tables = PropagatorTables(state.grid, cubic_params, 0.05)
-    args = [state.n.coef, state.u.coef, nonlinear_rhs(state)[2].coef]
+    args = [state.n.coef, state.u.coef, nonlinear_rhs(state)[0][-1]]
     outputs = []
     for k in range(3):
         got = tables._apply(k, *args)
@@ -581,5 +587,24 @@ def test_warm_rhs_allocates_little_beyond_its_output(cubic_params, rng, d, N):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = sum(f.coef.nbytes for f in out[:3]) + out[3].nbytes
+    output = out[0].nbytes + out[1].nbytes
     assert peak <= output + 4 * state.n.ncomp * N ** d * 8
+
+
+@pytest.mark.parametrize("d,N,stacked", [(*GRIDS[0], True)] + [(*g, False) for g in GRIDS],
+                         ids=["1-128-3-members", "1-128", "2-32", "3-16"])
+def test_step_builds_six_fields(cubic_params, rng, monkeypatch, d, N, stacked):
+    """A right-hand side and a step pass the rows between their stages as
+    arrays: the only SpectralFields built are the star state's three and the
+    new state's three (thirteen when each stage took and gave fields)."""
+    state = (rotational_stack(d, N, cubic_params, rng, 0.1) if stacked
+             else rotational_state(make_grid(d, N, 2 * np.pi), cubic_params, rng))
+    tables = [PropagatorTables(state.grid, p, 0.01) for p in state.member_params]
+    tables = PropagatorTables.stack(tables) if stacked else tables[0]
+    targets = [m.mass_perturbation() for m in members(state)]
+    built = []
+    original = SpectralField.__init__
+    monkeypatch.setattr(SpectralField, "__init__",
+                        lambda self, *args: built.append(1) or original(self, *args))
+    step(state, tables, targets, nonlinear_rhs(state))
+    assert len(built) <= 6

@@ -124,7 +124,7 @@ class TestNonlinearRhs:
         n = SpectralField.from_physical(grid1d, 0.05 * gaussian_bump(grid1d)[None])
         state = HpcState(0.0, n, SpectralField.zeros(grid1d, 1),
                          SpectralField.zeros(grid1d, 1), params)
-        nn, nu, npsi, _ = nonlinear_rhs(state)
+        nn, nu, npsi = (SpectralField(grid1d, r) for r in nonlinear_rhs(state)[0])
         assert l2_norm(nn) <= 1e-14
         assert l2_norm(nu) <= 1e-14
         assert l2_norm(npsi) > 0
@@ -133,7 +133,7 @@ class TestNonlinearRhs:
         n = SpectralField.from_physical(grid1d, 0.1 * gaussian_bump(grid1d)[None])
         u = SpectralField.from_physical(grid1d, 0.05 * rng.standard_normal((1,) + grid1d.shape))
         state = HpcState(0.0, n, u, SpectralField.zeros(grid1d, 1), solver_params)
-        _, _, npsi, _ = nonlinear_rhs(state)
+        npsi = SpectralField(grid1d, nonlinear_rhs(state)[0][2])
         assert l2_norm(npsi) <= 1e-14
 
     def test_advection_trig_identity(self, solver_params, grid1d):
@@ -142,8 +142,21 @@ class TestNonlinearRhs:
         u = SpectralField.from_physical(grid1d, np.sin(x)[None])
         state = HpcState(0.0, SpectralField.zeros(grid1d, 1), u,
                          SpectralField.zeros(grid1d, 1), solver_params)
-        _, nu, _, _ = nonlinear_rhs(state)
+        nu = SpectralField(grid1d, nonlinear_rhs(state)[0][1])
         assert np.allclose(nu.to_physical()[0], -0.5 * np.sin(2 * x), atol=1e-12)
+
+    def test_rotational_advection_identity_2d(self, solver_params):
+        """u = (sin y, sin x): (u.grad) u = (sin x cos y, cos x sin y), so
+        N_u = -(sin x cos y, cos x sin y); the transposed gradient would give
+        grad|u|^2/2 = (sin x cos x, sin y cos y) instead."""
+        grid = make_grid(2, 16, 2 * np.pi)
+        x, y = np.meshgrid(*grid.x_axes, indexing="ij")
+        u = SpectralField.from_physical(grid, np.stack([np.sin(y), np.sin(x)]))
+        state = HpcState(0.0, SpectralField.zeros(grid, 1), u,
+                         SpectralField.zeros(grid, 1), solver_params)
+        nu = SpectralField(grid, nonlinear_rhs(state)[0][1:3, 0]).to_physical()
+        ref = -np.stack([np.sin(x) * np.cos(y), np.cos(x) * np.sin(y)])
+        assert np.allclose(nu, ref, rtol=0.0, atol=1e-12)
 
 
 class TestStep:
@@ -309,6 +322,38 @@ class TestRun:
                         abs(out.n.coef[0, idx] - y[0]),
                         abs(out.psi.coef[0, idx] - y[2]),
                         abs(out.u.coef[0, idx] - u_ref))
+        assert worst <= 1e-10 * scale
+
+    def test_linear_regime_per_mode_fidelity_2d(self, solver_params):
+        """2D, non-separable data with a transverse velocity: after T each stored
+        mode's (n, i unit.u, psi) matches exp(T A(|xi|)) applied to it, and its
+        transverse part u - unit (unit.u) has decayed by exp(-T/eps), to 1e-10
+        of the data scale."""
+        grid = make_grid(2, 16, 2 * np.pi)
+        x1, x2 = np.meshgrid(*grid.x_axes, indexing="ij")
+        u_prof = np.stack([np.sin(x2) + 0.5 * np.cos(x1 + x2), np.cos(x1) - 0.3 * np.sin(x1 - x2)])
+        state, _ = build_initial_data(grid, solver_params,
+                                      n_profile=gaussian_bump(grid, 0.6, [2.0, 3.5])
+                                      + 0.2 * np.sin(x1 + 2 * x2),
+                                      u_profile=u_prof, target_x0=1e-10)
+        T, dt = 0.5, 0.01
+        out = run(state, SolverConfig(dt=dt, t_end=T, snap_dt=T)).final
+        scale = max(np.max(np.abs(f.coef)) for f in (state.n, state.u, state.psi))
+        decay = np.exp(-T / solver_params.eps)
+        worst, transverse, expm = 0.0, 0.0, {}
+        for idx in np.ndindex(*grid.spec_shape):
+            xi = float(grid.xi_mag_diff[idx])
+            unit = grid.xi_diff[(slice(None),) + idx] / xi if xi > 0 else np.zeros(2)
+            u0, u1 = state.u.coef[(slice(None),) + idx], out.u.coef[(slice(None),) + idx]
+            if xi not in expm:
+                expm[xi] = scipy.linalg.expm(T * symbol_matrix(xi, solver_params))
+            y = expm[xi] @ np.array([state.n.coef[(0,) + idx], 1j * unit @ u0,
+                                     state.psi.coef[(0,) + idx]])
+            got = np.array([out.n.coef[(0,) + idx], 1j * unit @ u1, out.psi.coef[(0,) + idx]])
+            worst = max(worst, np.max(np.abs(got - y)),
+                        np.max(np.abs(u1 - unit * (unit @ u1) - decay * (u0 - unit * (unit @ u0)))))
+            transverse = max(transverse, np.max(np.abs(u0 - unit * (unit @ u0))))
+        assert transverse >= 0.1 * scale   # the data carry a transverse part
         assert worst <= 1e-10 * scale
 
     def test_mean_psi_ode(self):

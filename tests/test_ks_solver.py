@@ -296,7 +296,7 @@ class TestFormEquivalence:
         # rewritten form: exact symbol on rho plus ks_rhs quadratic terms
         sym = ks_symbol(grid.xi_mag_diff, params)
         linear = SpectralField(grid, sym * state.rho.coef)
-        total_rewritten = linear + ks_rhs(state)
+        total_rewritten = linear + SpectralField(grid, ks_rhs(state))
 
         rho_phys = _check_window(state.rho.to_physical()[0], params, "density")
         phi = solve_phi(state.rho, params)
