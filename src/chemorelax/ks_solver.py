@@ -9,6 +9,9 @@ where D = (P'(rho_bar) - mu a rho_bar (b - Lap)^{-1}) Lap is applied exactly
 per mode and Q is the quadratic pressure remainder :func:`pressure_remainder`.
 Every right-hand-side term is a perfect divergence, so the mean mode is
 invariant to machine precision: mass conservation is structural here.
+As in :mod:`chemorelax.hpc_solver`, the right-hand side forms its rows on the
+last-axis columns that the 2/3 rule keeps, and a step passes arrays between
+its stages and builds fields only for the star state and the new state.
 The velocity is a reconstruction, rho u = -grad P(rho) + mu rho grad phi.
 :func:`ks_run` runs on :func:`chemorelax.driver.integrate`, whose run policy
 watches the B^{d/2}_{2,1} norm of rho - rho_bar.
@@ -23,7 +26,7 @@ import numpy as np
 from . import etd
 from .driver import SolverConfig, Trajectory, integrate
 from .model import ModelParams, _check_window
-from .spectral import Grid, SpectralField, bessel_inverse, dealias, gradient
+from .spectral import Grid, SpectralField, bessel_inverse, gradient, pruned_forward, pruned_inverse
 
 __all__ = [
     "KsState",
@@ -100,20 +103,21 @@ def pressure_remainder(rho, params: ModelParams):
 
 def ks_rhs(state: KsState) -> np.ndarray:
     """Coefficients of the quadratic terms Lap Q(rho) - mu div((rho-rho_bar)
-    grad phi), one row per row of rho, 2/3-dealiased on input and output.
-    [rho, grad phi] take one stacked inverse transform and [Q(rho),
-    (rho-rho_bar) grad phi] one stacked masked forward transform, and the
+    grad phi), one new array, 2/3-dealiased on input and output.  [rho, grad
+    phi], formed on the kept last-axis columns, take one inverse transform and
+    [Q(rho), (rho-rho_bar) grad phi] one masked forward transform, and the
     symbols -|xi|^2 and i xi act on the masked rows directly.  grad phi is
-    grad a (b - Lap)^{-1} rho: the gradient drops the constants of
+    i xi a (b + |xi|^2)^{-1} rho: the gradient drops the constants of
     :func:`solve_phi`, so they are not formed."""
-    rho_f = dealias(state.rho)
-    grid, p = state.grid, state.params
-    grad_phi = gradient(bessel_inverse(p.a * rho_f, p.b))
-    vals = SpectralField(grid, np.concatenate((rho_f.coef, grad_phi.coef))).to_physical()
-    rho_phys = vals[0]
-    q_flux = SpectralField.from_physical(grid, np.concatenate(
-        (pressure_remainder(rho_phys, p)[None], (rho_phys - p.rho_bar) * vals[1:])),
-        dealiased=True).coef
+    grid, p, keep = state.grid, state.params, state.grid.kept_columns
+    rho = state.rho.coef[..., :keep] * grid.dealias_mask[..., :keep]
+    grad_phi = 1j * grid.xi_diff[..., :keep] * (rho * p.a / (p.b + grid.xi_sq[..., :keep]))
+    vals = np.empty((1 + grid.d,) + grid.shape)
+    rho_phys = pruned_inverse(grid, np.concatenate((rho, grad_phi)), vals)[0]
+    np.multiply(rho_phys - p.rho_bar, vals[1:], out=vals[1:])
+    vals[0] = pressure_remainder(rho_phys, p)
+    q_flux = pruned_forward(grid, vals, np.empty((1 + grid.d,) + grid.spec_shape,
+                                                 dtype=np.complex128), True)
     return (q_flux[:1] * grid.lap_symbol
             - np.add.reduce(1j * grid.xi_diff * q_flux[1:], axis=0) * p.mu)
 
@@ -132,12 +136,13 @@ class KsTables:
 def ks_step(state: KsState, tables: KsTables) -> KsState:
     """One exponential Runge-Kutta step of ``tables.dt`` in slow time: with N
     the right-hand side, star = E rho + P1 N(rho), then
-    rho+ = star + P2 (N(star) - N(rho))."""
+    rho+ = star + P2 (N(star) - N(rho)), formed in the array of N(star)."""
     grid, tau = state.grid, state.tau + tables.dt
     n0 = ks_rhs(state)
     star = tables.E * state.rho.coef + tables.P1 * n0
     n1 = ks_rhs(KsState(tau, SpectralField(grid, star), state.params))
-    return KsState(tau, SpectralField(grid, star + tables.P2 * (n1 - n0)), state.params)
+    np.multiply(tables.P2, np.subtract(n1, n0, out=n1), out=n1)
+    return KsState(tau, SpectralField(grid, np.add(star, n1, out=n1)), state.params)
 
 
 def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:

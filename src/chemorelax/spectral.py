@@ -238,9 +238,6 @@ class SpectralField:
     def ncomp(self) -> int:
         return self.coef.shape[0]
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coef.copy())
-
     def to_physical(self) -> np.ndarray:
         """Inverse transform to real values, shape (ncomp, *shape), by
         :func:`pruned_inverse`; in d >= 2, whose passes run in place, on a
@@ -286,9 +283,6 @@ class SpectralField:
         return self._like(self.coef * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return self._like(-self.coef)
 
 
 # -- Fourier multipliers ----------------------------------------------------

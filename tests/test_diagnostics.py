@@ -370,8 +370,7 @@ class TestRescaling:
             state, p.eps, p.rho_bar + density_perturbation(state.n.to_physical()[0], p))
         # the inverse rescaling: the same factors, applied inversely
         n = SpectralField.from_physical(grid, enthalpy_n(rho.to_physical()[0], p)[None])
-        psi = phi.copy()
-        psi.coef[0, 0] -= p.phi_bar
+        psi = phi.shifted(-p.phi_bar)
         back = HpcState(tau / p.eps, n, p.eps * u_eps, psi, p)
         assert back.t == state.t
         assert np.array_equal(back.u.coef, state.u.coef)
@@ -519,7 +518,6 @@ class TestRelaxationSweep:
         limit = trajs["limit"].states
         taus = 0.025 * np.arange(len(limit))   # snap_dtau refined for eps_min = 0.25
         d_half = d / 2.0
-        zero = (0,) * (d + 1)
         for i, eps in enumerate(rep.eps_list):
             p = replace(params, eps=eps)
             rows = []
@@ -529,8 +527,7 @@ class TestRelaxationSweep:
                 n_phys = s.n.to_physical()[0]
                 pert = density_perturbation(n_phys, p)
                 rho_phys = p.rho_bar + pert
-                phi = s.psi.copy()
-                phi.coef[zero] += p.phi_bar
+                phi = s.psi.shifted(p.phi_bar)
                 drho = SpectralField.from_physical(grid, rho_phys[None]) - k.rho
                 dphi = phi - phi_k
                 v = s.u + eps * gradient(s.n) - (eps * p.mu) * gradient(s.psi)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chemorelax import driver, hpc_solver, spectral
+from chemorelax import driver, hpc_solver, ks_solver, spectral
 from chemorelax.diagnostics import relaxation_sweep
 from chemorelax.driver import RunFailed, SolverConfig, member_stack, members
 from chemorelax.hpc_solver import (
@@ -19,7 +19,7 @@ from chemorelax.hpc_solver import (
     nonlinear_rhs,
     step,
 )
-from chemorelax.ks_solver import KsState, ks_rhs, pressure_remainder, solve_phi
+from chemorelax.ks_solver import KsState, KsTables, ks_rhs, ks_step, pressure_remainder, solve_phi
 from chemorelax.model import coefficient_G, coefficient_H, coefficients_GH, density_perturbation
 from chemorelax.spectral import (
     SpectralField,
@@ -120,7 +120,7 @@ def general_nonlinear_rhs(state):
 
 def general_fix_mass(n, params, target_mean_pert):
     """The mass projection with np.mean."""
-    out = n.copy()
+    out = SpectralField(n.grid, n.coef.copy())
     n_phys = out.to_physical()[0]
     for _ in range(3):
         pert = density_perturbation(n_phys, params)
@@ -258,7 +258,7 @@ def count_transforms(monkeypatch):
             calls[name] += 1
             return original(*args)
 
-        for module in (spectral, hpc_solver):
+        for module in (spectral, hpc_solver, ks_solver):
             monkeypatch.setattr(module, name, counted)
 
     def count(fn, *args):
@@ -608,3 +608,18 @@ def test_step_builds_six_fields(cubic_params, rng, monkeypatch, d, N, stacked):
                         lambda self, *args: built.append(1) or original(self, *args))
     step(state, tables, targets, nonlinear_rhs(state))
     assert len(built) <= 6
+
+
+@pytest.mark.parametrize("d,N", GRIDS)
+def test_ks_step_builds_two_fields(cubic_params, rng, monkeypatch, d, N):
+    """A limit-model step passes arrays between its stages: the only
+    SpectralFields built are the star state's and the new state's (fourteen
+    when each right-hand side built six)."""
+    state = ks_state(d, N, cubic_params, rng)
+    tables = KsTables(state.grid, cubic_params, 0.01)
+    built = []
+    original = SpectralField.__init__
+    monkeypatch.setattr(SpectralField, "__init__",
+                        lambda self, *args: built.append(1) or original(self, *args))
+    ks_step(state, tables)
+    assert len(built) <= 2

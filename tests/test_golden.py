@@ -33,7 +33,7 @@ CONFIGS = {"analyze_symbol": "analyze-symbol", "decay_study_1d": "decay-study",
            "decay_study_damped_2d": "decay-study", "lyapunov_check": "lyapunov-check",
            "lyapunov_check_2d": "lyapunov-check", "simulate_hpc": "simulate-hpc",
            "simulate_hpc_3d": "simulate-hpc",
-           "simulate_ks": "simulate-ks"}
+           "simulate_ks": "simulate-ks", "simulate_ks_2d": "simulate-ks"}
 
 
 def snapshot_digests(out: Path) -> str:

@@ -14,6 +14,7 @@ from chemorelax.hpc_solver import (
     build_initial_data,
     gaussian_bump,
     hybrid_aggregate,
+    mode_bump,
     nonlinear_rhs,
     run,
     step,
@@ -213,6 +214,29 @@ class TestRun:
         e2 = np.max(np.abs(sols[0.05].rho.coef - ref.rho.coef))
         order = np.log2(e1 / e2)
         assert 1.5 <= order <= 2.5
+
+    @pytest.mark.parametrize("d,N,modes", [(2, 32, [[1, 2], [2, 1]]),
+                                           (3, 16, [[1, 2, 0], [0, 1, 1]])],
+                             ids=["2-32", "3-16"])
+    def test_second_order_self_convergence_nd(self, d, N, modes):
+        """Non-separable data in d >= 2: the differences of successive halvings
+        of dt shrink at second order."""
+        grid = make_grid(d, N, 2 * np.pi)
+        params = ModelParams(eps=0.25, pressure=PressureLaw(kappa=1.0, gamma=3.0))
+        rho0 = params.rho_bar + mode_bump(grid, [(k, 0.08, 0.0) for k in modes])
+        state = KsState(0.0, SpectralField.from_physical(grid, rho0[None]), params)
+
+        def advance(dt):
+            tables = KsTables(grid, params, dt)
+            cur = state
+            for _ in range(round(1.0 / dt)):
+                cur = ks_step(cur, tables)
+            return cur.rho.coef
+
+        sols = [advance(dt) for dt in (0.1, 0.05, 0.025, 0.0125)]
+        diffs = [np.max(np.abs(a - b)) for a, b in zip(sols, sols[1:])]
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert 1.9 <= np.log2(coarse / fine) <= 2.1
 
     def test_norm_nonincreasing_proxy(self, grid, params):
         traj = ks_run(rho_state(grid, params, amp=0.02),
