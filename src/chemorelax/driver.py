@@ -1,19 +1,20 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with the one run policy (a solver gives
-:func:`integrate` only its advance over one snapshot interval, its norms of a
-stack and its columns), and the trajectory type; a member stack holds several
-runs as one state, one row group per member.  The loop checks sizes a chunk
-of snapshots at a time: in d = 1 it advances up to SNAPSHOT_CHUNK intervals
-and takes their sizes in one call, and it retakes a chunk that fails one
-interval at a time, so a run keeps the states, status and message of a check
-after every interval; d >= 2 checks every interval alone.  States are values:
-frozen, and never written into.  A step returns a new state, and the driver
-keeps the states the steps return, the initial one included, without copying
-them.  Diagnostics run on snapshot stacks (:func:`stacks`): one state per
-chunk of kept snapshots, with one row per snapshot in each field, so a chunk
-takes one transform per field.  The diagnostic series is a
-:class:`DiagnosticSeries` of columns, built from the stacks only when it is
-read, and written with the package's one CSV writer, :func:`write_csv`.
+:func:`integrate` only its advance of a list of member states over one
+snapshot interval, its norms of one member's snapshot stack and its
+columns), and the trajectory type.  The loop checks sizes a chunk of
+snapshots at a time: in d = 1 it advances up to SNAPSHOT_CHUNK intervals
+and takes their sizes in one call per member, and it retakes a chunk that
+fails one interval at a time, so a run keeps the states, status and message
+of a check after every interval; d >= 2 checks every interval alone.  States
+are values: frozen, and never written into.  A step returns a new state, and
+the driver keeps the states the steps return, the initial one included,
+without copying them.  Sizes and diagnostics run on snapshot stacks
+(:func:`stack`, :func:`stacks`): one state per chunk of one member's kept
+snapshots, with one row per snapshot in each field, so a chunk takes one
+transform per field.  The diagnostic series is a :class:`DiagnosticSeries`
+of columns, built from the stacks only when it is read, and written with
+the package's one CSV writer, :func:`write_csv`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .model import OutsideValidityWindow
 from .spectral import SpectralField
 
 __all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "SNAPSHOT_CHUNK", "BlowupError",
-           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "stacks",
+           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "stack",
+           "stacks",
            "whole_count", "write_csv"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
@@ -111,60 +113,23 @@ def write_csv(path, header, rows) -> None:
             fh.write(",".join(map(str, row)) + "\n")
 
 
-def _joined(parts: list, params, groups: int):
-    """The states ``parts`` as one state with ``params``: each part's rows and
-    times fall in ``groups`` equal groups (members), joined group-major, each
-    group's parts in order; one group keeps every row in order."""
+def stack(parts: list):
+    """The states ``parts`` as one state with the first one's params: the times
+    in an array, and in each field every part's rows, in order."""
     def joined(values):
         if isinstance(values[0], SpectralField):
-            coef = np.concatenate([v.coef for v in values])
-            if groups > 1:   # parts of equal row count
-                modes = coef.shape[1:]
-                coef = (coef.reshape(len(values), groups, -1, *modes).swapaxes(0, 1)
-                        .reshape(-1, *modes))
-            return SpectralField(values[0].grid, coef)
-        return np.hstack(values).reshape(-1, groups).T.ravel()
+            return SpectralField(values[0].grid, np.concatenate([v.coef for v in values]))
+        return np.hstack(values)
 
-    return replace(parts[0], params=params, **{
-        f.name: joined([getattr(p, f.name) for p in parts]) for f in fields(parts[0])
-        if f.name != "params"})
+    return replace(parts[0], **{f.name: joined([getattr(p, f.name) for p in parts])
+                                for f in fields(parts[0]) if f.name != "params"})
 
 
 def stacks(states: list):
     """The states in chunks of at most SNAPSHOT_CHUNK, each joined into one
     state whose time is an array and whose fields hold every snapshot's rows."""
     for start in range(0, len(states), SNAPSHOT_CHUNK):
-        chunk = states[start:start + SNAPSHOT_CHUNK]
-        yield _joined(chunk, chunk[0].params, 1)
-
-
-def member_stack(parts: list):
-    """``parts`` (states and member stacks) as one member stack: the members'
-    params in the tuple ``params``, times in an array, row groups in order."""
-    if len(parts) == 1:
-        return parts[0]
-    return _joined(parts, sum((p.params if isinstance(p.params, tuple) else (p.params,)
-                               for p in parts), ()), 1)
-
-
-def member_slice(stack, start: int, stop: int):
-    """Members start .. stop - 1 of a member stack as views; one is a plain state."""
-    if not isinstance(stack.params, tuple):
-        return stack
-
-    def cut(value):
-        if isinstance(value, SpectralField):
-            rows = len(value.coef) // len(stack.params)
-            return SpectralField(value.grid, value.coef[start * rows:stop * rows])
-        return value[start] if stop - start == 1 else value[start:stop]
-
-    return replace(stack, **{f.name: cut(getattr(stack, f.name)) for f in fields(stack)})
-
-
-def members(stack) -> list:
-    """The member states of a member stack (or of a plain state, itself)."""
-    return [member_slice(stack, m, m + 1)
-            for m in range(len(stack.params) if isinstance(stack.params, tuple) else 1)]
+        yield stack(states[start:start + SNAPSHOT_CHUNK])
 
 
 class DiagnosticSeries:
@@ -209,43 +174,46 @@ class Trajectory:
         return series
 
 
-def integrate(initial, advance: Callable, size: Callable, columns: Callable,
+def integrate(initials: list, advance: Callable, size: Callable, columns: Callable,
               configs: list) -> list:
-    """Step ``initial`` (a state, or a member stack of ``len(configs)`` members
-    with one snapshot count) an interval at a time with ``advance(state)``,
-    keeping it and each snapshot uncopied.
+    """Step the member states ``initials`` (one per config, all with one
+    snapshot count) an interval at a time with ``advance(states)``, which
+    returns the members still running one interval on, keeping each member's
+    initial state and snapshots uncopied.
 
-    ``size(stack)`` gives one norm per row group of a stack of member stacks
-    joined member-major (each member's snapshots in turn), in that order.  The
-    initial sizes are taken alone, and one above SMALL_DATA_HINT warns.  Then,
-    in d = 1, up to SNAPSHOT_CHUNK intervals are advanced before their sizes
-    are taken in one call; in d >= 2 one interval (stacked sizes are a loss
-    there).  A size above BLOWUP_FACTOR times the member's initial one, or a
-    BlowupError or OutsideValidityWindow, sends a chunk of several intervals
-    back to be retaken from its start one interval at a time.  In a chunk of
-    one it ends the member (the exception's ``member``, else 0) as "blowup";
-    as if the members ran in turn, the later ones drop out and the earlier
-    ones retake the interval.  Returns the members' trajectories up to the
-    first that blows up."""
+    ``size(stack)`` gives the norms of one member's :func:`stack` of
+    snapshots, one per snapshot.  The initial sizes are taken alone, and one
+    above SMALL_DATA_HINT warns.  Then, in d = 1, up to SNAPSHOT_CHUNK
+    intervals are advanced before their sizes are taken, one call per member;
+    in d >= 2 one interval (stacked sizes are a loss there).  A size above
+    BLOWUP_FACTOR times the member's initial one, or a BlowupError or
+    OutsideValidityWindow, sends a chunk of several intervals back to be
+    retaken from its start one interval at a time.  In a chunk of one it ends
+    the member (the exception's ``member``, else 0) as "blowup"; as if the
+    members ran in turn, the later ones drop out and the earlier ones retake
+    the interval.  Returns the members' trajectories up to the first that
+    blows up."""
     n_snaps, = {config.schedule()[1] for config in configs}   # one count (ValueError otherwise)
-    alive, state, kept, ends, size0 = len(configs), initial, [], {}, None
+    states, kept, ends, size0 = initials, [], {}, None
     retake = 1   # snapshots before this one are taken one at a time: the initial, a retaken chunk
-    while alive and (k := len(kept)) <= n_snaps:
-        span = 1 if k < retake or initial.grid.d > 1 else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
+    while states and (k := len(kept)) <= n_snaps:
+        span = 1 if k < retake or initials[0].grid.d > 1 else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
         try:
-            pending, new = [], state
+            pending, new = [], states
             for j in range(k, k + span):
                 new = advance(new) if j else new
                 pending.append(new)
-            norms = np.reshape(size(_joined(pending, new.params, alive) if span > 1 else new),
-                               (alive, span)).T   # (snapshots, members)
+            # (snapshots, members), from each member's snapshots in turn
+            norms = np.reshape([size(stack(snaps) if span > 1 else snaps[0])
+                                for snaps in zip(*pending)], (len(states), span)).T
             if size0 is None:
                 size0 = norms[0]
                 for norm in size0[size0 > SMALL_DATA_HINT]:
                     warnings.warn(f"initial norm {norm:.3g} exceeds the operational smallness "
                                   f"{SMALL_DATA_HINT}; global boundedness is not guaranteed",
                                   stacklevel=3)
-            over = np.argwhere((size0[:alive] > 0) & (norms > BLOWUP_FACTOR * size0[:alive]))
+            base = size0[:len(states)]
+            over = np.argwhere((base > 0) & (norms > BLOWUP_FACTOR * base))
             if over.size:   # the first snapshot over, and its first member
                 row, m = over[0]
                 exc = BlowupError(f"norm explosion: {norms[row, m]:.3g} exceeds {BLOWUP_FACTOR:g} "
@@ -257,13 +225,12 @@ def integrate(initial, advance: Callable, size: Callable, columns: Callable,
             if span > 1:
                 retake = k + span
                 continue
-            alive = getattr(exc, "member", 0)
-            ends[alive] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
-            state = member_slice(state, 0, alive)
+            states = states[:getattr(exc, "member", 0)]
+            ends[len(states)] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
             continue
-        kept.extend(pending if k else [initial])
-        state = new
-    history = [members(s) for s in kept or [initial]]
+        kept.extend(pending if k else [initials])
+        states = new
+    history = kept or [initials]
     return [Trajectory([h[m] for h in history[:count]], columns, status, message)
             for m in range(min(ends, default=len(configs) - 1) + 1)
             for status, message, count in [ends.get(m, ("completed", "", len(history)))]]

@@ -27,11 +27,11 @@ array of rows [n, u, psi] through each stage (right-hand side, propagator
 apply, sum) and builds fields only for the star state and the new state.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation, which shifts the zero modes of
-the new state's n rows in place.  :func:`run_members` runs a run, or a d=1
-member stack (a sweep's eps family: one row group per member, each stepped at
-its own eps and dt, bit for bit as alone, in one call), on
-:func:`chemorelax.driver.integrate`, whose run policy watches each member's
-hybrid energy.  The CFL test takes the speed max|u| from the step's first
+the new state's n rows in place.  :func:`run_members` runs a run, or the
+members of a sweep's eps family, on :func:`chemorelax.driver.integrate`,
+whose run policy watches each member's hybrid energy; in d=1 it steps the
+members of an interval as one member stack (one row per member, each stepped
+at its own eps and dt, bit for bit as alone), which no caller sees.  The CFL test takes the speed max|u| from the step's first
 right-hand side, which transforms the dealiased u; the states of a run lie in
 the 2/3 box, where that is u itself, so the test costs no transform of its own.
 
@@ -61,8 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import etd
-from .driver import (BlowupError, SolverConfig, Trajectory, integrate, member_slice,
-                     member_stack, members)
+from .driver import BlowupError, SolverConfig, Trajectory, integrate, stack
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
@@ -106,8 +105,10 @@ MAX_CFL_HALVINGS = 8
 
 @dataclass(frozen=True, slots=True)
 class HpcState:
-    """Snapshot of (n, u, psi) at one time instant, a snapshot stack or a member
-    stack; a value, frozen and never written into (see :mod:`chemorelax.driver`)."""
+    """Snapshot of (n, u, psi) at one time instant, or a stack of snapshots or
+    of d=1 members (one row each, time an array); a value, frozen and never
+    written into (see :mod:`chemorelax.driver`).  A member stack lives only
+    inside :func:`run_members` and carries its first member's params."""
 
     t: float
     n: SpectralField
@@ -118,10 +119,6 @@ class HpcState:
     @property
     def grid(self) -> Grid:
         return self.n.grid
-
-    @property
-    def member_params(self) -> tuple:   # a state that is not a member stack is one member
-        return self.params if isinstance(self.params, tuple) else (self.params,)
 
     def mass_perturbation(self) -> float:
         """Mean of rho - rho_bar, accurate at the perturbation scale."""
@@ -262,7 +259,7 @@ def nonlinear_rhs(state: HpcState):
 
     N_n = -u.grad n - G(n) div u,  N_u = -(u.grad) u,  N_psi = H(n).
     The 2/3 mask is applied to the inputs and to the assembled outputs;
-    max|u|, one per member (a d=1 member stack's; G and H read no eps), is taken
+    max|u|, one per member of a d=1 member stack, is taken
     over the grid values of the dealiased u, for the CFL test.
     """
     grid, d, k = state.grid, state.grid.d, state.n.ncomp
@@ -279,7 +276,7 @@ def nonlinear_rhs(state: HpcState):
     pruned_inverse(grid, rows, vals[:n_rows])
 
     n_phys, u_phys, div_u = vals[0], vals[1:1 + d], vals[1 + d]
-    g_vals, h_vals = coefficients_GH(n_phys, state.member_params[0])   # raises off the window
+    g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises off the window
     # [N_n, N_u, H] in the output rows: -u.grad of [n, u] in one einsum, then G div u
     out = vals[n_rows:]
     np.einsum("jk...,k...->j...", grad_vals, u_phys, out=out[:1 + d])
@@ -346,7 +343,7 @@ def step(state: HpcState, tables: PropagatorTables, mass_target: float,
                                 state.params))[0]
     new = tables.apply_phi2(*_fields(grid, np.subtract(n1, n0, out=n1)))
     n, u, psi = (SpectralField(grid, f) for f in _fields(grid, np.add(star, new, out=new)))
-    return HpcState(t, _fix_mass(n, state.member_params[0], mass_target), u, psi, state.params)
+    return HpcState(t, _fix_mass(n, state.params, mass_target), u, psi, state.params)
 
 
 def hybrid_aggregate(state: HpcState):
@@ -356,24 +353,19 @@ def hybrid_aggregate(state: HpcState):
     Returns (total, breakdown dict).  Besides "low", "high" and "eps_high", the
     breakdown holds the (low, high) pair of each of n, u, psi and grad_psi.
     The block norms of the four fields come from one product.  Each value is
-    a float for one snapshot and an array over the rows of a stack: its
-    snapshots, its members, or a stack of member stacks joined member-major.
+    a float for one snapshot and an array over the snapshots of a stack.
     """
-    dec, d, k = state.grid.decomposition, state.grid.d, state.n.ncomp
-    members = state.member_params   # a member's rows take its own J and eps
+    dec, d, p = state.grid.decomposition, state.grid.d, state.params
     norms = dec.block_norms(np.concatenate([state.n.energy(1), state.u.energy(d),
                                             state.psi.energy(1), gradient(state.psi).energy(d)]))
-    lows, highs = np.concatenate([
-        dec.hybrid_norm(rows, d / 2.0, d / 2.0 + 1.0, p.threshold())
-        for rows, p in zip(np.split(norms.reshape(4, k, -1), len(members), axis=1), members)], -1)
+    lows, highs = dec.hybrid_norm(norms.reshape(4, state.n.ncomp, -1), d / 2.0, d / 2.0 + 1.0,
+                                  p.threshold())
     if np.ndim(state.t) == 0:   # one snapshot: floats
         lows, highs = lows[:, 0], highs[:, 0]
     fields = dict(zip(("n", "u", "psi", "grad_psi"), zip(lows, highs)))
     low = fields["n"][0] + fields["u"][0] + fields["psi"][0]
     high = fields["n"][1] + fields["u"][1] + fields["grad_psi"][1]
-    eps = (members[0].eps if len(members) == 1   # else one per row of the member stack
-           else np.repeat([p.eps for p in members], k // len(members)))
-    return low + eps * high, {"low": low, "high": high, "eps_high": eps * high, **fields}
+    return low + p.eps * high, {"low": low, "high": high, "eps_high": p.eps * high, **fields}
 
 
 def run(initial: HpcState, config: SolverConfig) -> Trajectory:
@@ -384,13 +376,16 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
 
 def run_members(initials: list, configs: list, tables: list) -> list:
     """Integrate members (params differing in eps only, the tables of each
-    config's dt; several in d=1 only, in order of steps per snapshot) as one
-    member stack on :func:`chemorelax.driver.integrate`: substep j of an
-    interval steps the members with more than j steps.  A CFL violation or an
-    error sends the interval one member at a time through steps halved on a CFL
-    violation (speed from the first right-hand side, which a first half-step
-    reuses; MAX_CFL_HALVINGS at most, else "blowup").  Sizes are
-    :func:`hybrid_aggregate`; a final mass off by 1e-8 relative is "mass_drift"."""
+    config's dt; several in d=1 only, in order of steps per snapshot) on
+    :func:`chemorelax.driver.integrate`.  An interval stacks the members once:
+    substep j steps the members with more than j steps, and after each
+    substep the members that have taken all their steps (a prefix) leave the
+    stack as copies of their rows.  A CFL violation or an error sends the
+    interval one member at a time through steps halved on a CFL violation
+    (speed from the first right-hand side, which a first half-step reuses;
+    MAX_CFL_HALVINGS at most, else "blowup").  Sizes are
+    :func:`hybrid_aggregate` of one member's snapshots; a final mass off by
+    1e-8 relative is "mass_drift"."""
     grid, substeps = initials[0].grid, [config.schedule()[0] for config in configs]
     if len(initials) > 1 and (grid.d != 1 or substeps != sorted(substeps)):
         raise ValueError("members stack in d=1 only, in order of their steps per snapshot")
@@ -408,27 +403,36 @@ def run_members(initials: list, configs: list, tables: list) -> list:
             raise BlowupError(f"CFL violation persists after {depth} halvings at t={s.t}")
         return alone(alone(s, m, dt / 2, depth + 1, rhs), m, dt / 2, depth + 1)
 
-    def batched(s: HpcState) -> HpcState:   # BlowupError on a CFL violation
-        stop, start, cur, done = len(s.member_params), 0, s, []
-        for j in range(substeps[stop - 1]):
-            first = next(m for m in range(start, stop) if substeps[m] > j)   # with steps left
-            if first > start:
-                done.append(member_slice(cur, 0, first - start))
-                cur, start = member_slice(cur, first - start, stop - start), first
+    def batched(states: list) -> list:   # BlowupError on a CFL violation
+        # the stack carries its first member's params: the right-hand side, the step
+        # and the mass projection read only G, H and the pressure law, which the
+        # members share; each member's eps reaches the step through its tables
+        start, stop, cur, done = 0, len(states), stack(states), []
+        for j in range(1, substeps[stop - 1] + 1):
             rhs, step_tables = nonlinear_rhs(cur), batch_tables(start, stop)
             if np.count_nonzero(step_tables.dt * rhs[1] <= CFL_SAFETY * grid.dx) < stop - start:
                 raise BlowupError("CFL violation")   # each member: dt max|u| <= CFL_SAFETY dx
             cur = step(cur, step_tables, targets[start:stop], rhs)
-        return member_stack(done + [cur])
+            # the members with all their steps taken (a prefix) leave as copies of their
+            # rows, so a kept state holds no other member's rows; the rest stay on as views
+            cut = substeps[start:stop].count(j)
+            fields = (cur.n, cur.u, cur.psi)
+            done += [HpcState(cur.t[i], *(SpectralField(grid, f.coef[i:i + 1].copy())
+                                          for f in fields), initials[start + i].params)
+                     for i in range(cut)]
+            cur = HpcState(cur.t[cut:], *(SpectralField(grid, f.coef[cut:]) for f in fields),
+                           cur.params)
+            start += cut
+        return done
 
-    def advance(s: HpcState) -> HpcState:
-        if s.n.ncomp > 1:
+    def advance(states: list) -> list:
+        if len(states) > 1:
             try:
-                return batched(s)
+                return batched(states)
             except (OutsideValidityWindow, BlowupError):   # go one member at a time
                 pass
         out = []
-        for m, member in enumerate(members(s)):
+        for m, member in enumerate(states):
             try:
                 for _ in range(substeps[m]):
                     member = alone(member, m, configs[m].dt)
@@ -436,7 +440,7 @@ def run_members(initials: list, configs: list, tables: list) -> list:
                 exc.member = m
                 raise
             out.append(member)
-        return member_stack(out)
+        return out
 
     def columns(s: HpcState) -> dict:   # s is a snapshot stack: one value per snapshot
         agg, parts = hybrid_aggregate(s)
@@ -453,8 +457,8 @@ def run_members(initials: list, configs: list, tables: list) -> list:
                     max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
 
     try:
-        trajs = integrate(member_stack(initials), advance, lambda s: hybrid_aggregate(s)[0],
-                          columns, configs)
+        trajs = integrate(initials, advance, lambda s: hybrid_aggregate(s)[0], columns,
+                          configs)
     finally:
         _SCRATCH.pop(grid, None)
     for traj, initial in zip(trajs, initials):
@@ -472,8 +476,13 @@ def run_members(initials: list, configs: list, tables: list) -> list:
 # -- initial data --------------------------------------------------------------
 
 def gaussian_bump(grid: Grid, width: float = 0.5, center=None) -> np.ndarray:
-    """Smooth periodic bump (wrapped Gaussian) with its mean subtracted; the
-    width must be positive and finite (ValueError)."""
+    """Periodic bump (a Gaussian of the wrapped distance to ``center``) with its
+    mean subtracted; the width must be positive and finite (ValueError).
+
+    The bump is continuous, not smooth: the wrapped distance has a corner at
+    the antipode of the centre, where the derivative jumps by
+    (L / w^2) exp(-L^2 / (8 w^2)).  There the bump is exp(-L^2 / (8 w^2)) of
+    its peak: 4.5e-4 for the sweep's w = 0.8 on L = 2 pi."""
     if not (0 < width < math.inf):
         raise ValueError(f"width must be positive and finite, got {width!r}")
     center = center if center is not None else [grid.L / 2.0] * grid.d

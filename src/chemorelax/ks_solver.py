@@ -165,9 +165,10 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
                     norm_d2=dec.besov_norm(norms, d_half),
                     norm_d2p2=dec.besov_norm(norms, d_half + 2.0))
 
-    def advance(s: KsState) -> KsState:   # one snapshot interval
+    def advance(states: list) -> list:   # the one member, one snapshot interval on
+        s, = states
         for _ in range(config.schedule()[0]):
             s = ks_step(s, tables)
-        return s
+        return [s]
 
-    return integrate(initial, advance, size, columns, [config])[0]
+    return integrate([initial], advance, size, columns, [config])[0]

@@ -68,7 +68,6 @@ __all__ = [
     "gradient",
     "divergence",
     "laplacian",
-    "dealias",
     "compute_threshold",
     "chi_profile",
     "ring_profile",
@@ -313,11 +312,6 @@ def divergence(v: SpectralField) -> SpectralField:
 def laplacian(f: SpectralField) -> SpectralField:
     """Laplacian (per component); symbol -|xi|^2 built from xi_diff."""
     return SpectralField(f.grid, f.coef * f.grid.lap_symbol)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all modes outside the 2/3-rule box."""
-    return SpectralField(f.grid, f.coef * f.grid.dealias_mask)
 
 
 # -- dyadic decomposition ----------------------------------------------------

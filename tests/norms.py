@@ -1,8 +1,16 @@
 """Whole-field L2 norms for the tests: the torus integral of |f|^2 summed over
 every row of a field, from its coefficients by Parseval and, as the reference
-for that, by physical-space quadrature."""
+for that, by physical-space quadrature; and the 2/3 rule as a reference."""
 
 import numpy as np
+
+from chemorelax.spectral import SpectralField
+
+
+def dealias(f):
+    """Zero all modes outside the 2/3-rule box: the reference for the masks
+    the solvers apply on their kept columns."""
+    return SpectralField(f.grid, f.coef * f.grid.dealias_mask)
 
 
 def l2_norm(f) -> float:

@@ -34,12 +34,11 @@ from chemorelax.linear_analysis import (
 from chemorelax.model import ModelParams, PressureLaw, coefficient_H
 from chemorelax.spectral import (
     SpectralField,
-    dealias,
     gradient,
     make_decomposition,
     make_grid,
 )
-from norms import hybrid_norm, l2_norm, l2_norm_physical
+from norms import dealias, hybrid_norm, l2_norm, l2_norm_physical
 from test_golden import GOLDEN, mismatches
 
 

@@ -40,7 +40,7 @@ from chemorelax.spectral import (
     make_decomposition,
     make_grid,
 )
-from norms import l2_norm, snapshot_besov, snapshot_hybrid
+from norms import dealias, l2_norm, snapshot_besov, snapshot_hybrid
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +570,6 @@ class TestRelaxationSweep:
         """Shared data: delta rho(0) = delta u(0) = 0 by construction."""
         from chemorelax.diagnostics import _hpc_member_initial
         from chemorelax.ks_solver import reconstruct_velocity, solve_phi
-        from chemorelax.spectral import dealias
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         init = _hpc_member_initial(grid, params, rho0)
         rho_f = dealias(SpectralField.from_physical(grid, rho0[None]))

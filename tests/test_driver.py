@@ -14,8 +14,8 @@ from chemorelax.hpc_solver import (HpcState, PropagatorTables, build_initial_dat
                                    run)
 from chemorelax.ks_solver import KsState, ks_run, reconstruct_velocity, solve_phi
 from chemorelax.model import ModelParams, PressureLaw, coefficient_H, density_perturbation
-from chemorelax.spectral import SpectralField, dealias, gradient, make_grid
-from norms import snapshot_besov, snapshot_hybrid
+from chemorelax.spectral import SpectralField, gradient, make_grid
+from norms import dealias, snapshot_besov, snapshot_hybrid
 
 
 @pytest.fixture(scope="module")
@@ -209,18 +209,60 @@ def test_completed_run_is_chunk_invariant(grid, params, monkeypatch, solver):
     assert traj.status == "completed" and len(traj.states) == SNAPSHOT_CHUNK + 7
 
 
-def test_member_stack_is_chunk_invariant(grid, params, monkeypatch):
-    """Three members of 1, 2 and 3 steps per snapshot, over more snapshots than
-    one chunk holds."""
+def three_members(grid, params, n_snaps):
+    """The initials, configs and tables of hpc_solver.run_members over members
+    of eps 0.2, 0.1 and 0.05 with 1, 2 and 3 steps per snapshot, over n_snaps
+    snapshot intervals of 0.02."""
     initials = [build_initial_data(grid, replace(params, eps=eps),
                                    n_profile=0.01 * gaussian_bump(grid))[0]
                 for eps in (0.2, 0.1, 0.05)]
-    configs = [SolverConfig(dt=0.02 / k, t_end=0.02 * (SNAPSHOT_CHUNK + 6), snap_dt=0.02)
-               for k in (1, 2, 3)]
+    configs = [SolverConfig(dt=0.02 / k, t_end=0.02 * n_snaps, snap_dt=0.02) for k in (1, 2, 3)]
     tables = [PropagatorTables(grid, s.params, c.dt) for s, c in zip(initials, configs)]
-    trajs = chunk_invariant(monkeypatch,
-                            lambda: hpc_solver.run_members(initials, configs, tables))
+    return initials, configs, tables
+
+
+def test_member_stack_is_chunk_invariant(grid, params, monkeypatch):
+    """Three members of 1, 2 and 3 steps per snapshot, over more snapshots than
+    one chunk holds."""
+    args = three_members(grid, params, SNAPSHOT_CHUNK + 6)
+    trajs = chunk_invariant(monkeypatch, lambda: hpc_solver.run_members(*args))
     assert [(t.status, len(t.states)) for t in trajs] == [("completed", SNAPSHOT_CHUNK + 7)] * 3
+
+
+def test_driver_sees_one_member_at_a_time(grid, params, monkeypatch):
+    """The members of a 1D member stack reach the sizes and the series one at
+    a time: every hybrid_aggregate call and every columns call takes a state
+    whose params is one member's ModelParams."""
+    args, seen = three_members(grid, params, SNAPSHOT_CHUNK + 6), []
+    original = hpc_solver.hybrid_aggregate
+    monkeypatch.setattr(hpc_solver, "hybrid_aggregate",
+                        lambda s: seen.append(s.params) or original(s))
+    trajs = hpc_solver.run_members(*args)
+    for traj in trajs:
+        columns = traj.columns
+        traj.columns = lambda s, columns=columns: seen.append(s.params) or columns(s)
+        assert len(traj.series.columns["t"]) == SNAPSHOT_CHUNK + 7
+    # per member: sizes of the initial and two chunks; a columns call and its
+    # hybrid_aggregate call for each of the series' two stacks
+    assert len(seen) == 3 * (3 + 2 + 2)
+    assert all(type(p) is ModelParams for p in seen)
+    assert {p.eps for p in seen} == {0.2, 0.1, 0.05}
+
+
+def test_kept_snapshots_own_their_rows(grid, params):
+    """A member that leaves the stacked step takes a copy of its rows: at every
+    snapshot, the arrays behind the members' kept states hold at most three
+    rows (n, u, psi) per member, not the stacked step's rows of every member."""
+    def owner(a):
+        while a.base is not None:
+            a = a.base
+        return a
+
+    trajs = hpc_solver.run_members(*three_members(grid, params, 4))
+    for snapshot in zip(*(t.states for t in trajs), strict=True):
+        arrays = {id(a): a for a in (owner(f.coef) for s in snapshot for f in (s.n, s.u, s.psi))}
+        rows = sum(a.size for a in arrays.values()) // grid.spec_shape[-1]
+        assert rows <= 3 * len(snapshot)
 
 
 @pytest.mark.filterwarnings("ignore:initial norm")
@@ -241,18 +283,24 @@ def test_blowup_in_a_chunk_is_chunk_invariant(grid, monkeypatch, solver, amp, re
     assert 0 < (len(traj.states) - 1) % SNAPSHOT_CHUNK < SNAPSHOT_CHUNK - 1   # the failing one
 
 
-@pytest.mark.parametrize("d,n_snaps,calls", [
-    (1, 5, 2), (1, SNAPSHOT_CHUNK, 2), (1, SNAPSHOT_CHUNK + 1, 3), (1, 2 * SNAPSHOT_CHUNK + 3, 4),
-    (2, 5, 6)])
-def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, calls):
-    """A 1D run of K snapshots takes its sizes in ceil(K / SNAPSHOT_CHUNK) + 1
-    calls: the initial one alone, then one per chunk.  d >= 2 takes one per
-    snapshot."""
+@pytest.mark.parametrize("d,n_snaps,members,calls", [
+    (1, 5, 1, 2), (1, SNAPSHOT_CHUNK, 1, 2), (1, SNAPSHOT_CHUNK + 1, 1, 3),
+    (1, 2 * SNAPSHOT_CHUNK + 3, 1, 4), (1, SNAPSHOT_CHUNK + 1, 3, 9), (2, 5, 1, 6)],
+    ids=["1-5-2", "1-64-2", "1-65-3", "1-131-4", "1-65-3-members-9", "2-5-6"])
+def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, members, calls):
+    """A 1D run of M members and K snapshots takes its sizes in
+    M (ceil(K / SNAPSHOT_CHUNK) + 1) calls: for each member the initial one
+    alone, then one per chunk.  d >= 2 takes one per snapshot."""
     grid = make_grid(d, 8, 2 * np.pi)
-    initial, _ = build_initial_data(grid, params, n_profile=0.01 * gaussian_bump(grid))
+    if members > 1:
+        args = three_members(grid, params, n_snaps)
+    else:
+        initial, _ = build_initial_data(grid, params, n_profile=0.01 * gaussian_bump(grid))
+        config = SolverConfig(dt=0.02, t_end=0.02 * n_snaps, snap_dt=0.02)
+        args = [initial], [config], [PropagatorTables(grid, params, config.dt)]
     sizes = []
     original = hpc_solver.hybrid_aggregate
     monkeypatch.setattr(hpc_solver, "hybrid_aggregate", lambda s: sizes.append(1) or original(s))
-    traj = run(initial, SolverConfig(dt=0.02, t_end=0.02 * n_snaps, snap_dt=0.02))
-    assert traj.status == "completed" and len(traj.states) == n_snaps + 1
+    trajs = hpc_solver.run_members(*args)
+    assert [(t.status, len(t.states)) for t in trajs] == [("completed", n_snaps + 1)] * members
     assert len(sizes) == calls

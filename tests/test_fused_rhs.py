@@ -10,7 +10,7 @@ import pytest
 
 from chemorelax import driver, hpc_solver, ks_solver, spectral
 from chemorelax.diagnostics import relaxation_sweep
-from chemorelax.driver import RunFailed, SolverConfig, member_stack, members
+from chemorelax.driver import RunFailed, SolverConfig
 from chemorelax.hpc_solver import (
     HpcState,
     PropagatorTables,
@@ -23,12 +23,12 @@ from chemorelax.ks_solver import KsState, KsTables, ks_rhs, ks_step, pressure_re
 from chemorelax.model import coefficient_G, coefficient_H, coefficients_GH, density_perturbation
 from chemorelax.spectral import (
     SpectralField,
-    dealias,
     divergence,
     gradient,
     laplacian,
     make_grid,
 )
+from norms import dealias
 
 GRIDS = [(1, 128), (2, 32), (3, 16)]
 
@@ -294,6 +294,16 @@ def test_three_inverse_two_forward_transforms_per_1d_step(cubic_params, monkeypa
 
 # -- member stacks: several runs, one per eps, stepped together --------------------
 
+def members(stack):
+    """The members of a d = 1 member stack (one row each, time an array) as
+    views with the stack's params; a state of one time is its one member."""
+    if np.ndim(stack.t) == 0:
+        return [stack]
+    return [HpcState(t, *(SpectralField(stack.grid, f.coef[m:m + 1])
+                          for f in (stack.n, stack.u, stack.psi)), stack.params)
+            for m, t in enumerate(stack.t)]
+
+
 def member_states(params, eps_list, amplitudes):
     """d = 1, N = 64 members, one per eps: the data of smooth_1d_state with
     u = amplitude sin(x)."""
@@ -317,7 +327,7 @@ def test_member_stack_step_matches_each_member(cubic_params, monkeypatch, offset
     original = hpc_solver.density_perturbation
     monkeypatch.setattr(hpc_solver, "density_perturbation",
                         lambda n, p: passes.append(1) or original(n, p))
-    stack, counts = member_stack(states), set()
+    stack, counts = driver.stack(states), set()
     for k in range(10):
         rhs = nonlinear_rhs(stack)
         stack = step(stack, PropagatorTables.stack(tables), targets, rhs)
@@ -359,15 +369,13 @@ def test_member_stack_run_matches_member_runs_with_a_cfl_halving(cubic_params, m
 
 def exploding_sizes(blowups: dict):
     """hybrid_aggregate with the size of member eps times 1e6 past slow time
-    blowups[eps], read row by row: a stack of member stacks holds each
-    member's snapshots in turn, so a row's member and time are its own."""
+    blowups[eps], read row by row: each call takes one member's snapshots."""
     original = hpc_solver.hybrid_aggregate
 
     def exploding(s):
         total, parts = original(s)
-        members = s.member_params
-        eps = np.repeat([p.eps for p in members], np.size(s.t) // len(members))
-        boom = [e in blowups and e * t > blowups[e] for e, t in zip(eps, np.atleast_1d(s.t))]
+        eps = s.params.eps
+        boom = [eps in blowups and eps * t > blowups[eps] for t in np.atleast_1d(s.t)]
         return np.where(boom, 1e6 * total, total), parts
 
     return exploding
@@ -501,14 +509,17 @@ def test_rotational_rhs_matches_per_field_formulas(cubic_params, rng, d, N):
     assert_rhs_equal(nonlinear_rhs(state), per_field_rhs_and_speed(state))
 
 
+STACK_EPS = (0.2, 0.1, 0.05)
+
+
 def rotational_stack(d, N, params, rng, amplitude):
     """rotational_state on a d-dimensional grid; in d = 1 a member stack of three
-    of them, with eps 0.2, 0.1, 0.05 and amplitudes scaled by 1, 2 and 3."""
+    of them, with eps STACK_EPS and amplitudes scaled by 1, 2 and 3."""
     grid = make_grid(d, N, 2 * np.pi)
     if d > 1:
         return rotational_state(grid, params, rng, amplitude)
-    return member_stack([rotational_state(grid, replace(params, eps=eps), rng, m * amplitude)
-                         for m, eps in ((1, 0.2), (2, 0.1), (3, 0.05))])
+    return driver.stack([rotational_state(grid, replace(params, eps=eps), rng, m * amplitude)
+                         for m, eps in enumerate(STACK_EPS, 1)])
 
 
 @pytest.mark.parametrize("d,N", GRIDS)
@@ -599,7 +610,8 @@ def test_step_builds_six_fields(cubic_params, rng, monkeypatch, d, N, stacked):
     new state's three (thirteen when each stage took and gave fields)."""
     state = (rotational_stack(d, N, cubic_params, rng, 0.1) if stacked
              else rotational_state(make_grid(d, N, 2 * np.pi), cubic_params, rng))
-    tables = [PropagatorTables(state.grid, p, 0.01) for p in state.member_params]
+    tables = [PropagatorTables(state.grid, replace(cubic_params, eps=eps), 0.01)
+              for eps in (STACK_EPS if stacked else [cubic_params.eps])]
     tables = PropagatorTables.stack(tables) if stacked else tables[0]
     targets = [m.mass_perturbation() for m in members(state)]
     built = []

@@ -22,7 +22,6 @@ from chemorelax.model import ModelParams, PressureLaw
 from chemorelax.spectral import (
     SpectralField,
     bessel_inverse,
-    dealias,
     divergence,
     gradient,
     laplacian,
@@ -32,7 +31,7 @@ from chemorelax.spectral import (
     ring_profile,
     save_field,
 )
-from norms import l2_norm
+from norms import dealias, l2_norm
 
 CASES = [(1, 32, 2 * np.pi), (2, 16, 3.0), (3, 8, 2 * np.pi)]
 RTOL = 1e-13

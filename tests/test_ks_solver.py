@@ -33,13 +33,12 @@ from chemorelax.ks_solver import (
 from chemorelax.model import ModelParams, OutsideValidityWindow, PressureLaw, _check_window
 from chemorelax.spectral import (
     SpectralField,
-    dealias,
     divergence,
     laplacian,
     make_decomposition,
     make_grid,
 )
-from norms import besov_norm, l2_norm
+from norms import besov_norm, dealias, l2_norm
 
 
 @pytest.fixture(scope="module")

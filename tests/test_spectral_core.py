@@ -8,7 +8,6 @@ from chemorelax.spectral import (
     bessel_inverse,
     chi_profile,
     compute_threshold,
-    dealias,
     divergence,
     gradient,
     laplacian,
@@ -18,7 +17,7 @@ from chemorelax.spectral import (
     ring_profile,
     save_field,
 )
-from norms import besov_norm, hybrid_norm, l2_norm, l2_norm_physical
+from norms import besov_norm, dealias, hybrid_norm, l2_norm, l2_norm_physical
 
 
 def random_field(grid, rng, ncomp=1, band_limited=True):
