@@ -347,7 +347,8 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     (etd.NonFiniteTables, a ValueError), which the runs take.  A run that does
     not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift"), as if the members ran in turn; they run as one member stack
-    (:func:`run_members`) in d = 1, one at a time in d >= 2.  ``threads`` must be 1.
+    (:func:`run_members`) in d = 1, one at a time in d >= 2, each one's errors
+    taken before the next starts.  ``threads`` must be 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
@@ -396,49 +397,49 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     tables = [PropagatorTables(grid, initial.params, cfg.dt)
               for initial, cfg in zip(initials[::-1], configs[::-1])][::-1]
 
-    # shared limit-model trajectory (eps plays no role in it)
+    # the shared limit-model run (eps plays no role in it): only density snapshots
     rho_f0 = SpectralField.from_physical(grid, rho0_phys[None], dealiased=True)
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     _require_completed(ks_traj, "limit-model run")
 
-    limit = []   # (rho, u, phi) of each snapshot stack
-    for stack in stacks(ks_traj.states):
-        phi = solve_phi(stack.rho, ks_params)
-        limit.append((stack.rho, reconstruct_velocity(stack.rho, phi, ks_params), phi))
+    def stack_norms(ks: KsState, s: HpcState) -> tuple:
+        """A member stack's six norms, one per snapshot; no temporary outlives the call."""
+        params, eps = s.params, s.params.eps
+        ks_phi = solve_phi(ks.rho, ks_params)
+        ks_u = reconstruct_velocity(ks.rho, ks_phi, ks_params)
+        n_phys = s.n.to_physical()   # one inverse transform of n per stack
+        pert = density_perturbation(n_phys, params)   # and one density perturbation
+        rho_phys = params.rho_bar + pert
+        _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps, rho_phys)
+        drho = dec.block_norms((rho_eps - ks.rho).energy(1))
+        dphi = dec.block_norms((phi_eps - ks_phi).energy(1))
+        # residuals, evaluated in slow variables
+        rho_v = SpectralField.from_physical(grid, np.repeat(rho_phys, grid.d, axis=0)
+                                            * effective_modes(s).v.to_physical() / eps,
+                                            dealiased=True)
+        # dt psi from the equation, never from differences in time
+        h_field = SpectralField.from_physical(grid, coefficient_H(n_phys, params, pert),
+                                              dealiased=True)
+        dt_psi = laplacian(s.psi) - params.b * s.psi + params.c1 * s.n + h_field
+        return (dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
+                dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
+                dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
+                dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
+                dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps)
 
     def member_errors(traj: Trajectory) -> tuple:
         """The member's six report entries, in RelaxationReport's field order."""
-        params, eps = traj.initial.params, traj.initial.params.eps
+        eps = traj.initial.params.eps
         _require_completed(traj, f"relaxation member eps={eps}")
-
-        rows = []   # per snapshot stack: the six norms, one value per snapshot
-        for (ks_rho, ks_u, ks_phi), s in zip(limit, stacks(traj.states)):
-            n_phys = s.n.to_physical()   # one inverse transform of n per stack
-            pert = density_perturbation(n_phys, params)   # and one density perturbation
-            rho_phys = params.rho_bar + pert
-            _, rho_eps, u_eps, phi_eps = rescale_to_slow(s, eps, rho_phys)
-            drho = dec.block_norms((rho_eps - ks_rho).energy(1))
-            dphi = dec.block_norms((phi_eps - ks_phi).energy(1))
-            # residuals, evaluated in slow variables
-            rho_v = SpectralField.from_physical(grid, np.repeat(rho_phys, grid.d, axis=0)
-                                                * effective_modes(s).v.to_physical() / eps,
-                                                dealiased=True)
-            # dt psi from the equation, never from differences in time
-            h_field = SpectralField.from_physical(grid, coefficient_H(n_phys, params, pert),
-                                                  dealiased=True)
-            dt_psi = laplacian(s.psi) - params.b * s.psi + params.c1 * s.n + h_field
-            rows.append((dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
-                         dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
-                         dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
-                         dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
-                         dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps))
-        sup_drho, *integrands, dtphi = map(np.concatenate, zip(*rows))
+        sup_drho, *integrands, dtphi = map(np.concatenate, zip(*map(
+            stack_norms, stacks(ks_traj.states), stacks(traj.states))))
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
-    runs = ([run_members(initials, configs, tables)] if grid.d == 1 else   # d >= 2: one by one
-            (run_members([i], [c], [t]) for i, c, t in zip(initials, configs, tables)))
-    report = RelaxationReport(list(eps_list), *map(list, zip(*(
-        member_errors(traj) for trajs in runs for traj in trajs))))
+    errors = (map(member_errors, run_members(initials, configs, tables)) if grid.d == 1 else
+              # one member at a time, and no name holds a trajectory while the next one runs
+              (member_errors(run_members([i], [c], [t])[0])
+               for i, c, t in zip(initials, configs, tables)))
+    report = RelaxationReport(list(eps_list), *map(list, zip(*errors)))
     report.fit_slopes()
     return report

@@ -3,13 +3,13 @@ schedule, the time-integration loop with the one run policy (a solver gives
 :func:`integrate` only its advance of a list of member states over one
 snapshot interval, its norms of one member's snapshot stack and its
 columns), and the trajectory type.  The loop checks sizes a chunk of
-snapshots at a time: in d = 1 it advances up to SNAPSHOT_CHUNK intervals
+snapshots at a time, in every d: it advances up to SNAPSHOT_CHUNK intervals
 and takes their sizes in one call per member, and it retakes a chunk that
 fails one interval at a time, so a run keeps the states, status and message
-of a check after every interval; d >= 2 checks every interval alone.  States
-are values: frozen, and never written into.  A step returns a new state, and
-the driver keeps the states the steps return, the initial one included,
-without copying them.  Sizes and diagnostics run on snapshot stacks
+of a check after every interval.  States are values: frozen, and never
+written into.  A step returns a new state, and the driver keeps the states
+the steps return, the initial one included, without copying them.  Sizes
+and diagnostics run on snapshot stacks
 (:func:`stack`, :func:`stacks`): one state per chunk of one member's kept
 snapshots, with one row per snapshot in each field, so a chunk takes one
 transform per field.  The diagnostic series is a :class:`DiagnosticSeries`
@@ -41,7 +41,7 @@ BLOWUP_FACTOR = 1e3
 # the global bound is then only an experiment, not an expectation
 SMALL_DATA_HINT = 0.05
 # snapshots per stack at most, which bounds the memory of a long run's diagnostics,
-# and intervals per size check of a 1D run
+# and intervals per size check
 SNAPSHOT_CHUNK = 64
 
 
@@ -183,9 +183,8 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
 
     ``size(stack)`` gives the norms of one member's :func:`stack` of
     snapshots, one per snapshot.  The initial sizes are taken alone, and one
-    above SMALL_DATA_HINT warns.  Then, in d = 1, up to SNAPSHOT_CHUNK
-    intervals are advanced before their sizes are taken, one call per member;
-    in d >= 2 one interval (stacked sizes are a loss there).  A size above
+    above SMALL_DATA_HINT warns.  Then up to SNAPSHOT_CHUNK intervals are
+    advanced before their sizes are taken, one call per member.  A size above
     BLOWUP_FACTOR times the member's initial one, or a BlowupError or
     OutsideValidityWindow, sends a chunk of several intervals back to be
     retaken from its start one interval at a time.  In a chunk of one it ends
@@ -197,15 +196,14 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
     states, kept, ends, size0 = initials, [], {}, None
     retake = 1   # snapshots before this one are taken one at a time: the initial, a retaken chunk
     while states and (k := len(kept)) <= n_snaps:
-        span = 1 if k < retake or initials[0].grid.d > 1 else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
+        span = 1 if k < retake else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
         try:
             pending, new = [], states
             for j in range(k, k + span):
                 new = advance(new) if j else new
                 pending.append(new)
             # (snapshots, members), from each member's snapshots in turn
-            norms = np.reshape([size(stack(snaps) if span > 1 else snaps[0])
-                                for snaps in zip(*pending)], (len(states), span)).T
+            norms = np.array([size(stack(snaps)) for snaps in zip(*pending)]).T
             if size0 is None:
                 size0 = norms[0]
                 for norm in size0[size0 > SMALL_DATA_HINT]:
@@ -228,7 +226,7 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
             states = states[:getattr(exc, "member", 0)]
             ends[len(states)] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
             continue
-        kept.extend(pending if k else [initials])
+        kept.extend(pending)   # [initials] at k = 0
         states = new
     history = kept or [initials]
     return [Trajectory([h[m] for h in history[:count]], columns, status, message)

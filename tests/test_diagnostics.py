@@ -1,5 +1,7 @@
 """Damped modes, Lyapunov functionals, decay fits, rescaling, sweep plumbing."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -550,6 +552,40 @@ class TestRelaxationSweep:
             for name, value in ref.items():
                 assert value > 0, name
                 assert getattr(rep, name)[i] == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+    @pytest.mark.filterwarnings("ignore:initial norm")
+    @pytest.mark.parametrize("d", [1, 2], ids=["1d", "2d"])
+    def test_sweep_keeps_nothing_it_no_longer_reads(self, params, monkeypatch, d):
+        """When a member run starts, nothing the sweep has read is still alive:
+        no limit-model velocity formed so far (the limit fields are formed per
+        stack of each member's errors), and no earlier member's kept snapshot
+        (in d >= 2 a member's errors are taken before the next member runs).
+        The initial states are not tracked: the sweep's member data hold them."""
+        from chemorelax import diagnostics
+        refs, checked = [], []
+        original_run, original_u = diagnostics.run_members, diagnostics.reconstruct_velocity
+
+        def run_members(*args):
+            gc.collect()
+            checked.append((len(refs), sum(ref() is not None for ref in refs)))
+            trajs = original_run(*args)
+            refs.extend(weakref.ref(s.n.coef) for traj in trajs for s in traj.states[1:])
+            return trajs
+
+        def reconstruct_velocity(*args):
+            u = original_u(*args)
+            refs.append(weakref.ref(u.coef))
+            return u
+
+        monkeypatch.setattr(diagnostics, "run_members", run_members)
+        monkeypatch.setattr(diagnostics, "reconstruct_velocity", reconstruct_velocity)
+        grid = make_grid(d, 16, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        rep = relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
+                               snap_dtau=0.05, dt_fast=0.02)
+        assert len(rep.sup_drho) == 3
+        assert len(checked) == (1 if d == 1 else 3)
+        assert all(tracked > 0 and alive == 0 for tracked, alive in checked), checked
 
     def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
         """At N = 32 the eps = 0.05 member's threshold mode lies outside the

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from chemorelax import driver, hpc_solver
+from chemorelax import driver, hpc_solver, ks_solver
 from chemorelax.diagnostics import (damped_mode_decay_check, lyapunov_equivalence_check,
                                     rescale_to_slow)
 from chemorelax.driver import SNAPSHOT_CHUNK, SolverConfig, Trajectory, stacks
@@ -175,11 +175,21 @@ def test_series_columns_match_per_snapshot_reference(params, d, N):
 def chunk_invariant(monkeypatch, run_all) -> list:
     """The trajectories of ``run_all()`` with the default SNAPSHOT_CHUNK, after
     a check that their states (bit for bit), statuses and messages are those
-    of size checks one snapshot at a time."""
-    got = run_all()
-    with monkeypatch.context() as patch:
-        patch.setattr(driver, "SNAPSHOT_CHUNK", 1)
-        ref = run_all()
+    of size checks one snapshot at a time, and that the default run did check
+    a chunk at a time: it sized several snapshots in one call, or it advanced
+    intervals that it then retook one at a time."""
+    def counted(chunk):   # the trajectories, the intervals advanced, the snapshots per size
+        advanced, sized, integrate, stack = [], [], driver.integrate, driver.stack
+        with monkeypatch.context() as patch:
+            patch.setattr(driver, "SNAPSHOT_CHUNK", chunk)
+            patch.setattr(driver, "stack", lambda parts: sized.append(len(parts)) or stack(parts))
+            for solver in (hpc_solver, ks_solver):
+                patch.setattr(solver, "integrate", lambda initials, advance, *rest: integrate(
+                    initials, lambda s: advanced.append(1) or advance(s), *rest))
+            return run_all(), len(advanced), max(sized, default=0)
+
+    (got, advanced, sized), (ref, advanced_alone, _) = counted(SNAPSHOT_CHUNK), counted(1)
+    assert sized > 1 or advanced > advanced_alone
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
         assert (a.status, a.message) == (b.status, b.message)
@@ -193,18 +203,21 @@ def chunk_invariant(monkeypatch, run_all) -> list:
 
 
 def hpc_and_ks_initial(grid, params, amp):
-    """Each solver's run and its initial state from the profile amp cos(x)."""
-    profile = amp * np.cos(grid.x_axes[0])
+    """Each solver's run and its initial state from the profile amp sum_i cos(x_i)."""
+    profile = amp * sum(np.cos(x) for x in np.meshgrid(*grid.x_axes, indexing="ij"))
     hpc, _ = build_initial_data(grid, params, n_profile=profile)
     rho = dealias(SpectralField.from_physical(grid, (params.rho_bar + profile)[None]))
     return {"hpc": (run, hpc), "ks": (ks_run, KsState(0.0, rho, params))}
 
 
-@pytest.mark.parametrize("solver", ["hpc", "ks"])
-def test_completed_run_is_chunk_invariant(grid, params, monkeypatch, solver):
-    """A 1D run that keeps more snapshots than one chunk holds."""
+@pytest.mark.parametrize("d,solver", [(1, "hpc"), (1, "ks"), (2, "hpc"), (2, "ks")],
+                         ids=["hpc", "ks", "2d-hpc", "2d-ks"])
+def test_completed_run_is_chunk_invariant(params, monkeypatch, d, solver):
+    """A run that keeps more snapshots than one chunk holds, on N = 32 in 1D
+    and N = 16 in 2D."""
     config = SolverConfig(dt=0.02, t_end=0.02 * (SNAPSHOT_CHUNK + 6), snap_dt=0.02)
-    run_solver, initial = hpc_and_ks_initial(grid, params, 0.01)[solver]
+    run_solver, initial = hpc_and_ks_initial(make_grid(d, 32 // d, 2 * np.pi), params,
+                                             0.01)[solver]
     traj, = chunk_invariant(monkeypatch, lambda: [run_solver(initial, config)])
     assert traj.status == "completed" and len(traj.states) == SNAPSHOT_CHUNK + 7
 
@@ -266,17 +279,20 @@ def test_kept_snapshots_own_their_rows(grid, params):
 
 
 @pytest.mark.filterwarnings("ignore:initial norm")
-@pytest.mark.parametrize("solver,amp,reason", [
-    ("hpc", 1e-6, "norm explosion"), ("ks", 1e-6, "norm explosion"),
-    ("hpc", 0.2, "enthalpy left the admissible range"), ("ks", 0.05, "density left the validity"),
-], ids=["hpc-norm", "ks-norm", "hpc-window", "ks-window"])
-def test_blowup_in_a_chunk_is_chunk_invariant(grid, monkeypatch, solver, amp, reason):
+@pytest.mark.parametrize("d,solver,amp,reason", [
+    (d, *case) for d in (1, 2) for case in [
+        ("hpc", 1e-6, "norm explosion"), ("ks", 1e-6, "norm explosion"),
+        ("hpc", 0.2, "enthalpy left the admissible range"),
+        ("ks", 0.05, "density left the validity"),
+    ]], ids=[d + case for d in ("", "2d-")
+             for case in ("hpc-norm", "ks-norm", "hpc-window", "ks-window")])
+def test_blowup_in_a_chunk_is_chunk_invariant(monkeypatch, d, solver, amp, reason):
     """Negative margin: the run leaves the admissible set at a snapshot in the
-    middle of a chunk; the run keeps the same snapshots and message as with
-    size checks one snapshot at a time."""
+    middle of a chunk, on N = 32 in 1D and N = 16 in 2D; the run keeps the
+    same snapshots and message as with size checks one snapshot at a time."""
     p = ModelParams(eps=0.5, mu=3.0, a=1.0, b=1.0, rho_bar=1.0,
                     pressure=PressureLaw(kappa=1.0, gamma=1.0), j_offset=0)
-    run_solver, initial = hpc_and_ks_initial(grid, p, amp)[solver]
+    run_solver, initial = hpc_and_ks_initial(make_grid(d, 32 // d, 2 * np.pi), p, amp)[solver]
     config = SolverConfig(dt=0.02, t_end=40.0, snap_dt=0.5)
     traj, = chunk_invariant(monkeypatch, lambda: [run_solver(initial, config)])
     assert traj.status == "blowup" and reason in traj.message
@@ -285,12 +301,12 @@ def test_blowup_in_a_chunk_is_chunk_invariant(grid, monkeypatch, solver, amp, re
 
 @pytest.mark.parametrize("d,n_snaps,members,calls", [
     (1, 5, 1, 2), (1, SNAPSHOT_CHUNK, 1, 2), (1, SNAPSHOT_CHUNK + 1, 1, 3),
-    (1, 2 * SNAPSHOT_CHUNK + 3, 1, 4), (1, SNAPSHOT_CHUNK + 1, 3, 9), (2, 5, 1, 6)],
-    ids=["1-5-2", "1-64-2", "1-65-3", "1-131-4", "1-65-3-members-9", "2-5-6"])
+    (1, 2 * SNAPSHOT_CHUNK + 3, 1, 4), (1, SNAPSHOT_CHUNK + 1, 3, 9), (2, 5, 1, 2)],
+    ids=["1-5-2", "1-64-2", "1-65-3", "1-131-4", "1-65-3-members-9", "2-5-2"])
 def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, members, calls):
-    """A 1D run of M members and K snapshots takes its sizes in
+    """A run of M members and K snapshots, in any d, takes its sizes in
     M (ceil(K / SNAPSHOT_CHUNK) + 1) calls: for each member the initial one
-    alone, then one per chunk.  d >= 2 takes one per snapshot."""
+    alone, then one per chunk."""
     grid = make_grid(d, 8, 2 * np.pi)
     if members > 1:
         args = three_members(grid, params, n_snaps)

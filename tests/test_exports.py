@@ -124,3 +124,12 @@ def test_run_policy_only_in_the_driver():
             if name in policy:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, found
+
+
+def test_driver_reads_no_dimension():
+    """The run policy is one rule in every d: ``driver.py`` reads no ``.d``
+    attribute, so any dimension policy stays in the solvers."""
+    path = Path(chemorelax.__file__).resolve().parent / "driver.py"
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "d"]
+    assert not found, found
