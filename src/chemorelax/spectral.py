@@ -44,8 +44,8 @@ Conventions
   and one product gives all their block norms.  Besov and hybrid norms are
   weighted sums over those rows.  Block norms are torus integrals, computed
   from coefficients by Parseval,
-* snapshots (:func:`save_field`) keep the full ``fftn`` coefficient layout,
-  ``(ncomp, N, ..., N)``; :func:`load_field` reads it back.
+* snapshots (:func:`save_field`) store the half-spectrum as it is held,
+  ``(ncomp, *grid.spec_shape)``; :func:`load_field` reads it back.
 """
 
 from __future__ import annotations
@@ -418,30 +418,16 @@ def make_decomposition(grid: Grid) -> DyadicDecomposition:
 
 # -- snapshot IO -------------------------------------------------------------
 
-def _full_spectrum(f: SpectralField) -> np.ndarray:
-    """The full ``fftn`` layout, shape (ncomp, *grid.shape), of a half-spectrum.
-
-    The last-axis modes N/2+1 .. N-1 that are not stored are the conjugates of
-    the stored modes with every index negated (mod N).
-    """
-    N = f.grid.N
-    mirror = f.coef[..., N // 2 - 1:0:-1]     # last-axis modes N/2-1 .. 1
-    for ax in range(1, f.grid.d):             # other axes: index k -> (-k) mod N
-        mirror = np.roll(np.flip(mirror, ax), 1, ax)
-    return np.concatenate([f.coef, np.conj(mirror)], axis=-1)
-
-
 def save_field(path, f: SpectralField) -> None:
-    """Write a field snapshot: .npz with grid metadata and the full row-major
-    coefficient array, shape (ncomp, N, ..., N)."""
-    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=_full_spectrum(f))
+    """Write a field snapshot: .npz with grid metadata and the half-spectrum
+    ``coef``, shape (ncomp, *grid.spec_shape).  Physical values are
+    ``np.fft.irfftn(coef, s=(N,)*d, axes=range(1, d+1), norm="forward")``."""
+    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=f.coef)
 
 
 def load_field(path) -> SpectralField:
-    """Read a snapshot written by :func:`save_field` (full coefficient layout)."""
+    """Read a snapshot written by :func:`save_field`; any other coefficient
+    shape, such as the full ``fftn`` layout, raises ``ValueError``."""
     with np.load(path) as data:
         grid = make_grid(int(data["d"]), int(data["N"]), float(data["L"]))
-        coef = data["coef"]
-    if coef.shape[1:] != grid.shape:
-        raise ValueError(f"snapshot coefficients {coef.shape} do not match grid {grid.shape}")
-    return SpectralField(grid, coef[..., :grid.N // 2 + 1])
+        return SpectralField(grid, data["coef"])

@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemorelax import driver, hpc_solver
 from chemorelax.cli import SCHEMAS, main
-from chemorelax.model import MODEL_KEYS
+from chemorelax.model import MODEL_KEYS, params_from_config
+from chemorelax.spectral import load_field, make_grid
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -519,6 +521,51 @@ class TestCsvTables:
                 for name, cell in zip(header, row):
                     if name not in self.STRING_COLUMNS:
                         float(cell)   # raises on anything but a plain number
+
+
+class TestSnapshotFiles:
+    """The snapshot archives of a small 2D run of each solver, through ``main``."""
+
+    GRID = {"d": 2, "N": 16, "L": 6.283185307179586}
+    SOLVER = {"dt": 0.05, "t_end": 0.2, "snap_dt": 0.1}
+    WIDTH = 0.8
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("snapshots")
+        for command, initial in (("simulate-hpc", {"width": self.WIDTH, "target_x0": 0.01}),
+                                 ("simulate-ks", {"amplitude": 0.02, "width": self.WIDTH})):
+            cfg = write_config(root / f"{command}.json", {
+                "model": base_model(), "grid": self.GRID, "solver": self.SOLVER,
+                "initial": initial})
+            assert main([command, "--config", cfg, "--out", str(root / command)]) == 0
+        return root
+
+    def test_hpc_snapshots_are_the_final_state(self, runs):
+        """The last n, u and psi archives hold the half-spectra of the final
+        state of the same run built in-process, bit for bit."""
+        grid = make_grid(**self.GRID)
+        state, _ = hpc_solver.build_initial_data(
+            grid, params_from_config(base_model()),
+            n_profile=hpc_solver.gaussian_bump(grid, width=self.WIDTH), target_x0=0.01)
+        final = hpc_solver.run(state, driver.SolverConfig(**self.SOLVER)).states[-1]
+        snaps = runs / "simulate-hpc" / "snapshots"
+        last = max(int(p.stem[2:]) for p in snaps.glob("n_*.npz"))
+        assert last == 2
+        for name, field in (("n", final.n), ("u", final.u), ("psi", final.psi)):
+            path = snaps / f"{name}_{last:04d}.npz"
+            with np.load(path) as data:
+                assert np.array_equal(data["coef"], field.coef)
+            assert np.array_equal(load_field(path).coef, field.coef)
+
+    @pytest.mark.parametrize("command", ["simulate-hpc", "simulate-ks"])
+    def test_archive_holds_no_more_than_its_coefficients(self, runs, command):
+        """Each archive is its half-spectrum plus at most 2 KiB of metadata: a
+        full-layout file would carry almost twice the coefficient bytes."""
+        paths = sorted((runs / command / "snapshots").glob("*.npz"))
+        assert len(paths) == (9 if command == "simulate-hpc" else 3)
+        for path in paths:
+            assert path.stat().st_size <= load_field(path).coef.nbytes + 2048, path.name
 
 
 class TestPerformanceBudget:

@@ -448,4 +448,4 @@ class TestSnapshotIO:
         save_field(path, f)
         g2 = load_field(path)
         assert g2.grid.d == 2 and g2.grid.N == 16 and np.isclose(g2.grid.L, 3.5)
-        assert np.allclose(g2.coef, f.coef)
+        assert np.array_equal(g2.coef, f.coef)
