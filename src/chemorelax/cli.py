@@ -17,6 +17,8 @@ import argparse
 import json
 import platform
 import sys
+from contextlib import suppress
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,8 @@ def _write_manifest(out: Path, cfg: dict, args) -> None:
         "python_version": platform.python_version(),
         "numpy_version": np.__version__,
     }
+    with suppress(metadata.PackageNotFoundError):   # scipy is a test-only dependency
+        manifest["scipy_version"] = metadata.version("scipy")
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
 

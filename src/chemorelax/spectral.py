@@ -44,8 +44,10 @@ Conventions
   and one product gives all their block norms.  Besov and hybrid norms are
   weighted sums over those rows.  Block norms are torus integrals, computed
   from coefficients by Parseval,
-* snapshots (:func:`save_field`) store the half-spectrum as it is held,
-  ``(ncomp, *grid.spec_shape)``; :func:`load_field` reads it back.
+* snapshots (:func:`save_field`) store the 2/3 box ``coef[grid.box]``, shaped
+  ``(ncomp, 2K-1, ..., 2K-1, K)`` with ``K = grid.kept_columns``, outside which
+  every field the solvers hold is zero (inputs and right-hand sides are masked
+  and the propagators act mode by mode); :func:`load_field` scatters it back.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class Grid:
     xi_mag: np.ndarray = field(repr=False, default=None)  # |xi| from true wavenumbers
     xi_mag_diff: np.ndarray = field(repr=False, default=None)  # |xi| from xi_diff
     dealias_mask: np.ndarray = field(repr=False, default=None)
+    kept_columns: int = field(repr=False, default=None)   # K = N//3 + 1 last-axis columns kept
+    box: tuple = field(repr=False, default=None)   # 2/3 box: coef[box] is (ncomp, 2K-1, ..., K)
     multiplicity: np.ndarray = field(repr=False, default=None)  # modes per stored coefficient
     xi_sq: np.ndarray = field(repr=False, default=None)       # xi_mag_diff^2
     lap_symbol: np.ndarray = field(repr=False, default=None)  # -sum(xi_diff^2): Laplacian
@@ -122,11 +126,6 @@ class Grid:
     def xi_max(self) -> float:
         """Largest wavenumber magnitude, pi N sqrt(d) / L."""
         return np.pi * self.N * math.sqrt(self.d) / self.L
-
-    @property
-    def kept_columns(self) -> int:
-        """Last-axis columns 0 .. N/3 that the 2/3 mask keeps: N//3 + 1."""
-        return self.N // 3 + 1
 
     @cached_property
     def decomposition(self) -> "DyadicDecomposition":
@@ -160,6 +159,8 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     xi_mag = np.sqrt(np.sum(xi ** 2, axis=0))
     xi_mag_diff = np.sqrt(np.sum(xi_diff ** 2, axis=0))
     keep = np.stack(np.meshgrid(*[np.abs(m) <= N // 3 for m in axis_modes], indexing="ij"))
+    K = N // 3 + 1
+    rows = np.r_[0:K, N - K + 1:N]   # box rows |m| <= N/3 of a non-last axis, in FFT order
     multiplicity = np.full(spec_shape, 2.0)
     multiplicity[..., 0] = 1.0
     multiplicity[..., N // 2] = 1.0
@@ -167,6 +168,7 @@ def make_grid(d: int, N: int, L: float) -> Grid:
     return Grid(d=d, N=N, L=float(L), shape=(N,) * d, spec_shape=spec_shape, x_axes=[x1] * d,
                 xi_diff=xi_diff, xi_mag=xi_mag, xi_mag_diff=xi_mag_diff,
                 dealias_mask=np.all(keep, axis=0), multiplicity=multiplicity,
+                kept_columns=K, box=(slice(None),) + np.ix_(*[rows] * (d - 1)) + (slice(K),),
                 xi_sq=xi_mag_diff ** 2, lap_symbol=-np.sum(xi_diff ** 2, axis=0))
 
 
@@ -419,15 +421,23 @@ def make_decomposition(grid: Grid) -> DyadicDecomposition:
 # -- snapshot IO -------------------------------------------------------------
 
 def save_field(path, f: SpectralField) -> None:
-    """Write a field snapshot: .npz with grid metadata and the half-spectrum
-    ``coef``, shape (ncomp, *grid.spec_shape).  Physical values are
-    ``np.fft.irfftn(coef, s=(N,)*d, axes=range(1, d+1), norm="forward")``."""
-    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=f.coef)
+    """Write a field snapshot: .npz with grid metadata and the 2/3 box
+    ``coef = f.coef[grid.box]``; a field with a nonzero coefficient outside
+    the box raises ``ValueError`` and writes nothing."""
+    box = f.coef[f.grid.box]
+    if np.count_nonzero(box) != np.count_nonzero(f.coef):
+        raise ValueError(f"field has coefficients outside the 2/3 box; not written to {path}")
+    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=box)
 
 
 def load_field(path) -> SpectralField:
-    """Read a snapshot written by :func:`save_field`; any other coefficient
-    shape, such as the full ``fftn`` layout, raises ``ValueError``."""
+    """Read a snapshot written by :func:`save_field`, its box scattered into zeros;
+    any other layout, such as a half-spectrum or a full spectrum, is a ``ValueError``."""
     with np.load(path) as data:
         grid = make_grid(int(data["d"]), int(data["N"]), float(data["L"]))
-        return SpectralField(grid, data["coef"])
+        box = data["coef"]
+    coef = np.zeros((len(box),) + grid.spec_shape, dtype=np.complex128)
+    if box.shape != coef[grid.box].shape:
+        raise ValueError(f"{path}: coefficients shaped {box.shape} are not the 2/3 box")
+    coef[grid.box] = box
+    return SpectralField(grid, coef)

@@ -1,12 +1,13 @@
 """Batch front door: config parsing, manifests, exit codes, CSV emission."""
 
+import importlib.metadata
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chemorelax import driver, hpc_solver
+from chemorelax import cli, driver, hpc_solver
 from chemorelax.cli import SCHEMAS, main
 from chemorelax.model import MODEL_KEYS, params_from_config
 from chemorelax.spectral import load_field, make_grid
@@ -87,6 +88,22 @@ class TestAnalyzeSymbol:
         assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == importlib.metadata.version("scipy")
+
+    def test_manifest_leaves_out_a_missing_scipy(self, tmp_path, monkeypatch):
+        """Without scipy installed (a test-only dependency) the manifest has no
+        scipy_version key, and the run still completes."""
+        def version(name):
+            if name == "scipy":
+                raise importlib.metadata.PackageNotFoundError(name)
+            return importlib.metadata.version(name)
+        monkeypatch.setattr(cli.metadata, "version", version)
+        cfg = write_config(tmp_path / "c.json", {"model": base_model(),
+                                                 "experiment": {"xi_max": 5.0, "samples": 10}})
+        assert main(["analyze-symbol", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "scipy_version" not in manifest
         assert manifest["numpy_version"] == np.__version__
 
     def test_config_file_missing(self, tmp_path, capsys):
@@ -542,8 +559,9 @@ class TestSnapshotFiles:
         return root
 
     def test_hpc_snapshots_are_the_final_state(self, runs):
-        """The last n, u and psi archives hold the half-spectra of the final
-        state of the same run built in-process, bit for bit."""
+        """The last n, u and psi archives hold the 2/3 boxes of the final state
+        of the same run built in-process, bit for bit, and load back as its
+        half-spectra."""
         grid = make_grid(**self.GRID)
         state, _ = hpc_solver.build_initial_data(
             grid, params_from_config(base_model()),
@@ -555,17 +573,19 @@ class TestSnapshotFiles:
         for name, field in (("n", final.n), ("u", final.u), ("psi", final.psi)):
             path = snaps / f"{name}_{last:04d}.npz"
             with np.load(path) as data:
-                assert np.array_equal(data["coef"], field.coef)
+                assert np.array_equal(data["coef"], field.coef[grid.box])
             assert np.array_equal(load_field(path).coef, field.coef)
 
     @pytest.mark.parametrize("command", ["simulate-hpc", "simulate-ks"])
     def test_archive_holds_no_more_than_its_coefficients(self, runs, command):
-        """Each archive is its half-spectrum plus at most 2 KiB of metadata: a
-        full-layout file would carry almost twice the coefficient bytes."""
+        """Each archive is its 2/3 box plus at most 2 KiB of metadata: a
+        half-spectrum file would carry about twice the coefficient bytes."""
+        grid = make_grid(**self.GRID)
         paths = sorted((runs / command / "snapshots").glob("*.npz"))
         assert len(paths) == (9 if command == "simulate-hpc" else 3)
         for path in paths:
-            assert path.stat().st_size <= load_field(path).coef.nbytes + 2048, path.name
+            box_bytes = load_field(path).coef[grid.box].nbytes
+            assert path.stat().st_size <= box_bytes + 2048, path.name
 
 
 class TestPerformanceBudget:

@@ -185,26 +185,52 @@ class TestPropagatorAgainstFull:
 
 
 class TestSnapshotLayout:
-    def test_saved_coefficients_are_the_half_spectrum(self, setup, tmp_path):
+    def test_saved_coefficients_are_the_box(self, setup, tmp_path):
+        """An archive holds the field's 2/3 box, coef[grid.box], shaped
+        (ncomp, 2K-1, ..., K); scattered back into zeros it gives the field's
+        half-spectrum and, through irfftn, its grid values bit for bit."""
         grid, _, fields = setup
-        axes = tuple(range(1, grid.d + 1))
+        K, axes = grid.kept_columns, tuple(range(1, grid.d + 1))
         for ncomp, (half, _) in fields.items():
+            field = dealias(half)
             path = tmp_path / f"f{ncomp}.npz"
-            save_field(path, half)
+            save_field(path, field)
             with np.load(path) as data:
                 saved = data["coef"]
-            assert saved.shape == (ncomp,) + grid.spec_shape
-            assert np.array_equal(saved, half.coef)
-            values = np.fft.irfftn(saved, s=grid.shape, axes=axes, norm="forward")
-            assert np.array_equal(values, half.to_physical())
-            assert np.array_equal(load_field(path).coef, half.coef)
+            assert saved.shape == (ncomp,) + (2 * K - 1,) * (grid.d - 1) + (K,)
+            assert np.array_equal(saved, field.coef[grid.box])
+            coef = np.zeros_like(field.coef)
+            coef[grid.box] = saved
+            values = np.fft.irfftn(coef, s=grid.shape, axes=axes, norm="forward")
+            assert np.array_equal(values, field.to_physical())
+            assert np.array_equal(load_field(path).coef, field.coef)
+
+    def test_save_refuses_data_outside_the_box(self, setup, tmp_path):
+        """One tiny nonzero coefficient just past the box, on the last axis or
+        on either side of a non-last axis, or at the Nyquist column, is a
+        ValueError, and no file is written."""
+        grid, _, fields = setup
+        K, N, d = grid.kept_columns, grid.N, grid.d
+        field = dealias(fields[1][0])
+        outside = [(0,) * d + (K,), (0,) * d + (N // 2,)]
+        if d > 1:
+            outside += [(0, K) + (0,) * (d - 1), (0, N - K) + (0,) * (d - 1)]
+        for where in outside:
+            coef = field.coef.copy()
+            coef[where] = 1e-300
+            path = tmp_path / "outside.npz"
+            with pytest.raises(ValueError, match="outside the 2/3 box"):
+                save_field(path, SpectralField(grid, coef))
+            assert not list(tmp_path.iterdir())
 
     def test_load_rejects_other_layouts(self, tmp_path):
+        """The half-spectrum layout and the full layout are refused."""
         grid = make_grid(2, 16, 1.0)
-        path = tmp_path / "full.npz"
-        np.savez(path, d=2, N=16, L=1.0, coef=np.zeros((1,) + grid.shape, complex))
-        with pytest.raises(ValueError):
-            load_field(path)
+        for name, shape in (("half", grid.spec_shape), ("full", grid.shape)):
+            path = tmp_path / f"{name}.npz"
+            np.savez(path, d=2, N=16, L=1.0, coef=np.zeros((1,) + shape, complex))
+            with pytest.raises(ValueError, match="not the 2/3 box"):
+                load_field(path)
 
 
 IMPORT_PROBE = """
