@@ -44,17 +44,18 @@ Conventions
   and one product gives all their block norms.  Besov and hybrid norms are
   weighted sums over those rows.  Block norms are torus integrals, computed
   from coefficients by Parseval,
-* snapshots (:func:`save_field`) store the 2/3 box ``coef[grid.box]``, shaped
-  ``(ncomp, 2K-1, ..., 2K-1, K)`` with ``K = grid.kept_columns``, outside which
-  every field the solvers hold is zero (inputs and right-hand sides are masked
-  and the propagators act mode by mode); :func:`load_field` scatters it back.
+* snapshots (:func:`save_field`) hold the float64 record ``grid = [d, N, L]``
+  and the 2/3 box ``coef[grid.box]``, shaped ``(ncomp, 2K-1, ..., 2K-1, K)``
+  with ``K = grid.kept_columns``, outside which every field the solvers hold
+  is zero (inputs and right-hand sides are masked and the propagators act mode
+  by mode); :func:`load_field` scatters it back, onto one grid per (d, N, L).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -421,23 +422,31 @@ def make_decomposition(grid: Grid) -> DyadicDecomposition:
 # -- snapshot IO -------------------------------------------------------------
 
 def save_field(path, f: SpectralField) -> None:
-    """Write a field snapshot: .npz with grid metadata and the 2/3 box
-    ``coef = f.coef[grid.box]``; a field with a nonzero coefficient outside
-    the box raises ``ValueError`` and writes nothing."""
-    box = f.coef[f.grid.box]
+    """Write a field snapshot: .npz with two members, ``grid`` (float64
+    ``[d, N, L]``) and the 2/3 box ``coef = f.coef[grid.box]``; a field with a
+    nonzero coefficient outside the box raises ``ValueError`` and writes nothing."""
+    g, box = f.grid, f.coef[f.grid.box]
     if np.count_nonzero(box) != np.count_nonzero(f.coef):
         raise ValueError(f"field has coefficients outside the 2/3 box; not written to {path}")
-    np.savez(path, d=f.grid.d, N=f.grid.N, L=f.grid.L, coef=box)
+    np.savez(path, grid=np.array([g.d, g.N, g.L], dtype=np.float64), coef=box)
+
+
+_snapshot_grid = lru_cache(maxsize=8)(make_grid)   # loads share one grid per (d, N, L)
 
 
 def load_field(path) -> SpectralField:
     """Read a snapshot written by :func:`save_field`, its box scattered into zeros;
-    any other layout, such as a half-spectrum or a full spectrum, is a ``ValueError``."""
+    any other layout, the older ones included, is a ``ValueError``."""
     with np.load(path) as data:
-        grid = make_grid(int(data["d"]), int(data["N"]), float(data["L"]))
-        box = data["coef"]
-    coef = np.zeros((len(box),) + grid.spec_shape, dtype=np.complex128)
-    if box.shape != coef[grid.box].shape:
+        if sorted(data.files) != ["coef", "grid"]:
+            raise ValueError(f"{path}: members {data.files} are not [grid, coef]")
+        record, box = data["grid"], data["coef"]
+    if (record.dtype != np.float64 or record.shape != (3,)
+            or not (record[0].is_integer() and record[1].is_integer())):
+        raise ValueError(f"{path}: grid record {record!r} is not [d, N, L] with d, N integral")
+    grid = _snapshot_grid(int(record[0]), int(record[1]), float(record[2]))
+    coef = np.zeros(box.shape[:1] + grid.spec_shape, dtype=np.complex128)
+    if box.ndim != grid.d + 1 or box.shape != coef[grid.box].shape:
         raise ValueError(f"{path}: coefficients shaped {box.shape} are not the 2/3 box")
     coef[grid.box] = box
     return SpectralField(grid, coef)

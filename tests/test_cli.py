@@ -576,16 +576,23 @@ class TestSnapshotFiles:
                 assert np.array_equal(data["coef"], field.coef[grid.box])
             assert np.array_equal(load_field(path).coef, field.coef)
 
+    def test_archives_of_one_run_share_a_grid(self, runs):
+        """Every archive of a run loads onto one Grid object."""
+        paths = sorted((runs / "simulate-hpc" / "snapshots").glob("*.npz"))
+        grids = [load_field(path).grid for path in paths]
+        assert len(paths) == 9 and all(grid is grids[0] for grid in grids)
+
     @pytest.mark.parametrize("command", ["simulate-hpc", "simulate-ks"])
     def test_archive_holds_no_more_than_its_coefficients(self, runs, command):
-        """Each archive is its 2/3 box plus at most 2 KiB of metadata: a
-        half-spectrum file would carry about twice the coefficient bytes."""
+        """Each archive is its 2/3 box plus at most 640 bytes of zip and npy
+        headers: the two-member layout carries 526, the four-member one with
+        separate d, N and L carried 988."""
         grid = make_grid(**self.GRID)
         paths = sorted((runs / command / "snapshots").glob("*.npz"))
         assert len(paths) == (9 if command == "simulate-hpc" else 3)
         for path in paths:
             box_bytes = load_field(path).coef[grid.box].nbytes
-            assert path.stat().st_size <= box_bytes + 2048, path.name
+            assert path.stat().st_size <= box_bytes + 640, path.name
 
 
 class TestPerformanceBudget:

@@ -186,9 +186,10 @@ class TestPropagatorAgainstFull:
 
 class TestSnapshotLayout:
     def test_saved_coefficients_are_the_box(self, setup, tmp_path):
-        """An archive holds the field's 2/3 box, coef[grid.box], shaped
-        (ncomp, 2K-1, ..., K); scattered back into zeros it gives the field's
-        half-spectrum and, through irfftn, its grid values bit for bit."""
+        """An archive holds exactly two members: ``grid``, float64 [d, N, L],
+        and ``coef``, the field's 2/3 box coef[grid.box], complex128 and
+        shaped (ncomp, 2K-1, ..., K); scattered back into zeros it gives the
+        field's half-spectrum and, through irfftn, its grid values bit for bit."""
         grid, _, fields = setup
         K, axes = grid.kept_columns, tuple(range(1, grid.d + 1))
         for ncomp, (half, _) in fields.items():
@@ -196,7 +197,10 @@ class TestSnapshotLayout:
             path = tmp_path / f"f{ncomp}.npz"
             save_field(path, field)
             with np.load(path) as data:
-                saved = data["coef"]
+                assert sorted(data.files) == ["coef", "grid"]
+                record, saved = data["grid"], data["coef"]
+            assert record.dtype == np.float64 and record.tolist() == [grid.d, grid.N, grid.L]
+            assert saved.dtype == np.complex128
             assert saved.shape == (ncomp,) + (2 * K - 1,) * (grid.d - 1) + (K,)
             assert np.array_equal(saved, field.coef[grid.box])
             coef = np.zeros_like(field.coef)
@@ -224,12 +228,29 @@ class TestSnapshotLayout:
             assert not list(tmp_path.iterdir())
 
     def test_load_rejects_other_layouts(self, tmp_path):
-        """The half-spectrum layout and the full layout are refused."""
+        """The half-spectrum and full layouts, the four-member box layout
+        (``d``, ``N``, ``L``, ``coef``), a stray member, a coefficient array
+        that is not the box, and a grid record with a non-integral d or N are
+        all ValueErrors, never KeyErrors."""
         grid = make_grid(2, 16, 1.0)
-        for name, shape in (("half", grid.spec_shape), ("full", grid.shape)):
+        record = np.array([2.0, 16.0, 1.0])
+        box = np.zeros((1,) + grid.spec_shape, complex)[grid.box]
+        layouts = {
+            "half": dict(d=2, N=16, L=1.0, coef=np.zeros((1,) + grid.spec_shape, complex)),
+            "full": dict(d=2, N=16, L=1.0, coef=np.zeros((1,) + grid.shape, complex)),
+            "four-member box": dict(d=2, N=16, L=1.0, coef=box),
+            "stray member": dict(grid=record, coef=box, t=0.5),
+            "no coef": dict(grid=record),
+            "half with grid": dict(grid=record, coef=np.zeros((1,) + grid.spec_shape, complex)),
+            "box without rows": dict(grid=record, coef=box[0]),
+            "non-integral d": dict(grid=np.array([2.5, 16.0, 1.0]), coef=box),
+            "non-integral N": dict(grid=np.array([2.0, 16.5, 1.0]), coef=box),
+            "integer record": dict(grid=np.array([2, 16, 1]), coef=box),
+        }
+        for name, members in layouts.items():
             path = tmp_path / f"{name}.npz"
-            np.savez(path, d=2, N=16, L=1.0, coef=np.zeros((1,) + shape, complex))
-            with pytest.raises(ValueError, match="not the 2/3 box"):
+            np.savez(path, **members)
+            with pytest.raises(ValueError, match=r"not (\[grid, coef\]|the 2/3 box|\[d, N, L\])"):
                 load_field(path)
 
 
