@@ -18,13 +18,12 @@ import json
 import platform
 import sys
 from contextlib import suppress
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
 from . import (__version__, diagnostics, driver, etd, hpc_solver, ks_solver, linear_analysis,
-               model, spectral)
+               metadata, model, spectral)
 from .model import REQUIRED, as_integer, as_number, config_kind, read_keys
 
 __all__ = ["main"]

@@ -4,9 +4,10 @@ relaxation-limit error sweep.
 Nothing here advances a solution; every function is a pure evaluation of
 states or trajectories produced by the solvers.  The damped-mode check and
 the relaxation sweep run over snapshot stacks: one inverse transform of n and
-one density perturbation per stack, and row-wise block norms.  A snapshot's
-Lyapunov blocks of every field are one stack with one inverse transform, so
-its transform count does not grow with the blocks.
+one density perturbation per stack, and row-wise block norms; the sweep
+takes a member's stacks as its run produces them and keeps no trajectory.
+A snapshot's Lyapunov blocks of every field are one stack with one inverse
+transform, so its transform count does not grow with the blocks.
 """
 
 from __future__ import annotations
@@ -18,19 +19,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stacks, whole_count,
-                     write_csv)
-from .hpc_solver import (
+from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stack, stack_stream,
+                     stacks, whole_count, write_csv)
+from .hpc_solver import (  # run_members stays importable here for the CLI tests that stop runs
     HpcState,
     PropagatorTables,
     equilibrium_psi,
     hybrid_aggregate,
     rough_mode_profile,
     run_members,
+    stream_members,
 )
 from .ks_solver import KsState, KsTables, ks_run, reconstruct_velocity, solve_phi
 from .model import (
     ModelParams,
+    OutsideValidityWindow,
     coefficient_H,
     coefficients_GH,
     density_perturbation,
@@ -347,8 +350,11 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     (etd.NonFiniteTables, a ValueError), which the runs take.  A run that does
     not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift"), as if the members ran in turn; they run as one member stack
-    (:func:`run_members`) in d = 1, one at a time in d >= 2, each one's errors
-    taken before the next starts.  ``threads`` must be 1.
+    (:func:`stream_members`) in d = 1, one at a time in d >= 2.  A member's
+    norms are taken on the stacks of its snapshots from snapshot 0 as the run
+    hands them over, and its trajectory keeps only its initial and final
+    states, so the sweep's memory does not grow with ``tau_end`` beyond the
+    limit model's density snapshots.  ``threads`` must be 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
@@ -427,19 +433,43 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
                 dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
                 dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps)
 
-    def member_errors(traj: Trajectory) -> tuple:
-        """The member's six report entries, in RelaxationReport's field order."""
+    norms = np.empty((len(eps_list), 6, len(taus)))   # per member: six norms per snapshot
+    off_window = {}   # member -> the error of a snapshot off the validity window
+
+    def member_norms(i: int):
+        """A consumer of member i's snapshots that keeps none: it writes the
+        norms of each stack into norms[i] as the stack fills.  A snapshot off
+        the validity window (the last one a run that then fails keeps) is
+        recorded instead, and raised only if the member completes."""
+        def take(start: int, s: HpcState):
+            try:
+                norms[i, :, start:start + len(s.t)] = stack_norms(
+                    stack(ks_traj.states[start:start + len(s.t)]), s)
+            except OutsideValidityWindow as exc:
+                off_window.setdefault(i, exc)
+        return stack_stream(take, len(taus))
+
+    def run(members: list) -> list:
+        """The trajectories of the members (indices), holding their initial and
+        final states; their norms are taken as their chunks arrive."""
+        feeds = [member_norms(i) for i in members]
+        return stream_members([initials[i] for i in members], [configs[i] for i in members],
+                              [tables[i] for i in members], lambda m, snaps: feeds[m](snaps))
+
+    def member_errors(traj: Trajectory, i: int) -> tuple:
+        """Member i's six report entries, in RelaxationReport's field order."""
         eps = traj.initial.params.eps
         _require_completed(traj, f"relaxation member eps={eps}")
-        sup_drho, *integrands, dtphi = map(np.concatenate, zip(*map(
-            stack_norms, stacks(ks_traj.states), stacks(traj.states))))
+        if i in off_window:
+            raise off_window[i]
+        sup_drho, *integrands, dtphi = norms[i]
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
-    errors = (map(member_errors, run_members(initials, configs, tables)) if grid.d == 1 else
+    members = range(len(eps_list))
+    errors = (map(member_errors, run(members), members) if grid.d == 1 else
               # one member at a time, and no name holds a trajectory while the next one runs
-              (member_errors(run_members([i], [c], [t])[0])
-               for i, c, t in zip(initials, configs, tables)))
+              (member_errors(run([i])[0], i) for i in members))
     report = RelaxationReport(list(eps_list), *map(list, zip(*errors)))
     report.fit_slopes()
     return report

@@ -6,7 +6,12 @@ columns), and the trajectory type.  The loop checks sizes a chunk of
 snapshots at a time, in every d: it advances up to SNAPSHOT_CHUNK intervals
 and takes their sizes in one call per member, and it retakes a chunk that
 fails one interval at a time, so a run keeps the states, status and message
-of a check after every interval.  States are values: frozen, and never
+of a check after every interval.  Each accepted chunk goes to the caller's
+consumer, member by member, and a trajectory keeps only what that consumer
+returns besides its initial and final states: every snapshot
+(:func:`keep_all`), or none when the caller takes what it needs from each
+chunk as it comes (:func:`stack_stream`), so such a run holds at most a
+couple of chunks whatever its length.  States are values: frozen, and never
 written into.  A step returns a new state, and the driver keeps the states
 the steps return, the initial one included, without copying them.  Sizes
 and diagnostics run on snapshot stacks
@@ -31,9 +36,8 @@ from .model import OutsideValidityWindow
 from .spectral import SpectralField
 
 __all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "SNAPSHOT_CHUNK", "BlowupError",
-           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "stack",
-           "stacks",
-           "whole_count", "write_csv"]
+           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "keep_all",
+           "stack", "stack_stream", "stacks", "whole_count", "write_csv"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
@@ -132,6 +136,31 @@ def stacks(states: list):
         yield stack(states[start:start + SNAPSHOT_CHUNK])
 
 
+def keep_all(member: int, snaps: list) -> list:
+    """The consumer of :func:`integrate` that keeps every snapshot."""
+    return snaps
+
+
+def stack_stream(take: Callable, count: int) -> Callable:
+    """A consumer of one member's snapshots, ``count`` in all, that keeps none:
+    fed them in order as they arrive, it calls ``take(start, stack)`` on each
+    of their :func:`stacks` (``start`` the index of its first snapshot) as soon
+    as the snapshots of that stack are all in, and returns the empty list."""
+    pending, taken = [], 0
+
+    def feed(snaps: list) -> list:
+        nonlocal taken
+        pending.extend(snaps)
+        while pending and len(pending) >= min(SNAPSHOT_CHUNK, count - taken):
+            part = pending[:SNAPSHOT_CHUNK]
+            del pending[:SNAPSHOT_CHUNK]
+            take(taken, stack(part))
+            taken += len(part)
+        return []
+
+    return feed
+
+
 class DiagnosticSeries:
     """Time-indexed diagnostics as named columns, one value per snapshot."""
 
@@ -148,10 +177,10 @@ class DiagnosticSeries:
 
 @dataclass
 class Trajectory:
-    """The snapshots of one run, its status ("completed", "blowup" or
-    "mass_drift") and the reason.  ``series``, the :class:`DiagnosticSeries`
-    of ``columns(stack)`` over the :func:`stacks` of the snapshots, is built
-    on first read."""
+    """The kept snapshots of one run, from its initial state to its final one,
+    its status ("completed", "blowup" or "mass_drift") and the reason.
+    ``series``, the :class:`DiagnosticSeries` of ``columns(stack)`` over the
+    :func:`stacks` of the kept snapshots, is built on first read."""
 
     states: list
     columns: Callable
@@ -175,11 +204,10 @@ class Trajectory:
 
 
 def integrate(initials: list, advance: Callable, size: Callable, columns: Callable,
-              configs: list) -> list:
+              configs: list, consume: Callable) -> list:
     """Step the member states ``initials`` (one per config, all with one
     snapshot count) an interval at a time with ``advance(states)``, which
-    returns the members still running one interval on, keeping each member's
-    initial state and snapshots uncopied.
+    returns the members still running one interval on.
 
     ``size(stack)`` gives the norms of one member's :func:`stack` of
     snapshots, one per snapshot.  The initial sizes are taken alone, and one
@@ -190,12 +218,18 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
     retaken from its start one interval at a time.  In a chunk of one it ends
     the member (the exception's ``member``, else 0) as "blowup"; as if the
     members ran in turn, the later ones drop out and the earlier ones retake
-    the interval.  Returns the members' trajectories up to the first that
-    blows up."""
+    the interval.
+
+    Each accepted chunk, the initial states alone first, goes to
+    ``consume(m, snaps)`` with member m's snapshots of it in order, for every
+    member still running; it returns those of them that m's trajectory keeps
+    (uncopied), besides its initial and final states, which it always keeps.
+    Returns the members' trajectories up to the first that blows up."""
     n_snaps, = {config.schedule()[1] for config in configs}   # one count (ValueError otherwise)
-    states, kept, ends, size0 = initials, [], {}, None
-    retake = 1   # snapshots before this one are taken one at a time: the initial, a retaken chunk
-    while states and (k := len(kept)) <= n_snaps:
+    states, ends, size0 = initials, {}, None
+    kept, last = [[] for _ in initials], list(initials)   # per member: consumed, latest accepted
+    k, retake = 0, 1   # snapshots accepted; those before `retake` are taken one at a time
+    while states and k <= n_snaps:
         span = 1 if k < retake else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
         try:
             pending, new = [], states
@@ -224,11 +258,16 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
                 retake = k + span
                 continue
             states = states[:getattr(exc, "member", 0)]
-            ends[len(states)] = "blowup", str(exc), max(k, 1)   # with the snapshots it keeps
+            ends[len(states)] = "blowup", str(exc)
             continue
-        kept.extend(pending)   # [initials] at k = 0
-        states = new
-    history = kept or [initials]
-    return [Trajectory([h[m] for h in history[:count]], columns, status, message)
-            for m in range(min(ends, default=len(configs) - 1) + 1)
-            for status, message, count in [ends.get(m, ("completed", "", len(history)))]]
+        k, states = k + span, new
+        last[:len(new)] = new
+        for m, snaps in enumerate(zip(*pending)):
+            kept[m].extend(consume(m, list(snaps)))
+    for m, own in enumerate(kept):   # in order, so only the ends can be missing
+        if not own or own[0] is not initials[m]:
+            own.insert(0, initials[m])
+        if own[-1] is not last[m]:
+            own.append(last[m])
+    return [Trajectory(kept[m], columns, *ends.get(m, ("completed", "")))
+            for m in range(min(ends, default=len(configs) - 1) + 1)]

@@ -16,8 +16,9 @@ evaluation.  The right-hand side takes one path in every d, with one
 transform each way, as a 1D step is bound by per-call overhead: it masks the
 rows [n, u] on the last-axis columns that the 2/3 rule keeps and multiplies
 them by i xi, for the 2 + 2d + d^2 rows [n, u, div u, grad n, grad u_1 ..
-grad u_d] (each row holding a d=1 member stack's members), takes them to the
-grid in one inverse transform (:func:`chemorelax.spectral.pruned_inverse`),
+grad u_d] (in d=1, where div u is grad u, the 4 rows [n, u, grad n, grad u];
+each row holding a d=1 member stack's members), takes them to the grid in
+one inverse transform (:func:`chemorelax.spectral.pruned_inverse`),
 forms -u.grad of [n, u] in one einsum and N_n, N_u and H in output rows, and
 takes those in one masked forward transform
 (:func:`chemorelax.spectral.pruned_forward`) into the one array it returns,
@@ -27,11 +28,13 @@ array of rows [n, u, psi] through each stage (right-hand side, propagator
 apply, sum) and builds fields only for the star state and the new state.
 Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation, which shifts the zero modes of
-the new state's n rows in place.  :func:`run_members` runs a run, or the
+the new state's n rows in place.  :func:`stream_members` runs a run, or the
 members of a sweep's eps family, on :func:`chemorelax.driver.integrate`,
-whose run policy watches each member's hybrid energy; in d=1 it steps the
-members of an interval as one member stack (one row per member, each stepped
-at its own eps and dt, bit for bit as alone), which no caller sees.  The CFL test takes the speed max|u| from the step's first
+whose run policy watches each member's hybrid energy, and hands each chunk
+of snapshots to its caller (:func:`run_members` keeps them all); in d=1 it
+steps the members of an interval as one member stack (one row per member,
+each stepped at its own eps and dt, bit for bit as alone), which no caller
+sees.  The CFL test takes the speed max|u| from the step's first
 right-hand side, which transforms the dealiased u; the states of a run lie in
 the 2/3 box, where that is u itself, so the test costs no transform of its own.
 
@@ -61,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import etd
-from .driver import BlowupError, SolverConfig, Trajectory, integrate, stack
+from .driver import BlowupError, SolverConfig, Trajectory, integrate, keep_all, stack
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
@@ -89,6 +92,7 @@ __all__ = [
     "step",
     "run",
     "run_members",
+    "stream_members",
     "build_initial_data",
     "equilibrium_psi",
     "hybrid_aggregate",
@@ -108,7 +112,7 @@ class HpcState:
     """Snapshot of (n, u, psi) at one time instant, or a stack of snapshots or
     of d=1 members (one row each, time an array); a value, frozen and never
     written into (see :mod:`chemorelax.driver`).  A member stack lives only
-    inside :func:`run_members` and carries its first member's params."""
+    inside :func:`stream_members` and carries its first member's params."""
 
     t: float
     n: SpectralField
@@ -137,8 +141,9 @@ def _scratch(grid: Grid, k: int) -> tuple:
     """(flat complex buffer, complex rows, their gradient rows, real rows, their
     gradient rows, i xi_diff, 2/3 mask) of the right-hand side of k members (one
     unless d = 1) on grid, made on first use.  The complex rows, a view of the
-    buffer shaped (2 + 2d + d^2, k, *grid.shape[:-1], kept), take the rows
-    [n, u, div u, grad n, grad u_1 .. grad u_d] on the kept last-axis columns,
+    buffer shaped (rows, k, *grid.shape[:-1], kept), take the rows
+    [n, u, div u, grad n, grad u_1 .. grad u_d] on the kept last-axis columns
+    (no div u row in d = 1, where it is grad u: 4 rows, else 2 + 2d + d^2),
     the gradient rows viewed as (1 + d, d, ...); the buffer also takes the
     4 + d temporaries of the d >= 2 propagator apply (the two never run at
     once).  The real rows take the rows' grid values, then 2 + d output rows.
@@ -147,13 +152,14 @@ def _scratch(grid: Grid, k: int) -> tuple:
     per_grid = _SCRATCH.setdefault(grid, {})
     if k not in per_grid:
         d, keep = grid.d, grid.kept_columns
-        n_rows, size = 2 + 2 * d + d * d, math.prod(grid.spec_shape)
+        grad0, size = 1 + d + (d > 1), math.prod(grid.spec_shape)   # the first gradient row
+        n_rows = grad0 + d + d * d
         shape = (n_rows, k) + grid.shape[:-1] + (keep,)
         buf = np.empty(max(math.prod(shape), (4 + d) * size), dtype=np.complex128)
         rows = buf[:math.prod(shape)].reshape(shape)
         vals = np.empty((n_rows + 2 + d, k) + grid.shape)
-        per_grid[k] = (buf, rows, rows[2 + d:].reshape((1 + d, d) + shape[1:]), vals,
-                       vals[2 + d:n_rows].reshape((1 + d, d) + vals.shape[1:]),
+        per_grid[k] = (buf, rows, rows[grad0:].reshape((1 + d, d) + shape[1:]), vals,
+                       vals[grad0:n_rows].reshape((1 + d, d) + vals.shape[1:]),
                        1j * grid.xi_diff[:, None, ..., :keep], grid.dealias_mask[..., :keep])
     return per_grid[k]
 
@@ -264,18 +270,21 @@ def nonlinear_rhs(state: HpcState):
     """
     grid, d, k = state.grid, state.grid.d, state.n.ncomp
     # rows [n, u, div u, grad n, grad u_1 .. grad u_d] of the dealiased input on the
-    # kept columns, then their grid values; grad f[i] = i xi_i f for f in [n, u],
-    # and div u sums the diagonal rows grad u_i[i] over the stacked products
+    # kept columns (no div u row in d = 1), then their grid values; grad f[i] =
+    # i xi_i f for f in [n, u], and div u sums the diagonal rows grad u_i[i] over
+    # the stacked products
     _, rows, grad_rows, vals, grad_vals, ixi, mask = _scratch(grid, k)
     keep, n_rows = grid.kept_columns, len(rows)
     np.multiply(state.n.coef[..., :keep], mask, out=rows[0])
     np.multiply(state.u.coef.reshape((d, k) + grid.spec_shape)[..., :keep], mask,
                 out=rows[1:1 + d])
     np.multiply(ixi, rows[:1 + d, None], out=grad_rows)
-    np.add.reduce(rows[2 + 2 * d::d + 1], axis=0, out=rows[1 + d])
+    if d > 1:
+        np.add.reduce(rows[2 + 2 * d::d + 1], axis=0, out=rows[1 + d])
     pruned_inverse(grid, rows, vals[:n_rows])
 
-    n_phys, u_phys, div_u = vals[0], vals[1:1 + d], vals[1 + d]
+    n_phys, u_phys = vals[0], vals[1:1 + d]
+    div_u = vals[1 + d] if d > 1 else grad_vals[1, 0]
     g_vals, h_vals = coefficients_GH(n_phys, state.params)   # raises off the window
     # [N_n, N_u, H] in the output rows: -u.grad of [n, u] in one einsum, then G div u
     out = vals[n_rows:]
@@ -375,9 +384,16 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
 
 
 def run_members(initials: list, configs: list, tables: list) -> list:
+    """The trajectories of :func:`stream_members` with every snapshot kept."""
+    return stream_members(initials, configs, tables, keep_all)
+
+
+def stream_members(initials: list, configs: list, tables: list, consume) -> list:
     """Integrate members (params differing in eps only, the tables of each
     config's dt; several in d=1 only, in order of steps per snapshot) on
-    :func:`chemorelax.driver.integrate`.  An interval stacks the members once:
+    :func:`chemorelax.driver.integrate`, which hands each accepted chunk of a
+    member's snapshots to ``consume(m, snaps)`` and keeps in its trajectory
+    what that returns.  An interval stacks the members once:
     substep j steps the members with more than j steps, and after each
     substep the members that have taken all their steps (a prefix) leave the
     stack as copies of their rows.  A CFL violation or an error sends the
@@ -458,7 +474,7 @@ def run_members(initials: list, configs: list, tables: list) -> list:
 
     try:
         trajs = integrate(initials, advance, lambda s: hybrid_aggregate(s)[0], columns,
-                          configs)
+                          configs, consume)
     finally:
         _SCRATCH.pop(grid, None)
     for traj, initial in zip(trajs, initials):

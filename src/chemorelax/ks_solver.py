@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
-from .driver import SolverConfig, Trajectory, integrate
+from .driver import SolverConfig, Trajectory, integrate, keep_all
 from .model import ModelParams, _check_window
 from .spectral import Grid, SpectralField, bessel_inverse, gradient, pruned_forward, pruned_inverse
 
@@ -171,4 +171,4 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
             s = ks_step(s, tables)
         return [s]
 
-    return integrate([initial], advance, size, columns, [config])[0]
+    return integrate([initial], advance, size, columns, [config], keep_all)[0]

@@ -106,6 +106,24 @@ class TestAnalyzeSymbol:
         assert "scipy_version" not in manifest
         assert manifest["numpy_version"] == np.__version__
 
+    def test_version_reader_matches_importlib(self, tmp_path, monkeypatch):
+        """The manifest's version reader gives importlib.metadata's answer for
+        installed wheels, skips another distribution whose name extends the
+        asked one, and raises for a missing one an error that catching also
+        catches importlib's PackageNotFoundError."""
+        for name in ("numpy", "scipy", "pytest"):
+            assert cli.metadata.version(name) == importlib.metadata.version(name)
+        for dist, version in (("foo-2.0", "2.0"), ("foo-stubs-9.0", "9.0")):
+            (tmp_path / f"{dist}.dist-info").mkdir()
+            (tmp_path / f"{dist}.dist-info" / "METADATA").write_text(
+                f"Metadata-Version: 2.1\nName: {dist[:-4]}\nVersion: {version}\n\nVersion: 0\n")
+        monkeypatch.setattr("sys.path", [str(tmp_path)])
+        assert cli.metadata.version("foo") == "2.0"
+        with pytest.raises(cli.metadata.PackageNotFoundError):
+            cli.metadata.version("bar")
+        assert issubclass(importlib.metadata.PackageNotFoundError,
+                          cli.metadata.PackageNotFoundError)
+
     def test_config_file_missing(self, tmp_path, capsys):
         rc = main(["analyze-symbol", "--config", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path / "out" / "new")])

@@ -1,6 +1,7 @@
 """Damped modes, Lyapunov functionals, decay fits, rescaling, sweep plumbing."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from chemorelax.diagnostics import (
     relaxation_sweep,
     rescale_to_slow,
 )
-from chemorelax.driver import SNAPSHOT_CHUNK, Trajectory
+from chemorelax.driver import SNAPSHOT_CHUNK, RunFailed, Trajectory
 from chemorelax.hpc_solver import (
     HpcState,
     SolverConfig,
@@ -27,6 +28,7 @@ from chemorelax.hpc_solver import (
 from chemorelax.linear_analysis import decay_fit
 from chemorelax.model import (
     ModelParams,
+    OutsideValidityWindow,
     PressureLaw,
     coefficient_H,
     coefficients_GH,
@@ -380,6 +382,38 @@ class TestRescaling:
         assert np.max(np.abs(back.n.coef - state.n.coef)) <= 1e-14
 
 
+def watch_members(monkeypatch, on_start, on_snaps):
+    """Patch the sweep's member runs: ``on_start()`` when a run starts, and
+    ``on_snaps(snaps)`` with each chunk of one member's snapshots as the run
+    hands it to the sweep, before the sweep takes it."""
+    from chemorelax import diagnostics
+    original = diagnostics.stream_members
+
+    def stream_members(initials, configs, tables, consume):
+        on_start()
+        return original(initials, configs, tables,
+                        lambda m, snaps: on_snaps(snaps) or consume(m, snaps))
+
+    monkeypatch.setattr(diagnostics, "stream_members", stream_members)
+
+
+def flag_error_pass(monkeypatch) -> list:
+    """A flag, [True] while the sweep takes the errors of a member's snapshot
+    stack and [False] otherwise."""
+    from chemorelax import diagnostics
+    live, original = [False], diagnostics.stack_stream
+
+    def stack_stream(take, count):
+        def flagged(start, s):
+            live[0] = True
+            take(start, s)
+            live[0] = False
+        return original(flagged, count)
+
+    monkeypatch.setattr(diagnostics, "stack_stream", stack_stream)
+    return live
+
+
 class TestRelaxationSweep:
     def test_three_member_smoke(self, grid, params):
         """Plumbing: all report entries finite and nonnegative, every slope
@@ -409,7 +443,7 @@ class TestRelaxationSweep:
         def no_run(*args):
             raise AssertionError("the sweep must be rejected before any run")
 
-        for name in ("run_members", "ks_run"):
+        for name in ("stream_members", "ks_run"):
             monkeypatch.setattr(diagnostics, name, no_run)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
@@ -433,30 +467,25 @@ class TestRelaxationSweep:
         """The member loop inverse-transforms the n of each snapshot stack once:
         the rescaled density, the momentum residual and H(n) share it.  With
         stacks of two snapshots, a member's five snapshots make three stacks."""
-        from chemorelax import diagnostics, driver
+        from chemorelax import driver
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        kept, calls = [], []
-        original_run, original_to_physical = diagnostics.run_members, SpectralField.to_physical
+        kept, calls, live = {}, [], flag_error_pass(monkeypatch)
+        original_to_physical = SpectralField.to_physical
 
-        def run_members(*args):   # counts only the calls made after the members' run
-            start = len(calls)
-            trajs = original_run(*args)
-            del calls[start:]
-            kept.extend(traj.states for traj in trajs)
-            return trajs
-
-        def to_physical(self):
-            calls.append(self.coef)
+        def to_physical(self):   # counts only the calls that take a stack's errors
+            if live[0]:
+                calls.append(self.coef)
             return original_to_physical(self)
 
-        monkeypatch.setattr(diagnostics, "run_members", run_members)
+        watch_members(monkeypatch, lambda: None, lambda snaps: kept.setdefault(
+            snaps[0].params.eps, []).extend(snaps))
         monkeypatch.setattr(SpectralField, "to_physical", to_physical)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
         assert len(kept) == 3
-        for states in kept:
+        for states in kept.values():
             assert len(states) == 5
             stacked = [np.concatenate([s.n.coef for s in states[k:k + 2]]) for k in (0, 2, 4)]
             assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in calls)
@@ -464,29 +493,24 @@ class TestRelaxationSweep:
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_density_perturbation_per_stack(self, params, monkeypatch):
-        """After the members' run, each member evaluates the density
-        perturbation, with its own params, once per snapshot stack: the
-        rescaled density and H(n) share it.  Stacks of two snapshots split a
-        member's five snapshots into three stacks."""
+        """Each member evaluates the density perturbation for its errors, with
+        its own params, once per snapshot stack: the rescaled density and H(n)
+        share it.  Stacks of two snapshots split a member's five snapshots
+        into three stacks."""
         from chemorelax import diagnostics, driver, model
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        members, evals, live = [], {}, [False]   # members: [kept snapshots, eps]
-        original_run = diagnostics.run_members
+        kept, evals, live = {}, {}, flag_error_pass(monkeypatch)   # kept: snapshots, per eps
         original = model.density_perturbation
 
-        def run_members(*args):
-            live[0] = False
-            trajs = original_run(*args)
-            members.extend([len(traj.states), traj.initial.params.eps] for traj in trajs)
-            live[0] = True
-            return trajs
+        def on_snaps(snaps):
+            kept[snaps[0].params.eps] = kept.get(snaps[0].params.eps, 0) + len(snaps)
 
-        def density_perturbation(n, p):
+        def density_perturbation(n, p):   # counts only the calls that take a stack's errors
             if live[0]:
                 evals[p.eps] = evals.get(p.eps, 0) + 1
             return original(n, p)
 
-        monkeypatch.setattr(diagnostics, "run_members", run_members)
+        watch_members(monkeypatch, lambda: None, on_snaps)
         for module in (diagnostics, model):
             monkeypatch.setattr(module, "density_perturbation", density_perturbation,
                                 raising=False)
@@ -494,7 +518,7 @@ class TestRelaxationSweep:
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
-        assert [[kept, evals[eps]] for kept, eps in members] == [[5, 3]] * 3
+        assert [[kept[eps], evals[eps]] for eps in kept] == [[5, 3]] * 3
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
@@ -507,9 +531,9 @@ class TestRelaxationSweep:
         from chemorelax.ks_solver import reconstruct_velocity, solve_phi
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 3)
         trajs = {}
-        original_run, original_ks_run = diagnostics.run_members, diagnostics.ks_run
-        monkeypatch.setattr(diagnostics, "run_members", lambda *args: [
-            trajs.setdefault(traj.initial.params.eps, traj) for traj in original_run(*args)])
+        original_ks_run = diagnostics.ks_run
+        watch_members(monkeypatch, lambda: None, lambda snaps: trajs.setdefault(
+            snaps[0].params.eps, []).extend(snaps))
         monkeypatch.setattr(diagnostics, "ks_run", lambda initial, cfg: trajs.setdefault(
             "limit", original_ks_run(initial, cfg)))
         grid = make_grid(d, N, 2 * np.pi)
@@ -523,7 +547,7 @@ class TestRelaxationSweep:
         for i, eps in enumerate(rep.eps_list):
             p = replace(params, eps=eps)
             rows = []
-            for s, k in zip(trajs[eps].states, limit, strict=True):
+            for s, k in zip(trajs[eps], limit, strict=True):
                 phi_k = solve_phi(k.rho, k.params)
                 u_k = reconstruct_velocity(k.rho, phi_k, k.params)
                 n_phys = s.n.to_physical()[0]
@@ -558,26 +582,24 @@ class TestRelaxationSweep:
     def test_sweep_keeps_nothing_it_no_longer_reads(self, params, monkeypatch, d):
         """When a member run starts, nothing the sweep has read is still alive:
         no limit-model velocity formed so far (the limit fields are formed per
-        stack of each member's errors), and no earlier member's kept snapshot
+        stack of each member's errors), and no earlier member's snapshot
         (in d >= 2 a member's errors are taken before the next member runs).
         The initial states are not tracked: the sweep's member data hold them."""
         from chemorelax import diagnostics
         refs, checked = [], []
-        original_run, original_u = diagnostics.run_members, diagnostics.reconstruct_velocity
+        original_u = diagnostics.reconstruct_velocity
 
-        def run_members(*args):
+        def on_start():
             gc.collect()
             checked.append((len(refs), sum(ref() is not None for ref in refs)))
-            trajs = original_run(*args)
-            refs.extend(weakref.ref(s.n.coef) for traj in trajs for s in traj.states[1:])
-            return trajs
 
         def reconstruct_velocity(*args):
             u = original_u(*args)
             refs.append(weakref.ref(u.coef))
             return u
 
-        monkeypatch.setattr(diagnostics, "run_members", run_members)
+        watch_members(monkeypatch, on_start, lambda snaps: refs.extend(
+            weakref.ref(s.n.coef) for s in snaps if s.t != 0.0))
         monkeypatch.setattr(diagnostics, "reconstruct_velocity", reconstruct_velocity)
         grid = make_grid(d, 16, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
@@ -586,6 +608,69 @@ class TestRelaxationSweep:
         assert len(rep.sup_drho) == 3
         assert len(checked) == (1 if d == 1 else 3)
         assert all(tracked > 0 and alive == 0 for tracked, alive in checked), checked
+
+    @pytest.mark.filterwarnings("ignore:initial norm")
+    def test_peak_does_not_grow_with_the_horizon(self, params, monkeypatch):
+        """The sweep keeps no member trajectory: the traced peak of a 1D N=64
+        sweep's member runs to 4T is within 10% of that to T (every member
+        snapshot kept: 2.2 times).  The limit-model run keeps its density
+        snapshots, so tracing starts when it returns; stacks of 16 snapshots
+        let T hold a whole stack and keep the runs short."""
+        from chemorelax import diagnostics, driver
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 16)
+        original = diagnostics.ks_run
+
+        def ks_run(*args):
+            traj = original(*args)
+            tracemalloc.start()
+            return traj
+
+        monkeypatch.setattr(diagnostics, "ks_run", ks_run)
+        grid = make_grid(1, 64, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+
+        def peak(tau_end):   # 16 snapshot intervals per 0.4
+            try:
+                relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=tau_end,
+                                 snap_dtau=0.05, dt_fast=0.1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(0.4), peak(1.6)
+        assert long < 1.1 * short, (short, long)
+
+    @pytest.mark.filterwarnings("ignore:initial norm")
+    @pytest.mark.parametrize("explodes", [True, False], ids=["then-blows-up", "completes"])
+    def test_member_snapshot_off_the_window(self, params, monkeypatch, explodes):
+        """A member snapshot whose errors leave the validity window, taken in a
+        stack before the member's run ends: if the member then blows up, the
+        sweep fails with RunFailed naming it, as if its errors were taken after
+        its run; if it completes, the window error is raised."""
+        from chemorelax import diagnostics, driver, hpc_solver
+        monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
+        original_rescale, original_size = diagnostics.rescale_to_slow, hpc_solver.hybrid_aggregate
+
+        def rescale_to_slow(s, eps, rho_phys):   # off the window from slow time 0.025 on
+            if eps == 0.4 and np.max(eps * s.t) > 0.02:
+                raise OutsideValidityWindow("density left the validity window")
+            return original_rescale(s, eps, rho_phys)
+
+        def hybrid_aggregate(s):   # a norm explosion from slow time 0.075 on
+            total, parts = original_size(s)
+            boom = explodes and s.params.eps == 0.4
+            return np.where(boom & (s.params.eps * np.asarray(s.t) > 0.06), 1e6 * total,
+                            total), parts
+
+        monkeypatch.setattr(diagnostics, "rescale_to_slow", rescale_to_slow)
+        monkeypatch.setattr(hpc_solver, "hybrid_aggregate", hybrid_aggregate)
+        grid = make_grid(1, 32, 2 * np.pi)
+        rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
+        failure = ((RunFailed, r"^relaxation member eps=0.4 blew up: norm explosion")
+                   if explodes else (OutsideValidityWindow, "density left the validity window"))
+        with pytest.raises(failure[0], match=failure[1]):
+            relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
+                             snap_dtau=0.05, dt_fast=0.02)
 
     def test_bad_member_rejected_before_any_run(self, params, monkeypatch):
         """At N = 32 the eps = 0.05 member's threshold mode lies outside the

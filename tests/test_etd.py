@@ -2,9 +2,11 @@
 
 The relaxation-sweep symbol at eps = 0.2, |xi| = 2 has a double eigenvalue
 -3 (damped-Euler and chemoattractant branches coalesce), so its eigenvector
-basis is near-singular and ``batched_matrix_phis`` must take the augmented
-route.  The package computes that exponential with numpy alone; here it is
-checked against scipy's, which the package does not import.
+basis is near-singular, where an eigendecomposition loses its digits.
+``batched_matrix_phis`` takes one path for every matrix, scaling and
+modified squaring, with numpy alone and no LAPACK call; here it is checked
+against scipy's exponential of the augmented matrix, which the package does
+not import.
 """
 
 import json
@@ -17,8 +19,10 @@ import pytest
 import scipy.linalg
 
 from chemorelax import etd
+from chemorelax.hpc_solver import PropagatorTables
 from chemorelax.linear_analysis import symbol_matrix
 from chemorelax.model import params_from_config
+from chemorelax.spectral import make_grid
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "relaxation_sweep.json"
 DTS = [0.00625, 0.01, 0.1, 1.0]
@@ -52,25 +56,58 @@ def test_symbol_is_near_defective(params):
     a = symbol_matrix(2.0, params)
     lam, v = np.linalg.eig(a)
     assert np.sort(lam.real)[1:] == pytest.approx([-3.0, -3.0], abs=1e-6)
-    assert np.linalg.cond(v, "fro") > etd._COND_LIMIT
+    assert np.linalg.cond(v, "fro") > 1e8
 
 
 @pytest.mark.parametrize("dt", DTS)
-def test_batched_fallback_matches_expm(params, dt, monkeypatch):
+def test_batched_fallback_matches_expm(params, dt):
+    """A batch that mixes well-conditioned symbols with the near-defective one
+    at |xi| = 2: every matrix's three tables match the reference."""
     xis = [0.0, 1.0, 2.0, 3.0]
     mats = np.stack([symbol_matrix(xi, params) for xi in xis])
-    calls = []
-    augmented = etd._augmented_phis
-
-    def spy(a, dt_):
-        calls.append(a.copy())
-        return augmented(a, dt_)
-
-    monkeypatch.setattr(etd, "_augmented_phis", spy)
     tables = etd.batched_matrix_phis(mats, dt)
-    assert len(calls) == 1 and np.array_equal(calls[0], mats[2])
-    for got, ref in zip(tables, expm_reference(mats[2], dt)):
-        assert_close(got[2], ref)
+    for i, a in enumerate(mats):
+        for got, ref in zip(tables, expm_reference(a, dt), strict=True):
+            assert got.shape == mats.shape
+            assert_close(got[i], ref)
+
+
+@pytest.mark.parametrize("d,N", [(1, 256), (2, 128), (3, 32)])
+def test_grid_symbols_match_expm(params, d, N):
+    """Every wavenumber magnitude of a benchmark-sized grid, at the sweep's
+    step for eps = 0.2, where the largest matrices take several doublings."""
+    mats = symbol_matrix(np.unique(make_grid(d, N, 2 * np.pi).xi_mag_diff), params)
+    tables = etd.batched_matrix_phis(mats, 0.00625)
+    for i in range(0, len(mats), max(1, len(mats) // 40)):
+        for got, ref in zip(tables, expm_reference(mats[i], 0.00625), strict=True):
+            assert_close(got[i], ref)
+
+
+def test_squaring_ceiling_is_non_finite_tables(params):
+    """A matrix dt A whose 1-norm needs more than the fixed ceiling of
+    squarings, or that is not finite, is NonFiniteTables."""
+    mats = np.stack([symbol_matrix(1.0, params)] * 3)
+    mats[1, 0, 0] = -1e300
+    mats[2, 1, 1] = np.nan
+    for bad in (mats[:2], mats[::2]):
+        with pytest.raises(etd.NonFiniteTables, match=r"the propagator tables at dt=0.01 hold"):
+            etd.batched_matrix_phis(bad, 0.01)
+
+
+def test_tables_call_no_numpy_linalg(params, monkeypatch):
+    """Building propagator tables, near-defective symbol included, calls no
+    numpy.linalg function (a process's first eig and inv cost it about 1.6 MiB
+    of resident memory)."""
+    calls = []
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original) and not isinstance(original, type):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, original=original, **k:
+                                calls.append(name) or original(*a, **k))
+    for d, N in ((1, 64), (2, 16)):
+        PropagatorTables(make_grid(d, N, 2 * np.pi), params, 0.00625)
+    etd.batched_matrix_phis(symbol_matrix(np.array([2.0]), params), 0.1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dt", DTS)
@@ -83,8 +120,7 @@ def test_single_matrix_entry_matches_expm(params, dt):
 
 def test_exactly_singular_eigenbasis(params):
     """The nilpotent shift's computed eigenvector basis is exactly singular;
-    it takes the augmented route in a batch too, and its phis are the
-    truncated series."""
+    alone and in a batch, its phis are the truncated series."""
     shift = np.diag([1.0, 1.0], k=1)
     dt = 0.5
     series = [np.eye(3) + dt * shift + dt ** 2 / 2 * shift @ shift,

@@ -249,13 +249,16 @@ def test_ks_rhs_matches_quotient_form(cubic_params, rng, d, N):
 @pytest.fixture()
 def count_transforms(monkeypatch):
     """count_transforms(f, *args): the (pruned_inverse, pruned_forward) calls
-    that f(*args) makes, counted in every module that looks them up."""
+    that f(*args) makes, counted in every module that looks them up; the
+    row count of each inverse transform's input goes to count.inverse_rows."""
     calls = dict(pruned_inverse=0, pruned_forward=0)
     for name in calls:
         original = getattr(spectral, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
+            if name == "pruned_inverse":
+                count.inverse_rows.append(len(args[1]))
             return original(*args)
 
         for module in (spectral, hpc_solver, ks_solver):
@@ -263,9 +266,11 @@ def count_transforms(monkeypatch):
 
     def count(fn, *args):
         calls.update(pruned_inverse=0, pruned_forward=0)
+        count.inverse_rows = []
         fn(*args)
         return calls["pruned_inverse"], calls["pruned_forward"]
 
+    count.inverse_rows = []
     return count
 
 
@@ -273,7 +278,13 @@ def count_transforms(monkeypatch):
 @pytest.mark.parametrize("rhs,state", [(nonlinear_rhs, hpc_state), (ks_rhs, ks_state)],
                          ids=["hpc", "ks"])
 def test_one_transform_each_way_per_rhs(cubic_params, rng, count_transforms, rhs, state, d, N):
+    """One transform each way per right-hand side.  The HPC inverse takes the
+    rows [n, u, div u, grad n, grad u_1 .. grad u_d], without div u in d = 1,
+    where it is grad u (4 rows, else 2 + 2d + d^2); the limit model's takes
+    [rho, grad phi]."""
     assert count_transforms(rhs, state(d, N, cubic_params, rng)) == (1, 1)
+    rows = (4 if d == 1 else 2 + 2 * d + d * d) if rhs is nonlinear_rhs else 1 + d
+    assert count_transforms.inverse_rows == [rows]
 
 
 @pytest.mark.parametrize("offset,passes", [(0.0, 2), (1e-4, 3)])
