@@ -4,8 +4,9 @@ relaxation-limit error sweep.
 Nothing here advances a solution; every function is a pure evaluation of
 states or trajectories produced by the solvers.  The damped-mode check and
 the relaxation sweep run over snapshot stacks: one inverse transform of n and
-one density perturbation per stack, and row-wise block norms; the sweep
-takes a member's stacks as its run produces them and keeps no trajectory.
+one density perturbation per stack, and row-wise block norms; the sweep's
+norms are the series of its member runs, which keep no snapshot between
+their initial and final states.
 A snapshot's Lyapunov blocks of every field are one stack with one inverse
 transform, so its transform count does not grow with the blocks.
 """
@@ -19,21 +20,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stack, stack_stream,
-                     stacks, whole_count, write_csv)
-from .hpc_solver import (  # run_members stays importable here for the CLI tests that stop runs
+from .driver import (DiagnosticSeries, RunFailed, SolverConfig, Trajectory, stack, stacks,
+                     whole_count, write_csv)
+from .hpc_solver import (
     HpcState,
     PropagatorTables,
     equilibrium_psi,
     hybrid_aggregate,
     rough_mode_profile,
-    run_members,
     stream_members,
 )
 from .ks_solver import KsState, KsTables, ks_run, reconstruct_velocity, solve_phi
 from .model import (
     ModelParams,
-    OutsideValidityWindow,
     coefficient_H,
     coefficients_GH,
     density_perturbation,
@@ -61,6 +60,8 @@ __all__ = [
 CONTRACT_FACTOR = 20.0
 # lyapunov_equivalence_check skips blocks whose energy is at round-off level
 LYAPUNOV_NOISE_FLOOR = 1e-20
+# the series columns of a relaxation member: the norms of its errors and residuals
+NORMS = ("drho_low", "drho_high", "du", "dphi", "rho_v", "dtphi")
 
 
 # -- effective damped modes -----------------------------------------------------
@@ -351,10 +352,11 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     not complete raises :class:`RunFailed` with its status ("blowup" or
     "mass_drift"), as if the members ran in turn; they run as one member stack
     (:func:`stream_members`) in d = 1, one at a time in d >= 2.  A member's
-    norms are taken on the stacks of its snapshots from snapshot 0 as the run
-    hands them over, and its trajectory keeps only its initial and final
-    states, so the sweep's memory does not grow with ``tau_end`` beyond the
-    limit model's density snapshots.  ``threads`` must be 1.
+    norms are its series, taken on each chunk of its snapshots as the run
+    measures it (a snapshot whose errors leave the validity window ends the
+    member there as "blowup"), and its trajectory keeps only its initial and
+    final states, so the sweep's memory does not grow with ``tau_end`` beyond
+    the limit model's density snapshots.  ``threads`` must be 1.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1 (members run serially), got {threads!r}")
@@ -408,9 +410,12 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
     ks_traj = ks_run(KsState(0.0, rho_f0, ks_params), ks_cfg)
     _require_completed(ks_traj, "limit-model run")
 
-    def stack_norms(ks: KsState, s: HpcState) -> tuple:
-        """A member stack's six norms, one per snapshot; no temporary outlives the call."""
+    def columns(s: HpcState, aggregate) -> dict:
+        """A member stack's six norms, one per snapshot, against the limit
+        snapshots at its slow times; no temporary outlives the call."""
         params, eps = s.params, s.params.eps
+        first = round(eps * s.t[0] / fine_dtau)   # limit snapshot k is at tau = k fine_dtau
+        ks = stack(ks_traj.states[first:first + len(s.t)])
         ks_phi = solve_phi(ks.rho, ks_params)
         ks_u = reconstruct_velocity(ks.rho, ks_phi, ks_params)
         n_phys = s.n.to_physical()   # one inverse transform of n per stack
@@ -427,49 +432,31 @@ def relaxation_sweep(grid, base_params: ModelParams, rho0_phys: np.ndarray, eps_
         h_field = SpectralField.from_physical(grid, coefficient_H(n_phys, params, pert),
                                               dealiased=True)
         dt_psi = laplacian(s.psi) - params.b * s.psi + params.c1 * s.n + h_field
-        return (dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
-                dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
-                dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
-                dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
-                dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps)
-
-    norms = np.empty((len(eps_list), 6, len(taus)))   # per member: six norms per snapshot
-    off_window = {}   # member -> the error of a snapshot off the validity window
-
-    def member_norms(i: int):
-        """A consumer of member i's snapshots that keeps none: it writes the
-        norms of each stack into norms[i] as the stack fills.  A snapshot off
-        the validity window (the last one a run that then fails keeps) is
-        recorded instead, and raised only if the member completes."""
-        def take(start: int, s: HpcState):
-            try:
-                norms[i, :, start:start + len(s.t)] = stack_norms(
-                    stack(ks_traj.states[start:start + len(s.t)]), s)
-            except OutsideValidityWindow as exc:
-                off_window.setdefault(i, exc)
-        return stack_stream(take, len(taus))
+        return dict(zip(NORMS, (
+            dec.besov_norm(drho, d_half - 1.0), dec.besov_norm(drho, d_half + 1.0),
+            dec.besov_norm(dec.block_norms((u_eps - ks_u).energy(grid.d)), d_half),
+            dec.besov_norm(dphi, d_half + 1.0) + dec.besov_norm(dphi, d_half + 2.0),
+            dec.besov_norm(dec.block_norms(rho_v.energy(grid.d)), d_half),
+            dec.besov_norm(dec.block_norms(dt_psi.energy(1)), d_half) / eps)))
 
     def run(members: list) -> list:
         """The trajectories of the members (indices), holding their initial and
-        final states; their norms are taken as their chunks arrive."""
-        feeds = [member_norms(i) for i in members]
+        final states and the series of their norms."""
         return stream_members([initials[i] for i in members], [configs[i] for i in members],
-                              [tables[i] for i in members], lambda m, snaps: feeds[m](snaps))
+                              [tables[i] for i in members], columns, False)
 
-    def member_errors(traj: Trajectory, i: int) -> tuple:
-        """Member i's six report entries, in RelaxationReport's field order."""
+    def member_errors(traj: Trajectory) -> tuple:
+        """A member's six report entries, in RelaxationReport's field order."""
         eps = traj.initial.params.eps
         _require_completed(traj, f"relaxation member eps={eps}")
-        if i in off_window:
-            raise off_window[i]
-        sup_drho, *integrands, dtphi = norms[i]
+        sup_drho, *integrands, dtphi = (traj.series.columns[name] for name in NORMS)
         return (float(np.max(sup_drho)), *(float(np.trapezoid(v, taus)) for v in integrands),
                 eps * float(np.trapezoid(dtphi, taus)))
 
     members = range(len(eps_list))
-    errors = (map(member_errors, run(members), members) if grid.d == 1 else
+    errors = (map(member_errors, run(members)) if grid.d == 1 else
               # one member at a time, and no name holds a trajectory while the next one runs
-              (member_errors(run([i])[0], i) for i in members))
+              (member_errors(run([i])[0]) for i in members))
     report = RelaxationReport(list(eps_list), *map(list, zip(*errors)))
     report.fit_slopes()
     return report

@@ -1,25 +1,21 @@
 """The snapshot driver both solvers run on: the solver config and its snapshot
 schedule, the time-integration loop with the one run policy (a solver gives
 :func:`integrate` only its advance of a list of member states over one
-snapshot interval, its norms of one member's snapshot stack and its
-columns), and the trajectory type.  The loop checks sizes a chunk of
-snapshots at a time, in every d: it advances up to SNAPSHOT_CHUNK intervals
-and takes their sizes in one call per member, and it retakes a chunk that
-fails one interval at a time, so a run keeps the states, status and message
-of a check after every interval.  Each accepted chunk goes to the caller's
-consumer, member by member, and a trajectory keeps only what that consumer
-returns besides its initial and final states: every snapshot
-(:func:`keep_all`), or none when the caller takes what it needs from each
-chunk as it comes (:func:`stack_stream`), so such a run holds at most a
-couple of chunks whatever its length.  States are values: frozen, and never
-written into.  A step returns a new state, and the driver keeps the states
-the steps return, the initial one included, without copying them.  Sizes
-and diagnostics run on snapshot stacks
-(:func:`stack`, :func:`stacks`): one state per chunk of one member's kept
-snapshots, with one row per snapshot in each field, so a chunk takes one
-transform per field.  The diagnostic series is a :class:`DiagnosticSeries`
-of columns, built from the stacks only when it is read, and written with
-the package's one CSV writer, :func:`write_csv`.
+snapshot interval and its measure of one member's snapshot stack: the norms
+and the series columns), and the trajectory type.  The loop measures a chunk
+of snapshots at a time, in every d: it advances up to SNAPSHOT_CHUNK
+intervals and measures them in one call per member, and it retakes a chunk
+that fails one interval at a time, so a run keeps the states, status and
+message of a check after every interval.  Each accepted chunk adds its
+columns to the member's :class:`DiagnosticSeries`, which the package's one
+CSV writer, :func:`write_csv`, writes; a trajectory keeps every snapshot, or
+only its initial and final states, so that a run that keeps none holds at
+most a couple of chunks whatever its length.  States are values: frozen,
+and never written into.  A step returns a new state, and the driver keeps
+the states the steps return, the initial one included, without copying
+them.  Measures and diagnostics run on snapshot stacks (:func:`stack`,
+:func:`stacks`): one state per chunk of one member's snapshots, with one
+row per snapshot in each field, so a chunk takes one transform per field.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass, fields, replace
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -36,8 +31,8 @@ from .model import OutsideValidityWindow
 from .spectral import SpectralField
 
 __all__ = ["BLOWUP_FACTOR", "SMALL_DATA_HINT", "SNAPSHOT_CHUNK", "BlowupError",
-           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "keep_all",
-           "stack", "stack_stream", "stacks", "whole_count", "write_csv"]
+           "DiagnosticSeries", "RunFailed", "SolverConfig", "Trajectory", "integrate", "stack",
+           "stacks", "whole_count", "write_csv"]
 
 # a snapshot norm above this multiple of the initial one counts as blow-up
 BLOWUP_FACTOR = 1e3
@@ -136,31 +131,6 @@ def stacks(states: list):
         yield stack(states[start:start + SNAPSHOT_CHUNK])
 
 
-def keep_all(member: int, snaps: list) -> list:
-    """The consumer of :func:`integrate` that keeps every snapshot."""
-    return snaps
-
-
-def stack_stream(take: Callable, count: int) -> Callable:
-    """A consumer of one member's snapshots, ``count`` in all, that keeps none:
-    fed them in order as they arrive, it calls ``take(start, stack)`` on each
-    of their :func:`stacks` (``start`` the index of its first snapshot) as soon
-    as the snapshots of that stack are all in, and returns the empty list."""
-    pending, taken = [], 0
-
-    def feed(snaps: list) -> list:
-        nonlocal taken
-        pending.extend(snaps)
-        while pending and len(pending) >= min(SNAPSHOT_CHUNK, count - taken):
-            part = pending[:SNAPSHOT_CHUNK]
-            del pending[:SNAPSHOT_CHUNK]
-            take(taken, stack(part))
-            taken += len(part)
-        return []
-
-    return feed
-
-
 class DiagnosticSeries:
     """Time-indexed diagnostics as named columns, one value per snapshot."""
 
@@ -178,12 +148,11 @@ class DiagnosticSeries:
 @dataclass
 class Trajectory:
     """The kept snapshots of one run, from its initial state to its final one,
-    its status ("completed", "blowup" or "mass_drift") and the reason.
-    ``series``, the :class:`DiagnosticSeries` of ``columns(stack)`` over the
-    :func:`stacks` of the kept snapshots, is built on first read."""
+    its :class:`DiagnosticSeries`, its status ("completed", "blowup" or
+    "mass_drift") and the reason."""
 
     states: list
-    columns: Callable
+    series: DiagnosticSeries
     status: str = "completed"
     message: str = ""
 
@@ -195,39 +164,34 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
-    @cached_property
-    def series(self):
-        series = DiagnosticSeries()
-        for stack in stacks(self.states):
-            series.add(**self.columns(stack))
-        return series
 
-
-def integrate(initials: list, advance: Callable, size: Callable, columns: Callable,
-              configs: list, consume: Callable) -> list:
+def integrate(initials: list, advance: Callable, measure: Callable, configs: list,
+              keep: bool) -> list:
     """Step the member states ``initials`` (one per config, all with one
     snapshot count) an interval at a time with ``advance(states)``, which
     returns the members still running one interval on.
 
-    ``size(stack)`` gives the norms of one member's :func:`stack` of
-    snapshots, one per snapshot.  The initial sizes are taken alone, and one
-    above SMALL_DATA_HINT warns.  Then up to SNAPSHOT_CHUNK intervals are
-    advanced before their sizes are taken, one call per member.  A size above
+    ``measure(stack)`` gives (sizes, columns) of one member's :func:`stack`
+    of snapshots: its norms and its series columns, one value per snapshot.
+    The initial states are measured alone, and an initial size above
+    SMALL_DATA_HINT warns.  Then up to SNAPSHOT_CHUNK intervals are advanced
+    before they are measured, one call per member.  A size above
     BLOWUP_FACTOR times the member's initial one, or a BlowupError or
-    OutsideValidityWindow, sends a chunk of several intervals back to be
+    OutsideValidityWindow from ``advance`` or from member m's ``measure``
+    (tagged ``member = m``), sends a chunk of several intervals back to be
     retaken from its start one interval at a time.  In a chunk of one it ends
     the member (the exception's ``member``, else 0) as "blowup"; as if the
     members ran in turn, the later ones drop out and the earlier ones retake
     the interval.
 
-    Each accepted chunk, the initial states alone first, goes to
-    ``consume(m, snaps)`` with member m's snapshots of it in order, for every
-    member still running; it returns those of them that m's trajectory keeps
-    (uncopied), besides its initial and final states, which it always keeps.
-    Returns the members' trajectories up to the first that blows up."""
+    An accepted chunk adds its columns to each running member's series, and
+    its snapshots to the member's kept states if ``keep`` (uncopied); a
+    trajectory always keeps its initial and final states.  Returns the
+    members' trajectories up to the first that blows up."""
     n_snaps, = {config.schedule()[1] for config in configs}   # one count (ValueError otherwise)
     states, ends, size0 = initials, {}, None
-    kept, last = [[] for _ in initials], list(initials)   # per member: consumed, latest accepted
+    kept, last = [[] for _ in initials], list(initials)   # per member: kept, latest accepted
+    series = [DiagnosticSeries() for _ in initials]
     k, retake = 0, 1   # snapshots accepted; those before `retake` are taken one at a time
     while states and k <= n_snaps:
         span = 1 if k < retake else min(SNAPSHOT_CHUNK, n_snaps + 1 - k)
@@ -236,8 +200,14 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
             for j in range(k, k + span):
                 new = advance(new) if j else new
                 pending.append(new)
-            # (snapshots, members), from each member's snapshots in turn
-            norms = np.array([size(stack(snaps)) for snaps in zip(*pending)]).T
+            measured = []   # per member: (sizes, columns) of its snapshots of the chunk
+            for m, snaps in enumerate(zip(*pending)):
+                try:
+                    measured.append(measure(stack(snaps)))
+                except (OutsideValidityWindow, BlowupError) as exc:
+                    exc.member = m
+                    raise
+            norms = np.array([sizes for sizes, _ in measured]).T   # (snapshots, members)
             if size0 is None:
                 size0 = norms[0]
                 for norm in size0[size0 > SMALL_DATA_HINT]:
@@ -262,12 +232,14 @@ def integrate(initials: list, advance: Callable, size: Callable, columns: Callab
             continue
         k, states = k + span, new
         last[:len(new)] = new
-        for m, snaps in enumerate(zip(*pending)):
-            kept[m].extend(consume(m, list(snaps)))
+        for m, (snaps, (_, columns)) in enumerate(zip(zip(*pending), measured)):
+            series[m].add(**columns)
+            if keep:
+                kept[m].extend(snaps)
     for m, own in enumerate(kept):   # in order, so only the ends can be missing
         if not own or own[0] is not initials[m]:
             own.insert(0, initials[m])
         if own[-1] is not last[m]:
             own.append(last[m])
-    return [Trajectory(kept[m], columns, *ends.get(m, ("completed", "")))
+    return [Trajectory(kept[m], series[m], *ends.get(m, ("completed", "")))
             for m in range(min(ends, default=len(configs) - 1) + 1)]

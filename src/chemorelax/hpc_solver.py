@@ -30,13 +30,15 @@ Total mass of rho(n) is conserved by a mean-mode projection consistent with
 the divergence form of the density equation, which shifts the zero modes of
 the new state's n rows in place.  :func:`stream_members` runs a run, or the
 members of a sweep's eps family, on :func:`chemorelax.driver.integrate`,
-whose run policy watches each member's hybrid energy, and hands each chunk
-of snapshots to its caller (:func:`run_members` keeps them all); in d=1 it
-steps the members of an interval as one member stack (one row per member,
-each stepped at its own eps and dt, bit for bit as alone), which no caller
-sees.  The CFL test takes the speed max|u| from the step's first
-right-hand side, which transforms the dealiased u; the states of a run lie in
-the 2/3 box, where that is u itself, so the test costs no transform of its own.
+whose run policy watches each member's hybrid energy; the stack that energy
+is taken on also gives the caller's series columns (:func:`run_members`:
+:func:`series_columns`, every snapshot kept), so each snapshot is measured
+once.  In d=1 it steps the members of an interval as one member stack (one
+row per member, each stepped at its own eps and dt, bit for bit as alone),
+which no caller sees.  The CFL test takes the speed max|u| from the step's
+first right-hand side, which transforms the dealiased u; the states of a run
+lie in the 2/3 box, where that is u itself, so the test costs no transform of
+its own.
 
 Each step applies three propagator tables (E, P1, P2).  In d=1, unit =
 sign(xi) is +-1 on every mode but the mean and Nyquist modes, where it is 0,
@@ -64,7 +66,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import etd
-from .driver import BlowupError, SolverConfig, Trajectory, integrate, keep_all, stack
+from .driver import BlowupError, SolverConfig, Trajectory, integrate, stack
 from .linear_analysis import symbol_matrix
 from .model import (  # coefficient_G stays importable here for perfbench's tracer test
     ModelParams,
@@ -93,6 +95,7 @@ __all__ = [
     "run",
     "run_members",
     "stream_members",
+    "series_columns",
     "build_initial_data",
     "equilibrium_psi",
     "hybrid_aggregate",
@@ -383,25 +386,44 @@ def run(initial: HpcState, config: SolverConfig) -> Trajectory:
                        [PropagatorTables(initial.grid, initial.params, config.dt)])[0]
 
 
+def series_columns(s: HpcState, aggregate: tuple) -> dict:
+    """The series columns of a snapshot stack, one value per snapshot, from
+    its :func:`hybrid_aggregate` and one inverse transform each of n and u."""
+    agg, parts = aggregate
+    n_phys = s.n.to_physical()
+    pert = density_perturbation(n_phys, s.params)
+    k = len(n_phys)
+    mass = (s.params.rho_bar + pert.reshape(k, -1).mean(axis=1)) * s.grid.volume
+    return dict(t=s.t, mass=mass, mean_n=s.n.mean(), mean_psi=s.psi.mean(),
+                mean_H=coefficient_H(n_phys, s.params, pert).reshape(k, -1).mean(axis=1),
+                low_n=parts["n"][0], high_n=parts["n"][1],
+                low_u=parts["u"][0], high_u=parts["u"][1],
+                low_psi=parts["psi"][0], high_psi=parts["psi"][1],
+                x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
+                max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
+
+
 def run_members(initials: list, configs: list, tables: list) -> list:
-    """The trajectories of :func:`stream_members` with every snapshot kept."""
-    return stream_members(initials, configs, tables, keep_all)
+    """The trajectories of :func:`stream_members` with every snapshot kept and
+    the :func:`series_columns` series."""
+    return stream_members(initials, configs, tables, series_columns, True)
 
 
-def stream_members(initials: list, configs: list, tables: list, consume) -> list:
+def stream_members(initials: list, configs: list, tables: list, columns, keep: bool) -> list:
     """Integrate members (params differing in eps only, the tables of each
     config's dt; several in d=1 only, in order of steps per snapshot) on
-    :func:`chemorelax.driver.integrate`, which hands each accepted chunk of a
-    member's snapshots to ``consume(m, snaps)`` and keeps in its trajectory
-    what that returns.  An interval stacks the members once:
+    :func:`chemorelax.driver.integrate`, which keeps every snapshot if
+    ``keep``.  A stack of a member's snapshots is sized by
+    :func:`hybrid_aggregate`, and ``columns(stack, aggregate)`` gives its
+    series columns (a BlowupError or OutsideValidityWindow from it ends the
+    member as a failing step does).  An interval stacks the members once:
     substep j steps the members with more than j steps, and after each
     substep the members that have taken all their steps (a prefix) leave the
     stack as copies of their rows.  A CFL violation or an error sends the
     interval one member at a time through steps halved on a CFL violation
     (speed from the first right-hand side, which a first half-step reuses;
-    MAX_CFL_HALVINGS at most, else "blowup").  Sizes are
-    :func:`hybrid_aggregate` of one member's snapshots; a final mass off by
-    1e-8 relative is "mass_drift"."""
+    MAX_CFL_HALVINGS at most, else "blowup").  A final mass off by 1e-8
+    relative is "mass_drift"."""
     grid, substeps = initials[0].grid, [config.schedule()[0] for config in configs]
     if len(initials) > 1 and (grid.d != 1 or substeps != sorted(substeps)):
         raise ValueError("members stack in d=1 only, in order of their steps per snapshot")
@@ -458,23 +480,12 @@ def stream_members(initials: list, configs: list, tables: list, consume) -> list
             out.append(member)
         return out
 
-    def columns(s: HpcState) -> dict:   # s is a snapshot stack: one value per snapshot
-        agg, parts = hybrid_aggregate(s)
-        n_phys = s.n.to_physical()
-        pert = density_perturbation(n_phys, s.params)
-        k = len(n_phys)
-        mass = (s.params.rho_bar + pert.reshape(k, -1).mean(axis=1)) * s.grid.volume
-        return dict(t=s.t, mass=mass, mean_n=s.n.mean(), mean_psi=s.psi.mean(),
-                    mean_H=coefficient_H(n_phys, s.params, pert).reshape(k, -1).mean(axis=1),
-                    low_n=parts["n"][0], high_n=parts["n"][1],
-                    low_u=parts["u"][0], high_u=parts["u"][1],
-                    low_psi=parts["psi"][0], high_psi=parts["psi"][1],
-                    x_aggregate=agg, x_low=parts["low"], x_high=parts["eps_high"],
-                    max_u=np.abs(s.u.to_physical()).reshape(k, -1).max(axis=1))
+    def measure(s: HpcState) -> tuple:
+        aggregate = hybrid_aggregate(s)
+        return aggregate[0], columns(s, aggregate)
 
     try:
-        trajs = integrate(initials, advance, lambda s: hybrid_aggregate(s)[0], columns,
-                          configs, consume)
+        trajs = integrate(initials, advance, measure, configs, keep)
     finally:
         _SCRATCH.pop(grid, None)
     for traj, initial in zip(trajs, initials):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import etd
-from .driver import SolverConfig, Trajectory, integrate, keep_all
+from .driver import SolverConfig, Trajectory, integrate
 from .model import ModelParams, _check_window
 from .spectral import Grid, SpectralField, bessel_inverse, gradient, pruned_forward, pruned_inverse
 
@@ -146,24 +146,22 @@ def ks_step(state: KsState, tables: KsTables) -> KsState:
 
 
 def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
-    """Integrate to config.t_end (interpreted in slow time tau); a snapshot's
-    size is its B^{d/2}_{2,1} norm after a window check, taken for every
-    snapshot of a stack from one transform and one block-norm product."""
+    """Integrate to config.t_end (interpreted in slow time tau), keeping every
+    snapshot; a snapshot's size is its B^{d/2}_{2,1} norm after a window
+    check, and each stack of snapshots takes one transform and one
+    block-norm product for its sizes and its series."""
     grid = initial.grid
     dec = grid.decomposition
     tables = KsTables(grid, initial.params, config.dt)
     d_half = grid.d / 2.0
 
-    def size(s: KsState) -> np.ndarray:   # one per snapshot of a stack
+    def measure(s: KsState) -> tuple:   # one value per snapshot of a stack
         _check_window(s.rho.to_physical(), s.params, "density")
         # block norms exclude the zero mode, so this is the norm of rho - rho_bar
-        return dec.besov_norm(dec.block_norms(s.rho.energy(1)), d_half)
-
-    def columns(stack: KsState) -> dict:
-        norms = dec.block_norms(stack.rho.energy(1))
-        return dict(tau=stack.tau, mass=stack.rho.mean() * grid.volume,
-                    norm_d2=dec.besov_norm(norms, d_half),
-                    norm_d2p2=dec.besov_norm(norms, d_half + 2.0))
+        norms = dec.block_norms(s.rho.energy(1))
+        size = dec.besov_norm(norms, d_half)
+        return size, dict(tau=s.tau, mass=s.rho.mean() * grid.volume, norm_d2=size,
+                          norm_d2p2=dec.besov_norm(norms, d_half + 2.0))
 
     def advance(states: list) -> list:   # the one member, one snapshot interval on
         s, = states
@@ -171,4 +169,4 @@ def ks_run(initial: KsState, config: SolverConfig) -> Trajectory:
             s = ks_step(s, tables)
         return [s]
 
-    return integrate([initial], advance, size, columns, [config], keep_all)[0]
+    return integrate([initial], advance, measure, [config], True)[0]

@@ -448,6 +448,32 @@ class TestRelaxationSweepCommand:
         assert summary["status"] == "blowup"
         assert "blew up: density left the validity window" in summary["message"]
 
+    def test_member_errors_off_the_window_exit_1_with_summary(self, tmp_path, monkeypatch):
+        """A member whose errors leave the validity window mid-run blows up
+        there: exit 1, status "blowup" and the member's eps in the summary."""
+        from chemorelax import diagnostics
+        from chemorelax.model import OutsideValidityWindow
+        original = diagnostics.rescale_to_slow
+
+        def rescale_to_slow(s, eps, rho_phys):   # off the window from slow time 0.025 on
+            if eps == 0.4 and np.max(eps * s.t) > 0.02:
+                raise OutsideValidityWindow("density left the validity window")
+            return original(s, eps, rho_phys)
+
+        monkeypatch.setattr(diagnostics, "rescale_to_slow", rescale_to_slow)
+        cfg = write_config(tmp_path / "c.json", {
+            "model": base_model(epsilon=0.2),
+            "grid": {"d": 1, "N": 32, "L": 6.283185307179586},
+            "experiment": {"eps_list": [0.4, 0.283, 0.2], "tau_end": 0.05,
+                           "snap_dtau": 0.05, "amplitude": 0.02},
+        })
+        rc = main(["relaxation-sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["status"] == "blowup"
+        assert summary["message"].startswith(
+            "relaxation member eps=0.4 blew up: density left the validity window")
+
     def test_slope_outside_window_exit_1_with_summary(self, tmp_path, capsys):
         """Without the O(eps) data offset the short N = 32 sweep converges
         faster than eps (slopes near 1.8), outside the window [0.8, 1.2]."""
@@ -831,7 +857,7 @@ class TestExperimentBlockErrors:
             raise AssertionError("the config must be rejected before the run")
 
         for module, name in ((hpc_solver, "run"), (hpc_solver, "run_members"),
-                             (ks_solver, "ks_run"), (diagnostics, "run_members"),
+                             (ks_solver, "ks_run"), (diagnostics, "stream_members"),
                              (diagnostics, "ks_run")):
             monkeypatch.setattr(module, name, no_run)
         payload = {"model": base_model(), **extra}

@@ -17,7 +17,7 @@ from chemorelax.diagnostics import (
     relaxation_sweep,
     rescale_to_slow,
 )
-from chemorelax.driver import SNAPSHOT_CHUNK, RunFailed, Trajectory
+from chemorelax.driver import SNAPSHOT_CHUNK, DiagnosticSeries, RunFailed, Trajectory
 from chemorelax.hpc_solver import (
     HpcState,
     SolverConfig,
@@ -308,7 +308,7 @@ class TestLyapunovStack:
         for shift in (dec.j_max + 1 - state.params.threshold(), -3):   # J - 1 = j_max, below j_min
             params = replace(state.params, j_offset=state.params.j_offset + shift)
             snapshot = replace(state, params=params)
-            traj = Trajectory(states=[snapshot, snapshot], columns=None)
+            traj = Trajectory(states=[snapshot, snapshot], series=DiagnosticSeries())
             n_blocks = len(lyapunov_blocks(params, state.grid))
             calls.clear()
             lyapunov_equivalence_check(traj)
@@ -326,7 +326,7 @@ class TestLyapunovStack:
         state = HpcState(0.0, SpectralField.zeros(grid, 1), SpectralField.zeros(grid, 1),
                          SpectralField.zeros(grid, 1), small)
         with pytest.raises(ValueError, match=r"J - 1 = 5"):
-            lyapunov_equivalence_check(Trajectory(states=[state], columns=None))
+            lyapunov_equivalence_check(Trajectory(states=[state], series=DiagnosticSeries()))
 
 
 class TestDecayFit:
@@ -382,35 +382,43 @@ class TestRescaling:
         assert np.max(np.abs(back.n.coef - state.n.coef)) <= 1e-14
 
 
-def watch_members(monkeypatch, on_start, on_snaps):
-    """Patch the sweep's member runs: ``on_start()`` when a run starts, and
-    ``on_snaps(snaps)`` with each chunk of one member's snapshots as the run
-    hands it to the sweep, before the sweep takes it."""
+def watch_members(monkeypatch, on_start, on_trajs):
+    """Patch the sweep's member runs to keep every snapshot: ``on_start()``
+    when a run starts, and ``on_trajs(trajs)`` with its trajectories when it
+    returns, before the sweep reads them."""
     from chemorelax import diagnostics
     original = diagnostics.stream_members
 
-    def stream_members(initials, configs, tables, consume):
+    def stream_members(initials, configs, tables, columns, keep):
         on_start()
-        return original(initials, configs, tables,
-                        lambda m, snaps: on_snaps(snaps) or consume(m, snaps))
+        trajs = original(initials, configs, tables, columns, True)
+        on_trajs(trajs)
+        return trajs
 
     monkeypatch.setattr(diagnostics, "stream_members", stream_members)
 
 
+def kept_states(trajs: dict):
+    """An ``on_trajs`` of :func:`watch_members` that puts each member's kept
+    snapshots into ``trajs`` under its eps."""
+    return lambda runs: trajs.update((t.initial.params.eps, t.states) for t in runs)
+
+
 def flag_error_pass(monkeypatch) -> list:
-    """A flag, [True] while the sweep takes the errors of a member's snapshot
-    stack and [False] otherwise."""
+    """A flag, [stack] while the sweep takes the errors of a member's snapshot
+    stack (its series columns) and [None] otherwise."""
     from chemorelax import diagnostics
-    live, original = [False], diagnostics.stack_stream
+    live, original = [None], diagnostics.stream_members
 
-    def stack_stream(take, count):
-        def flagged(start, s):
-            live[0] = True
-            take(start, s)
-            live[0] = False
-        return original(flagged, count)
+    def stream_members(initials, configs, tables, columns, keep):
+        def flagged(s, aggregate):
+            live[0] = s
+            out = columns(s, aggregate)
+            live[0] = None
+            return out
+        return original(initials, configs, tables, flagged, keep)
 
-    monkeypatch.setattr(diagnostics, "stack_stream", stack_stream)
+    monkeypatch.setattr(diagnostics, "stream_members", stream_members)
     return live
 
 
@@ -450,45 +458,56 @@ class TestRelaxationSweep:
         with pytest.raises(ValueError, match=message):
             relaxation_sweep(grid, params, rho0, eps_list, tau_end=tau_end, snap_dtau=0.05)
 
-    def test_builds_no_diagnostic_series(self, params, monkeypatch):
-        """The sweep reads snapshots only: no series row is ever recorded."""
-        from chemorelax.diagnostics import DiagnosticSeries
-        rows = []
-        monkeypatch.setattr(DiagnosticSeries, "add", lambda self, **kw: rows.append(kw))
+    def test_member_series_holds_only_the_six_norms(self, params, monkeypatch):
+        """Each member's series holds exactly the six norms of its errors and
+        residuals, one row per snapshot; the run's own series columns
+        (hpc_solver.series_columns) are never formed."""
+        from chemorelax import hpc_solver
+        from chemorelax.diagnostics import NORMS
+        series, calls = {}, []
+        original = hpc_solver.series_columns
+        monkeypatch.setattr(hpc_solver, "series_columns",
+                            lambda *args: calls.append(1) or original(*args))
+        watch_members(monkeypatch, lambda: None, lambda runs: series.update(
+            (t.initial.params.eps, t.series.columns) for t in runs))
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         rep = relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                                snap_dtau=0.05, dt_fast=0.02)
-        assert len(rep.sup_drho) == 3
-        assert rows == []
+        assert len(rep.sup_drho) == 3 and len(series) == 3
+        for columns in series.values():
+            assert list(columns) == list(NORMS)
+            assert all(len(values) == 5 for values in columns.values())
+        assert calls == []
 
     @pytest.mark.filterwarnings("ignore:initial norm")
     def test_one_n_transform_per_stack(self, params, monkeypatch):
         """The member loop inverse-transforms the n of each snapshot stack once:
         the rescaled density, the momentum residual and H(n) share it.  With
-        stacks of two snapshots, a member's five snapshots make three stacks."""
+        stacks of two snapshots, a member's five snapshots make three stacks,
+        the driver's chunks: the initial one alone, then two of two."""
         from chemorelax import driver
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        kept, calls, live = {}, [], flag_error_pass(monkeypatch)
+        kept, calls, live = {}, {}, flag_error_pass(monkeypatch)
         original_to_physical = SpectralField.to_physical
 
-        def to_physical(self):   # counts only the calls that take a stack's errors
-            if live[0]:
-                calls.append(self.coef)
+        def to_physical(self):   # records only the calls that take a stack's errors, per eps
+            if live[0] is not None:
+                calls.setdefault(live[0].params.eps, []).append(self.coef)
             return original_to_physical(self)
 
-        watch_members(monkeypatch, lambda: None, lambda snaps: kept.setdefault(
-            snaps[0].params.eps, []).extend(snaps))
+        watch_members(monkeypatch, lambda: None, kept_states(kept))
         monkeypatch.setattr(SpectralField, "to_physical", to_physical)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                          snap_dtau=0.05, dt_fast=0.02)
         assert len(kept) == 3
-        for states in kept.values():
+        for eps, states in kept.items():
             assert len(states) == 5
-            stacked = [np.concatenate([s.n.coef for s in states[k:k + 2]]) for k in (0, 2, 4)]
-            assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in calls)
+            stacked = [np.concatenate([s.n.coef for s in states[a:b]])
+                       for a, b in ((0, 1), (1, 3), (3, 5))]
+            assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in calls[eps])
                     for n in stacked] == [1, 1, 1]
 
     @pytest.mark.filterwarnings("ignore:initial norm")
@@ -496,21 +515,19 @@ class TestRelaxationSweep:
         """Each member evaluates the density perturbation for its errors, with
         its own params, once per snapshot stack: the rescaled density and H(n)
         share it.  Stacks of two snapshots split a member's five snapshots
-        into three stacks."""
+        into three stacks, the driver's chunks."""
         from chemorelax import diagnostics, driver, model
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
         kept, evals, live = {}, {}, flag_error_pass(monkeypatch)   # kept: snapshots, per eps
         original = model.density_perturbation
 
-        def on_snaps(snaps):
-            kept[snaps[0].params.eps] = kept.get(snaps[0].params.eps, 0) + len(snaps)
-
         def density_perturbation(n, p):   # counts only the calls that take a stack's errors
-            if live[0]:
+            if live[0] is not None:
                 evals[p.eps] = evals.get(p.eps, 0) + 1
             return original(n, p)
 
-        watch_members(monkeypatch, lambda: None, on_snaps)
+        watch_members(monkeypatch, lambda: None, lambda runs: kept.update(
+            (t.initial.params.eps, len(t.states)) for t in runs))
         for module in (diagnostics, model):
             monkeypatch.setattr(module, "density_perturbation", density_perturbation,
                                 raising=False)
@@ -526,14 +543,14 @@ class TestRelaxationSweep:
         """Every error and residual integral of the report is within 1e-13
         relative of the same quantities evaluated snapshot by snapshot on the
         member and limit-model trajectories; stacks of three snapshots split
-        each member's five snapshots at a stack boundary."""
+        each member's five snapshots at stack boundaries, the driver's chunks
+        [0], [1, 2, 3] and [4]."""
         from chemorelax import diagnostics, driver
         from chemorelax.ks_solver import reconstruct_velocity, solve_phi
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 3)
         trajs = {}
         original_ks_run = diagnostics.ks_run
-        watch_members(monkeypatch, lambda: None, lambda snaps: trajs.setdefault(
-            snaps[0].params.eps, []).extend(snaps))
+        watch_members(monkeypatch, lambda: None, kept_states(trajs))
         monkeypatch.setattr(diagnostics, "ks_run", lambda initial, cfg: trajs.setdefault(
             "limit", original_ks_run(initial, cfg)))
         grid = make_grid(d, N, 2 * np.pi)
@@ -598,8 +615,8 @@ class TestRelaxationSweep:
             refs.append(weakref.ref(u.coef))
             return u
 
-        watch_members(monkeypatch, on_start, lambda snaps: refs.extend(
-            weakref.ref(s.n.coef) for s in snaps if s.t != 0.0))
+        watch_members(monkeypatch, on_start, lambda runs: refs.extend(
+            weakref.ref(s.n.coef) for t in runs for s in t.states if s.t != 0.0))
         monkeypatch.setattr(diagnostics, "reconstruct_velocity", reconstruct_velocity)
         grid = make_grid(d, 16, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
@@ -641,34 +658,24 @@ class TestRelaxationSweep:
         assert long < 1.1 * short, (short, long)
 
     @pytest.mark.filterwarnings("ignore:initial norm")
-    @pytest.mark.parametrize("explodes", [True, False], ids=["then-blows-up", "completes"])
-    def test_member_snapshot_off_the_window(self, params, monkeypatch, explodes):
-        """A member snapshot whose errors leave the validity window, taken in a
-        stack before the member's run ends: if the member then blows up, the
-        sweep fails with RunFailed naming it, as if its errors were taken after
-        its run; if it completes, the window error is raised."""
-        from chemorelax import diagnostics, driver, hpc_solver
+    def test_member_snapshot_off_the_window(self, params, monkeypatch):
+        """A member snapshot whose errors leave the validity window, in a stack
+        before the member's run ends, ends that member there as a failing
+        step does: the sweep fails with RunFailed naming it."""
+        from chemorelax import diagnostics, driver
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        original_rescale, original_size = diagnostics.rescale_to_slow, hpc_solver.hybrid_aggregate
+        original = diagnostics.rescale_to_slow
 
         def rescale_to_slow(s, eps, rho_phys):   # off the window from slow time 0.025 on
             if eps == 0.4 and np.max(eps * s.t) > 0.02:
                 raise OutsideValidityWindow("density left the validity window")
-            return original_rescale(s, eps, rho_phys)
-
-        def hybrid_aggregate(s):   # a norm explosion from slow time 0.075 on
-            total, parts = original_size(s)
-            boom = explodes and s.params.eps == 0.4
-            return np.where(boom & (s.params.eps * np.asarray(s.t) > 0.06), 1e6 * total,
-                            total), parts
+            return original(s, eps, rho_phys)
 
         monkeypatch.setattr(diagnostics, "rescale_to_slow", rescale_to_slow)
-        monkeypatch.setattr(hpc_solver, "hybrid_aggregate", hybrid_aggregate)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
-        failure = ((RunFailed, r"^relaxation member eps=0.4 blew up: norm explosion")
-                   if explodes else (OutsideValidityWindow, "density left the validity window"))
-        with pytest.raises(failure[0], match=failure[1]):
+        with pytest.raises(RunFailed, match=r"^relaxation member eps=0.4 blew up: "
+                                            r"density left the validity window"):
             relaxation_sweep(grid, params, rho0, [0.5, 0.4, 0.25], tau_end=0.1,
                              snap_dtau=0.05, dt_fast=0.02)
 

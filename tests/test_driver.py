@@ -1,5 +1,5 @@
 """Snapshot driver shared by both solvers: schedule, trajectory type, snapshot
-stacks and the lazy series of columns."""
+stacks and the series of columns measured on them."""
 
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -55,10 +55,8 @@ def test_run_and_ks_run_share_one_trajectory_type(grid, params):
         assert len(traj.states) == 3
         assert traj.initial is initial   # states are values: kept, not copied
         assert traj.initial is traj.states[0] and traj.final is traj.states[-1]
-        # the series is built on first read, one row per kept snapshot
-        assert "series" not in vars(traj)
+        # one series row per kept snapshot
         np.testing.assert_allclose(traj.series.columns[time_name], [0.0, 0.25, 0.5], atol=1e-12)
-        assert traj.series is traj.series
 
 
 def test_states_are_frozen(grid, params):
@@ -145,9 +143,10 @@ def hpc_reference_row(s) -> dict:
 
 @pytest.mark.parametrize("d,N", [(1, 32), (2, 16)], ids=["1d", "2d"])
 def test_series_columns_match_per_snapshot_reference(params, d, N):
-    """Both solvers' series, built over snapshot stacks, give every column of
-    every snapshot within 1e-13 relative of the same row computed on the
-    snapshot alone; the runs keep more snapshots than one stack holds."""
+    """Both solvers' series, measured on the driver's chunks of snapshots,
+    give every column of every snapshot within 1e-13 relative of the same row
+    computed on the snapshot alone; the runs keep more snapshots than one
+    chunk holds."""
     grid = make_grid(d, N, 2 * np.pi)
     n_snaps = SNAPSHOT_CHUNK + 2
     config = SolverConfig(dt=0.02, t_end=0.02 * n_snaps, snap_dt=0.02)
@@ -244,22 +243,41 @@ def test_member_stack_is_chunk_invariant(grid, params, monkeypatch):
 
 def test_driver_sees_one_member_at_a_time(grid, params, monkeypatch):
     """The members of a 1D member stack reach the sizes and the series one at
-    a time: every hybrid_aggregate call and every columns call takes a state
-    whose params is one member's ModelParams."""
-    args, seen = three_members(grid, params, SNAPSHOT_CHUNK + 6), []
-    original = hpc_solver.hybrid_aggregate
+    a time: every hybrid_aggregate call and every series_columns call takes a
+    state whose params is one member's ModelParams."""
+    args, sized, measured = three_members(grid, params, SNAPSHOT_CHUNK + 6), [], []
+    size, columns = hpc_solver.hybrid_aggregate, hpc_solver.series_columns
     monkeypatch.setattr(hpc_solver, "hybrid_aggregate",
-                        lambda s: seen.append(s.params) or original(s))
+                        lambda s: sized.append(s.params) or size(s))
+    monkeypatch.setattr(hpc_solver, "series_columns",
+                        lambda s, aggregate: measured.append(s.params) or columns(s, aggregate))
     trajs = hpc_solver.run_members(*args)
-    for traj in trajs:
-        columns = traj.columns
-        traj.columns = lambda s, columns=columns: seen.append(s.params) or columns(s)
-        assert len(traj.series.columns["t"]) == SNAPSHOT_CHUNK + 7
-    # per member: sizes of the initial and two chunks; a columns call and its
-    # hybrid_aggregate call for each of the series' two stacks
-    assert len(seen) == 3 * (3 + 2 + 2)
-    assert all(type(p) is ModelParams for p in seen)
-    assert {p.eps for p in seen} == {0.2, 0.1, 0.05}
+    assert [len(traj.series.columns["t"]) for traj in trajs] == [SNAPSHOT_CHUNK + 7] * 3
+    # per member: the initial snapshot alone, then two chunks, each sized and measured once
+    assert len(sized) == len(measured) == 3 * 3
+    assert all(type(p) is ModelParams for p in sized + measured)
+    assert {p.eps for p in sized} == {p.eps for p in measured} == {0.2, 0.1, 0.05}
+
+
+def test_member_measure_failure_ends_that_member(grid, params, monkeypatch):
+    """Of three 1D members, only member 1's series columns leave the validity
+    window, from snapshot 40 on, in the middle of a chunk: member 0
+    completes, member 1 ends as "blowup" with the window message at
+    snapshot 40, as a failing step would end it, and member 2 drops out."""
+    from chemorelax.model import OutsideValidityWindow
+    args = three_members(grid, params, SNAPSHOT_CHUNK + 6)
+
+    def columns(s, aggregate):
+        if s.params.eps == 0.1 and np.max(s.t) > 0.02 * 39.5:
+            raise OutsideValidityWindow("density left the validity window")
+        return hpc_solver.series_columns(s, aggregate)
+
+    trajs = chunk_invariant(monkeypatch,
+                            lambda: hpc_solver.stream_members(*args, columns, True))
+    assert [(t.status, len(t.states)) for t in trajs] == [
+        ("completed", SNAPSHOT_CHUNK + 7), ("blowup", 40)]
+    assert trajs[1].message == "density left the validity window"
+    assert len(trajs[1].series.columns["t"]) == 40
 
 
 def test_kept_snapshots_own_their_rows(grid, params):
@@ -306,7 +324,8 @@ def test_blowup_in_a_chunk_is_chunk_invariant(monkeypatch, d, solver, amp, reaso
 def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, members, calls):
     """A run of M members and K snapshots, in any d, takes its sizes in
     M (ceil(K / SNAPSHOT_CHUNK) + 1) calls: for each member the initial one
-    alone, then one per chunk."""
+    alone, then one per chunk; reading the series after the run sizes
+    nothing again."""
     grid = make_grid(d, 8, 2 * np.pi)
     if members > 1:
         args = three_members(grid, params, n_snaps)
@@ -319,4 +338,5 @@ def test_size_calls_per_chunk(params, monkeypatch, d, n_snaps, members, calls):
     monkeypatch.setattr(hpc_solver, "hybrid_aggregate", lambda s: sizes.append(1) or original(s))
     trajs = hpc_solver.run_members(*args)
     assert [(t.status, len(t.states)) for t in trajs] == [("completed", n_snaps + 1)] * members
+    assert [len(t.series.columns["x_aggregate"]) for t in trajs] == [n_snaps + 1] * members
     assert len(sizes) == calls

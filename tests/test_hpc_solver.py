@@ -435,35 +435,46 @@ class TestRun:
         evaluates one density perturbation per stack, for the mass and mean H
         of all its rows, with the same bits as total_mass() and
         coefficient_H(n) of each snapshot.  The run keeps more snapshots than
-        one stack holds, so the series joins two stacks."""
+        one chunk holds, so the series joins three stacks, the driver's
+        chunks: the initial snapshot alone, then two chunks."""
         from chemorelax import model
         from chemorelax.driver import SNAPSHOT_CHUNK
         from chemorelax.model import coefficient_H
         state = small_state(make_grid(1, 32, 2 * np.pi), solver_params)
         n_snaps = SNAPSHOT_CHUNK + 6
-        traj = run(state, SolverConfig(dt=0.01, t_end=0.01 * n_snaps, snap_dt=0.01))
-        assert len(traj.states) == n_snaps + 1
-        transformed, perturbations = [], []
+        transformed, perturbations, live = [], [], [False]
         to_physical, perturbation = SpectralField.to_physical, model.density_perturbation
+        columns = hpc_solver.series_columns
+
+        def counted_columns(s, aggregate):   # counts only the calls that form the series
+            live[0] = True
+            out = columns(s, aggregate)
+            live[0] = False
+            return out
 
         def counted_to_physical(self):
-            transformed.append(self.coef)
+            if live[0]:
+                transformed.append(self.coef)
             return to_physical(self)
 
         def counted_perturbation(*args):
-            perturbations.append(1)
+            if live[0]:
+                perturbations.append(1)
             return perturbation(*args)
 
+        monkeypatch.setattr(hpc_solver, "series_columns", counted_columns)
         monkeypatch.setattr(SpectralField, "to_physical", counted_to_physical)
         for module in (hpc_solver, model):
             monkeypatch.setattr(module, "density_perturbation", counted_perturbation)
-        series = traj.series
-        stacked_n = [np.concatenate([s.n.coef for s in chunk])
-                     for chunk in (traj.states[:SNAPSHOT_CHUNK], traj.states[SNAPSHOT_CHUNK:])]
-        assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in transformed)
-                for n in stacked_n] == [1, 1]
-        assert len(perturbations) == 2
+        traj = run(state, SolverConfig(dt=0.01, t_end=0.01 * n_snaps, snap_dt=0.01))
         monkeypatch.undo()
+        assert len(traj.states) == n_snaps + 1
+        stacked_n = [np.concatenate([s.n.coef for s in traj.states[a:b]])
+                     for a, b in ((0, 1), (1, SNAPSHOT_CHUNK + 1), (SNAPSHOT_CHUNK + 1, None))]
+        assert [sum(c.shape == n.shape and np.array_equal(c, n) for c in transformed)
+                for n in stacked_n] == [1, 1, 1]
+        assert len(perturbations) == 3
+        series = traj.series
         assert len(series.columns["t"]) == len(traj.states)
         for k, s in enumerate(traj.states):
             assert series.columns["t"][k] == s.t
