@@ -658,20 +658,30 @@ class TestRelaxationSweep:
         assert long < 1.1 * short, (short, long)
 
     @pytest.mark.filterwarnings("ignore:initial norm")
-    def test_member_snapshot_off_the_window(self, params, monkeypatch):
+    @pytest.mark.parametrize("explodes", [True, False], ids=["then-blows-up", "completes"])
+    def test_member_snapshot_off_the_window(self, params, monkeypatch, explodes):
         """A member snapshot whose errors leave the validity window, in a stack
         before the member's run ends, ends that member there as a failing
-        step does: the sweep fails with RunFailed naming it."""
-        from chemorelax import diagnostics, driver
+        step does: the sweep fails with RunFailed naming it and the window
+        error, whether the member's run would have completed or blown up
+        later."""
+        from chemorelax import diagnostics, driver, hpc_solver
         monkeypatch.setattr(driver, "SNAPSHOT_CHUNK", 2)
-        original = diagnostics.rescale_to_slow
+        original_rescale, original_size = diagnostics.rescale_to_slow, hpc_solver.hybrid_aggregate
 
         def rescale_to_slow(s, eps, rho_phys):   # off the window from slow time 0.025 on
             if eps == 0.4 and np.max(eps * s.t) > 0.02:
                 raise OutsideValidityWindow("density left the validity window")
-            return original(s, eps, rho_phys)
+            return original_rescale(s, eps, rho_phys)
+
+        def hybrid_aggregate(s):   # a norm explosion from slow time 0.075 on
+            total, parts = original_size(s)
+            boom = explodes and s.params.eps == 0.4
+            return np.where(boom & (s.params.eps * np.asarray(s.t) > 0.06), 1e6 * total,
+                            total), parts
 
         monkeypatch.setattr(diagnostics, "rescale_to_slow", rescale_to_slow)
+        monkeypatch.setattr(hpc_solver, "hybrid_aggregate", hybrid_aggregate)
         grid = make_grid(1, 32, 2 * np.pi)
         rho0 = params.rho_bar + 0.02 * gaussian_bump(grid, width=0.8)
         with pytest.raises(RunFailed, match=r"^relaxation member eps=0.4 blew up: "
